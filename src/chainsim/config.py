@@ -14,12 +14,17 @@ any later key in the file overrides.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
-from .workload import ConstantSampler, ExponentialSampler, load_histogram
+import numpy as np
+
+from .engine import RandomSource, sample_exponential
 
 FRACTION_TOLERANCE = 1e-9
+PROBABILITY_TOLERANCE = 1e-9
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -65,9 +70,6 @@ class SimConfig:
     block_target: int | None = None  # stop after this many blocks created
     runs: int = 10
     seed: int = 42
-
-    def miner_count(self) -> int:
-        return len(self.miners)
 
 
 # Preset parameter sets for the two reference networks.  The ethereum
@@ -116,34 +118,120 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def parse_sampler(spec: str, base_dir: Path | None = None):
-    """Build a sampler object from a ``const:/exp:/hist:`` spec string."""
+class ConstantSampler:
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        self.value = float(value)
+
+    def draw(self, rng: RandomSource) -> float:
+        return self.value
+
+    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
+        return np.full(n, self.value)
+
+    def mean(self) -> float:
+        return self.value
+
+
+class ExponentialSampler:
+    __slots__ = ("_mean",)
+
+    def __init__(self, mean: float) -> None:
+        if mean <= 0:
+            raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
+        self._mean = float(mean)
+
+    def draw(self, rng: RandomSource) -> float:
+        return sample_exponential(rng, self._mean)
+
+    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
+        return rng.rng.exponential(self._mean, n)
+
+    def mean(self) -> float:
+        return self._mean
+
+
+class HistogramSampler:
+    """Empirical distribution given as (value, probability) pairs."""
+
+    __slots__ = ("values", "probabilities")
+
+    def __init__(self, values: Sequence[float], probabilities: Sequence[float]) -> None:
+        if len(values) != len(probabilities) or not values:
+            raise ValueError("histogram needs one probability per value")
+        if not all(math.isfinite(x) for x in (*values, *probabilities)):
+            raise ValueError("histogram values and probabilities must be finite")
+        if any(p < 0 for p in probabilities):
+            raise ValueError("histogram probabilities must be non-negative")
+        total = math.fsum(probabilities)
+        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
+            raise ValueError(f"histogram probabilities sum to {total!r}, expected 1")
+        self.values = np.asarray(values, dtype=float)
+        self.probabilities = np.asarray(probabilities, dtype=float)
+
+    def draw(self, rng: RandomSource) -> float:
+        return float(rng.rng.choice(self.values, p=self.probabilities))
+
+    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
+        return rng.rng.choice(self.values, size=n, p=self.probabilities)
+
+    def mean(self) -> float:
+        return float(np.dot(self.values, self.probabilities))
+
+
+def load_histogram(path) -> HistogramSampler:
+    """Read a two-column text file of (value, probability) rows."""
+    values: list[float] = []
+    probs: list[float] = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'value probability', got {raw!r}")
+            values.append(float(parts[0]))
+            probs.append(float(parts[1]))
+    return HistogramSampler(values, probs)
+
+
+def parse_sampler(spec: str):
+    """Build a sampler object from a ``const:/exp:/hist:`` spec string.
+
+    A relative ``hist:`` path resolves against the working directory;
+    ``config_from_pairs`` anchors config-file paths before they get here.
+    """
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ConfigError(f"sampler spec {spec!r} needs the form kind:argument")
     kind = kind.strip().lower()
     arg = arg.strip()
-    if kind == "const":
+    if kind in ("const", "exp"):
         try:
-            return ConstantSampler(float(arg))
+            value = float(arg)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return ConstantSampler(value) if kind == "const" else ExponentialSampler(value)
         except ValueError as exc:
-            raise ConfigError(f"bad constant sampler value {arg!r}") from exc
-    if kind == "exp":
-        try:
-            return ExponentialSampler(float(arg))
-        except ValueError as exc:
-            raise ConfigError(f"bad exponential sampler mean {arg!r}: {exc}") from exc
+            raise ConfigError(f"bad {kind}: sampler argument {arg!r}: {exc}") from exc
     if kind == "hist":
-        path = Path(arg)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
         try:
-            return load_histogram(path)
+            return load_histogram(arg)
         except OSError as exc:
-            raise ConfigError(f"cannot read histogram file {path}: {exc}") from exc
+            raise ConfigError(f"cannot read histogram file {arg}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown sampler kind {kind!r} (use const:, exp:, or hist:)")
+
+
+def _anchor_hist(spec: str, base_dir: Path | None) -> str:
+    """Rewrite a ``hist:`` spec to an absolute path, relative paths taken from ``base_dir``."""
+    kind, _, arg = spec.partition(":")
+    if kind.strip().lower() != "hist":
+        return spec
+    return f"hist:{(Path(base_dir or '') / arg.strip()).absolute()}"
 
 
 def _parse_bool(raw: str) -> bool:
@@ -218,12 +306,27 @@ def apply_preset(config: SimConfig, name: str) -> SimConfig:
     return dataclasses.replace(config, preset=key, **PRESETS[key])
 
 
-def validate(config: SimConfig, base_dir: Path | None = None) -> SimConfig:
+def validate(config: SimConfig) -> SimConfig:
     """Raise ConfigError on any inconsistent parameter combination."""
 
     def fail(message: str) -> None:
         raise ConfigError(message)
 
+    numbers = {
+        "B_interval": config.b_interval,
+        "B_size": config.b_size,
+        "B_delay": config.b_delay,
+        "B_reward": config.b_reward,
+        "T_n": config.t_n,
+        "T_delay": config.t_delay,
+        "inclusion_reward_fraction": config.inclusion_reward_fraction,
+        "Sim_time": config.sim_time,
+    }
+    for name, value in numbers.items():
+        if value is not None and not math.isfinite(value):
+            fail(f"{name} must be a finite number, got {value}")
+    if not all(math.isfinite(w) for w in config.miners + (config.stakes or ())):
+        fail("miner hash fractions and stakes must be finite numbers")
     if config.b_interval <= 0:
         fail(f"B_interval must be positive, got {config.b_interval}")
     if config.b_size <= 0:
@@ -243,8 +346,11 @@ def validate(config: SimConfig, base_dir: Path | None = None) -> SimConfig:
         fail(f"miner hash fractions must sum to 1, got {total!r}")
     if config.n_n < len(config.miners):
         fail(f"N_n={config.n_n} is smaller than the number of miners ({len(config.miners)})")
-    if config.stakes is not None and len(config.stakes) != len(config.miners):
-        fail("stakes list must match the miners list in length")
+    if config.stakes is not None:
+        if len(config.stakes) != len(config.miners):
+            fail("stakes list must match the miners list in length")
+        if any(s < 0 for s in config.stakes) or sum(config.stakes) <= 0:
+            fail("stakes must be non-negative with a positive sum")
     if config.u_max < 0:
         fail("U_max must be non-negative")
     if config.uncles_enabled and config.g_uncle < 1:
@@ -262,8 +368,8 @@ def validate(config: SimConfig, base_dir: Path | None = None) -> SimConfig:
     if config.runs < 1:
         fail("Runs must be at least 1")
     # Samplers must parse now, not at run time.
-    size_sampler = parse_sampler(config.t_size, base_dir)
-    parse_sampler(config.t_fee, base_dir)
+    size_sampler = parse_sampler(config.t_size)
+    parse_sampler(config.t_fee)
     if config.has_trans and size_sampler.mean() <= 0:
         fail("T_size must yield positive sizes")
     return config
@@ -308,8 +414,14 @@ def config_from_pairs(
         config = dataclasses.replace(config, block_target=None)
     if "block_target" in seen and "sim_time" not in seen and config.sim_time is not None:
         config = dataclasses.replace(config, sim_time=None)
+    # Resolve histogram paths once, so runs read the file validate() read.
+    config = dataclasses.replace(
+        config,
+        t_size=_anchor_hist(config.t_size, base_dir),
+        t_fee=_anchor_hist(config.t_fee, base_dir),
+    )
     try:
-        return validate(config, base_dir)
+        return validate(config)
     except ConfigError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -348,10 +460,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.intervals or not self.delays:
             raise ConfigError("sweep grid must contain at least one cell")
-        if any(i <= 0 for i in self.intervals):
-            raise ConfigError("sweep intervals must be positive")
-        if any(d < 0 for d in self.delays):
-            raise ConfigError("sweep delays must be non-negative")
+        for cell in self.cells():
+            validate(cell)
 
     def cells(self):
         for interval in self.intervals:

@@ -15,19 +15,13 @@ shares away from hash shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from .config import SimConfig
 from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
-
-
-class Selector(Enum):
-    POW_RACE = "pow"
-    STAKE_PROPORTIONAL = "stake"
-    ROUND_ROBIN = "roundrobin"
 
 
 class ChainAction(Enum):
@@ -37,61 +31,41 @@ class ChainAction(Enum):
     STORED_AS_UNCLE = "stored_as_uncle"
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
-    block_interval: float
-    selector: Selector = Selector.POW_RACE
-    uncles_enabled: bool = False
-    max_uncles: int = 2  # per block
-    uncle_window: int = 7  # generations an uncle stays referenceable
-
-    def __post_init__(self) -> None:
-        if self.block_interval <= 0:
-            raise ValueError("block interval must be positive")
-        if self.max_uncles < 0:
-            raise ValueError("max uncles per block must be non-negative")
-        if self.uncles_enabled and self.uncle_window < 1:
-            raise ValueError("uncle window must cover at least one generation")
-
-
 class ConsensusEngine:
     def __init__(
         self,
         world: World,
         queue: EventQueue,
         rng: RandomSource,
-        params: ConsensusParams,
+        config: SimConfig,
         network: Network,
         workload: TxWorkload,
-        block_capacity: float,
     ) -> None:
         self.world = world
         self.queue = queue
         self.rng = rng
-        self.params = params
         self.network = network
         self.workload = workload
-        self.block_capacity = block_capacity
+        self.block_interval = config.b_interval
+        self.round_robin = config.selector == "roundrobin"
+        self.uncles_enabled = config.uncles_enabled
+        self.max_uncles = config.u_max  # per block
+        self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
         self.gas_model = workload.gas_model
-        self.weights = self._creation_weights()
+        if config.selector == "stake":
+            raw = [n.stake for n in world.nodes]
+        else:
+            raw = [n.hash_power for n in world.nodes]
+        total = sum(raw)
+        self.weights = [w / total for w in raw]
         self.miner_ids = [n.id for n in world.nodes if self.weights[n.id] > 0]
         self._rr_cycle = 0
-
-    def _creation_weights(self) -> list[float]:
-        if self.params.selector is Selector.STAKE_PROPORTIONAL:
-            raw = [n.stake for n in self.world.nodes]
-        else:
-            raw = [n.hash_power for n in self.world.nodes]
-        total = sum(raw)
-        if total <= 0:
-            raise ValueError("no node has creation weight; nothing can mine")
-        return [w / total for w in raw]
 
     # -- scheduling -----------------------------------------------------
 
     def start(self) -> None:
         """Schedule every miner's first creation event."""
-        if self.params.selector is Selector.ROUND_ROBIN:
+        if self.round_robin:
             self._schedule_round_robin(0.0)
             return
         for miner_id in self.miner_ids:
@@ -102,9 +76,9 @@ class ConsensusEngine:
         weight = self.weights[miner.id]
         if weight <= 0:
             raise ValueError(f"node {miner.id} has zero creation weight")
-        if self.params.selector is Selector.ROUND_ROBIN:
+        if self.round_robin:
             return self._schedule_round_robin(at)
-        delay = sample_exponential(self.rng, self.params.block_interval / weight)
+        delay = sample_exponential(self.rng, self.block_interval / weight)
         event = Event(EventKind.BLOCK_CREATE, miner.id, at + delay, miner.tip)
         self.queue.schedule(event)
         return event
@@ -114,7 +88,7 @@ class ConsensusEngine:
         self._rr_cycle += 1
         miner = self.world.nodes[miner_id]
         event = Event(
-            EventKind.BLOCK_CREATE, miner_id, at + self.params.block_interval, miner.tip
+            EventKind.BLOCK_CREATE, miner_id, at + self.block_interval, miner.tip
         )
         self.queue.schedule(event)
         return event
@@ -128,7 +102,7 @@ class ConsensusEngine:
             # The tip moved after this event was armed; the race already
             # restarted on the new tip when the miner adopted it.
             self.world.stale_creation_events += 1
-            if self.params.selector is Selector.ROUND_ROBIN:
+            if self.round_robin:
                 self._schedule_round_robin(event.time)
             return None
 
@@ -146,7 +120,6 @@ class ConsensusEngine:
             tx_count=body.tx_count,
             tx_fee_total=body.fee_total,
             uncles=self._reference_uncles(miner, parent.depth + 1),
-            gas_limit=self.block_capacity if self.gas_model else 0.0,
             used_gas=body.weight_total if self.gas_model else 0.0,
         )
         self.world.registry.add(block)
@@ -158,7 +131,7 @@ class ConsensusEngine:
         self._absorb(miner, block)
 
         self.network.broadcast_block(miner.id, block, now)
-        if self.params.selector is Selector.ROUND_ROBIN:
+        if self.round_robin:
             self._schedule_round_robin(now)
         else:
             self.schedule_next_creation(miner, now)
@@ -171,7 +144,7 @@ class ConsensusEngine:
         chain, and not already referenced (by the node's chain or anywhere
         else in the run).  Entries fallen out of the window are pruned.
         """
-        low = next_depth - self.params.uncle_window
+        low = next_depth - self.uncle_window
         registry = self.world.registry
         found: list[tuple[int, int]] = []
         for uncle_id in list(node.uncle_chain):
@@ -187,10 +160,10 @@ class ConsensusEngine:
                 continue
             found.append((depth, uncle_id))
         found.sort()
-        return [uncle_id for _, uncle_id in found[: self.params.max_uncles]]
+        return [uncle_id for _, uncle_id in found[: self.max_uncles]]
 
     def _reference_uncles(self, miner: NodeState, next_depth: int) -> tuple[int, ...]:
-        if not self.params.uncles_enabled:
+        if not self.uncles_enabled:
             return ()
         chosen = self.eligible_uncles(miner, next_depth)
         for uncle_id in chosen:
@@ -221,12 +194,12 @@ class ConsensusEngine:
         else:
             # Not deeper than the local tip: rejected outright, but with
             # uncles enabled it is remembered as a referenceable uncle.
-            if self.params.uncles_enabled and block.id not in node.included_uncles:
+            if self.uncles_enabled and block.id not in node.included_uncles:
                 node.uncle_chain[block.id] = None
                 return ChainAction.STORED_AS_UNCLE
             return ChainAction.DISCARDED_SHORTER
 
-        if self.weights[node.id] > 0 and self.params.selector is not Selector.ROUND_ROBIN:
+        if self.weights[node.id] > 0 and not self.round_robin:
             self.schedule_next_creation(node, event.time)
         return action
 
@@ -261,7 +234,7 @@ class ConsensusEngine:
             for tx in block.transactions:
                 pool.pop(tx.id, None)
                 seen.add(tx.id)
-        if self.params.uncles_enabled:
+        if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)
             for uncle_id in block.uncles:
                 node.included_uncles.add(uncle_id)

@@ -5,21 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Block, BlockRegistry, NodeState, Transaction
-
-
-@dataclass(frozen=True)
-class RewardParams:
-    block_reward: float
-    uncles_enabled: bool = False
-    uncle_window: int = 7
-    inclusion_fraction: float = 1.0 / 32.0  # paid to the block miner per referenced uncle
-
-    def __post_init__(self) -> None:
-        if self.block_reward < 0:
-            raise ValueError("block reward must be non-negative")
-        if not 0 <= self.inclusion_fraction < 1:
-            raise ValueError("inclusion reward fraction must be in [0, 1)")
+from .config import SimConfig
+from .model import Block, BlockRegistry, NodeState
 
 
 @dataclass(slots=True)
@@ -48,17 +35,6 @@ class RewardLedger(dict):
         return sum(entry.total for entry in self.values())
 
 
-def tx_fee(tx: Transaction, capacity_model: str = "size") -> float:
-    """Fee earned by the including miner.
-
-    Size model: the fee sampled at creation (size times unit price).
-    Gas model: used gas times gas price.
-    """
-    if capacity_model == "gas":
-        return tx.used_gas * tx.gas_price
-    return tx.fee
-
-
 def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> float:
     """Reward to an uncle's miner when referenced by a block at ``d_block``.
 
@@ -77,7 +53,7 @@ def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> fl
 def distribute(
     main_chain_ids: list[int],
     registry: BlockRegistry,
-    params: RewardParams,
+    config: SimConfig,
     nodes: list[NodeState],
 ) -> RewardLedger:
     """Pay every miner for its main-chain blocks, fees, and referenced uncles.
@@ -86,18 +62,19 @@ def distribute(
     off the main chain earn nothing, and transactions inside uncle blocks
     are never rewarded.
     """
+    reward = config.b_reward
     ledger = RewardLedger()
     for block_id in main_chain_ids[1:]:  # skip genesis
         block: Block = registry[block_id]
         entry = ledger.entry(block.miner_id)
-        entry.block_rewards += params.block_reward
+        entry.block_rewards += reward
         entry.tx_fees += block.tx_fee_total
         for uncle_id in block.uncles:
             uncle = registry[uncle_id]
             ledger.entry(uncle.miner_id).uncle_rewards += uncle_reward(
-                uncle.depth, params.uncle_window, block.depth, params.block_reward
+                uncle.depth, config.g_uncle, block.depth, reward
             )
-            entry.inclusion_rewards += params.inclusion_fraction * params.block_reward
+            entry.inclusion_rewards += config.inclusion_reward_fraction * reward
     for node in nodes:
         entry = ledger.get(node.id)
         if entry is not None:

@@ -17,9 +17,7 @@ class Transaction:
     value: float
     size: float  # megabytes
     fee: float
-    gas_limit: float = 0.0  # gas-accounting configurations only
-    used_gas: float = 0.0
-    gas_price: float = 0.0
+    used_gas: float = 0.0  # gas-accounting configurations only
 
 
 @dataclass(slots=True)
@@ -37,7 +35,6 @@ class Block:
     tx_count: int = 0
     tx_fee_total: float = 0.0
     uncles: tuple[int, ...] = ()
-    gas_limit: float = 0.0
     used_gas: float = 0.0
 
 
@@ -50,10 +47,6 @@ def make_genesis() -> Block:
         timestamp=0.0,
         miner_id=GENESIS_MINER,
     )
-
-
-class BrokenAncestryError(RuntimeError):
-    """A stored block references an ancestor missing from the registry."""
 
 
 class BlockRegistry:
@@ -81,21 +74,6 @@ class BlockRegistry:
     def add(self, block: Block) -> None:
         self._blocks[block.id] = block
 
-    def rebuild_chain(self, head: Block) -> list[int]:
-        """Genesis-to-head id path obtained by walking previous_id links."""
-        path = [head.id]
-        block = head
-        while block.previous_id is not None:
-            parent = self._blocks.get(block.previous_id)
-            if parent is None:
-                raise BrokenAncestryError(
-                    f"block {block.id} references unknown parent {block.previous_id}"
-                )
-            path.append(parent.id)
-            block = parent
-        path.reverse()
-        return path
-
 
 @dataclass(slots=True)
 class NodeState:
@@ -122,11 +100,6 @@ class NodeState:
         self.chain = [genesis.id]
         self.chain_pos = {genesis.id: 0}
         self.tip = genesis
-
-
-def tip(node: NodeState) -> Block:
-    """Last block of the node's local chain (genesis is always present)."""
-    return node.tip
 
 
 class World:

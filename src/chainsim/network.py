@@ -7,50 +7,22 @@ exponential mode each recipient draws its own independent delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
+from .config import SimConfig
 from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
 from .model import Block, Transaction
 
 
-class DelayMode(Enum):
-    CONSTANT = "constant"
-    EXPONENTIAL_MEAN = "exponential"
-
-
-@dataclass(frozen=True)
-class DelayModel:
-    block_delay: float
-    tx_delay: float
-    mode: DelayMode = DelayMode.CONSTANT
-
-    def __post_init__(self) -> None:
-        if self.block_delay < 0 or self.tx_delay < 0:
-            raise ValueError("propagation delays must be non-negative")
-
-
-class LightModeError(RuntimeError):
-    """Transactions are not propagated when the light workload technique is active."""
-
-
 class Network:
-    def __init__(
-        self,
-        queue: EventQueue,
-        rng: RandomSource,
-        delays: DelayModel,
-        n_nodes: int,
-        tx_propagation: bool,
-    ) -> None:
+    def __init__(self, queue: EventQueue, rng: RandomSource, config: SimConfig) -> None:
         self.queue = queue
         self.rng = rng
-        self.delays = delays
-        self.n_nodes = n_nodes
-        self.tx_propagation = tx_propagation
+        self.n_nodes = config.n_n
+        self.block_delay = config.b_delay
+        self.tx_delay = config.t_delay
+        self.exponential = config.delay_mode == "exponential"
 
     def _delay(self, mean: float) -> float:
-        if self.delays.mode is DelayMode.CONSTANT or mean == 0.0:
+        if not self.exponential or mean == 0.0:
             return mean
         return sample_exponential(self.rng, mean)
 
@@ -63,7 +35,7 @@ class Network:
             event = Event(
                 EventKind.BLOCK_RECEIVE,
                 node_id,
-                at + self._delay(self.delays.block_delay),
+                at + self._delay(self.block_delay),
                 block,
             )
             self.queue.schedule(event)
@@ -72,8 +44,6 @@ class Network:
 
     def broadcast_tx(self, sender_id: int, tx: Transaction, at: float) -> list[Event]:
         """Schedule one TX_RECEIVE per node other than the sender (full mode only)."""
-        if not self.tx_propagation:
-            raise LightModeError("transaction broadcast requires the full workload technique")
         events = []
         for node_id in range(self.n_nodes):
             if node_id == sender_id:
@@ -81,7 +51,7 @@ class Network:
             event = Event(
                 EventKind.TX_RECEIVE,
                 node_id,
-                at + self._delay(self.delays.tx_delay),
+                at + self._delay(self.tx_delay),
                 tx,
             )
             self.queue.schedule(event)

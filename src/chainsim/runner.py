@@ -10,21 +10,21 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import SimConfig, parse_sampler
-from .consensus import ConsensusEngine, ConsensusParams, Selector, main_chain
+from .config import SimConfig, validate
+from .consensus import ConsensusEngine, main_chain
 from .engine import EventKind, EventQueue, RandomSource, run_loop
-from .incentives import RewardParams, distribute
+from .incentives import distribute
 from .model import World
-from .network import DelayMode, DelayModel, Network
+from .network import Network
 from .stats import RunReport, summarize_run
-from .workload import TxWorkload, WorkloadParams
+from .workload import TxWorkload
 
 
 class Simulation:
     """One fully wired run: world, queue, network, workload, and consensus."""
 
     def __init__(self, config: SimConfig, run_index: int = 0) -> None:
-        self.config = config
+        self.config = validate(config)
         self.run_index = run_index
         self.seed = config.seed + run_index
         self.rng = RandomSource(self.seed)
@@ -32,46 +32,10 @@ class Simulation:
         stakes = config.stakes if config.stakes is not None else config.miners
         self.world = World(config.n_n, hash_powers=config.miners, stakes=stakes)
         self.queue = EventQueue()
-        self.full_mode = config.has_trans and config.t_technique == "full"
-
-        self.network = Network(
-            self.queue,
-            self.rng,
-            DelayModel(config.b_delay, config.t_delay, DelayMode(config.delay_mode)),
-            config.n_n,
-            tx_propagation=self.full_mode,
-        )
-        self.workload = TxWorkload(
-            self.world,
-            self.queue,
-            self.rng,
-            WorkloadParams(
-                has_trans=config.has_trans,
-                technique=config.t_technique,
-                tx_rate=config.t_n,
-                tx_delay=config.t_delay,
-                size_sampler=parse_sampler(config.t_size),
-                price_sampler=parse_sampler(config.t_fee),
-                capacity_model=config.capacity_model,
-                block_capacity=config.b_size,
-                block_interval=config.b_interval,
-            ),
-            self.network,
-        )
+        self.network = Network(self.queue, self.rng, config)
+        self.workload = TxWorkload(self.world, self.queue, self.rng, config, self.network)
         self.consensus = ConsensusEngine(
-            self.world,
-            self.queue,
-            self.rng,
-            ConsensusParams(
-                block_interval=config.b_interval,
-                selector=Selector(config.selector),
-                uncles_enabled=config.uncles_enabled,
-                max_uncles=config.u_max,
-                uncle_window=config.g_uncle,
-            ),
-            self.network,
-            self.workload,
-            block_capacity=config.b_size,
+            self.world, self.queue, self.rng, config, self.network, self.workload
         )
         self.handlers = {
             EventKind.BLOCK_CREATE: self.consensus.on_block_create,
@@ -92,17 +56,7 @@ class Simulation:
             block_target=self.config.block_target,
         )
         chain = main_chain(self.world)
-        ledger = distribute(
-            chain,
-            self.world.registry,
-            RewardParams(
-                block_reward=self.config.b_reward,
-                uncles_enabled=self.config.uncles_enabled,
-                uncle_window=self.config.g_uncle,
-                inclusion_fraction=self.config.inclusion_reward_fraction,
-            ),
-            self.world.nodes,
-        )
+        ledger = distribute(chain, self.world.registry, self.config, self.world.nodes)
         return summarize_run(
             self.world,
             chain,
@@ -112,7 +66,7 @@ class Simulation:
             run_index=self.run_index,
             seed=self.seed,
             wall_clock=time.perf_counter() - started,
-            full_mode=self.full_mode,
+            full_mode=self.workload.full_mode,
         )
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-
-from scipy import stats as scipy_stats
 
 from .incentives import RewardLedger
 from .model import BlockRegistry, World
@@ -141,6 +140,43 @@ class MetricAggregate:
         return self.mean + self.half_width_95
 
 
+def _t_central(t: float, df: int) -> float:
+    """P(|T| < t) for Student's t with integer ``df``, in closed form.
+
+    With theta = atan(t / sqrt(df)), odd = df % 2 and the df // 2 terms
+    a_0 = 1, a_j = a_(j-1) cos^2(theta) (2j - 1 + odd) / (2j + odd) summing
+    to S: even df gives sin(theta) S, odd df gives
+    2/pi (theta + sin(theta) cos(theta) S).
+    """
+    c2 = df / (df + t * t)
+    sin = t / math.sqrt(df + t * t)
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for j in range(1, df // 2 + 1):
+        total += term
+        term *= c2 * (2 * j - 1 + odd) / (2 * j + odd)
+    if not odd:
+        return sin * total
+    return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + sin * math.sqrt(c2) * total)
+
+
+@functools.cache
+def t_quantile(p: float, df: int) -> float:
+    """Student-t quantile for ``p`` in (0.5, 1) by bisection on ``_t_central``."""
+    target = 2.0 * p - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _t_central(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _aggregate_values(values: list[float]) -> MetricAggregate:
     n = len(values)
     mean = math.fsum(values) / n
@@ -149,7 +185,7 @@ def _aggregate_values(values: list[float]) -> MetricAggregate:
     variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     if variance <= 0:
         return MetricAggregate(mean, 0.0, n)
-    half_width = float(scipy_stats.t.ppf(0.975, n - 1)) * math.sqrt(variance / n)
+    half_width = t_quantile(0.975, n - 1) * math.sqrt(variance / n)
     return MetricAggregate(mean, half_width, n)
 
 

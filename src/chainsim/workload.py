@@ -12,113 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from .config import ConstantSampler, SimConfig, parse_sampler
 from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
-from .model import Block, Transaction, World
+from .model import Transaction, World
 from .network import Network
-
-PROBABILITY_TOLERANCE = 1e-9
-
-
-class ConstantSampler:
-    __slots__ = ("value",)
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    def draw(self, rng: RandomSource) -> float:
-        return self.value
-
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
-        return np.full(n, self.value)
-
-    def mean(self) -> float:
-        return self.value
-
-
-class ExponentialSampler:
-    __slots__ = ("_mean",)
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
-        self._mean = float(mean)
-
-    def draw(self, rng: RandomSource) -> float:
-        return sample_exponential(rng, self._mean)
-
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
-        return rng.rng.exponential(self._mean, n)
-
-    def mean(self) -> float:
-        return self._mean
-
-
-class HistogramSampler:
-    """Empirical distribution given as (value, probability) pairs."""
-
-    __slots__ = ("values", "probabilities")
-
-    def __init__(self, values: Sequence[float], probabilities: Sequence[float]) -> None:
-        if len(values) != len(probabilities) or not values:
-            raise ValueError("histogram needs one probability per value")
-        if any(p < 0 for p in probabilities):
-            raise ValueError("histogram probabilities must be non-negative")
-        total = math.fsum(probabilities)
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise ValueError(f"histogram probabilities sum to {total!r}, expected 1")
-        self.values = np.asarray(values, dtype=float)
-        self.probabilities = np.asarray(probabilities, dtype=float)
-
-    def draw(self, rng: RandomSource) -> float:
-        return float(rng.rng.choice(self.values, p=self.probabilities))
-
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
-        return rng.rng.choice(self.values, size=n, p=self.probabilities)
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probabilities))
-
-
-def load_histogram(path) -> HistogramSampler:
-    """Read a two-column text file of (value, probability) rows."""
-    values: list[float] = []
-    probs: list[float] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'value probability', got {raw!r}")
-            values.append(float(parts[0]))
-            probs.append(float(parts[1]))
-    return HistogramSampler(values, probs)
-
-
-@dataclass(frozen=True)
-class WorkloadParams:
-    has_trans: bool
-    technique: str  # "full" | "light"
-    tx_rate: float  # transactions per second
-    tx_delay: float
-    size_sampler: object  # MB in size model, gas units in gas model
-    price_sampler: object  # currency per MB, or per gas unit
-    capacity_model: str  # "size" | "gas"
-    block_capacity: float  # MB, or the block gas limit
-    block_interval: float
-
-    def __post_init__(self) -> None:
-        if self.tx_rate < 0:
-            raise ValueError("transaction rate must be non-negative")
-        if self.technique not in ("full", "light"):
-            raise ValueError(f"unknown workload technique {self.technique!r}")
-        if self.size_sampler.mean() <= 0:
-            raise ValueError("transaction sizes must be positive")
 
 
 @dataclass(slots=True)
@@ -135,38 +36,23 @@ EMPTY_BODY = BlockBody((), 0, 0.0, 0.0)
 
 
 def select_for_block(
-    pool: Iterable[Transaction],
-    capacity: float,
-    *,
-    gas: bool = False,
-    budget: int | None = None,
+    pool: Iterable[Transaction], capacity: float, *, gas: bool = False
 ) -> list[Transaction]:
     """Greedy fee-descending packing under the size (or gas) capacity.
 
     A transaction that does not fit is skipped and scanning continues, so a
     large high-fee transaction cannot block smaller ones behind it.  Fee
-    ties break toward the lower transaction id.  ``budget`` optionally caps
-    the number of transactions taken.
+    ties break toward the lower transaction id.
     """
     ordered = sorted(pool, key=lambda t: (-t.fee, t.id))
     picked: list[Transaction] = []
     used = 0.0
     for tx in ordered:
-        if budget is not None and len(picked) >= budget:
-            break
         weight = tx.used_gas if gas else tx.size
         if used + weight <= capacity:
             picked.append(tx)
             used += weight
     return picked
-
-
-def tx_latency(tx: Transaction, including_block: Block) -> float:
-    """Seconds from creation to inclusion (full mode, main-chain blocks only)."""
-    latency = including_block.timestamp - tx.timestamp
-    if latency < 0:
-        raise ValueError(f"transaction {tx.id} included before it was created")
-    return latency
 
 
 class SharedPool:
@@ -178,14 +64,17 @@ class SharedPool:
     transactions than the configured demand generates.
     """
 
-    def __init__(self, world: World, rng: RandomSource, params: WorkloadParams) -> None:
+    def __init__(
+        self, world: World, rng: RandomSource, config: SimConfig, size_sampler, price_sampler
+    ) -> None:
         self.world = world
         self.rng = rng
-        self.params = params
-        mean_size = params.size_sampler.mean()
-        self.capacity_estimate = max(1, int(params.block_capacity / mean_size))
-        if params.has_trans and params.tx_rate > 0:
-            arrivals = params.tx_rate * params.block_interval
+        self.size_sampler = size_sampler  # MB in size model, gas units in gas model
+        self.price_sampler = price_sampler  # currency per MB, or per gas unit
+        self.capacity = config.b_size
+        self.capacity_estimate = max(1, int(config.b_size / size_sampler.mean()))
+        if config.t_n > 0:
+            arrivals = config.t_n * config.b_interval
             self.refill_size = int(min(math.ceil(2 * arrivals), 2 * self.capacity_estimate))
             self.block_budget = max(1, math.ceil(arrivals))
         else:
@@ -193,8 +82,8 @@ class SharedPool:
             self.block_budget = 0
         # With constant size and price the pool contents are interchangeable,
         # so selection reduces to "first k ids" and no arrays are needed.
-        self._uniform = isinstance(params.size_sampler, ConstantSampler) and isinstance(
-            params.price_sampler, ConstantSampler
+        self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
+            price_sampler, ConstantSampler
         )
         self._sizes: np.ndarray | None = None
         self._fees: np.ndarray | None = None
@@ -211,40 +100,9 @@ class SharedPool:
         self.world._next_tx_id += n
         if n == 0 or self._uniform:
             return
-        self._sizes = self.params.size_sampler.draw_many(self.rng, n)
-        prices = self.params.price_sampler.draw_many(self.rng, n)
+        self._sizes = self.size_sampler.draw_many(self.rng, n)
+        prices = self.price_sampler.draw_many(self.rng, n)
         self._fees = self._sizes * prices
-
-    def as_transactions(self, now: float = 0.0) -> list[Transaction]:
-        """Materialize the current pool (diagnostics and tests only)."""
-        gas_model = self.params.capacity_model == "gas"
-        txs = []
-        for i in range(self.refill_size):
-            size = (
-                self.params.size_sampler.value
-                if self._uniform
-                else float(self._sizes[i])
-            )
-            fee = (
-                size * self.params.price_sampler.value
-                if self._uniform
-                else float(self._fees[i])
-            )
-            tx = Transaction(
-                id=self._first_id + i,
-                timestamp=now,
-                submitter_id=0,
-                recipient_id=0,
-                value=1.0,
-                size=0.0 if gas_model else size,
-                fee=fee,
-            )
-            if gas_model:
-                tx.used_gas = size
-                tx.gas_limit = size
-                tx.gas_price = fee / size if size else 0.0
-            txs.append(tx)
-        return txs
 
     def take_block(self, now: float) -> BlockBody:
         """Pack one block from the pool, then reset and refill it."""
@@ -255,11 +113,11 @@ class SharedPool:
         return body
 
     def _pack(self) -> BlockBody:
-        capacity = self.params.block_capacity
+        capacity = self.capacity
         if self._uniform:
-            size = self.params.size_sampler.value
+            size = self.size_sampler.value
             k = min(self.block_budget, int(capacity / size), self.refill_size)
-            fee = size * self.params.price_sampler.value
+            fee = size * self.price_sampler.value
             return BlockBody((), k, k * fee, k * size)
         order = np.argsort(-self._fees, kind="stable")
         used = 0.0
@@ -284,27 +142,32 @@ class TxWorkload:
         world: World,
         queue: EventQueue,
         rng: RandomSource,
-        params: WorkloadParams,
+        config: SimConfig,
         network: Network,
     ) -> None:
         self.world = world
         self.queue = queue
         self.rng = rng
-        self.params = params
         self.network = network
-        self.full_mode = params.has_trans and params.technique == "full"
-        self.gas_model = params.capacity_model == "gas"
+        self.full_mode = config.has_trans and config.t_technique == "full"
+        self.gas_model = config.capacity_model == "gas"
+        self.tx_rate = config.t_n
+        self.block_capacity = config.b_size
+        self.size_sampler = parse_sampler(config.t_size)
+        self.price_sampler = parse_sampler(config.t_fee)
         self.shared_pool: SharedPool | None = None
-        if params.has_trans and params.technique == "light":
-            self.shared_pool = SharedPool(world, rng, params)
+        if config.has_trans and not self.full_mode:
+            self.shared_pool = SharedPool(
+                world, rng, config, self.size_sampler, self.price_sampler
+            )
 
     def start(self) -> None:
         """Schedule the first transaction arrival (full mode)."""
-        if self.full_mode and self.params.tx_rate > 0:
+        if self.full_mode and self.tx_rate > 0:
             self._schedule_arrival(0.0)
 
     def _schedule_arrival(self, now: float) -> None:
-        gap = sample_exponential(self.rng, 1.0 / self.params.tx_rate)
+        gap = sample_exponential(self.rng, 1.0 / self.tx_rate)
         at = now + gap
         tx = self._make_tx(at)
         self.queue.schedule(Event(EventKind.TX_CREATE, tx.submitter_id, at, tx))
@@ -314,9 +177,9 @@ class TxWorkload:
         n_nodes = len(self.world.nodes)
         submitter = int(rng.integers(n_nodes))
         recipient = int(rng.integers(n_nodes))
-        size = self.params.size_sampler.draw(self.rng)
-        price = self.params.price_sampler.draw(self.rng)
-        tx = Transaction(
+        size = self.size_sampler.draw(self.rng)
+        price = self.price_sampler.draw(self.rng)
+        return Transaction(
             id=self.world.new_tx_id(),
             timestamp=timestamp,
             submitter_id=submitter,
@@ -324,12 +187,8 @@ class TxWorkload:
             value=1.0,
             size=0.0 if self.gas_model else size,
             fee=size * price,
+            used_gas=size if self.gas_model else 0.0,
         )
-        if self.gas_model:
-            tx.used_gas = size
-            tx.gas_limit = size * 1.2
-            tx.gas_price = price
-        return tx
 
     def on_tx_create(self, event: Event) -> None:
         tx: Transaction = event.payload
@@ -349,13 +208,11 @@ class TxWorkload:
 
     def take_block(self, miner, now: float) -> BlockBody:
         """Select the content of a new block mined at ``now``."""
-        if not self.params.has_trans:
-            return EMPTY_BODY
         if self.shared_pool is not None:
             return self.shared_pool.take_block(now)
-        picked = select_for_block(
-            miner.tx_pool.values(), self.params.block_capacity, gas=self.gas_model
-        )
+        if not self.full_mode:
+            return EMPTY_BODY
+        picked = select_for_block(miner.tx_pool.values(), self.block_capacity, gas=self.gas_model)
         if not picked:
             return EMPTY_BODY
         weight = sum((tx.used_gas if self.gas_model else tx.size) for tx in picked)

@@ -86,6 +86,33 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "B_delay = nan",
+            "B_reward = nan",
+            "B_interval = inf",
+            "B_interval = nan",
+            "stakes = 0,0,0,0,0\nselector = stake",
+            "stakes = 2,-1,0,0,0",
+        ],
+    )
+    def test_bad_number_exit_2(self, tmp_path, capsys, bad):
+        config = write_config(tmp_path, f"{bad}\nblock_target = 20\nruns = 1\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
+    def test_hist_path_relative_to_config_from_other_cwd(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "h.txt").write_text("0.0005 0.5\n0.001 0.5\n")
+        config = write_config(sub, "t_size = hist:h.txt\nblock_target = 20\nruns = 1\n", "h.cfg")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", "sub/h.cfg", "--out", "out"]) == 0
+        assert (tmp_path / "out" / "runs.csv").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -173,3 +200,13 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intervals, delays", [("nan", "1"), ("10", "inf"), ("0", "1")])
+    def test_bad_grid_value_exit_2(self, tmp_path, capsys, intervals, delays):
+        config = write_config(tmp_path)
+        code = cli.main([
+            "sweep", "--config", str(config), "--intervals", intervals, "--delays", delays,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err

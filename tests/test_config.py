@@ -4,6 +4,9 @@ import pytest
 
 from chainsim.config import (
     ConfigError,
+    ConstantSampler,
+    ExponentialSampler,
+    HistogramSampler,
     SimConfig,
     SweepSpec,
     parse_config,
@@ -11,7 +14,6 @@ from chainsim.config import (
     parse_sampler,
 )
 from chainsim.runner import run_single
-from chainsim.workload import ConstantSampler, ExponentialSampler, HistogramSampler
 
 
 def write_config(tmp_path, text, name="sim.cfg"):
@@ -108,6 +110,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stakes"):
             parse_config_text("miners = 0.5,0.5\nstakes = 1\nn_n=2\nsim_time = 5\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "B_delay = nan",
+            "B_reward = nan",
+            "B_interval = inf",
+            "B_interval = nan",
+            "B_size = inf",
+            "T_n = nan",
+            "T_delay = inf",
+            "Sim_time = inf",
+            "inclusion_reward_fraction = nan",
+            "miners = nan,0.5,0.5",
+            "stakes = 0,0,0,0,0\nselector = stake",
+            "stakes = 2,-1,0,0,0",
+            "stakes = 1,nan,0,0,0",
+            "T_size = const:nan",
+            "T_fee = exp:inf",
+        ],
+    )
+    def test_bad_numbers_rejected(self, line):
+        horizon = "" if line.startswith("Sim_time") else "block_target = 10\n"
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{line}\n{horizon}")
+
+    def test_zero_size_accepted_without_transactions(self):
+        config = parse_config_text("hastrans = false\nt_size = const:0\nblock_target = 10\n")
+        assert run_single(config, 0).blocks_created == 10
+
 
 class TestSamplerSpecs:
     def test_const(self):
@@ -123,7 +154,8 @@ class TestSamplerSpecs:
         config = parse_config(
             write_config(tmp_path, "t_size = hist:sizes.txt\nsim_time = 5\n")
         )
-        sampler = parse_sampler(config.t_size, base_dir=tmp_path)
+        assert config.t_size == f"hist:{tmp_path / 'sizes.txt'}"
+        sampler = parse_sampler(config.t_size)
         assert isinstance(sampler, HistogramSampler)
         assert sampler.mean() == pytest.approx(0.0008)
 
@@ -173,3 +205,7 @@ class TestSweepSpec:
             SweepSpec(base, (0.0,), (1.0,))
         with pytest.raises(ConfigError):
             SweepSpec(base, (1.0,), (-1.0,))
+        with pytest.raises(ConfigError):
+            SweepSpec(base, (float("nan"),), (1.0,))
+        with pytest.raises(ConfigError):
+            SweepSpec(base, (1.0,), (float("inf"),))

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from chainsim.consensus import (
-    ChainAction,
-    ConsensusEngine,
-    ConsensusParams,
-    Selector,
-    main_chain,
-)
+from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
 from chainsim.engine import Event, EventKind, EventQueue, RandomSource
 from chainsim.model import Block, Transaction, World
-from chainsim.network import DelayModel, Network
+from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
-from chainsim.workload import TxWorkload, WorkloadParams
+from chainsim.workload import TxWorkload
 
 from conftest import SKEWED_MINERS, make_config
 
@@ -23,41 +17,39 @@ def make_engine(
     block_interval=10.0,
     block_delay=0.0,
     uncles=False,
-    selector=Selector.POW_RACE,
     full=False,
     capacity=1.0,
     seed=1,
-    stakes=(),
 ):
-    world = World(n_nodes, hash_powers=hash_powers, stakes=stakes)
+    config = make_config(
+        n_n=n_nodes,
+        miners=hash_powers,
+        b_interval=block_interval,
+        b_delay=block_delay,
+        b_size=capacity,
+        uncles_enabled=uncles,
+        has_trans=full,
+        t_technique="full" if full else "light",
+        t_size="const:0.001",
+        t_fee="const:1.0",
+        t_delay=0.0,
+    )
+    world = World(n_nodes, hash_powers=hash_powers)
     queue = EventQueue()
     rng = RandomSource(seed)
-    network = Network(queue, rng, DelayModel(block_delay, 0.0), n_nodes, tx_propagation=full)
-    workload = TxWorkload(
-        world,
-        queue,
-        rng,
-        WorkloadParams(
-            has_trans=full,
-            technique="full" if full else "light",
-            tx_rate=0.0,
-            tx_delay=0.0,
-            size_sampler=__import__("chainsim.workload", fromlist=["ConstantSampler"]).ConstantSampler(0.001),
-            price_sampler=__import__("chainsim.workload", fromlist=["ConstantSampler"]).ConstantSampler(1.0),
-            capacity_model="size",
-            block_capacity=capacity,
-            block_interval=block_interval,
-        ),
-        network,
-    )
-    params = ConsensusParams(
-        block_interval=block_interval,
-        selector=selector,
-        uncles_enabled=uncles,
-        max_uncles=2,
-        uncle_window=7,
-    )
-    return ConsensusEngine(world, queue, rng, params, network, workload, capacity), world, queue
+    network = Network(queue, rng, config)
+    workload = TxWorkload(world, queue, rng, config, network)
+    return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
+
+
+def ancestry(registry, head):
+    """Genesis-to-head ids, found by following previous_id links."""
+    path = []
+    block = head
+    while block is not None:
+        path.append(block.id)
+        block = registry[block.previous_id] if block.previous_id is not None else None
+    return path[::-1]
 
 
 def append_block(engine, world, miner_id, *, uncles=(), ts=None):
@@ -205,8 +197,8 @@ class TestOnBlockReceive:
             b_head = append_block(engine, world, 1, ts=(b_head.timestamp + 1 if b_head else 10.0))
         action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 20.0, b_head))
         assert action is ChainAction.REPLACED
-        # Oracle: the full rebuild from the registry.
-        assert node2.chain == world.registry.rebuild_chain(b_head)
+        # Oracle: the full walk back through the registry.
+        assert node2.chain == ancestry(world.registry, b_head)
         assert not (set(node2.chain) & {a1.id, a2.id, a3.id})
         assert node2.chain_pos == {bid: i for i, bid in enumerate(node2.chain)}
 

@@ -3,35 +3,55 @@ from fractions import Fraction
 
 import pytest
 
-from chainsim.incentives import (
-    RewardEntry,
-    RewardLedger,
-    RewardParams,
-    distribute,
-    tx_fee,
-    uncle_reward,
-)
-from chainsim.model import Block, BlockRegistry, Transaction, World, make_genesis
+from chainsim.consensus import main_chain
+from chainsim.incentives import RewardEntry, RewardLedger, distribute, uncle_reward
+from chainsim.model import Block, BlockRegistry, World, make_genesis
 from chainsim.runner import Simulation
 
 from conftest import make_config
 
 
-def tx_with(size=0.0, fee=0.0, used_gas=0.0, gas_price=0.0):
-    return Transaction(1, 0.0, 0, 1, 1.0, size, fee, used_gas=used_gas, gas_price=gas_price)
+def full_run(**overrides):
+    """A short full-mode run; returns its report and the main chain's transactions."""
+    config = make_config(
+        has_trans=True, t_technique="full", t_n=0.5, t_delay=1.0,
+        b_interval=60.0, block_target=60, seed=2, **overrides,
+    )
+    sim = Simulation(config, 0)
+    report = sim.run()
+    registry = sim.world.registry
+    txs = [t for bid in main_chain(sim.world)[1:] for t in registry[bid].transactions]
+    assert txs  # the run included transactions
+    return report, txs
+
+
+def ledger_fees(report):
+    return math.fsum(entry.tx_fees for entry in report.reward_ledger.values())
 
 
 class TestTxFee:
     def test_size_model_uses_sampled_fee(self):
-        # fee was computed at creation as size * unit price: 2 MB * 3 = 6
-        assert tx_fee(tx_with(size=2.0, fee=6.0)) == 6.0
+        # fee is computed at creation as size * unit price: 2 MB * 3 = 6
+        report, txs = full_run(t_size="const:2", t_fee="const:3", b_size=4.0)
+        assert all(t.size == 2.0 and t.fee == 6.0 for t in txs)
+        assert ledger_fees(report) == pytest.approx(6.0 * len(txs))
 
     def test_gas_model(self):
-        t = tx_with(used_gas=21_000.0, gas_price=0.001)
-        assert tx_fee(t, "gas") == pytest.approx(21.0)
+        # gas model: fee = used gas * gas price = 21,000 * 0.001
+        report, txs = full_run(
+            capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
+        )
+        assert all(t.used_gas == 21_000.0 and t.size == 0.0 for t in txs)
+        assert all(t.fee == pytest.approx(21.0) for t in txs)
+        assert ledger_fees(report) == pytest.approx(21.0 * len(txs))
 
     def test_zero_gas(self):
-        assert tx_fee(tx_with(used_gas=0.0, gas_price=5.0), "gas") == 0.0
+        # a zero gas price earns nothing however much gas is used
+        report, txs = full_run(
+            capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0"
+        )
+        assert all(t.fee == 0.0 for t in txs)
+        assert ledger_fees(report) == 0.0
 
 
 class TestUncleReward:
@@ -84,7 +104,7 @@ class TestDistribute:
         block = Block(id=1, depth=1, previous_id=0, timestamp=1.0, miner_id=3)
         registry, chain = self._world_with_chain([block])
         world = World(4, hash_powers=(0, 0, 0, 1.0))
-        ledger = distribute(chain, registry, RewardParams(block_reward=2.0), world.nodes)
+        ledger = distribute(chain, registry, make_config(b_reward=2.0), world.nodes)
         assert ledger[3].total == 2.0
         assert world.nodes[3].balance == 2.0
         assert all(n.balance == 0.0 for n in world.nodes[:3])
@@ -101,7 +121,7 @@ class TestDistribute:
         registry.add(uncle_a)
         registry.add(uncle_b)
         world = World(3, hash_powers=(0.5, 0.3, 0.2))
-        params = RewardParams(block_reward=2.0, uncles_enabled=True, uncle_window=7)
+        params = make_config(b_reward=2.0, uncles_enabled=True, g_uncle=7)
         ledger = distribute(chain, registry, params, world.nodes)
         # includer: two block rewards + fees + 2 * (2/32)
         assert ledger[0].total == pytest.approx(4.0 + 0.5 + 2 * (2.0 / 32.0))
@@ -114,7 +134,7 @@ class TestDistribute:
         b1 = Block(id=1, depth=1, previous_id=0, timestamp=1.0, miner_id=0, tx_fee_total=1.25)
         registry, chain = self._world_with_chain([b1])
         world = World(1, hash_powers=(1.0,))
-        ledger = distribute(chain, registry, RewardParams(block_reward=2.0), world.nodes)
+        ledger = distribute(chain, registry, make_config(b_reward=2.0), world.nodes)
         assert ledger[0].tx_fees == 1.25
         assert ledger[0].total == 3.25
 
@@ -137,8 +157,6 @@ class TestRunLevelInvariants:
         )
         sim = Simulation(config, 0)
         report = sim.run()
-        from chainsim.consensus import main_chain
-
         registry = sim.world.registry
         chain = main_chain(sim.world)
         fee_sum = math.fsum(registry[b].tx_fee_total for b in chain[1:])
@@ -176,8 +194,6 @@ class TestRunLevelInvariants:
         sim = Simulation(config, 0)
         report = sim.run()
         assert report.stale_rate > 0.2
-        from chainsim.consensus import main_chain
-
         on_chain = {sim.world.registry[b].miner_id for b in main_chain(sim.world)[1:]}
         for node in sim.world.nodes:
             if node.id not in on_chain:
@@ -191,12 +207,10 @@ class TestRunLevelInvariants:
         )
         sim = Simulation(config, 0)
         report = sim.run()
-        from chainsim.consensus import main_chain
-
         expected_fees = {}
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             expected_fees.setdefault(block.miner_id, 0.0)
-            expected_fees[block.miner_id] += math.fsum(tx_fee(t) for t in block.transactions)
+            expected_fees[block.miner_id] += math.fsum(t.fee for t in block.transactions)
         for miner_id, fees in expected_fees.items():
             assert report.reward_ledger[miner_id].tx_fees == pytest.approx(fees, rel=1e-12)

@@ -1,13 +1,8 @@
 import pytest
 
-from chainsim.model import (
-    Block,
-    BlockRegistry,
-    BrokenAncestryError,
-    World,
-    make_genesis,
-    tip,
-)
+from chainsim.consensus import ChainAction
+from chainsim.engine import Event, EventKind
+from chainsim.model import Block, World, make_genesis
 from chainsim.runner import Simulation
 
 from conftest import make_config
@@ -23,32 +18,39 @@ def blk(bid, depth, prev, miner=0, ts=None):
     )
 
 
-def linear_registry(n):
-    reg = BlockRegistry()
-    genesis = make_genesis()
-    reg.add(genesis)
-    prev = genesis
-    for i in range(1, n):
-        b = blk(i, i, prev.id)
-        reg.add(b)
-        prev = b
-    return reg, prev
+def observer_sim():
+    """An unstarted two-node world; node 1 never mines and only receives."""
+    sim = Simulation(make_config(miners=(1.0,), n_n=2), 0)
+    return sim, sim.world.nodes[1]
+
+
+def adopt(blocks, head):
+    """Register ``blocks``, deliver only ``head`` to a fresh node, return its chain.
+
+    The registry is what lets the node fill in the ancestors it never received.
+    """
+    sim, observer = observer_sim()
+    for b in blocks:
+        sim.world.registry.add(b)
+    sim.consensus.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 50.0, head))
+    return observer.chain
 
 
 class TestTip:
     def test_fresh_node_tip_is_genesis(self):
         world = World(2, hash_powers=(1.0,))
-        assert tip(world.nodes[0]).depth == 0
-        assert tip(world.nodes[1]) is world.genesis
+        assert world.nodes[0].tip.depth == 0
+        assert world.nodes[1].tip is world.genesis
 
     def test_tip_tracks_chain_tail(self):
-        world = World(1, hash_powers=(1.0,))
-        reg, head = linear_registry(3)
-        node = world.nodes[0]
-        node.chain = reg.rebuild_chain(head)
-        node.chain_pos = {bid: i for i, bid in enumerate(node.chain)}
-        node.tip = head
-        assert tip(node).id == node.chain[-1] == 2
+        # A node that adopts a three-block chain ends with the head as its tip.
+        sim, observer = observer_sim()
+        head = None
+        for bid in (1, 2):
+            head = blk(bid, bid, bid - 1)
+            sim.world.registry.add(head)
+        sim.consensus.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 5.0, head))
+        assert observer.tip.id == observer.chain[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
         # Zero delay and a time horizon: the observer has adopted everything.
@@ -57,39 +59,36 @@ class TestTip:
         sim.run()
         miner, observer = sim.world.nodes
         assert miner.tip.depth >= 1
-        assert tip(observer).depth == miner.tip.depth
+        assert observer.tip.depth == miner.tip.depth
         assert observer.chain == miner.chain
 
 
 class TestRebuildChain:
     def test_head_genesis(self):
-        reg = BlockRegistry()
-        g = make_genesis()
-        reg.add(g)
-        assert reg.rebuild_chain(g) == [g.id]
+        sim, observer = observer_sim()
+        event = Event(EventKind.BLOCK_RECEIVE, 1, 1.0, sim.world.genesis)
+        assert sim.consensus.on_block_receive(event) is ChainAction.DISCARDED_SHORTER
+        assert observer.chain == [sim.world.genesis.id]
 
     def test_linear_chain(self):
-        reg, head = linear_registry(5)
-        path = reg.rebuild_chain(head)
+        blocks = [blk(i, i, i - 1) for i in range(1, 5)]
+        path = adopt(blocks, blocks[-1])
         assert path == [0, 1, 2, 3, 4]
-        assert len(path) == head.depth + 1
+        assert len(path) == blocks[-1].depth + 1
 
     def test_forked_registry_follows_single_branch(self):
         # Hand-built 6-block fork: two children of genesis, one branch deeper.
-        reg = BlockRegistry()
         g = make_genesis()
-        reg.add(g)
         a1 = blk(1, 1, g.id)
         a2 = blk(2, 2, a1.id)
         b1 = blk(3, 1, g.id)
         b2 = blk(4, 2, b1.id)
         b3 = blk(5, 3, b2.id)
-        for b in (a1, a2, b1, b2, b3):
-            reg.add(b)
+        blocks = (a1, a2, b1, b2, b3)
 
         # Oracle: enumerate all root-to-node paths by brute force.
         children = {}
-        for b in (a1, a2, b1, b2, b3):
+        for b in blocks:
             children.setdefault(b.previous_id, []).append(b)
 
         def paths(node, prefix):
@@ -99,18 +98,14 @@ class TestRebuildChain:
                 yield from paths(child, prefix)
 
         expected = dict(paths(g, []))
-        for head in (g, a1, a2, b1, b2, b3):
-            assert reg.rebuild_chain(head) == expected[head.id]
-        assert set(reg.rebuild_chain(b3)) & {a1.id, a2.id} == set()
+        for head in blocks:
+            assert adopt(blocks, head) == expected[head.id]
+        assert set(adopt(blocks, b3)) & {a1.id, a2.id} == set()
 
     def test_broken_ancestry_is_fatal(self):
-        reg = BlockRegistry()
-        g = make_genesis()
-        reg.add(g)
         orphan = blk(9, 3, 8)  # parent 8 never registered
-        reg.add(orphan)
-        with pytest.raises(BrokenAncestryError):
-            reg.rebuild_chain(orphan)
+        with pytest.raises(KeyError):
+            adopt([orphan], orphan)
 
 
 class TestWorld:

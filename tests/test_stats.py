@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from chainsim.stats import (
     RunReport,
     aggregate,
     check_main_chain,
+    t_quantile,
 )
 
 from conftest import make_config
@@ -132,6 +136,29 @@ class TestAggregate:
         a = aggregate(reports)["stale_rate"]
         b = aggregate(reports)["stale_rate"]
         assert (a.mean, a.half_width_95) == (b.mean, b.half_width_95)
+
+
+class TestTQuantile:
+    def test_closed_forms_for_one_and_two_df(self):
+        for p in (0.9, 0.975, 0.995):
+            assert t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-13)
+            a = 2 * p - 1
+            assert t_quantile(p, 2) == pytest.approx(a * math.sqrt(2 / (1 - a * a)), rel=1e-13)
+
+    def test_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for p in (0.9, 0.975, 0.995):
+            for df in range(1, 201):
+                expected = float(scipy_stats.t.ppf(p, df))
+                assert t_quantile(p, df) == pytest.approx(expected, rel=1e-12), (p, df)
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, chainsim, chainsim.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestPaperScaleThroughput:
