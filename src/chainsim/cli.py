@@ -116,6 +116,27 @@ class _OutputTracker:
                 pass
 
 
+def _write_outputs(out: str, write) -> int:
+    """Create the directory ``out`` and run ``write(out_dir, tracker)`` in it.
+
+    An unusable ``out`` is reported in one line; if ``write`` fails, the
+    files it registered are removed and the traceback is printed."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot use --out {out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    tracker = _OutputTracker()
+    try:
+        write(out_dir, tracker)
+    except Exception:
+        tracker.discard_all()
+        traceback.print_exc()
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
 def _load_config(args) -> SimConfig:
     config = parse_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -129,20 +150,15 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    try:
+
+    def write(out_dir: Path, tracker: _OutputTracker) -> None:
         reports = run_many(config, parallel=args.parallel)
         aggregates = aggregate(reports)
         write_run_csv(tracker.register(out_dir / RUN_CSV_NAME), reports)
         write_aggregate_csv(tracker.register(out_dir / AGGREGATE_CSV_NAME), aggregates)
         print_summary(config, aggregates)
-    except Exception:
-        tracker.discard_all()
-        traceback.print_exc()
-        return EXIT_RUNTIME
-    return EXIT_OK
+
+    return _write_outputs(args.out, write)
 
 
 def _parse_grid_list(raw: str, what: str) -> tuple[float, ...]:
@@ -166,11 +182,9 @@ def _cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    rows: list[dict] = []
-    try:
+
+    def write(out_dir: Path, tracker: _OutputTracker) -> None:
+        rows: list[dict] = []
         for cell in spec.cells():
             reports = run_many(cell, parallel=args.parallel)
             aggs = aggregate(reports)
@@ -189,11 +203,8 @@ def _cmd_sweep(args) -> int:
                 f"stale={row['stale_rate']:.4%} throughput={row['throughput_tps']:.6g} tx/s"
             )
         write_sweep_csv(tracker.register(out_dir / SWEEP_CSV_NAME), rows)
-    except Exception:
-        tracker.discard_all()
-        traceback.print_exc()
-        return EXIT_RUNTIME
-    return EXIT_OK
+
+    return _write_outputs(args.out, write)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,6 @@ class ConsensusEngine:
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
-        self.gas_model = workload.gas_model
         if config.selector == "stake":
             raw = [n.stake for n in world.nodes]
         else:
@@ -115,12 +114,11 @@ class ConsensusEngine:
             previous_id=parent.id,
             timestamp=now,
             miner_id=miner.id,
-            size=0.0 if self.gas_model else body.weight_total,
+            weight=body.weight_total,
             transactions=body.transactions,
             tx_count=body.tx_count,
             tx_fee_total=body.fee_total,
             uncles=self._reference_uncles(miner, parent.depth + 1),
-            used_gas=body.weight_total if self.gas_model else 0.0,
         )
         self.world.registry.add(block)
         self.world.blocks_created += 1
@@ -227,13 +225,10 @@ class ConsensusEngine:
         node.tip = block
 
     def _absorb(self, node: NodeState, block: Block) -> None:
-        """Pool and uncle bookkeeping for a block newly on the node's chain."""
-        if block.transactions:
-            pool = node.tx_pool
-            seen = node.chain_tx_ids
-            for tx in block.transactions:
-                pool.pop(tx.id, None)
-                seen.add(tx.id)
+        """Transaction and uncle bookkeeping for a block newly on the node's chain;
+        only nodes that create blocks record adopted transaction ids."""
+        if block.transactions and self.weights[node.id] > 0:
+            node.chain_tx_ids.update(tx.id for tx in block.transactions)
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)
             for uncle_id in block.uncles:

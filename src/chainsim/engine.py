@@ -22,7 +22,6 @@ class EventKind(IntEnum):
     BLOCK_CREATE = 0
     BLOCK_RECEIVE = 1
     TX_CREATE = 2
-    TX_RECEIVE = 3
 
 
 @dataclass(slots=True)
@@ -30,7 +29,7 @@ class Event:
     """A scheduled state change at one node.
 
     ``payload`` carries the object the handler needs: the block being
-    delivered, the transaction being created/delivered, or -- for a
+    delivered, the transaction being created, or -- for a
     BLOCK_CREATE event -- the intended parent block at scheduling time
     (used to detect that the miner's tip has since moved).
 

@@ -13,29 +13,25 @@ class Transaction:
     id: int
     timestamp: float
     submitter_id: int
-    recipient_id: int
-    value: float
-    size: float  # megabytes
+    weight: float  # MB, or gas units under the gas capacity model
     fee: float
-    used_gas: float = 0.0  # gas-accounting configurations only
 
 
 @dataclass(slots=True)
 class Block:
     """One block. ``transactions`` holds objects only in full workload mode;
-    light mode tracks the per-block count/fee/size aggregates instead."""
+    light mode tracks the per-block count/fee/weight aggregates instead."""
 
     id: int
     depth: int
     previous_id: int | None  # None marks genesis
     timestamp: float
     miner_id: int
-    size: float = 0.0  # total transaction megabytes
+    weight: float = 0.0  # total transaction MB, or gas under the gas capacity model
     transactions: tuple[Transaction, ...] = ()
     tx_count: int = 0
     tx_fee_total: float = 0.0
     uncles: tuple[int, ...] = ()
-    used_gas: float = 0.0
 
 
 def make_genesis() -> Block:
@@ -77,7 +73,7 @@ class BlockRegistry:
 
 @dataclass(slots=True)
 class NodeState:
-    """Per-node balance, local chain view, transaction pool, and uncle bookkeeping.
+    """Per-node balance, local chain view, adopted transactions, and uncle bookkeeping.
 
     The local chain is stored as an id list plus an id->index map so that a
     reorganization only touches the blocks past the fork point.  ``tip``
@@ -91,8 +87,8 @@ class NodeState:
     chain: list[int] = field(default_factory=list)
     chain_pos: dict[int, int] = field(default_factory=dict)
     tip: Block | None = None
-    tx_pool: dict[int, Transaction] = field(default_factory=dict)
-    chain_tx_ids: set[int] = field(default_factory=set)  # txs ever adopted into the chain
+    # Transactions ever adopted into the chain; kept for nodes that create blocks.
+    chain_tx_ids: set[int] = field(default_factory=set)
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
     included_uncles: set[int] = field(default_factory=set)  # uncle ids seen referenced by adopted blocks
 

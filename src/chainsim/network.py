@@ -1,5 +1,5 @@
-"""Abstracted broadcast: deliver blocks and transactions to every other node
-after a configurable propagation delay.
+"""Abstracted broadcast: deliver blocks to every other node after a
+configurable propagation delay.
 
 No topology is modelled; the delay is the only network parameter.  In
 exponential mode each recipient draws its own independent delay.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .config import SimConfig
 from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
-from .model import Block, Transaction
+from .model import Block
 
 
 class Network:
@@ -18,10 +18,10 @@ class Network:
         self.rng = rng
         self.n_nodes = config.n_n
         self.block_delay = config.b_delay
-        self.tx_delay = config.t_delay
         self.exponential = config.delay_mode == "exponential"
 
-    def _delay(self, mean: float) -> float:
+    def delay(self, mean: float) -> float:
+        """One recipient's propagation delay; no draw when the mean is zero."""
         if not self.exponential or mean == 0.0:
             return mean
         return sample_exponential(self.rng, mean)
@@ -35,24 +35,8 @@ class Network:
             event = Event(
                 EventKind.BLOCK_RECEIVE,
                 node_id,
-                at + self._delay(self.block_delay),
+                at + self.delay(self.block_delay),
                 block,
-            )
-            self.queue.schedule(event)
-            events.append(event)
-        return events
-
-    def broadcast_tx(self, sender_id: int, tx: Transaction, at: float) -> list[Event]:
-        """Schedule one TX_RECEIVE per node other than the sender (full mode only)."""
-        events = []
-        for node_id in range(self.n_nodes):
-            if node_id == sender_id:
-                continue
-            event = Event(
-                EventKind.TX_RECEIVE,
-                node_id,
-                at + self._delay(self.tx_delay),
-                tx,
             )
             self.queue.schedule(event)
             events.append(event)

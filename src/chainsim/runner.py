@@ -41,12 +41,11 @@ class Simulation:
             EventKind.BLOCK_CREATE: self.consensus.on_block_create,
             EventKind.BLOCK_RECEIVE: self.consensus.on_block_receive,
             EventKind.TX_CREATE: self.workload.on_tx_create,
-            EventKind.TX_RECEIVE: self.workload.on_tx_receive,
         }
 
     def run(self) -> RunReport:
         started = time.perf_counter()
-        self.workload.start()
+        self.workload.start(self.consensus.miner_ids)
         self.consensus.start()
         elapsed = run_loop(
             self.queue,

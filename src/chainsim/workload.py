@@ -1,24 +1,27 @@
 """Transaction workload in two techniques.
 
-Full: every node keeps its own pool, transactions are created as a Poisson
-stream, propagated, and tracked individually (enables latency metrics).
+Full: a Poisson stream of transactions, each tracked (enables latency
+metrics) and stamped at creation with when every miner holds it: at once for
+its submitter, one propagation delay later for the rest.  One run-wide
+pending list serves all miners: a miner's pool at time t is every pending
+transaction it holds by t whose id its chain has not adopted.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
-which keeps high-rate runs cheap; blocks record count/fee/size aggregates.
+which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .config import ConstantSampler, SimConfig, parse_sampler
 from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
-from .model import Transaction, World
+from .model import NodeState, Transaction, World
 from .network import Network
 
 
@@ -33,26 +36,6 @@ class BlockBody:
 
 
 EMPTY_BODY = BlockBody((), 0, 0.0, 0.0)
-
-
-def select_for_block(
-    pool: Iterable[Transaction], capacity: float, *, gas: bool = False
-) -> list[Transaction]:
-    """Greedy fee-descending packing under the size (or gas) capacity.
-
-    A transaction that does not fit is skipped and scanning continues, so a
-    large high-fee transaction cannot block smaller ones behind it.  Fee
-    ties break toward the lower transaction id.
-    """
-    ordered = sorted(pool, key=lambda t: (-t.fee, t.id))
-    picked: list[Transaction] = []
-    used = 0.0
-    for tx in ordered:
-        weight = tx.used_gas if gas else tx.size
-        if used + weight <= capacity:
-            picked.append(tx)
-            used += weight
-    return picked
 
 
 class SharedPool:
@@ -150,8 +133,8 @@ class TxWorkload:
         self.rng = rng
         self.network = network
         self.full_mode = config.has_trans and config.t_technique == "full"
-        self.gas_model = config.capacity_model == "gas"
         self.tx_rate = config.t_n
+        self.tx_delay = config.t_delay
         self.block_capacity = config.b_size
         self.size_sampler = parse_sampler(config.t_size)
         self.price_sampler = parse_sampler(config.t_fee)
@@ -160,9 +143,15 @@ class TxWorkload:
             self.shared_pool = SharedPool(
                 world, rng, config, self.size_sampler, self.price_sampler
             )
+        # Full mode: (-fee, id, tx, arrival at each miner) in packing order.
+        self.pending: list[tuple[float, int, Transaction, tuple[float, ...]]] = []
+        self._smallest = math.inf  # least weight of any transaction created so far
+        self._miner_ids: list[int] = []
 
-    def start(self) -> None:
-        """Schedule the first transaction arrival (full mode)."""
+    def start(self, miner_ids: list[int]) -> None:
+        """Schedule the first transaction arrival (full mode); arrival times
+        are kept for the block-creating ``miner_ids`` alone, in this order."""
+        self._miner_ids = list(miner_ids)
         if self.full_mode and self.tx_rate > 0:
             self._schedule_arrival(0.0)
 
@@ -176,45 +165,69 @@ class TxWorkload:
         rng = self.rng.rng
         n_nodes = len(self.world.nodes)
         submitter = int(rng.integers(n_nodes))
-        recipient = int(rng.integers(n_nodes))
-        size = self.size_sampler.draw(self.rng)
+        rng.integers(n_nodes)  # recipient: unmodelled, drawn to keep the random stream
+        weight = self.size_sampler.draw(self.rng)
         price = self.price_sampler.draw(self.rng)
         return Transaction(
             id=self.world.new_tx_id(),
             timestamp=timestamp,
             submitter_id=submitter,
-            recipient_id=recipient,
-            value=1.0,
-            size=0.0 if self.gas_model else size,
-            fee=size * price,
-            used_gas=size if self.gas_model else 0.0,
+            weight=weight,
+            fee=weight * price,
         )
+
+    def _arrivals(self, tx: Transaction) -> tuple[float, ...]:
+        """When each miner holds ``tx``.  A delay is drawn for every node but
+        the submitter, in node order, as a per-recipient broadcast would."""
+        at = tx.timestamp
+        held = [
+            at if node_id == tx.submitter_id else at + self.network.delay(self.tx_delay)
+            for node_id in range(len(self.world.nodes))
+        ]
+        return tuple(held[miner_id] for miner_id in self._miner_ids)
 
     def on_tx_create(self, event: Event) -> None:
         tx: Transaction = event.payload
-        node = self.world.nodes[event.node_id]
-        if tx.id not in node.chain_tx_ids:
-            node.tx_pool[tx.id] = tx
-        self.network.broadcast_tx(event.node_id, tx, event.time)
+        bisect.insort(self.pending, (-tx.fee, tx.id, tx, self._arrivals(tx)))
+        self._smallest = min(self._smallest, tx.weight)
         self._schedule_arrival(event.time)
 
-    def on_tx_receive(self, event: Event) -> None:
-        tx: Transaction = event.payload
-        node = self.world.nodes[event.node_id]
-        # A transaction already adopted into the chain must not re-enter the
-        # pool, or it could be mined twice on the same branch.
-        if tx.id not in node.chain_tx_ids:
-            node.tx_pool[tx.id] = tx
+    def take_block(self, miner: NodeState, now: float) -> BlockBody:
+        """Select the content of a new block mined at ``now``.
 
-    def take_block(self, miner, now: float) -> BlockBody:
-        """Select the content of a new block mined at ``now``."""
+        Full mode packs the miner's pool greedily in fee order (ties to the
+        lower id), skipping what does not fit.  The scan stops once even the
+        lightest transaction created so far cannot fit, as none further down
+        can, and drops the entries it passes that every miner's chain holds.
+        """
         if self.shared_pool is not None:
             return self.shared_pool.take_block(now)
         if not self.full_mode:
             return EMPTY_BODY
-        picked = select_for_block(miner.tx_pool.values(), self.block_capacity, gas=self.gas_model)
+        slot = self._miner_ids.index(miner.id)
+        on_chain = miner.chain_tx_ids
+        chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._miner_ids]
+        capacity = self.block_capacity
+        smallest = self._smallest
+        picked: list[Transaction] = []
+        dropped: list[int] = []
+        used = 0.0
+        if smallest <= capacity:
+            for index, (_, tx_id, tx, arrivals) in enumerate(self.pending):
+                if tx_id in on_chain:
+                    if all(tx_id in chain for chain in chains):
+                        dropped.append(index)
+                elif arrivals[slot] <= now and used + tx.weight <= capacity:
+                    picked.append(tx)
+                    used += tx.weight
+                    if used + smallest > capacity:
+                        break
+        if dropped:
+            gone = set(dropped)
+            end = dropped[-1] + 1
+            self.pending[:end] = [e for i, e in enumerate(self.pending[:end]) if i not in gone]
         if not picked:
             return EMPTY_BODY
-        weight = sum((tx.used_gas if self.gas_model else tx.size) for tx in picked)
+        weight = sum(tx.weight for tx in picked)
         fees = sum(tx.fee for tx in picked)
         return BlockBody(tuple(picked), len(picked), fees, weight)

@@ -210,3 +210,17 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--intervals", "60", "--delays", "1"]], ids=["run", "sweep"]
+)
+def test_unusable_out_exit_3(tmp_path, capsys, command, out):
+    # --out names an existing file, or a directory below one.
+    config = write_config(tmp_path)
+    (tmp_path / "taken").write_text("")
+    code = cli.main(command + ["--config", str(config), "--out", str(tmp_path / out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot use --out") and err.count("\n") == 1

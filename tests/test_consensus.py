@@ -19,6 +19,7 @@ def make_engine(
     uncles=False,
     full=False,
     capacity=1.0,
+    tx_rate=0.0,
     seed=1,
 ):
     config = make_config(
@@ -30,6 +31,7 @@ def make_engine(
         uncles_enabled=uncles,
         has_trans=full,
         t_technique="full" if full else "light",
+        t_n=tx_rate,
         t_size="const:0.001",
         t_fee="const:1.0",
         t_delay=0.0,
@@ -141,14 +143,19 @@ class TestOnBlockCreate:
         assert world.blocks_created == 1
 
     def test_fee_sorted_greedy_packing(self):
-        engine, world, queue = make_engine(1, (1.0,), full=True, capacity=0.8)
-        miner = world.nodes[0]
+        # The next arrival is ~1e6 s away, so only these three are pending.
+        engine, world, queue = make_engine(1, (1.0,), full=True, capacity=0.8, tx_rate=1e-6)
+        engine.workload.start(engine.miner_ids)
         for tid, fee in ((1, 5.0), (2, 3.0), (3, 9.0)):
-            miner.tx_pool[tid] = Transaction(tid, 0.0, 0, 0, 1.0, 0.4, fee)
+            tx = Transaction(tid, 0.0, 0, 0.4, fee)
+            engine.workload.on_tx_create(Event(EventKind.TX_CREATE, 0, 0.0, tx))
         engine.start()
         block = engine.on_block_create(queue.next_event())
         assert [tx.fee for tx in block.transactions] == [9.0, 5.0]
-        assert 2 in miner.tx_pool  # fee-3 stays pooled
+        event = queue.next_event()
+        assert event.kind == EventKind.BLOCK_CREATE
+        block = engine.on_block_create(event)
+        assert [tx.fee for tx in block.transactions] == [3.0]  # fee-3 stayed pooled
 
     def test_stale_event_discarded_and_counted(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), block_delay=0.0)

@@ -33,7 +33,7 @@ class TestTxFee:
     def test_size_model_uses_sampled_fee(self):
         # fee is computed at creation as size * unit price: 2 MB * 3 = 6
         report, txs = full_run(t_size="const:2", t_fee="const:3", b_size=4.0)
-        assert all(t.size == 2.0 and t.fee == 6.0 for t in txs)
+        assert all(t.weight == 2.0 and t.fee == 6.0 for t in txs)
         assert ledger_fees(report) == pytest.approx(6.0 * len(txs))
 
     def test_gas_model(self):
@@ -41,7 +41,7 @@ class TestTxFee:
         report, txs = full_run(
             capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
         )
-        assert all(t.used_gas == 21_000.0 and t.size == 0.0 for t in txs)
+        assert all(t.weight == 21_000.0 for t in txs)
         assert all(t.fee == pytest.approx(21.0) for t in txs)
         assert ledger_fees(report) == pytest.approx(21.0 * len(txs))
 

@@ -3,24 +3,25 @@ import math
 import pytest
 
 from chainsim.config import ConfigError, parse_config_text
-from chainsim.engine import EventKind, EventQueue, RandomSource
+from chainsim.engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
 from chainsim.model import Transaction, make_genesis
 from chainsim.network import Network
 from chainsim.runner import Simulation
+from chainsim.workload import TxWorkload
 
 from conftest import make_config
 
 
-def make_network(n_nodes, block_delay=2.0, tx_delay=5.0, mode="constant", seed=1):
+def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
     queue = EventQueue()
     config = make_config(
-        n_n=n_nodes, miners=(1.0,), b_delay=block_delay, t_delay=tx_delay, delay_mode=mode
+        n_n=n_nodes, miners=(1.0,), b_delay=block_delay, delay_mode=mode
     )
     return queue, Network(queue, RandomSource(seed), config)
 
 
-def some_tx(tid=1, ts=0.0):
-    return Transaction(tid, ts, 0, 1, 1.0, 0.001, 0.0002)
+def some_tx(tid=1, ts=0.0, submitter=0):
+    return Transaction(tid, ts, submitter, 0.001, 0.0002)
 
 
 class TestDelayModel:
@@ -68,30 +69,56 @@ class TestBroadcastBlock:
 
 
 class TestBroadcastTx:
+    """A full-mode transaction is stamped, at creation, with the time each
+    block-creating node holds it."""
+
+    @staticmethod
+    def stamps(submitter=1, at=100.0, **overrides):
+        """Create one transaction at ``at``; return {miner id: arrival}."""
+        params = dict(
+            n_n=5, miners=(0.25, 0.25, 0.25, 0.25), has_trans=True,
+            t_technique="full", t_n=1e-6, t_delay=5.0,
+        )
+        params.update(overrides)
+        sim = Simulation(make_config(**params), 0)
+        sim.workload.start(sim.consensus.miner_ids)
+        t = some_tx(1000, ts=at, submitter=submitter)
+        sim.workload.on_tx_create(Event(EventKind.TX_CREATE, submitter, at, t))
+        (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
+        return dict(zip(sim.consensus.miner_ids, entry[3]))
+
     def test_constant_delay_fanout(self):
-        queue, net = make_network(4, tx_delay=5.0)
-        events = net.broadcast_tx(1, some_tx(), at=100.0)
-        assert len(events) == 3
-        assert all(e.time == 105.0 for e in events)
-        assert all(e.kind == EventKind.TX_RECEIVE for e in events)
+        # The submitter holds it at once, every other miner 5 s later; the
+        # non-mining node 4 gets no stamp.
+        assert self.stamps(submitter=1) == {0: 105.0, 1: 100.0, 2: 105.0, 3: 105.0}
 
     def test_light_mode_never_broadcasts_tx(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(Network, "broadcast_tx", lambda *args: calls.append(args))
+        monkeypatch.setattr(TxWorkload, "_arrivals", lambda *args: calls.append(args))
         config = make_config(has_trans=True, t_technique="light", t_n=5.0, block_target=50)
         Simulation(config, 0).run()
         assert calls == []
 
-    def test_zero_delay_events_pop_after_creation_instant(self):
-        # Receive events scheduled at the same time as the creation pop later
-        # because the queue breaks ties by insertion order.
-        queue, net = make_network(2, tx_delay=0.0)
-        events = net.broadcast_tx(0, some_tx(), at=100.0)
-        assert events[0].time == 100.0
-        before = queue._next_seq
-        assert events[0].seq == before - 1
+    def test_zero_delay_arrivals_at_creation_instant(self):
+        assert set(self.stamps(t_delay=0.0).values()) == {100.0}
 
     def test_zero_mean_exponential_is_zero(self):
-        _, net = make_network(2, tx_delay=0.0, mode="exponential")
-        (event,) = net.broadcast_tx(0, some_tx(), at=7.0)
-        assert event.time == 7.0
+        stamps = self.stamps(at=7.0, t_delay=0.0, delay_mode="exponential")
+        assert set(stamps.values()) == {7.0}
+
+    def test_exponential_draws_every_recipient_in_node_order(self):
+        # One draw per node other than the submitter, ascending, non-miners
+        # included: the random stream of a per-recipient broadcast.
+        params = dict(
+            n_n=6, miners=(0.5, 0.0, 0.5), has_trans=True, t_technique="full",
+            t_n=1e-6, t_delay=3.0, delay_mode="exponential",
+        )
+        sim = Simulation(make_config(**params), 0)
+        sim.workload.start(sim.consensus.miner_ids)
+        replay = RandomSource(0)
+        replay.rng.bit_generator.state = sim.rng.rng.bit_generator.state
+        t = some_tx(1000, ts=50.0, submitter=1)
+        sim.workload.on_tx_create(Event(EventKind.TX_CREATE, 1, 50.0, t))
+        expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
+        (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
+        assert dict(zip(sim.consensus.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}

@@ -11,19 +11,19 @@ from chainsim.config import (
     parse_sampler,
 )
 from chainsim.consensus import main_chain
-from chainsim.engine import EventKind, EventQueue, RandomSource
+from chainsim.engine import Event, EventKind, RandomSource
 from chainsim.model import Block, Transaction, World
-from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
-from chainsim.workload import SharedPool, TxWorkload, select_for_block
+from chainsim.workload import SharedPool
 
 from conftest import make_config
+from packing_oracle import select_for_block
 
 
-def tx(tid, fee, size, ts=0.0):
-    return Transaction(tid, ts, 0, 1, 1.0, size, fee)
+def tx(tid, fee, weight, ts=0.0):
+    return Transaction(tid, ts, 0, weight, fee)
 
 
 def light_config(**overrides):
@@ -55,7 +55,7 @@ def reference_pack(pool):
     per-block budget.
     """
     txs = [
-        Transaction(pool._first_id + i, 0.0, 0, 0, 1.0, float(size), float(fee))
+        Transaction(pool._first_id + i, 0.0, 0, float(size), float(fee))
         for i, (size, fee) in enumerate(zip(pool._sizes, pool._fees))
     ]
     picked = []
@@ -63,9 +63,9 @@ def reference_pack(pool):
     for t in sorted(txs, key=lambda t: (-t.fee, t.id)):
         if len(picked) >= pool.block_budget:
             break
-        if used + t.size <= pool.capacity:
+        if used + t.weight <= pool.capacity:
             picked.append(t)
-            used += t.size
+            used += t.weight
     return picked
 
 
@@ -131,11 +131,11 @@ class TestSelectForBlock:
         assert [t.id for t in picked] == [2, 5]
 
     def test_gas_weighted_selection(self):
-        a = Transaction(1, 0.0, 0, 0, 1.0, 0.0, 5.0, used_gas=30_000.0)
-        b = Transaction(2, 0.0, 0, 0, 1.0, 0.0, 4.0, used_gas=80_000.0)
-        picked = select_for_block([a, b], 110_000.0, gas=True)
+        a = tx(1, 5.0, 30_000.0)
+        b = tx(2, 4.0, 80_000.0)
+        picked = select_for_block([a, b], 110_000.0)
         assert [t.id for t in picked] == [1, 2]
-        picked = select_for_block([a, b], 90_000.0, gas=True)
+        picked = select_for_block([a, b], 90_000.0)
         assert [t.id for t in picked] == [1]
 
     def test_budget_caps_count(self):
@@ -195,7 +195,7 @@ class TestSharedPool:
         body = pool._pack()
         assert body.tx_count == len(expected)
         assert body.fee_total == pytest.approx(sum(t.fee for t in expected), rel=1e-12)
-        assert body.weight_total == pytest.approx(sum(t.size for t in expected), rel=1e-12)
+        assert body.weight_total == pytest.approx(sum(t.weight for t in expected), rel=1e-12)
 
     def test_light_throughput_tracks_arrival_rate(self):
         # Arrival-limited light mode: throughput ~= T_n within 5%.
@@ -250,39 +250,33 @@ class TestFullMode:
         assert fired == []
 
     def test_propagation_delay_gates_pool_entry(self):
-        world = World(3, hash_powers=(1.0,))
-        queue = EventQueue()
-        rng = RandomSource(2)
-        config = light_config(n_n=3, miners=(1.0,), t_technique="full", t_delay=5.0)
-        network = Network(queue, rng, config)
-        workload = TxWorkload(world, queue, rng, config, network)
-        t = Transaction(1, 100.0, 0, 1, 1.0, 0.001, 0.5)
-        from chainsim.engine import Event
+        # Node 0 is the only miner.  Its own transaction is packable at once;
+        # one submitted by node 1 at t=100 reaches it at t=105.
+        config = light_config(n_n=3, miners=(1.0,), t_technique="full", t_n=1e-6, t_delay=5.0)
+        sim = Simulation(config, 0)
+        sim.workload.start(sim.consensus.miner_ids)
+        own = Transaction(1000, 100.0, 0, 0.001, 0.5)
+        relayed = Transaction(1001, 100.0, 1, 0.001, 0.5)
+        for t in (own, relayed):
+            sim.workload.on_tx_create(Event(EventKind.TX_CREATE, t.submitter_id, 100.0, t))
+        miner = sim.world.nodes[0]
+        early = sim.consensus.on_block_create(Event(EventKind.BLOCK_CREATE, 0, 104.0, miner.tip))
+        assert early.transactions == (own,)
+        late = sim.consensus.on_block_create(Event(EventKind.BLOCK_CREATE, 0, 105.0, miner.tip))
+        assert late.transactions == (relayed,)
 
-        workload.on_tx_create(Event(EventKind.TX_CREATE, 0, 100.0, t))
-        assert 1 in world.nodes[0].tx_pool  # submitter immediately
-        assert 1 not in world.nodes[1].tx_pool
-        receives = []
-        while len(receives) < 2:  # skip the chained next-arrival event
-            event = queue.next_event()
-            if event.kind == EventKind.TX_RECEIVE:
-                receives.append(event)
-        assert all(e.time == 105.0 for e in receives)
-        for e in receives:
-            workload.on_tx_receive(e)
-        assert 1 in world.nodes[1].tx_pool and 1 in world.nodes[2].tx_pool
-
-    def test_light_mode_has_no_tx_receive_events(self):
+    def test_light_mode_has_no_tx_events(self):
         config = make_config(
             has_trans=True, t_technique="light", t_n=5.0,
             t_size="const:0.000546", block_target=50,
         )
         sim = Simulation(config, 0)
         fired = []
-        sim.handlers[EventKind.TX_RECEIVE] = lambda e: fired.append(e)
         sim.handlers[EventKind.TX_CREATE] = lambda e: fired.append(e)
-        sim.run()
+        report = sim.run()
         assert fired == []
+        assert sim.workload.pending == []
+        assert report.throughput_tps > 0  # light blocks still carry transactions
 
     def test_no_transaction_included_twice_in_main_chain(self):
         config = make_config(
@@ -297,28 +291,82 @@ class TestFullMode:
         seen = set()
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
-            assert block.size <= 0.005 + 1e-12  # capacity respected
+            assert block.weight <= 0.005 + 1e-12  # capacity respected
             for t in block.transactions:
                 assert t.id not in seen
                 seen.add(t.id)
         assert seen  # the run actually included transactions
 
     def test_full_pools_only_after_delay_invariant(self):
-        # Spot-check a real run: every pooled transaction respects its delay.
+        # Spot-check a real run: a block holds only transactions its miner
+        # had by then -- its own at once, others after the 4 s delay.
         config = make_config(
             has_trans=True, t_technique="full", t_n=1.0, t_delay=4.0,
             b_interval=120.0, b_size=0.01, t_size="const:0.000546",
             sim_time=2_000.0, seed=3,
         )
         sim = Simulation(config, 0)
-        original = sim.handlers[EventKind.TX_RECEIVE]
-
-        def check(event):
-            assert event.time == pytest.approx(event.payload.timestamp + 4.0)
-            return original(event)
-
-        sim.handlers[EventKind.TX_RECEIVE] = check
         sim.run()
+        relayed = 0
+        for bid in range(1, len(sim.world.registry)):
+            block = sim.world.registry[bid]
+            for t in block.transactions:
+                if t.submitter_id == block.miner_id:
+                    assert t.timestamp <= block.timestamp
+                else:
+                    assert t.timestamp + 4.0 <= block.timestamp
+                    relayed += 1
+        assert relayed
+
+
+class TestPackingOracle:
+    def test_every_block_matches_rebuilt_pool(self):
+        # Forks (B_delay is 20% of B_interval), variable sizes and fees, a
+        # saturated capacity, and a non-mining node 2 between miners.  Each
+        # miner's pool is rebuilt from first principles at every creation:
+        # every created transaction the miner holds by then (at creation if
+        # it submitted it, T_delay later otherwise) that its chain has not
+        # adopted.  The block must be exactly its greedy fee-order packing.
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1.0, t_delay=3.0,
+            t_size="exp:0.0005", t_fee="exp:0.3", b_size=0.008,
+            b_interval=20.0, b_delay=4.0, n_n=7, miners=(0.35, 0.3, 0.0, 0.2, 0.15),
+            block_target=150, seed=5,
+        )
+        sim = Simulation(config, 0)
+        created: list[Transaction] = []
+        checked = in_flight = over_capacity = 0
+        create_tx = sim.handlers[EventKind.TX_CREATE]
+        create_block = sim.handlers[EventKind.BLOCK_CREATE]
+
+        def on_tx_create(event):
+            created.append(event.payload)
+            return create_tx(event)
+
+        def on_block_create(event):
+            nonlocal checked, in_flight, over_capacity
+            miner = sim.world.nodes[event.node_id]
+            adopted = set(miner.chain_tx_ids)
+            candidates = [t for t in created if t.id not in adopted]
+            pool = [
+                t for t in candidates
+                if (t.timestamp if t.submitter_id == miner.id else t.timestamp + 3.0) <= event.time
+            ]
+            block = create_block(event)
+            if block is not None:
+                expected = select_for_block(pool, config.b_size)
+                assert block.transactions == tuple(expected)
+                checked += 1
+                in_flight += len(pool) < len(candidates)
+                over_capacity += len(expected) < len(pool)
+            return block
+
+        sim.handlers[EventKind.TX_CREATE] = on_tx_create
+        sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
+        report = sim.run()
+        assert checked == report.blocks_created == 150
+        assert report.stale_rate > 0  # forks happened
+        assert in_flight and over_capacity
 
 
 class TestTxLatency:
