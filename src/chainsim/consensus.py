@@ -11,6 +11,13 @@ which reproduces both hash-share proportionality and fork formation under
 propagation delay.  Discarding *and* rescheduling at fire time instead
 would hand the previous winner a head start and demonstrably skews block
 shares away from hash shares.
+
+Blocks reach only the nodes up to the highest-id miner.  A zero-weight node
+above it changes no output: packing reads only miners' adopted transactions,
+only creators reference uncles, rewards follow ``Block.miner_id``, and
+``main_chain`` never picks it, as the creator of its tip has a lower id and a
+chain at least as deep.  A zero-weight node below some miner can win that
+depth tie, so it stays simulated.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class ConsensusEngine:
         total = sum(raw)
         self.weights = [w / total for w in raw]
         self.miner_ids = [n.id for n in world.nodes if self.weights[n.id] > 0]
+        network.recipients = self.miner_ids[-1] + 1
         self._rr_cycle = 0
 
     # -- scheduling -----------------------------------------------------
@@ -192,7 +200,11 @@ class ConsensusEngine:
         else:
             # Not deeper than the local tip: rejected outright, but with
             # uncles enabled it is remembered as a referenceable uncle.
-            if self.uncles_enabled and block.id not in node.included_uncles:
+            if (
+                self.uncles_enabled
+                and self.weights[node.id] > 0
+                and block.id not in node.included_uncles
+            ):
                 node.uncle_chain[block.id] = None
                 return ChainAction.STORED_AS_UNCLE
             return ChainAction.DISCARDED_SHORTER
@@ -225,9 +237,11 @@ class ConsensusEngine:
         node.tip = block
 
     def _absorb(self, node: NodeState, block: Block) -> None:
-        """Transaction and uncle bookkeeping for a block newly on the node's chain;
-        only nodes that create blocks record adopted transaction ids."""
-        if block.transactions and self.weights[node.id] > 0:
+        """Transaction and uncle bookkeeping for a block newly on the node's
+        chain; only nodes that create blocks read it, so only they keep it."""
+        if self.weights[node.id] <= 0:
+            return
+        if block.transactions:
             node.chain_tx_ids.update(tx.id for tx in block.transactions)
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)

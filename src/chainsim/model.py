@@ -87,8 +87,8 @@ class NodeState:
     chain: list[int] = field(default_factory=list)
     chain_pos: dict[int, int] = field(default_factory=dict)
     tip: Block | None = None
-    # Transactions ever adopted into the chain; kept for nodes that create blocks.
-    chain_tx_ids: set[int] = field(default_factory=set)
+    # Adopted transactions and uncle bookkeeping; kept for nodes that create blocks.
+    chain_tx_ids: set[int] = field(default_factory=set)  # transactions ever adopted into the chain
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
     included_uncles: set[int] = field(default_factory=set)  # uncle ids seen referenced by adopted blocks
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import pytest
@@ -27,6 +28,20 @@ def make_config(**overrides) -> SimConfig:
     if "sim_time" in overrides and "block_target" not in overrides:
         overrides.setdefault("block_target", None)
     return dataclasses.replace(base, **overrides)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def strip_wall_clock(rows):
+    """Drop the wall-clock column/row, the only nondeterministic output."""
+    header = rows[0]
+    if "wall_clock_s" in header:
+        idx = header.index("wall_clock_s")
+        return [row[:idx] + row[idx + 1 :] for row in rows]
+    return [row for row in rows if row[0] != "wall_clock_s"]
 
 
 @pytest.fixture

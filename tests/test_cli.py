@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import pytest
@@ -7,6 +6,8 @@ from chainsim import cli
 from chainsim.config import parse_config
 from chainsim.runner import run_many
 from chainsim.stats import aggregate
+
+from conftest import read_rows, strip_wall_clock
 
 BASE_CONFIG = """
 B_interval = 60
@@ -26,20 +27,6 @@ def write_config(tmp_path, text=BASE_CONFIG, name="sim.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def strip_wall_clock(rows):
-    """Drop the wall-clock column/row, the only nondeterministic output."""
-    header = rows[0]
-    if "wall_clock_s" in header:
-        idx = header.index("wall_clock_s")
-        return [row[:idx] + row[idx + 1 :] for row in rows]
-    return [row for row in rows if row[0] != "wall_clock_s"]
 
 
 class TestRunCommand:

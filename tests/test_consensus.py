@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
-from chainsim.engine import Event, EventKind, EventQueue, RandomSource
+from chainsim.engine import Event, EventKind, EventQueue, RandomSource, run_loop
 from chainsim.model import Block, Transaction, World
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
@@ -231,7 +231,7 @@ class TestOnBlockReceive:
         assert not node1.uncle_chain
 
     def test_shorter_stored_as_uncle_when_enabled(self):
-        engine, world, _ = make_engine(2, (1.0, 0.0), uncles=True)
+        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         deep = None
         for _ in range(3):
             deep = append_block(engine, world, 0)
@@ -245,8 +245,27 @@ class TestOnBlockReceive:
         assert action is ChainAction.STORED_AS_UNCLE
         assert sibling.id in world.nodes[1].uncle_chain
 
+    def test_non_miner_keeps_no_uncle_candidates(self):
+        # Only block creation reads or prunes candidates, so a node that
+        # never creates a block stores none.
+        engine, world, _ = make_engine(3, (0.5, 0.5, 0.0), uncles=True)
+        deep = None
+        for _ in range(3):
+            deep = append_block(engine, world, 0)
+        node2 = world.nodes[2]
+        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 30.0, deep))
+        sibling = Block(
+            id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
+            timestamp=3.5, miner_id=1, uncles=(deep.previous_id,),
+        )
+        world.registry.add(sibling)
+        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 31.0, sibling))
+        assert action is ChainAction.DISCARDED_SHORTER
+        assert not node2.uncle_chain
+        assert not node2.included_uncles
+
     def test_ancestor_redelivery_not_stored_as_uncle(self):
-        engine, world, _ = make_engine(2, (1.0, 0.0), uncles=True)
+        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         first = append_block(engine, world, 0)
         second = append_block(engine, world, 0)
         node1 = world.nodes[1]
@@ -328,7 +347,7 @@ class TestEligibleUncles:
         assert 500 not in miner.uncle_chain
 
     def test_receiving_block_removes_included_uncles(self):
-        engine, world, _ = make_engine(2, (1.0, 0.0), uncles=True)
+        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
         uncle = Block(id=600, depth=1, previous_id=world.genesis.id, timestamp=0.4, miner_id=0)
         world.registry.add(uncle)
@@ -353,6 +372,20 @@ class TestMainChain:
         b1 = append_block(engine, world, 1, ts=1.5)
         assert world.nodes[0].tip.depth == world.nodes[1].tip.depth
         assert main_chain(world) == world.nodes[0].chain
+
+    def test_low_id_non_miner_decides_depth_tie(self):
+        # Node 0 never mines.  Miner 2 mines X at 9.9 s and miner 1 mines Y
+        # at 10 s; at 10.95 s node 0 and miner 2 hold X and miner 1 holds Y.
+        # The depth tie goes to node 0, so X wins; without node 0 it is Y.
+        sim = Simulation(make_config(n_n=3, miners=(0.0, 0.5, 0.5), b_delay=1.0), 0)
+        genesis = sim.world.genesis
+        sim.queue.schedule(Event(EventKind.BLOCK_CREATE, 2, 9.9, genesis))
+        sim.queue.schedule(Event(EventKind.BLOCK_CREATE, 1, 10.0, genesis))
+        run_loop(sim.queue, sim.handlers, sim.world, sim_time=10.95)
+        x, y = sim.world.registry[1], sim.world.registry[2]
+        assert (x.miner_id, y.miner_id, sim.world.blocks_created) == (2, 1, 2)
+        assert [node.tip for node in sim.world.nodes] == [x, y, x]
+        assert main_chain(sim.world) == [genesis.id, x.id]
 
     def test_single_miner_no_stale(self):
         report = run_single(make_config(miners=(1.0,), n_n=3, block_target=400, b_delay=5.0), 0)

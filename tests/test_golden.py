@@ -1,10 +1,10 @@
-"""Pinned full-mode output bytes.
+"""Pinned output bytes.
 
-Each case runs a small full-mode configuration through the CLI and pins the
-SHA-256 of its ``runs.csv`` with the ``wall_clock_s`` column removed.  A
-change to transaction arrival, packing, fork handling or the random stream
-moves the digest.  Recompute a digest only for a change meant to alter
-results, and say so where the change is described.
+Each case runs a small configuration through the CLI and pins the SHA-256 of
+its ``runs.csv`` with the ``wall_clock_s`` column removed.  A change to
+transaction arrival, packing, fork handling, block delivery or the random
+stream moves the digest.  Recompute a digest only for a change meant to
+alter results, and say so where the change is described.
 """
 
 import csv
@@ -52,6 +52,65 @@ seed = 3
 }
 
 
+# Bare and light runs with non-mining nodes both below and above the miners.
+NON_MINER_CASES = {
+    # Constant delay with forks; nodes 0 and 2 sit between miners, 4 and 5
+    # above them.
+    "light-constant": (
+        """
+B_interval = 30
+B_delay = 4
+B_size = 0.01
+hasTrans = true
+T_technique = light
+T_n = 1
+T_size = exp:0.0005
+T_fee = exp:0.3
+N_n = 6
+miners = 0,0.4,0,0.6
+block_target = 200
+Runs = 2
+seed = 11
+""",
+        "b99c497d4b2e125f99aad50b230c2f3a6e3e55acdc4ffda706c97632c0416619",
+    ),
+    # Exponential delays, drawn for every node but the sender, and uncles.
+    "bare-exponential-uncles": (
+        """
+B_interval = 30
+B_delay = 6
+hasTrans = false
+N_n = 6
+miners = 0,0.4,0,0.6
+delay_mode = exponential
+uncles_enabled = true
+block_target = 200
+Runs = 2
+seed = 5
+""",
+        "5ed02ab1616be0c3d10320e833cbd439349b87de9a06ad3322340fb2eebeb7bf",
+    ),
+    # Stakes, not hash power, decide who creates: node 3 mines with no hash
+    # power and node 0 has hash power but never mines.
+    "stake-selector": (
+        """
+B_interval = 30
+B_delay = 4
+N_n = 7
+miners = 0.5,0.5,0,0
+stakes = 0,1,0,3
+selector = stake
+delay_mode = exponential
+uncles_enabled = true
+block_target = 200
+Runs = 2
+seed = 9
+""",
+        "be97f945971e714e30472fc91830a0bdff7ba8cb0f371bcdb85213ce887ed3b0",
+    ),
+}
+
+
 def runs_digest(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -61,11 +120,21 @@ def runs_digest(path):
     return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_full_mode_runs_csv_digest(tmp_path, name):
-    text, digest = CASES[name]
+def run_digest(tmp_path, text):
     config = tmp_path / "sim.cfg"
     config.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    assert runs_digest(out / "runs.csv") == digest
+    return runs_digest(out / "runs.csv")
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_full_mode_runs_csv_digest(tmp_path, name):
+    text, digest = CASES[name]
+    assert run_digest(tmp_path, text) == digest
+
+
+@pytest.mark.parametrize("name", list(NON_MINER_CASES))
+def test_non_miner_runs_csv_digest(tmp_path, name):
+    text, digest = NON_MINER_CASES[name]
+    assert run_digest(tmp_path, text) == digest

@@ -54,10 +54,11 @@ class TestTip:
 
     def test_tip_depth_after_adopting_longer_chain(self):
         # Zero delay and a time horizon: the observer has adopted everything.
-        config = make_config(sim_time=5_000.0, miners=(1.0,), n_n=2)
+        # It sits below the miner, as a non-miner above every miner gets no blocks.
+        config = make_config(sim_time=5_000.0, miners=(0.0, 1.0), n_n=2)
         sim = Simulation(config, 0)
         sim.run()
-        miner, observer = sim.world.nodes
+        observer, miner = sim.world.nodes
         assert miner.tip.depth >= 1
         assert observer.tip.depth == miner.tip.depth
         assert observer.chain == miner.chain

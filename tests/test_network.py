@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from chainsim import cli
 from chainsim.config import ConfigError, parse_config_text
 from chainsim.engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
 from chainsim.model import Transaction, make_genesis
@@ -9,7 +10,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
 
-from conftest import make_config
+from conftest import make_config, read_rows, strip_wall_clock
 
 
 def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
@@ -66,6 +67,67 @@ class TestBroadcastBlock:
         events = net.broadcast_block(0, make_genesis(), at=0.0)
         delays = {e.time for e in events}
         assert len(delays) == 3  # independent draws
+
+
+class TestRecipients:
+    """Blocks reach the nodes up to the highest-id miner and no further."""
+
+    CONFIG = """
+B_interval = 30
+B_delay = 4
+hasTrans = true
+T_technique = light
+T_n = 1
+miners = 0,0.4,0,0.6
+N_n = {n_n}
+sim_time = 3000
+Runs = 2
+seed = 21
+"""
+
+    def test_nodes_above_every_miner_change_nothing(self, tmp_path):
+        outputs = []
+        for n_n in (5, 60):
+            path = tmp_path / f"n{n_n}.cfg"
+            path.write_text(self.CONFIG.format(n_n=n_n))
+            out = tmp_path / f"out{n_n}"
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(
+                [strip_wall_clock(read_rows(out / name)) for name in ("runs.csv", "aggregate.csv")]
+            )
+        assert outputs[0] == outputs[1]
+
+        # Nodes 0-3 are simulated, so every block that lands inside the
+        # horizon is dispatched to the three of them other than its miner.
+        for n_n in (5, 60):
+            sim = Simulation(parse_config_text(self.CONFIG.format(n_n=n_n)), 0)
+            receivers = []
+
+            def counting(event, receive=sim.handlers[EventKind.BLOCK_RECEIVE]):
+                receivers.append(event.node_id)
+                return receive(event)
+
+            sim.handlers[EventKind.BLOCK_RECEIVE] = counting
+            sim.run()
+            registry = sim.world.registry
+            landed = sum(registry[i].timestamp + 4.0 <= 3000.0 for i in range(1, len(registry)))
+            assert landed > 50
+            assert len(receivers) == landed * 3
+            assert set(receivers) == {0, 1, 2, 3}
+
+    def test_exponential_draws_for_nodes_past_the_recipients(self):
+        # Node 3 never mines and gets no event, but still takes its draw.
+        config = make_config(n_n=4, miners=(0.5, 0.0, 0.5), b_delay=2.0, delay_mode="exponential")
+        sim = Simulation(config, 0)
+        replay = RandomSource(0)
+        replay.rng.bit_generator.state = sim.rng.rng.bit_generator.state
+        events = sim.network.broadcast_block(0, make_genesis(), at=1.0)
+        assert [(e.node_id, e.time) for e in events] == [
+            (1, 1.0 + sample_exponential(replay, 2.0)),
+            (2, 1.0 + sample_exponential(replay, 2.0)),
+        ]
+        sample_exponential(replay, 2.0)
+        assert sim.rng.random() == replay.random()
 
 
 class TestBroadcastTx:
