@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from .config import ConfigError, SimConfig, SweepSpec, parse_config
-from .runner import run_many
+from .runner import run_many, worker_pool
 from .stats import MetricAggregate, RunReport, aggregate
 
 EXIT_OK = 0
@@ -152,7 +152,8 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
 
     def write(out_dir: Path, tracker: _OutputTracker) -> None:
-        reports = run_many(config, parallel=args.parallel)
+        with worker_pool(min(args.parallel, config.runs)):
+            reports = run_many(config, parallel=args.parallel)
         aggregates = aggregate(reports)
         write_run_csv(tracker.register(out_dir / RUN_CSV_NAME), reports)
         write_aggregate_csv(tracker.register(out_dir / AGGREGATE_CSV_NAME), aggregates)
@@ -185,23 +186,25 @@ def _cmd_sweep(args) -> int:
 
     def write(out_dir: Path, tracker: _OutputTracker) -> None:
         rows: list[dict] = []
-        for cell in spec.cells():
-            reports = run_many(cell, parallel=args.parallel)
-            aggs = aggregate(reports)
-            row = {
-                "b_interval": cell.b_interval,
-                "b_delay": cell.b_delay,
-                "stale_rate": aggs["stale_rate"].mean,
-                "throughput_tps": aggs["throughput_tps"].mean,
-            }
-            for miner_id in reports[0].miner_shares:
-                row[f"share_{miner_id}"] = aggs[f"share_{miner_id}"].mean
-            row["wall_clock_s"] = aggs["wall_clock_s"].mean
-            rows.append(row)
-            print(
-                f"cell B_interval={_fmt(cell.b_interval)} B_delay={_fmt(cell.b_delay)}: "
-                f"stale={row['stale_rate']:.4%} throughput={row['throughput_tps']:.6g} tx/s"
-            )
+        # One pool serves every cell; its workers exit before sweep.csv is written.
+        with worker_pool(min(args.parallel, base.runs)):
+            for cell in spec.cells():
+                reports = run_many(cell, parallel=args.parallel)
+                aggs = aggregate(reports)
+                row = {
+                    "b_interval": cell.b_interval,
+                    "b_delay": cell.b_delay,
+                    "stale_rate": aggs["stale_rate"].mean,
+                    "throughput_tps": aggs["throughput_tps"].mean,
+                }
+                for miner_id in reports[0].miner_shares:
+                    row[f"share_{miner_id}"] = aggs[f"share_{miner_id}"].mean
+                row["wall_clock_s"] = aggs["wall_clock_s"].mean
+                rows.append(row)
+                print(
+                    f"cell B_interval={_fmt(cell.b_interval)} B_delay={_fmt(cell.b_delay)}: "
+                    f"stale={row['stale_rate']:.4%} throughput={row['throughput_tps']:.6g} tx/s"
+                )
         write_sweep_csv(tracker.register(out_dir / SWEEP_CSV_NAME), rows)
 
     return _write_outputs(args.out, write)

@@ -8,7 +8,10 @@ by run index.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .config import SimConfig, validate
 from .consensus import ConsensusEngine, main_chain
@@ -74,11 +77,39 @@ def run_single(config: SimConfig, run_index: int = 0) -> RunReport:
     return Simulation(config, run_index).run()
 
 
+_open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("worker_pool", default=None)
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
+    """Share one pool of ``workers`` processes among the ``run_many`` calls
+    made inside the block; yields it, or None when ``workers`` <= 1.
+
+    Inside an open pool this yields that pool, so nothing forks again.  The
+    outermost block shuts its workers down on exit, cancelling queued runs
+    if the block raised.
+    """
+    pool = _open_pool.get()
+    if pool is not None or workers <= 1:
+        yield pool
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    token = _open_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _open_pool.reset(token)
+        pool.shutdown(cancel_futures=True)
+
+
 def run_many(config: SimConfig, parallel: int = 1) -> list[RunReport]:
-    """Execute ``config.runs`` independent runs, ordered by run index."""
+    """Execute ``config.runs`` independent runs, ordered by run index.
+
+    With ``parallel`` > 1 the runs go to the open ``worker_pool``, or to a
+    pool of ``min(parallel, config.runs)`` workers opened for this call.
+    """
     indices = range(config.runs)
     if parallel <= 1 or config.runs == 1:
         return [run_single(config, i) for i in indices]
-    workers = min(parallel, config.runs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(min(parallel, config.runs)) as pool:
         return list(pool.map(run_single, [config] * config.runs, indices))

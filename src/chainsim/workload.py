@@ -103,16 +103,16 @@ class SharedPool:
             fee = size * self.price_sampler.value
             return BlockBody((), k, k * fee, k * size)
         order = np.argsort(-self._fees, kind="stable")
+        budget = self.block_budget
         used = 0.0
         fees = 0.0
         count = 0
-        for idx in order:
-            if count >= self.block_budget:
+        for w, fee in zip(self._sizes[order].tolist(), self._fees[order].tolist()):
+            if count >= budget:
                 break
-            w = float(self._sizes[idx])
             if used + w <= capacity:
                 used += w
-                fees += float(self._fees[idx])
+                fees += fee
                 count += 1
         return BlockBody((), count, fees, used)
 
@@ -177,9 +177,16 @@ class TxWorkload:
         )
 
     def _arrivals(self, tx: Transaction) -> tuple[float, ...]:
-        """When each miner holds ``tx``.  A delay is drawn for every node but
-        the submitter, in node order, as a per-recipient broadcast would."""
+        """When each miner holds ``tx``.  With exponential delays a delay is
+        drawn for every node but the submitter, in node order, as a
+        per-recipient broadcast would; a constant delay needs no draws, so
+        only the miners' stamps are computed."""
         at = tx.timestamp
+        if not self.network.exponential or self.tx_delay == 0.0:
+            relayed = at + self.tx_delay
+            return tuple(
+                at if miner_id == tx.submitter_id else relayed for miner_id in self._miner_ids
+            )
         held = [
             at if node_id == tx.submitter_id else at + self.network.delay(self.tx_delay)
             for node_id in range(len(self.world.nodes))

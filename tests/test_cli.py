@@ -1,13 +1,16 @@
 import dataclasses
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from chainsim import cli
+from chainsim import cli, runner
 from chainsim.config import parse_config
-from chainsim.runner import run_many
+from chainsim.runner import run_many, worker_pool
 from chainsim.stats import aggregate
 
-from conftest import read_rows, strip_wall_clock
+from conftest import make_config, read_rows, strip_wall_clock
 
 BASE_CONFIG = """
 B_interval = 60
@@ -197,6 +200,83 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+
+SWEEP_GRID = ["--intervals", "30,60", "--delays", "0.5,2"]
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """The ``max_workers`` of every process pool the runner constructs."""
+    made = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+class TestWorkerPool:
+    def test_parallel_sweep_equals_serial(self, tmp_path):
+        config = write_config(tmp_path)
+        out_s, out_p = tmp_path / "s", tmp_path / "p"
+        base = ["sweep", "--config", str(config)] + SWEEP_GRID
+        assert cli.main(base + ["--out", str(out_s)]) == 0
+        assert cli.main(base + ["--parallel", "2", "--out", str(out_p)]) == 0
+        assert strip_wall_clock(read_rows(out_s / "sweep.csv")) == strip_wall_clock(
+            read_rows(out_p / "sweep.csv")
+        )
+
+    @pytest.mark.parametrize("parallel, workers", [("2", 2), ("5", 3)])
+    def test_sweep_forks_one_pool(self, tmp_path, pools_made, parallel, workers):
+        # Four cells of three runs each share min(--parallel, Runs) workers.
+        config = write_config(tmp_path)
+        argv = ["sweep", "--config", str(config)] + SWEEP_GRID + ["--parallel", parallel]
+        assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert pools_made == [workers]
+        # The pool lives for one command: the next command forks its own.
+        assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert pools_made == [workers, workers]
+        assert multiprocessing.active_children() == []
+
+    def test_library_calls_share_an_open_pool(self, pools_made):
+        config = make_config(runs=2, block_target=50)
+        run_many(config, parallel=2)
+        run_many(config, parallel=2)
+        assert pools_made == [2, 2]  # outside a pool: one pool per call, as before
+        with worker_pool(2):
+            first = run_many(config, parallel=2)
+            second = run_many(config, parallel=4)
+        assert pools_made == [2, 2, 2]
+        assert [r.seed for r in first] == [r.seed for r in second] == [42, 43]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing run is patched in before the workers fork",
+    )
+    def test_worker_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        parent = os.getpid()
+        real_run = runner.Simulation.run
+
+        def fail_in_worker(sim):
+            if os.getpid() != parent and sim.config.b_interval == 60.0:
+                raise RuntimeError("run failed in a worker")
+            return real_run(sim)
+
+        monkeypatch.setattr(runner.Simulation, "run", fail_in_worker)
+        argv = ["sweep", "--config", str(config)] + SWEEP_GRID
+        assert cli.main(argv + ["--parallel", "2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "cell B_interval=30" in captured.out  # cells before the failure finished
+        assert "run failed in a worker" in captured.err
+        assert not (out / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

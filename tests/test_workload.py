@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainsim.config import (
     ConstantSampler,
@@ -196,6 +198,42 @@ class TestSharedPool:
         assert body.tx_count == len(expected)
         assert body.fee_total == pytest.approx(sum(t.fee for t in expected), rel=1e-12)
         assert body.weight_total == pytest.approx(sum(t.weight for t in expected), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.one_of(
+            st.floats(1e-4, 1e-2).map(ExponentialSampler),
+            # Few histogram values, so sizes and, at a constant price, fees tie.
+            st.lists(st.floats(1e-4, 1e-2), min_size=1, max_size=4).map(
+                lambda values: HistogramSampler(values, [1 / len(values)] * len(values))
+            ),
+        ),
+        price=st.one_of(
+            st.floats(0.5, 5.0).map(ConstantSampler), st.floats(0.5, 5.0).map(ExponentialSampler)
+        ),
+        arrivals=st.floats(0.5, 150.0),  # per block interval: the block budget
+        fits=st.floats(0.5, 150.0),  # mean-size transactions per block capacity
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # budget-bound: 10 in the pool, budget 5, room for about 100
+        size=ExponentialSampler(0.002), price=ConstantSampler(1.0), arrivals=5.0, fits=100.0, seed=1
+    )
+    @example(  # capacity-bound: 6 in the pool, budget 100, room for about 3
+        size=ExponentialSampler(0.002), price=ConstantSampler(1.0), arrivals=100.0, fits=3.0, seed=1
+    )
+    @example(  # exact fill: the fourth 2**-10 transaction fills the block to the last bit
+        size=HistogramSampler([2**-10], [1.0]), price=ConstantSampler(1.0), arrivals=100.0,
+        fits=4.0, seed=1,
+    )
+    def test_packing_matches_object_oracle_on_random_pools(self, size, price, arrivals, fits, seed):
+        config = light_config(t_n=arrivals / 60.0, b_interval=60.0, b_size=fits * size.mean())
+        pool = SharedPool(World(1, hash_powers=(1.0,)), RandomSource(seed), config, size, price)
+        for _ in range(2):  # the first pool, then its refill
+            expected = reference_pack(pool)
+            body = pool.take_block(0.0)
+            assert body.tx_count == len(expected)
+            assert body.fee_total == sum(t.fee for t in expected)
+            assert body.weight_total == sum(t.weight for t in expected)
 
     def test_light_throughput_tracks_arrival_rate(self):
         # Arrival-limited light mode: throughput ~= T_n within 5%.
