@@ -111,6 +111,60 @@ seed = 9
 }
 
 
+# Events due at the same instant: their dispatch order is pinned, as it
+# decides whether a delivery or a creation happens first.
+TIE_ORDER_CASES = {
+    # Every delivery is due at its block's creation instant, under the PoW
+    # race with uncles.
+    "zero-delay-uncles": (
+        """
+B_interval = 30
+B_delay = 0
+N_n = 5
+uncles_enabled = true
+block_target = 200
+Runs = 2
+seed = 13
+""",
+        "814a32c444d5747c25ad70ff0dddd5b0e82cb62f6702f1787c24a05d08f2fd4c",
+    ),
+    # Each block reaches the other miner at the instant of that miner's
+    # next slot, with transactions relayed at once.
+    "roundrobin-delay-equals-interval": (
+        """
+B_interval = 30
+B_delay = 30
+B_size = 0.01
+hasTrans = true
+T_technique = full
+T_n = 1
+T_delay = 0
+T_size = exp:0.0005
+T_fee = exp:0.3
+N_n = 6
+miners = 0.4,0,0.6
+selector = roundrobin
+block_target = 120
+Runs = 2
+seed = 17
+""",
+        "423d2cd64b510106eef0ea6ea95925ab051361f0e61ce502cbb779ad7594248b",
+    ),
+    "roundrobin-zero-delay": (
+        """
+B_interval = 30
+B_delay = 0
+N_n = 5
+selector = roundrobin
+block_target = 200
+Runs = 2
+seed = 19
+""",
+        "b73f3a1cc4e03543983ce6dc573bc0dc9b6c2dc314458aa7590e6f1269a96598",
+    ),
+}
+
+
 def runs_digest(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -137,4 +191,10 @@ def test_full_mode_runs_csv_digest(tmp_path, name):
 @pytest.mark.parametrize("name", list(NON_MINER_CASES))
 def test_non_miner_runs_csv_digest(tmp_path, name):
     text, digest = NON_MINER_CASES[name]
+    assert run_digest(tmp_path, text) == digest
+
+
+@pytest.mark.parametrize("name", list(TIE_ORDER_CASES))
+def test_tie_order_runs_csv_digest(tmp_path, name):
+    text, digest = TIE_ORDER_CASES[name]
     assert run_digest(tmp_path, text) == digest
