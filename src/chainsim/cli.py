@@ -2,7 +2,8 @@
 (interval x delay) grid, writing CSV reports and a text summary.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
-Files already written are removed when a command fails partway.
+Files already written are removed when a command fails partway; a closed
+standard output loses the text that follows, not the files or the exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -86,16 +88,24 @@ def write_sweep_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[col]) for col in header])
 
 
-def print_summary(config: SimConfig, aggregates: dict[str, MetricAggregate], out=None) -> None:
-    if out is None:
-        out = sys.stdout
-    print(
+def summary_lines(config: SimConfig, aggregates: dict[str, MetricAggregate]) -> list[str]:
+    lines = [
         f"preset={config.preset} B_interval={_fmt(config.b_interval)}s "
-        f"B_delay={_fmt(config.b_delay)}s runs={config.runs} seed={config.seed}",
-        file=out,
-    )
+        f"B_delay={_fmt(config.b_delay)}s runs={config.runs} seed={config.seed}"
+    ]
     for name, agg in aggregates.items():
-        print(f"  {name:24s} {agg.mean:14.6g} +/- {agg.half_width_95:.6g}", file=out)
+        lines.append(f"  {name:24s} {agg.mean:14.6g} +/- {agg.half_width_95:.6g}")
+    return lines
+
+
+def _say(line: str) -> None:
+    """Print one line; once stdout's reader is gone, send it and the rest to the null device."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 class _OutputTracker:
@@ -117,7 +127,8 @@ class _OutputTracker:
 
 
 def _write_outputs(out: str, write) -> int:
-    """Create the directory ``out`` and run ``write(out_dir, tracker)`` in it.
+    """Create the directory ``out`` and run ``write(out_dir, tracker)`` in it,
+    then print the lines ``write`` returns, once its files are complete.
 
     An unusable ``out`` is reported in one line; if ``write`` fails, the
     files it registered are removed and the traceback is printed."""
@@ -129,11 +140,13 @@ def _write_outputs(out: str, write) -> int:
         return EXIT_RUNTIME
     tracker = _OutputTracker()
     try:
-        write(out_dir, tracker)
+        lines = write(out_dir, tracker)
     except Exception:
         tracker.discard_all()
         traceback.print_exc()
         return EXIT_RUNTIME
+    for line in lines:
+        _say(line)
     return EXIT_OK
 
 
@@ -151,13 +164,13 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def write(out_dir: Path, tracker: _OutputTracker) -> None:
+    def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
         with worker_pool(min(args.parallel, config.runs)):
             reports = run_many(config, parallel=args.parallel)
         aggregates = aggregate(reports)
         write_run_csv(tracker.register(out_dir / RUN_CSV_NAME), reports)
         write_aggregate_csv(tracker.register(out_dir / AGGREGATE_CSV_NAME), aggregates)
-        print_summary(config, aggregates)
+        return summary_lines(config, aggregates)
 
     return _write_outputs(args.out, write)
 
@@ -184,7 +197,7 @@ def _cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def write(out_dir: Path, tracker: _OutputTracker) -> None:
+    def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
         rows: list[dict] = []
         # One pool serves every cell; its workers exit before sweep.csv is written.
         with worker_pool(min(args.parallel, base.runs)):
@@ -201,11 +214,12 @@ def _cmd_sweep(args) -> int:
                     row[f"share_{miner_id}"] = aggs[f"share_{miner_id}"].mean
                 row["wall_clock_s"] = aggs["wall_clock_s"].mean
                 rows.append(row)
-                print(
+                _say(
                     f"cell B_interval={_fmt(cell.b_interval)} B_delay={_fmt(cell.b_delay)}: "
                     f"stale={row['stale_rate']:.4%} throughput={row['throughput_tps']:.6g} tx/s"
                 )
         write_sweep_csv(tracker.register(out_dir / SWEEP_CSV_NAME), rows)
+        return []
 
     return _write_outputs(args.out, write)
 

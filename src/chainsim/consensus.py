@@ -25,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .config import SimConfig
-from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
+from .engine import EventKind, EventQueue, RandomSource, sample_exponential
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
@@ -64,8 +64,10 @@ class ConsensusEngine:
             raw = [n.hash_power for n in world.nodes]
         total = sum(raw)
         self.weights = [w / total for w in raw]
+        # Mean seconds between a miner's blocks; 0 marks a node that never mines.
+        self.means = [self.block_interval / w if w > 0 else 0.0 for w in self.weights]
         self.miner_ids = [n.id for n in world.nodes if self.weights[n.id] > 0]
-        network.recipients = self.miner_ids[-1] + 1
+        network.set_recipients(self.miner_ids[-1] + 1)
         self._rr_cycle = 0
 
     # -- scheduling -----------------------------------------------------
@@ -78,43 +80,34 @@ class ConsensusEngine:
         for miner_id in self.miner_ids:
             self.schedule_next_creation(self.world.nodes[miner_id], 0.0)
 
-    def schedule_next_creation(self, miner: NodeState, at: float) -> Event:
-        """Arm the miner's race on its current tip, starting from ``at``."""
-        weight = self.weights[miner.id]
-        if weight <= 0:
+    def schedule_next_creation(self, miner: NodeState, at: float) -> float:
+        """Arm the miner's race on its current tip from ``at``; return its time."""
+        mean = self.means[miner.id]
+        if mean <= 0:
             raise ValueError(f"node {miner.id} has zero creation weight")
-        if self.round_robin:
-            return self._schedule_round_robin(at)
-        delay = sample_exponential(self.rng, self.block_interval / weight)
-        event = Event(EventKind.BLOCK_CREATE, miner.id, at + delay, miner.tip)
-        self.queue.schedule(event)
-        return event
+        time = at + sample_exponential(self.rng, mean)
+        self.queue.schedule(time, EventKind.BLOCK_CREATE, miner.id, miner.tip)
+        return time
 
-    def _schedule_round_robin(self, at: float) -> Event:
+    def _schedule_round_robin(self, at: float) -> None:
         miner_id = self.miner_ids[self._rr_cycle % len(self.miner_ids)]
         self._rr_cycle += 1
-        miner = self.world.nodes[miner_id]
-        event = Event(
-            EventKind.BLOCK_CREATE, miner_id, at + self.block_interval, miner.tip
-        )
-        self.queue.schedule(event)
-        return event
+        tip = self.world.nodes[miner_id].tip
+        self.queue.schedule(at + self.block_interval, EventKind.BLOCK_CREATE, miner_id, tip)
 
     # -- block creation -------------------------------------------------
 
-    def on_block_create(self, event: Event) -> Block | None:
-        miner = self.world.nodes[event.node_id]
-        intended_parent: Block = event.payload
+    def on_block_create(self, miner_id: int, now: float, intended_parent: Block) -> Block | None:
+        miner = self.world.nodes[miner_id]
         if intended_parent.id != miner.tip.id:
             # The tip moved after this event was armed; the race already
             # restarted on the new tip when the miner adopted it.
             self.world.stale_creation_events += 1
             if self.round_robin:
-                self._schedule_round_robin(event.time)
+                self._schedule_round_robin(now)
             return None
 
         parent = miner.tip
-        now = event.time
         body = self.workload.take_block(miner, now)
         block = Block(
             id=self.world.new_block_id(),
@@ -180,9 +173,14 @@ class ConsensusEngine:
 
     # -- block reception ------------------------------------------------
 
-    def on_block_receive(self, event: Event) -> ChainAction:
-        node = self.world.nodes[event.node_id]
-        block: Block = event.payload
+    def deliver_block(self, node_ids: tuple[int, ...], now: float, block: Block) -> None:
+        """Hand ``block`` to each of ``node_ids`` in turn."""
+        receive = self.on_block_receive
+        for node_id in node_ids:
+            receive(node_id, now, block)
+
+    def on_block_receive(self, node_id: int, now: float, block: Block) -> ChainAction:
+        node = self.world.nodes[node_id]
         if block.id in node.chain_pos:
             # Already adopted earlier via a deeper descendant.
             return ChainAction.DISCARDED_SHORTER
@@ -209,8 +207,8 @@ class ConsensusEngine:
                 return ChainAction.STORED_AS_UNCLE
             return ChainAction.DISCARDED_SHORTER
 
-        if self.weights[node.id] > 0 and not self.round_robin:
-            self.schedule_next_creation(node, event.time)
+        if self.weights[node_id] > 0 and not self.round_robin:
+            self.schedule_next_creation(node, now)
         return action
 
     def _replace_chain(self, node: NodeState, block: Block) -> None:

@@ -1,5 +1,16 @@
 """Simulation core: time-ordered event queue, clock, and seeded randomness.
 
+A heap entry is a plain tuple ``(time, seq, kind, target, payload)``.  The
+queue numbers entries in insertion order, so entries due at the same time
+pop first-in first-out and the comparison never reaches ``kind``.  The
+dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
+
+- BLOCK_CREATE: target is the miner id, payload the tip it was armed on.
+- BLOCK_RECEIVE: target is a tuple of recipient ids, payload the block.  A
+  constant-delay broadcast is one entry for all its recipients, delivered
+  in node order; it holds the place the first per-recipient entry would.
+- TX_CREATE: target is the submitter id, payload the transaction.
+
 A single run is strictly sequential; every piece of mutable state is owned
 by exactly one run, so multiple runs can execute in parallel processes.
 """
@@ -8,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Mapping, TYPE_CHECKING
 
@@ -24,80 +34,54 @@ class EventKind(IntEnum):
     TX_CREATE = 2
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled state change at one node.
-
-    ``payload`` carries the object the handler needs: the block being
-    delivered, the transaction being created, or -- for a
-    BLOCK_CREATE event -- the intended parent block at scheduling time
-    (used to detect that the miner's tip has since moved).
-
-    ``seq`` is assigned by the queue on insertion and breaks ties among
-    simultaneous events in FIFO order.
-    """
-
-    kind: EventKind
-    node_id: int
-    time: float
-    payload: object
-    seq: int = -1
-
-
 class SchedulingError(RuntimeError):
     """An event was scheduled in the past; that is a scheduler logic bug."""
 
 
 class EventQueue:
-    """Min-heap of events keyed by (time, insertion seq)."""
+    """Min-heap of ``(time, seq, kind, target, payload)`` entries."""
 
     __slots__ = ("_heap", "_next_seq", "clock")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, EventKind, object, object]] = []
         self._next_seq = 0
         self.clock = 0.0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, event: Event) -> None:
-        if event.time < self.clock:
-            raise SchedulingError(
-                f"event at t={event.time!r} is before the clock t={self.clock!r}"
-            )
-        event.seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+    def schedule(self, time: float, kind: EventKind, target: object, payload: object) -> int:
+        """Push one entry and return its sequence number."""
+        if time < self.clock:
+            raise SchedulingError(f"event at t={time!r} is before the clock t={self.clock!r}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, kind, target, payload))
+        return seq
 
-    def peek_time(self) -> float | None:
-        """Time of the earliest pending event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def next_event(self) -> Event | None:
-        """Pop the earliest event and advance the clock to its time."""
+    def next_event(self) -> tuple[float, int, EventKind, object, object] | None:
+        """Pop the earliest entry and advance the clock to its time."""
         if not self._heap:
             return None
-        time, _, event = heapq.heappop(self._heap)
-        self.clock = time
-        return event
+        entry = heapq.heappop(self._heap)
+        self.clock = entry[0]
+        return entry
 
 
 class RandomSource:
     """Seeded random generator owned by a single run.
 
     The same seed and configuration reproduce the event trace bit for bit.
+    ``random()`` is one uniform draw in [0, 1) and ``random(k)`` an array of
+    ``k`` of them, the same values as ``k`` single draws.
     """
 
-    __slots__ = ("seed", "rng")
+    __slots__ = ("rng", "random")
 
     def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
-
-    def random(self) -> float:
-        """Uniform draw in [0, 1)."""
-        return self.rng.random()
+        self.rng = np.random.default_rng(int(seed))
+        self.random = self.rng.random
 
 
 def sample_exponential(source: RandomSource, mean: float) -> float:
@@ -115,12 +99,23 @@ def sample_exponential(source: RandomSource, mean: float) -> float:
             return x
 
 
-Handler = Callable[[Event], object]
+def sample_exponentials(source: RandomSource, mean: float, k: int) -> list[float]:
+    """``k`` draws of ``sample_exponential(source, mean)`` from one batch of
+    uniforms.  A rejected uniform is replaced by a further draw, so the
+    values and the random stream match ``k`` single calls."""
+    if mean <= 0:
+        raise ValueError(f"exponential mean must be positive, got {mean!r}")
+    log = math.log
+    values: list[float] = []
+    while len(values) < k:
+        batch = [-mean * log(1.0 - u) for u in source.random(k - len(values)).tolist()]
+        values.extend(x for x in batch if x > 0.0)
+    return values
 
 
 def run_loop(
     queue: EventQueue,
-    handlers: Mapping[EventKind, Handler],
+    handlers: Mapping[EventKind, Callable[[object, float, object], object]],
     world: "World",
     *,
     sim_time: float | None = None,
@@ -135,14 +130,13 @@ def run_loop(
     the full horizon in time-limited mode, otherwise the final clock value.
     """
     table = [handlers[kind] for kind in EventKind]
-    while True:
-        t = queue.peek_time()
-        if t is None:
-            break
-        if sim_time is not None and t > sim_time:
-            break
-        event = queue.next_event()
-        table[event.kind](event)
-        if block_target is not None and world.blocks_created >= block_target:
+    heap = queue._heap
+    next_event = queue.next_event
+    horizon = math.inf if sim_time is None else sim_time
+    target_blocks = math.inf if block_target is None else block_target
+    while heap and heap[0][0] <= horizon:
+        time, _, kind, target, payload = next_event()
+        table[kind](target, time, payload)
+        if world.blocks_created >= target_blocks:
             break
     return sim_time if sim_time is not None else queue.clock

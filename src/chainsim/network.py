@@ -1,18 +1,21 @@
 """Abstracted broadcast: deliver blocks to every other simulated node after
 a configurable propagation delay.
 
-No topology is modelled; the delay is the only network parameter.  In
-exponential mode each recipient draws its own independent delay.
+No topology is modelled; the delay is the only network parameter.  A
+constant delay reaches every recipient at once, so one queue entry carries
+them all.  In exponential mode each recipient draws its own independent
+delay and gets its own entry.
 
-Only nodes below ``recipients`` receive blocks; ``ConsensusEngine`` sets
-the cut.  Exponential mode still draws a delay for every node but the
-sender, in node order, so the random stream does not depend on the cut.
+Only the nodes below the cut that ``ConsensusEngine`` passes to
+``set_recipients`` receive blocks.  Exponential mode still draws a delay
+for every node but the sender, in node order, so the random stream does
+not depend on the cut.
 """
 
 from __future__ import annotations
 
 from .config import SimConfig
-from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
+from .engine import EventKind, EventQueue, RandomSource, sample_exponentials
 from .model import Block
 
 
@@ -21,32 +24,24 @@ class Network:
         self.queue = queue
         self.rng = rng
         self.n_nodes = config.n_n
-        self.recipients = config.n_n  # block recipients are node ids below this
         self.block_delay = config.b_delay
-        self.exponential = config.delay_mode == "exponential"
+        # Exponential delays with a zero mean are all zero and draw nothing.
+        self.exponential = config.delay_mode == "exponential" and config.b_delay > 0.0
+        self.set_recipients(config.n_n)
 
-    def delay(self, mean: float) -> float:
-        """One recipient's propagation delay; no draw when the mean is zero."""
-        if not self.exponential or mean == 0.0:
-            return mean
-        return sample_exponential(self.rng, mean)
+    def set_recipients(self, count: int) -> None:
+        """Deliver blocks to the node ids below ``count`` only."""
+        self._others = [tuple(n for n in range(count) if n != s) for s in range(count)]
 
-    def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[Event]:
-        """Schedule one BLOCK_RECEIVE per recipient other than the sender."""
-        events = []
-        for node_id in range(self.recipients):
-            if node_id == sender_id:
-                continue
-            event = Event(
-                EventKind.BLOCK_RECEIVE,
-                node_id,
-                at + self.delay(self.block_delay),
-                block,
-            )
-            self.queue.schedule(event)
-            events.append(event)
-        if self.exponential and self.block_delay > 0.0:
-            # The non-recipients' draws; the sender is always a recipient.
-            for _ in range(self.recipients, self.n_nodes):
-                sample_exponential(self.rng, self.block_delay)
-        return events
+    def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
+        """Queue the block's delivery to every recipient but the sender;
+        returns the sequence numbers of the entries pushed."""
+        others = self._others[sender_id]
+        if not self.exponential:
+            due = [(at + self.block_delay, others)] if others else []
+        else:
+            # The draws past the recipients' are taken and discarded.
+            delays = sample_exponentials(self.rng, self.block_delay, self.n_nodes - 1)
+            due = [(at + delay, (node_id,)) for node_id, delay in zip(others, delays)]
+        schedule = self.queue.schedule
+        return [schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]

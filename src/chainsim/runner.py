@@ -36,13 +36,13 @@ class Simulation:
         self.world = World(config.n_n, hash_powers=config.miners, stakes=stakes)
         self.queue = EventQueue()
         self.network = Network(self.queue, self.rng, config)
-        self.workload = TxWorkload(self.world, self.queue, self.rng, config, self.network)
+        self.workload = TxWorkload(self.world, self.queue, self.rng, config)
         self.consensus = ConsensusEngine(
             self.world, self.queue, self.rng, config, self.network, self.workload
         )
         self.handlers = {
             EventKind.BLOCK_CREATE: self.consensus.on_block_create,
-            EventKind.BLOCK_RECEIVE: self.consensus.on_block_receive,
+            EventKind.BLOCK_RECEIVE: self.consensus.deliver_block,
             EventKind.TX_CREATE: self.workload.on_tx_create,
         }
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstantSampler, SimConfig, parse_sampler
-from .engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
+from .engine import EventKind, EventQueue, RandomSource, sample_exponential, sample_exponentials
 from .model import NodeState, Transaction, World
-from .network import Network
 
 
 @dataclass(slots=True)
@@ -126,15 +125,15 @@ class TxWorkload:
         queue: EventQueue,
         rng: RandomSource,
         config: SimConfig,
-        network: Network,
     ) -> None:
         self.world = world
         self.queue = queue
         self.rng = rng
-        self.network = network
         self.full_mode = config.has_trans and config.t_technique == "full"
         self.tx_rate = config.t_n
         self.tx_delay = config.t_delay
+        # Exponential delays with a zero mean are all zero and draw nothing.
+        self.exponential = config.delay_mode == "exponential" and config.t_delay > 0.0
         self.block_capacity = config.b_size
         self.size_sampler = parse_sampler(config.t_size)
         self.price_sampler = parse_sampler(config.t_fee)
@@ -159,7 +158,7 @@ class TxWorkload:
         gap = sample_exponential(self.rng, 1.0 / self.tx_rate)
         at = now + gap
         tx = self._make_tx(at)
-        self.queue.schedule(Event(EventKind.TX_CREATE, tx.submitter_id, at, tx))
+        self.queue.schedule(at, EventKind.TX_CREATE, tx.submitter_id, tx)
 
     def _make_tx(self, timestamp: float) -> Transaction:
         rng = self.rng.rng
@@ -182,22 +181,21 @@ class TxWorkload:
         per-recipient broadcast would; a constant delay needs no draws, so
         only the miners' stamps are computed."""
         at = tx.timestamp
-        if not self.network.exponential or self.tx_delay == 0.0:
+        submitter = tx.submitter_id
+        if not self.exponential:
             relayed = at + self.tx_delay
-            return tuple(
-                at if miner_id == tx.submitter_id else relayed for miner_id in self._miner_ids
-            )
-        held = [
-            at if node_id == tx.submitter_id else at + self.network.delay(self.tx_delay)
-            for node_id in range(len(self.world.nodes))
-        ]
-        return tuple(held[miner_id] for miner_id in self._miner_ids)
+            return tuple(at if m == submitter else relayed for m in self._miner_ids)
+        # Node n's delay, for n past the submitter, is draw n - 1.
+        delays = sample_exponentials(self.rng, self.tx_delay, len(self.world.nodes) - 1)
+        return tuple(
+            at if m == submitter else at + delays[m if m < submitter else m - 1]
+            for m in self._miner_ids
+        )
 
-    def on_tx_create(self, event: Event) -> None:
-        tx: Transaction = event.payload
+    def on_tx_create(self, submitter_id: int, now: float, tx: Transaction) -> None:
         bisect.insort(self.pending, (-tx.fee, tx.id, tx, self._arrivals(tx)))
         self._smallest = min(self._smallest, tx.weight)
-        self._schedule_arrival(event.time)
+        self._schedule_arrival(now)
 
     def take_block(self, miner: NodeState, now: float) -> BlockBody:
         """Select the content of a new block mined at ``now``.

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 
+import numpy as np
 import pytest
 
 from chainsim.config import SimConfig
@@ -56,7 +57,10 @@ class FixedUniform:
         self.values = list(values)
         self.calls = 0
 
-    def random(self) -> float:
+    def random(self, size=None):
+        """One scripted value, or an array of the next ``size`` of them."""
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
         value = self.values[self.calls % len(self.values)]
         self.calls += 1
         return value

@@ -365,19 +365,20 @@ def test_criterion_8b_reward_conservation():
 
 
 def test_criterion_8c_event_queue_fuzz():
-    from chainsim.engine import Event, EventKind, EventQueue
+    from chainsim.engine import EventKind, EventQueue
 
     rng = np.random.default_rng(99)
     queue = EventQueue()
     inserted = []
     for _ in range(100_000):
         t = float(rng.choice([rng.uniform(0, 1e6), float(rng.integers(0, 50))]))
-        event = Event(EventKind.BLOCK_CREATE, 0, t, None)
-        queue.schedule(event)
-        inserted.append(event)
-    expected = sorted(inserted, key=lambda e: (e.time, e.seq))
+        seq = queue.schedule(t, EventKind.BLOCK_CREATE, 0, None)
+        assert seq == len(inserted)  # numbered in insertion order
+        inserted.append((t, seq))
+    expected = sorted(inserted)
     for want in expected:
-        assert queue.next_event() is want
+        assert queue.next_event()[:2] == want
+    assert queue.next_event() is None
     print("criterion 8c: PASS 100,000 random schedules pop in (time, seq) order")
 
 

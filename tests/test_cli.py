@@ -1,7 +1,10 @@
 import dataclasses
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +294,39 @@ def test_unusable_out_exit_3(tmp_path, capsys, command, out):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("cannot use --out") and err.count("\n") == 1
+
+
+def run_with_stdout_closed(argv):
+    """Run ``chainsim argv`` in a fresh interpreter whose stdout pipe has
+    already lost its reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(cli.__file__).resolve().parents[1]
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "chainsim", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [(["run"], ["runs.csv", "aggregate.csv"]), (["sweep"] + SWEEP_GRID, ["sweep.csv"])],
+    ids=["run", "sweep"],
+)
+def test_closed_stdout_keeps_outputs_exit_0(tmp_path, command, names):
+    # As in ``chainsim run ... | head -1``: the text is lost, the results are not.
+    config = write_config(tmp_path)
+    piped, direct = tmp_path / "piped", tmp_path / "direct"
+    done = run_with_stdout_closed(command + ["--config", str(config), "--out", str(piped)])
+    assert (done.returncode, done.stderr.decode()) == (0, "")
+    assert cli.main(command + ["--config", str(config), "--out", str(direct)]) == 0
+    for name in names:
+        assert strip_wall_clock(read_rows(piped / name)) == strip_wall_clock(
+            read_rows(direct / name)
+        )

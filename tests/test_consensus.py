@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
-from chainsim.engine import Event, EventKind, EventQueue, RandomSource, run_loop
+from chainsim.engine import EventKind, EventQueue, RandomSource, run_loop
 from chainsim.model import Block, Transaction, World
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
@@ -40,7 +40,7 @@ def make_engine(
     queue = EventQueue()
     rng = RandomSource(seed)
     network = Network(queue, rng, config)
-    workload = TxWorkload(world, queue, rng, config, network)
+    workload = TxWorkload(world, queue, rng, config)
     return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
 
 
@@ -80,23 +80,24 @@ class TestScheduleNextCreation:
         n = 10_000
         total = 0.0
         for _ in range(n):
-            event = engine.schedule_next_creation(miner, 0.0)
-            total += event.time
+            total += engine.schedule_next_creation(miner, 0.0)
+        assert len(queue) == n
         assert abs(total / n - 600.0) < 18.0  # 3 sigma on the exponential mean
 
     def test_rate_scales_with_weight(self):
         engine, world, _ = make_engine(2, (0.25, 0.75), block_interval=100.0)
         n = 8_000
-        mean0 = sum(engine.schedule_next_creation(world.nodes[0], 0.0).time for _ in range(n)) / n
-        mean1 = sum(engine.schedule_next_creation(world.nodes[1], 0.0).time for _ in range(n)) / n
+        mean0 = sum(engine.schedule_next_creation(world.nodes[0], 0.0) for _ in range(n)) / n
+        mean1 = sum(engine.schedule_next_creation(world.nodes[1], 0.0) for _ in range(n)) / n
         assert abs(mean0 - 400.0) < 14.0
         assert abs(mean1 - 100.0 * 4 / 3) < 5.0
 
     def test_event_records_parent_tip(self):
-        engine, world, _ = make_engine(1, (1.0,))
-        event = engine.schedule_next_creation(world.nodes[0], 0.0)
-        assert event.payload is world.nodes[0].tip
-        assert event.kind == EventKind.BLOCK_CREATE
+        engine, world, queue = make_engine(1, (1.0,))
+        at = engine.schedule_next_creation(world.nodes[0], 0.0)
+        time, _, kind, target, payload = queue.next_event()
+        assert payload is world.nodes[0].tip
+        assert (time, kind, target) == (at, EventKind.BLOCK_CREATE, 0)
 
     def test_zero_weight_miner_rejected(self):
         engine, world, _ = make_engine(2, (1.0, 0.0))
@@ -135,8 +136,8 @@ class TestOnBlockCreate:
     def test_empty_pool_still_produces_block(self):
         engine, world, queue = make_engine(1, (1.0,))
         engine.start()
-        event = queue.next_event()
-        block = engine.on_block_create(event)
+        time, _, _, miner_id, parent = queue.next_event()
+        block = engine.on_block_create(miner_id, time, parent)
         assert block is not None
         assert block.tx_count == 0
         assert block.depth == 1
@@ -148,24 +149,26 @@ class TestOnBlockCreate:
         engine.workload.start(engine.miner_ids)
         for tid, fee in ((1, 5.0), (2, 3.0), (3, 9.0)):
             tx = Transaction(tid, 0.0, 0, 0.4, fee)
-            engine.workload.on_tx_create(Event(EventKind.TX_CREATE, 0, 0.0, tx))
+            engine.workload.on_tx_create(0, 0.0, tx)
         engine.start()
-        block = engine.on_block_create(queue.next_event())
+        time, _, _, miner_id, parent = queue.next_event()
+        block = engine.on_block_create(miner_id, time, parent)
         assert [tx.fee for tx in block.transactions] == [9.0, 5.0]
-        event = queue.next_event()
-        assert event.kind == EventKind.BLOCK_CREATE
-        block = engine.on_block_create(event)
+        time, _, kind, miner_id, parent = queue.next_event()
+        assert kind == EventKind.BLOCK_CREATE
+        block = engine.on_block_create(miner_id, time, parent)
         assert [tx.fee for tx in block.transactions] == [3.0]  # fee-3 stayed pooled
 
     def test_stale_event_discarded_and_counted(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), block_delay=0.0)
         engine.start()
         miner0 = world.nodes[0]
-        pending = engine.schedule_next_creation(miner0, 0.0)
+        armed_on = miner0.tip
+        at = engine.schedule_next_creation(miner0, 0.0)
         append_block(engine, world, 0)  # tip advances depth 4 -> 5 analog
-        assert pending.payload.id != miner0.tip.id
+        assert armed_on.id != miner0.tip.id
         before = len(queue)
-        result = engine.on_block_create(pending)
+        result = engine.on_block_create(0, at, armed_on)
         assert result is None
         assert world.stale_creation_events == 1
         assert world.blocks_created == 0
@@ -175,16 +178,16 @@ class TestOnBlockCreate:
     def test_creation_timestamp_is_event_time(self):
         engine, world, queue = make_engine(1, (1.0,))
         engine.start()
-        event = queue.next_event()
-        block = engine.on_block_create(event)
-        assert block.timestamp == event.time
+        time, _, _, miner_id, parent = queue.next_event()
+        block = engine.on_block_create(miner_id, time, parent)
+        assert block.timestamp == time
 
 
 class TestOnBlockReceive:
     def test_appended(self):
         engine, world, queue = make_engine(2, (1.0, 0.0))
         block = append_block(engine, world, 0)
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 2.0, block))
+        action = engine.on_block_receive(1, 2.0, block)
         assert action is ChainAction.APPENDED
         assert world.nodes[1].tip is block
 
@@ -196,13 +199,13 @@ class TestOnBlockReceive:
         a2 = append_block(engine, world, 0)
         a3 = append_block(engine, world, 0)
         for b in (a1, a2, a3):
-            engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, b.timestamp + 0.1, b))
+            engine.on_block_receive(2, b.timestamp + 0.1, b)
         assert node2.tip is a3
         # Branch B (miner 1): depths 1..5, never delivered to node2 until the head.
         b_head = None
         for _ in range(5):
             b_head = append_block(engine, world, 1, ts=(b_head.timestamp + 1 if b_head else 10.0))
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 20.0, b_head))
+        action = engine.on_block_receive(2, 20.0, b_head)
         assert action is ChainAction.REPLACED
         # Oracle: the full walk back through the registry.
         assert node2.chain == ancestry(world.registry, b_head)
@@ -216,7 +219,7 @@ class TestOnBlockReceive:
         for _ in range(5):
             deep = append_block(engine, world, 0)
         node1 = world.nodes[1]
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 50.0, deep))
+        engine.on_block_receive(1, 50.0, deep)
         shorter = Block(
             id=world.new_block_id(),
             depth=1,
@@ -225,7 +228,7 @@ class TestOnBlockReceive:
             miner_id=0,
         )
         world.registry.add(shorter)
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 51.0, shorter))
+        action = engine.on_block_receive(1, 51.0, shorter)
         assert action is ChainAction.DISCARDED_SHORTER
         assert node1.tip is deep
         assert not node1.uncle_chain
@@ -235,13 +238,13 @@ class TestOnBlockReceive:
         deep = None
         for _ in range(3):
             deep = append_block(engine, world, 0)
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 30.0, deep))
+        engine.on_block_receive(1, 30.0, deep)
         sibling = Block(
             id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=0,
         )
         world.registry.add(sibling)
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 31.0, sibling))
+        action = engine.on_block_receive(1, 31.0, sibling)
         assert action is ChainAction.STORED_AS_UNCLE
         assert sibling.id in world.nodes[1].uncle_chain
 
@@ -253,13 +256,13 @@ class TestOnBlockReceive:
         for _ in range(3):
             deep = append_block(engine, world, 0)
         node2 = world.nodes[2]
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 30.0, deep))
+        engine.on_block_receive(2, 30.0, deep)
         sibling = Block(
             id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=1, uncles=(deep.previous_id,),
         )
         world.registry.add(sibling)
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 31.0, sibling))
+        action = engine.on_block_receive(2, 31.0, sibling)
         assert action is ChainAction.DISCARDED_SHORTER
         assert not node2.uncle_chain
         assert not node2.included_uncles
@@ -270,9 +273,9 @@ class TestOnBlockReceive:
         second = append_block(engine, world, 0)
         node1 = world.nodes[1]
         # Deep head arrives first; the registry supplies the ancestor.
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 5.0, second))
+        engine.on_block_receive(1, 5.0, second)
         assert node1.tip is second
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 6.0, first))
+        action = engine.on_block_receive(1, 6.0, first)
         assert action is ChainAction.DISCARDED_SHORTER
         assert first.id not in node1.uncle_chain
 
@@ -282,17 +285,30 @@ class TestOnBlockReceive:
         right = append_block(engine, world, 1, ts=1.5)
         node2 = world.nodes[2]
         assert left.depth == right.depth == 1
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 2.0, left))
-        action = engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 2, 2.1, right))
+        engine.on_block_receive(2, 2.0, left)
+        action = engine.on_block_receive(2, 2.1, right)
         assert node2.tip is left
         assert action is ChainAction.DISCARDED_SHORTER
+
+    def test_batched_delivery_in_node_order(self):
+        # One entry reaches nodes 1 and 2; each adopts the block and re-arms
+        # its race on it, node 1 first.
+        engine, world, queue = make_engine(3, (0.4, 0.3, 0.3))
+        block = append_block(engine, world, 0)
+        engine.deliver_block((1, 2), 2.0, block)
+        assert [world.nodes[n].tip for n in (1, 2)] == [block, block]
+        entries = sorted((queue.next_event() for _ in range(len(queue))), key=lambda e: e[1])
+        assert [(e[2], e[3], e[4]) for e in entries] == [
+            (EventKind.BLOCK_CREATE, 1, block),
+            (EventKind.BLOCK_CREATE, 2, block),
+        ]
 
     def test_adoption_restarts_miner_race(self):
         engine, world, queue = make_engine(2, (0.5, 0.5))
         engine.start()
         pending = len(queue)
         block = append_block(engine, world, 0)
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 2.0, block))
+        engine.on_block_receive(1, 2.0, block)
         assert len(queue) == pending + 1  # node 1 rearmed on the new tip
 
 
@@ -341,7 +357,8 @@ class TestEligibleUncles:
         world.registry.add(uncle)
         miner.uncle_chain[uncle.id] = None
         engine.start()
-        block = engine.on_block_create(queue.next_event())
+        time, _, _, miner_id, parent = queue.next_event()
+        block = engine.on_block_create(miner_id, time, parent)
         assert block.uncles == (500,)
         assert 500 in world.included_uncles
         assert 500 not in miner.uncle_chain
@@ -353,7 +370,7 @@ class TestEligibleUncles:
         world.registry.add(uncle)
         node1.uncle_chain[uncle.id] = None
         block = append_block(engine, world, 0, uncles=(600,))
-        engine.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 3.0, block))
+        engine.on_block_receive(1, 3.0, block)
         assert 600 not in node1.uncle_chain
         assert 600 in node1.included_uncles
 
@@ -379,8 +396,8 @@ class TestMainChain:
         # The depth tie goes to node 0, so X wins; without node 0 it is Y.
         sim = Simulation(make_config(n_n=3, miners=(0.0, 0.5, 0.5), b_delay=1.0), 0)
         genesis = sim.world.genesis
-        sim.queue.schedule(Event(EventKind.BLOCK_CREATE, 2, 9.9, genesis))
-        sim.queue.schedule(Event(EventKind.BLOCK_CREATE, 1, 10.0, genesis))
+        sim.queue.schedule(9.9, EventKind.BLOCK_CREATE, 2, genesis)
+        sim.queue.schedule(10.0, EventKind.BLOCK_CREATE, 1, genesis)
         run_loop(sim.queue, sim.handlers, sim.world, sim_time=10.95)
         x, y = sim.world.registry[1], sim.world.registry[2]
         assert (x.miner_id, y.miner_id, sim.world.blocks_created) == (2, 1, 2)

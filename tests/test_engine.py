@@ -4,54 +4,55 @@ import numpy as np
 import pytest
 
 from chainsim.engine import (
-    Event,
     EventKind,
     EventQueue,
     RandomSource,
     SchedulingError,
     sample_exponential,
+    sample_exponentials,
 )
 from chainsim.runner import Simulation, run_single
 
 from conftest import FixedUniform, make_config
 
 
-def ev(t, node=0, kind=EventKind.BLOCK_CREATE, payload=None):
-    return Event(kind, node, t, payload)
+def ev(q, t, node=0, kind=EventKind.BLOCK_CREATE, payload=None):
+    """Schedule one entry on ``q``; return it as the queue stores it."""
+    seq = q.schedule(t, kind, node, payload)
+    return (t, seq, kind, node, payload)
 
 
 class TestEventQueue:
     def test_single_element(self):
         q = EventQueue()
-        q.schedule(ev(5.0))
+        entry = ev(q, 5.0, node=3, payload="p")
         assert len(q) == 1
-        assert q.peek_time() == 5.0
+        assert q.next_event() == entry == (5.0, 0, EventKind.BLOCK_CREATE, 3, "p")
 
     def test_fifo_among_simultaneous_events(self):
         q = EventQueue()
-        first = ev(5.0, node=1)
-        second = ev(5.0, node=2)
-        third = ev(3.0, node=3)
-        for e in (first, second, third):
-            q.schedule(e)
-        assert q.next_event() is third
-        assert q.next_event() is first
-        assert q.next_event() is second
+        first = ev(q, 5.0, node=1)
+        second = ev(q, 5.0, node=2)
+        third = ev(q, 3.0, node=3)
+        assert q.next_event() == third
+        assert q.next_event() == first
+        assert q.next_event() == second
 
     def test_rejects_event_before_clock(self):
         q = EventQueue()
-        q.schedule(ev(4.0))
+        ev(q, 4.0)
         q.next_event()
         assert q.clock == 4.0
         with pytest.raises(SchedulingError):
-            q.schedule(ev(2.0))
+            ev(q, 2.0)
+        assert len(q) == 0
 
     def test_pop_advances_clock_and_min_first(self):
         q = EventQueue()
-        q.schedule(ev(7.0))
-        q.schedule(ev(1.0))
+        ev(q, 7.0)
+        ev(q, 1.0)
         popped = q.next_event()
-        assert popped.time == 1.0
+        assert popped[0] == 1.0
         assert q.clock == 1.0
 
     def test_empty_pop_returns_none_clock_unchanged(self):
@@ -66,10 +67,8 @@ class TestEventQueue:
         inserted = []
         for _ in range(5_000):
             t = float(rng.choice([rng.uniform(0, 100), rng.integers(0, 20)]))
-            e = ev(t, node=int(rng.integers(10)))
-            q.schedule(e)
-            inserted.append(e)
-        expected = sorted(inserted, key=lambda e: (e.time, e.seq))
+            inserted.append(ev(q, t, node=int(rng.integers(10))))
+        expected = sorted(inserted, key=lambda e: (e[0], e[1]))
         popped = []
         while (e := q.next_event()) is not None:
             popped.append(e)
@@ -108,6 +107,33 @@ class TestSampleExponential:
     def test_positivity_fuzz(self):
         source = RandomSource(5)
         assert all(sample_exponential(source, 0.001) > 0 for _ in range(10_000))
+
+
+class TestSampleExponentials:
+    def test_batch_equals_single_draws_and_stream(self):
+        batch, single = RandomSource(31), RandomSource(31)
+        values = sample_exponentials(batch, 2.5, 1_000)
+        assert values == [sample_exponential(single, 2.5) for _ in range(1_000)]
+        assert batch.random() == single.random()
+
+    def test_rejected_uniform_is_replaced_in_order(self):
+        # 0.0 maps to u == 1.0, a draw of exactly 0: each is rejected and
+        # the next uniform takes its place, as with single draws.
+        script = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125]
+        batch, single = FixedUniform(script), FixedUniform(script)
+        values = sample_exponentials(batch, 10.0, 4)
+        assert values == [sample_exponential(single, 10.0) for _ in range(4)]
+        assert values == [-10.0 * math.log(1.0 - u) for u in (0.25, 0.5, 0.75, 0.125)]
+        assert batch.calls == single.calls == len(script)
+
+    def test_zero_count_draws_nothing(self):
+        source = FixedUniform([0.5])
+        assert sample_exponentials(source, 1.0, 0) == []
+        assert source.calls == 0
+
+    def test_rejects_nonpositive_mean(self):
+        with pytest.raises(ValueError):
+            sample_exponentials(RandomSource(1), 0.0, 3)
 
 
 class TestRunLoop:
@@ -151,10 +177,10 @@ class TestRunLoop:
         times = []
 
         def wrap(handler):
-            def wrapped(event):
-                assert sim.queue.clock == event.time
-                times.append(event.time)
-                return handler(event)
+            def wrapped(target, time, payload):
+                assert sim.queue.clock == time
+                times.append(time)
+                return handler(target, time, payload)
 
             return wrapped
 
@@ -167,9 +193,9 @@ class TestRunLoop:
         seen = []
 
         def wrap(handler):
-            def wrapped(event):
-                seen.append(event.time)
-                return handler(event)
+            def wrapped(target, time, payload):
+                seen.append(time)
+                return handler(target, time, payload)
 
             return wrapped
 

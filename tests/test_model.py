@@ -1,7 +1,6 @@
 import pytest
 
 from chainsim.consensus import ChainAction
-from chainsim.engine import Event, EventKind
 from chainsim.model import Block, World, make_genesis
 from chainsim.runner import Simulation
 
@@ -32,7 +31,7 @@ def adopt(blocks, head):
     sim, observer = observer_sim()
     for b in blocks:
         sim.world.registry.add(b)
-    sim.consensus.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 50.0, head))
+    sim.consensus.on_block_receive(1, 50.0, head)
     return observer.chain
 
 
@@ -49,7 +48,7 @@ class TestTip:
         for bid in (1, 2):
             head = blk(bid, bid, bid - 1)
             sim.world.registry.add(head)
-        sim.consensus.on_block_receive(Event(EventKind.BLOCK_RECEIVE, 1, 5.0, head))
+        sim.consensus.on_block_receive(1, 5.0, head)
         assert observer.tip.id == observer.chain[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
@@ -67,8 +66,8 @@ class TestTip:
 class TestRebuildChain:
     def test_head_genesis(self):
         sim, observer = observer_sim()
-        event = Event(EventKind.BLOCK_RECEIVE, 1, 1.0, sim.world.genesis)
-        assert sim.consensus.on_block_receive(event) is ChainAction.DISCARDED_SHORTER
+        action = sim.consensus.on_block_receive(1, 1.0, sim.world.genesis)
+        assert action is ChainAction.DISCARDED_SHORTER
         assert observer.chain == [sim.world.genesis.id]
 
     def test_linear_chain(self):

@@ -4,7 +4,7 @@ import pytest
 
 from chainsim import cli
 from chainsim.config import ConfigError, parse_config_text
-from chainsim.engine import Event, EventKind, EventQueue, RandomSource, sample_exponential
+from chainsim.engine import EventKind, EventQueue, RandomSource, SchedulingError, sample_exponential
 from chainsim.model import Transaction, make_genesis
 from chainsim.network import Network
 from chainsim.runner import Simulation
@@ -21,6 +21,14 @@ def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
     return queue, Network(queue, RandomSource(seed), config)
 
 
+def drain(queue):
+    """Every entry left in ``queue``, in dispatch order."""
+    entries = []
+    while (entry := queue.next_event()) is not None:
+        entries.append(entry)
+    return entries
+
+
 def some_tx(tid=1, ts=0.0, submitter=0):
     return Transaction(tid, ts, submitter, 0.001, 0.0002)
 
@@ -35,13 +43,12 @@ class TestDelayModel:
 
 class TestBroadcastBlock:
     def test_constant_delay_fanout(self):
+        # One entry carries every recipient but the sender, in node order.
         queue, net = make_network(3)
-        events = net.broadcast_block(0, make_genesis(), at=10.0)
-        assert len(events) == 2
-        assert sorted(e.node_id for e in events) == [1, 2]
-        assert all(e.time == 12.0 for e in events)
-        assert all(e.kind == EventKind.BLOCK_RECEIVE for e in events)
-        assert len(queue) == 2
+        genesis = make_genesis()
+        seqs = net.broadcast_block(0, genesis, at=10.0)
+        assert len(queue) == 1
+        assert drain(queue) == [(12.0, seqs[0], EventKind.BLOCK_RECEIVE, (1, 2), genesis)]
 
     def test_single_node_no_events(self):
         queue, net = make_network(1)
@@ -49,24 +56,44 @@ class TestBroadcastBlock:
         assert len(queue) == 0
 
     def test_fanout_is_always_n_minus_one(self):
-        _, net = make_network(7)
-        assert len(net.broadcast_block(3, make_genesis(), at=1.0)) == 6
+        queue, net = make_network(7)
+        net.broadcast_block(3, make_genesis(), at=1.0)
+        ((*_, targets, _),) = drain(queue)
+        assert targets == (0, 1, 2, 4, 5, 6)
+
+    def test_delivery_before_clock_rejected(self):
+        for mode in ("constant", "exponential"):
+            queue, net = make_network(3, mode=mode)
+            queue.schedule(5.0, EventKind.BLOCK_CREATE, 0, None)
+            queue.next_event()
+            with pytest.raises(SchedulingError):
+                net.broadcast_block(0, make_genesis(), at=1.0)
 
     def test_exponential_mean_empirical(self):
         # 10,000 deliveries, mean 2: 3 sigma bound on the sample mean is 0.06.
         queue, net = make_network(2, block_delay=2.0, mode="exponential")
         n = 10_000
-        total = 0.0
         for _ in range(n):
-            (event,) = net.broadcast_block(0, make_genesis(), at=0.0)
-            total += event.time
-        assert abs(total / n - 2.0) < 0.06
+            assert len(net.broadcast_block(0, make_genesis(), at=0.0)) == 1
+        entries = drain(queue)
+        assert len(entries) == n
+        assert all(targets == (1,) for *_, targets, _ in entries)
+        assert abs(sum(e[0] for e in entries) / n - 2.0) < 0.06
 
     def test_exponential_mode_draws_per_recipient(self):
-        _, net = make_network(4, block_delay=3.0, mode="exponential")
-        events = net.broadcast_block(0, make_genesis(), at=0.0)
-        delays = {e.time for e in events}
-        assert len(delays) == 3  # independent draws
+        # One single-recipient entry per node, each with its own delay.
+        queue, net = make_network(4, block_delay=3.0, mode="exponential")
+        assert len(net.broadcast_block(0, make_genesis(), at=0.0)) == 3
+        entries = drain(queue)
+        assert sorted(e[3] for e in entries) == [(1,), (2,), (3,)]
+        assert len({e[0] for e in entries}) == 3  # independent draws
+
+    def test_zero_mean_exponential_is_one_constant_entry(self):
+        queue, net = make_network(3, block_delay=0.0, mode="exponential")
+        state = net.rng.rng.bit_generator.state
+        net.broadcast_block(1, make_genesis(), at=4.0)
+        assert [(e[0], e[3]) for e in drain(queue)] == [(4.0, (0, 2))]
+        assert net.rng.rng.bit_generator.state == state  # nothing drawn
 
 
 class TestRecipients:
@@ -103,9 +130,9 @@ seed = 21
             sim = Simulation(parse_config_text(self.CONFIG.format(n_n=n_n)), 0)
             receivers = []
 
-            def counting(event, receive=sim.handlers[EventKind.BLOCK_RECEIVE]):
-                receivers.append(event.node_id)
-                return receive(event)
+            def counting(targets, time, block, receive=sim.handlers[EventKind.BLOCK_RECEIVE]):
+                receivers.extend(targets)
+                return receive(targets, time, block)
 
             sim.handlers[EventKind.BLOCK_RECEIVE] = counting
             sim.run()
@@ -121,10 +148,11 @@ seed = 21
         sim = Simulation(config, 0)
         replay = RandomSource(0)
         replay.rng.bit_generator.state = sim.rng.rng.bit_generator.state
-        events = sim.network.broadcast_block(0, make_genesis(), at=1.0)
-        assert [(e.node_id, e.time) for e in events] == [
-            (1, 1.0 + sample_exponential(replay, 2.0)),
-            (2, 1.0 + sample_exponential(replay, 2.0)),
+        sim.network.broadcast_block(0, make_genesis(), at=1.0)
+        entries = sorted(drain(sim.queue), key=lambda e: e[3])
+        assert [(e[3], e[0]) for e in entries] == [
+            ((1,), 1.0 + sample_exponential(replay, 2.0)),
+            ((2,), 1.0 + sample_exponential(replay, 2.0)),
         ]
         sample_exponential(replay, 2.0)
         assert sim.rng.random() == replay.random()
@@ -145,7 +173,7 @@ class TestBroadcastTx:
         sim = Simulation(make_config(**params), 0)
         sim.workload.start(sim.consensus.miner_ids)
         t = some_tx(1000, ts=at, submitter=submitter)
-        sim.workload.on_tx_create(Event(EventKind.TX_CREATE, submitter, at, t))
+        sim.workload.on_tx_create(submitter, at, t)
         (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
         return dict(zip(sim.consensus.miner_ids, entry[3]))
 
@@ -180,7 +208,7 @@ class TestBroadcastTx:
         replay = RandomSource(0)
         replay.rng.bit_generator.state = sim.rng.rng.bit_generator.state
         t = some_tx(1000, ts=50.0, submitter=1)
-        sim.workload.on_tx_create(Event(EventKind.TX_CREATE, 1, 50.0, t))
+        sim.workload.on_tx_create(1, 50.0, t)
         expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
         (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
         assert dict(zip(sim.consensus.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}

@@ -13,7 +13,7 @@ from chainsim.config import (
     parse_sampler,
 )
 from chainsim.consensus import main_chain
-from chainsim.engine import Event, EventKind, RandomSource
+from chainsim.engine import EventKind, RandomSource
 from chainsim.model import Block, Transaction, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
@@ -271,9 +271,9 @@ class TestFullMode:
         created = []
         original = sim.handlers[EventKind.TX_CREATE]
 
-        def counting(event):
-            created.append(event.payload.id)
-            return original(event)
+        def counting(submitter_id, time, tx):
+            created.append(tx.id)
+            return original(submitter_id, time, tx)
 
         sim.handlers[EventKind.TX_CREATE] = counting
         sim.run()
@@ -283,7 +283,7 @@ class TestFullMode:
     def test_zero_rate_no_events(self):
         sim = self._sim(t_n=0.0, sim_time=10_000.0)
         fired = []
-        sim.handlers[EventKind.TX_CREATE] = lambda e: fired.append(e)
+        sim.handlers[EventKind.TX_CREATE] = lambda *entry: fired.append(entry)
         sim.run()
         assert fired == []
 
@@ -296,11 +296,11 @@ class TestFullMode:
         own = Transaction(1000, 100.0, 0, 0.001, 0.5)
         relayed = Transaction(1001, 100.0, 1, 0.001, 0.5)
         for t in (own, relayed):
-            sim.workload.on_tx_create(Event(EventKind.TX_CREATE, t.submitter_id, 100.0, t))
+            sim.workload.on_tx_create(t.submitter_id, 100.0, t)
         miner = sim.world.nodes[0]
-        early = sim.consensus.on_block_create(Event(EventKind.BLOCK_CREATE, 0, 104.0, miner.tip))
+        early = sim.consensus.on_block_create(0, 104.0, miner.tip)
         assert early.transactions == (own,)
-        late = sim.consensus.on_block_create(Event(EventKind.BLOCK_CREATE, 0, 105.0, miner.tip))
+        late = sim.consensus.on_block_create(0, 105.0, miner.tip)
         assert late.transactions == (relayed,)
 
     def test_light_mode_has_no_tx_events(self):
@@ -310,7 +310,7 @@ class TestFullMode:
         )
         sim = Simulation(config, 0)
         fired = []
-        sim.handlers[EventKind.TX_CREATE] = lambda e: fired.append(e)
+        sim.handlers[EventKind.TX_CREATE] = lambda *entry: fired.append(entry)
         report = sim.run()
         assert fired == []
         assert sim.workload.pending == []
@@ -377,20 +377,20 @@ class TestPackingOracle:
         create_tx = sim.handlers[EventKind.TX_CREATE]
         create_block = sim.handlers[EventKind.BLOCK_CREATE]
 
-        def on_tx_create(event):
-            created.append(event.payload)
-            return create_tx(event)
+        def on_tx_create(submitter_id, time, tx):
+            created.append(tx)
+            return create_tx(submitter_id, time, tx)
 
-        def on_block_create(event):
+        def on_block_create(miner_id, time, parent):
             nonlocal checked, in_flight, over_capacity
-            miner = sim.world.nodes[event.node_id]
+            miner = sim.world.nodes[miner_id]
             adopted = set(miner.chain_tx_ids)
             candidates = [t for t in created if t.id not in adopted]
             pool = [
                 t for t in candidates
-                if (t.timestamp if t.submitter_id == miner.id else t.timestamp + 3.0) <= event.time
+                if (t.timestamp if t.submitter_id == miner.id else t.timestamp + 3.0) <= time
             ]
-            block = create_block(event)
+            block = create_block(miner_id, time, parent)
             if block is not None:
                 expected = select_for_block(pool, config.b_size)
                 assert block.transactions == tuple(expected)
