@@ -31,17 +31,18 @@ class Network:
 
     def set_recipients(self, count: int) -> None:
         """Deliver blocks to the node ids below ``count`` only."""
-        self._others = [tuple(n for n in range(count) if n != s) for s in range(count)]
+        self.recipients, self._others = count, {}  # sender id -> the other recipients
 
     def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
         """Queue the block's delivery to every recipient but the sender;
         returns the sequence numbers of the entries pushed."""
-        others = self._others[sender_id]
+        others = self._others.get(sender_id)
+        if others is None:  # built on the sender's first block, so only senders keep one
+            others = self._others[sender_id] = tuple(filter(sender_id.__ne__, range(self.recipients)))
         if not self.exponential:
             due = [(at + self.block_delay, others)] if others else []
         else:
             # The draws past the recipients' are taken and discarded.
             delays = sample_exponentials(self.rng, self.block_delay, self.n_nodes - 1)
             due = [(at + delay, (node_id,)) for node_id, delay in zip(others, delays)]
-        schedule = self.queue.schedule
-        return [schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]
+        return [self.queue.schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]

@@ -142,6 +142,24 @@ seed = 21
             assert len(receivers) == landed * 3
             assert set(receivers) == {0, 1, 2, 3}
 
+    def test_recipient_ids_are_kept_only_for_senders(self):
+        # Three low-id miners among 20,000 nodes: only the miners ever
+        # broadcast, so only they get a tuple, and it holds the other two.
+        config = make_config(n_n=20_000, miners=(0.5, 0.3, 0.2), b_delay=5.0)
+        sim = Simulation(config, 0)
+        assert sim.network.recipients == 3
+        assert sim.network._others == {}
+        sim.run()
+        assert sim.world.blocks_created > 0
+        assert sim.network._others == {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+
+    def test_changing_the_cut_rebuilds_the_recipients(self):
+        queue, net = make_network(5)
+        net.broadcast_block(1, make_genesis(), at=0.0)
+        net.set_recipients(3)
+        net.broadcast_block(1, make_genesis(), at=0.0)
+        assert [e[3] for e in drain(queue)] == [(0, 2, 3, 4), (0, 2)]
+
     def test_exponential_draws_for_nodes_past_the_recipients(self):
         # Node 3 never mines and gets no event, but still takes its draw.
         config = make_config(n_n=4, miners=(0.5, 0.0, 0.5), b_delay=2.0, delay_mode="exponential")
