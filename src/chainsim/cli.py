@@ -199,9 +199,11 @@ def _cmd_sweep(args) -> int:
 
     def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
         rows: list[dict] = []
-        # One pool serves every cell; its workers exit before sweep.csv is written.
-        with worker_pool(min(args.parallel, base.runs)):
-            for cell in spec.cells():
+        cells = list(spec.cells())
+        # One pool runs every cell's runs, queued at the first run_many call;
+        # cells print in grid order, and the workers exit before sweep.csv is written.
+        with worker_pool(min(args.parallel, base.runs), cells):
+            for cell in cells:
                 reports = run_many(cell, parallel=args.parallel)
                 aggs = aggregate(reports)
                 row = {

@@ -25,6 +25,10 @@ from .engine import RandomSource, sample_exponential
 
 FRACTION_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
+# Most transactions one full-mode run may expect (T_n x horizon).  Each costs
+# several microseconds and about 200 bytes while pending, so a run at the cap
+# takes seconds and a few hundred MB; far above it, a run would not end.
+MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -367,6 +371,16 @@ def validate(config: SimConfig) -> SimConfig:
         fail("block_target must be at least 1")
     if config.runs < 1:
         fail("Runs must be at least 1")
+    if config.has_trans and config.t_technique == "full":
+        by_time = config.sim_time is not None
+        horizon = config.sim_time if by_time else config.block_target * config.b_interval
+        if config.t_n * horizon > MAX_FULL_MODE_TRANSACTIONS:
+            fail(
+                f"full mode expects about {config.t_n * horizon:.3g} transactions per run "
+                f"(T_n = {config.t_n:g}/s over a {horizon:g} s horizon), more than the cap "
+                f"of {MAX_FULL_MODE_TRANSACTIONS:,}; lower T_n or "
+                + ("Sim_time" if by_time else "block_target")
+            )
     # Samplers must parse now, not at run time.
     size_sampler = parse_sampler(config.t_size)
     parse_sampler(config.t_fee)

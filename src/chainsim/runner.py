@@ -8,8 +8,9 @@ by run index.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -77,39 +78,68 @@ def run_single(config: SimConfig, run_index: int = 0) -> RunReport:
     return Simulation(config, run_index).run()
 
 
-_open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("worker_pool", default=None)
+class _SharedPool:
+    """An open ``worker_pool``'s executor and the configs it plans to run."""
+
+    def __init__(self, executor: ProcessPoolExecutor, grid: Iterable[SimConfig]) -> None:
+        self.executor = executor
+        self.grid = list(grid)
+        self.queued: deque[tuple[SimConfig, list[Future]]] | None = None
+
+    def futures(self, config: SimConfig) -> list[Future]:
+        """``config``'s runs in run order; the first call submits every planned run."""
+        if self.queued is None:
+            self.queued = deque((cell, self._submit(cell)) for cell in self.grid)
+        if self.queued and self.queued[0][0] == config:
+            return self.queued.popleft()[1]
+        return self._submit(config)
+
+    def _submit(self, config: SimConfig) -> list[Future]:
+        return [self.executor.submit(run_single, config, i) for i in range(config.runs)]
+
+
+_open_pool: ContextVar[_SharedPool | None] = ContextVar("worker_pool", default=None)
 
 
 @contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
+def worker_pool(
+    workers: int, grid: Iterable[SimConfig] = ()
+) -> Iterator[ProcessPoolExecutor | None]:
     """Share one pool of ``workers`` processes among the ``run_many`` calls
     made inside the block; yields it, or None when ``workers`` <= 1.
 
-    Inside an open pool this yields that pool, so nothing forks again.  The
-    outermost block shuts its workers down on exit, cancelling queued runs
-    if the block raised.
+    ``grid`` lists the configs the block will pass to ``run_many``, in that
+    order.  Nothing forks on entry: the first ``run_many`` call submits
+    every run of every config in ``grid``, each as one ``run_single`` task,
+    and each call then collects its own config's runs.  A config that is
+    not the next one in ``grid`` has its runs submitted anew.
+
+    Inside an open pool this yields that pool, so nothing forks again, and
+    ``grid`` is ignored.  The outermost block shuts its workers down on
+    exit, cancelling queued runs if the block raised.
     """
-    pool = _open_pool.get()
-    if pool is not None or workers <= 1:
-        yield pool
+    shared = _open_pool.get()
+    if shared is not None or workers <= 1:
+        yield shared.executor if shared is not None else None
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
-    token = _open_pool.set(pool)
+    shared = _SharedPool(ProcessPoolExecutor(max_workers=workers), grid)
+    token = _open_pool.set(shared)
     try:
-        yield pool
+        yield shared.executor
     finally:
         _open_pool.reset(token)
-        pool.shutdown(cancel_futures=True)
+        shared.executor.shutdown(cancel_futures=True)
 
 
 def run_many(config: SimConfig, parallel: int = 1) -> list[RunReport]:
     """Execute ``config.runs`` independent runs, ordered by run index.
 
-    With ``parallel`` > 1 the runs go to the open ``worker_pool``, or to a
-    pool of ``min(parallel, config.runs)`` workers opened for this call.
+    With ``parallel`` > 1 the runs go to the open ``worker_pool``, which
+    may have queued them already, or to a pool of ``min(parallel,
+    config.runs)`` workers opened for this call.  The first run to raise,
+    in run order, raises here.
     """
-    indices = range(config.runs)
     if parallel <= 1 or config.runs == 1:
-        return [run_single(config, i) for i in indices]
-    with worker_pool(min(parallel, config.runs)) as pool:
-        return list(pool.map(run_single, [config] * config.runs, indices))
+        return [run_single(config, i) for i in range(config.runs)]
+    with worker_pool(min(parallel, config.runs)):
+        return [future.result() for future in _open_pool.get().futures(config)]

@@ -3,10 +3,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim import cli, runner
 from chainsim.config import parse_config
@@ -222,6 +225,25 @@ def pools_made(monkeypatch):
     return made
 
 
+@pytest.fixture
+def submitted(monkeypatch, pools_made):
+    """The (config, run index) of every run submitted to a counting pool."""
+    runs = []
+
+    class SubmitCountingPool(runner.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            runs.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SubmitCountingPool)
+    return runs
+
+
+def run_key(report):
+    """Everything a report holds but its wall-clock time."""
+    return dataclasses.replace(report, wall_clock_s=0.0)
+
+
 class TestWorkerPool:
     def test_parallel_sweep_equals_serial(self, tmp_path):
         config = write_config(tmp_path)
@@ -255,6 +277,107 @@ class TestWorkerPool:
             second = run_many(config, parallel=4)
         assert pools_made == [2, 2, 2]
         assert [r.seed for r in first] == [r.seed for r in second] == [42, 43]
+        assert multiprocessing.active_children() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        intervals=st.lists(st.floats(1.0, 600.0), min_size=1, max_size=3),
+        delays=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+        runs=st.integers(1, 3),
+        block_target=st.integers(1, 30),
+        workload=st.sampled_from(
+            ["hasTrans = false", "T_technique = light\nT_n = 20\nT_size = exp:0.002\nB_size = 0.05"]
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_grid_parallel_equals_serial(
+        self, intervals, delays, runs, block_target, workload, seed
+    ):
+        # The same seed gives the same bytes, pipelined or not.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            text = f"{workload}\nblock_target = {block_target}\nruns = {runs}\nseed = {seed}\n"
+            argv = [
+                "sweep", "--config", str(write_config(tmp, text)),
+                "--intervals", ",".join(map(repr, intervals)),
+                "--delays", ",".join(map(repr, delays)),
+            ]
+            assert cli.main(argv + ["--out", str(tmp / "s")]) == 0
+            assert cli.main(argv + ["--parallel", "2", "--out", str(tmp / "p")]) == 0
+            assert strip_wall_clock(read_rows(tmp / "s" / "sweep.csv")) == strip_wall_clock(
+                read_rows(tmp / "p" / "sweep.csv")
+            )
+            assert multiprocessing.active_children() == []
+
+    def test_sweep_submits_every_run_at_its_first_cell(self, tmp_path, monkeypatch, submitted):
+        # Four cells of three runs: all twelve are queued, in grid order,
+        # before the first cell's reports come back; nothing before that.
+        config = write_config(tmp_path)
+        real_run_many = cli.run_many
+        seen = []
+
+        def watched(cell, parallel=1):
+            before = (len(submitted), multiprocessing.active_children())
+            reports = real_run_many(cell, parallel=parallel)
+            seen.append((before, len(submitted), (cell.b_interval, cell.b_delay)))
+            return reports
+
+        monkeypatch.setattr(cli, "run_many", watched)
+        argv = ["sweep", "--config", str(config)] + SWEEP_GRID + ["--parallel", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+        grid = [(30.0, 0.5), (30.0, 2.0), (60.0, 0.5), (60.0, 2.0)]
+        assert seen[0][:2] == ((0, []), 12)
+        assert [entry[1:] for entry in seen] == [(12, cell) for cell in grid]
+        assert [(c.b_interval, c.b_delay, i) for c, i in submitted] == [
+            cell + (i,) for cell in grid for i in range(3)
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_unplanned_config_gets_its_own_runs(self, submitted):
+        # A config that is not the next planned one is submitted anew, behind
+        # the plan; the planned configs still take their queued runs.
+        planned = [make_config(runs=2, block_target=50, b_interval=i) for i in (30.0, 60.0)]
+        other = make_config(runs=2, block_target=50, b_interval=90.0)
+        with worker_pool(2, planned):
+            assert submitted == []
+            reports = [run_many(config, parallel=2) for config in (planned[1], other, *planned)]
+        # The plan, then the out-of-turn 60 s call, then the 90 s one.
+        assert [c.b_interval for c, _ in submitted] == [30, 30, 60, 60, 60, 60, 90, 90]
+        expected = [run_many(config) for config in (planned[1], other, *planned)]
+        assert [[run_key(r) for r in cell] for cell in reports] == [
+            [run_key(r) for r in cell] for cell in expected
+        ]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing run is patched in before the workers fork",
+    )
+    def test_failure_in_last_cell_exit_3(self, tmp_path, monkeypatch, capsys):
+        # Every run is queued at the first cell, yet the cells before the
+        # failing one still print in grid order.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        parent = os.getpid()
+        real_run = runner.Simulation.run
+
+        def fail_in_worker(sim):
+            if os.getpid() != parent and (sim.config.b_interval, sim.config.b_delay) == (60.0, 2.0):
+                raise RuntimeError("run failed in a worker")
+            return real_run(sim)
+
+        monkeypatch.setattr(runner.Simulation, "run", fail_in_worker)
+        argv = ["sweep", "--config", str(config)] + SWEEP_GRID
+        assert cli.main(argv + ["--parallel", "2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        cells = [line.split(":")[0] for line in captured.out.splitlines()]
+        assert cells == [
+            "cell B_interval=30 B_delay=0.5",
+            "cell B_interval=30 B_delay=2",
+            "cell B_interval=60 B_delay=0.5",
+        ]
+        assert "run failed in a worker" in captured.err
+        assert not (out / "sweep.csv").exists()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
@@ -294,6 +417,21 @@ def test_unusable_out_exit_3(tmp_path, capsys, command, out):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("cannot use --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--intervals", "300,600", "--delays", "1"]], ids=["run", "sweep"]
+)
+def test_unbounded_full_mode_exit_2(tmp_path, capsys, command):
+    # About 1.8e8 expected transactions per run: refused before any run starts.
+    text = "T_technique = full\nT_n = 100000\nB_interval = 600\nblock_target = 3\n"
+    out = tmp_path / "o"
+    code = cli.main(command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: full mode expects") and err.count("\n") == 1
+    assert "T_n" in err and "block_target" in err
+    assert not out.exists()
 
 
 def run_with_stdout_closed(argv):

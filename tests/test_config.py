@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from chainsim.config import (
+    MAX_FULL_MODE_TRANSACTIONS,
     ConfigError,
     ConstantSampler,
     ExponentialSampler,
@@ -134,6 +135,28 @@ class TestParseConfig:
         horizon = "" if line.startswith("Sim_time") else "block_target = 10\n"
         with pytest.raises(ConfigError):
             parse_config_text(f"{line}\n{horizon}")
+
+    @pytest.mark.parametrize(
+        "horizon, key",
+        [("B_interval = 600\nblock_target = 3", "block_target"), ("Sim_time = 1800", "Sim_time")],
+    )
+    def test_full_mode_work_above_cap_rejected(self, horizon, key):
+        # About 1.8e8 expected transactions: such a run would not end.
+        with pytest.raises(ConfigError, match=rf"T_n = 100000/s.*lower T_n or {key}$"):
+            parse_config_text(f"T_technique = full\nT_n = 100000\n{horizon}\n")
+        # Light mode and runs without transactions track nothing per transaction.
+        parse_config_text(f"T_technique = light\nT_n = 100000\n{horizon}\n")
+        parse_config_text(f"T_technique = full\nhasTrans = false\nT_n = 100000\n{horizon}\n")
+
+    @pytest.mark.parametrize("fraction, ok", [(0.99, True), (1.01, False)])
+    def test_full_mode_work_cap_boundary(self, fraction, ok):
+        rate = fraction * MAX_FULL_MODE_TRANSACTIONS / 1800
+        text = f"T_technique = full\nT_n = {rate!r}\nB_interval = 600\nblock_target = 3\n"
+        if ok:
+            assert parse_config_text(text).t_n == rate
+        else:
+            with pytest.raises(ConfigError, match="cap"):
+                parse_config_text(text)
 
     def test_zero_size_accepted_without_transactions(self):
         config = parse_config_text("hastrans = false\nt_size = const:0\nblock_target = 10\n")

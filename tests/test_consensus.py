@@ -131,6 +131,23 @@ class TestScheduleNextCreation:
         assert report.stale_rate == 0.0
         assert all(abs(s - 0.2) < 0.005 for s in report.miner_shares.values())
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: _schedule_round_robin arms the next slot on a tip the block "
+        "just created has not reached, so every other slot is discarded as stale and, with "
+        "an even number of miners, only every other miner creates; the fix moves the "
+        "round-robin golden digests and the full-saturated benchmark hashes",
+    )
+    @pytest.mark.parametrize("b_delay", [0.0, 5.0])
+    def test_round_robin_fills_every_slot(self, b_delay):
+        config = make_config(
+            selector="roundrobin", miners=(0.5, 0.5), n_n=2, b_interval=30.0, b_delay=b_delay,
+            block_target=120,
+        )
+        report = run_single(config, 0)
+        assert min(report.miner_shares.values()) > 0.0  # both miners create blocks
+        assert report.sim_time_s == pytest.approx(120 * 30.0, rel=0.05)
+
 
 class TestOnBlockCreate:
     def test_empty_pool_still_produces_block(self):
