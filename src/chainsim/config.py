@@ -25,10 +25,16 @@ from .engine import RandomSource, sample_exponential
 
 FRACTION_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
-# Most transactions one full-mode run may expect (T_n x horizon).  Each costs
-# several microseconds and about 200 bytes while pending, so a run at the cap
-# takes seconds and a few hundred MB; far above it, a run would not end.
+# Most transactions one full-mode run may expect (T_n x horizon).  On a
+# 2-vCPU host each costs 10-30 microseconds and about 400 bytes while
+# pending, so a run at the cap takes up to half a minute and about 450 MB;
+# far above it, a run would not end.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
+# Most blocks one run may expect (block_target, or Sim_time / B_interval).
+# Every block is kept until the run ends, about 650 bytes each, and a bare
+# run makes some 45,000 a second on the same host, so a run at the cap takes
+# about 20 s and 700 MB; far above it, a run would not end.
+MAX_BLOCKS_PER_RUN = 1_000_000
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -371,8 +377,15 @@ def validate(config: SimConfig) -> SimConfig:
         fail("block_target must be at least 1")
     if config.runs < 1:
         fail("Runs must be at least 1")
+    by_time = config.sim_time is not None
+    blocks = config.sim_time / config.b_interval if by_time else config.block_target
+    if blocks > MAX_BLOCKS_PER_RUN:
+        fail(
+            f"a run expects about {blocks:.3g} blocks, more than the cap of "
+            f"{MAX_BLOCKS_PER_RUN:,}; "
+            + ("lower Sim_time or raise B_interval" if by_time else "lower block_target")
+        )
     if config.has_trans and config.t_technique == "full":
-        by_time = config.sim_time is not None
         horizon = config.sim_time if by_time else config.block_target * config.b_interval
         if config.t_n * horizon > MAX_FULL_MODE_TRANSACTIONS:
             fail(
@@ -384,7 +397,11 @@ def validate(config: SimConfig) -> SimConfig:
     # Samplers must parse now, not at run time.
     size_sampler = parse_sampler(config.t_size)
     parse_sampler(config.t_fee)
-    if config.has_trans and size_sampler.mean() <= 0:
+    if isinstance(size_sampler, HistogramSampler):
+        smallest = float(size_sampler.values.min())
+    else:
+        smallest = size_sampler.mean()
+    if config.has_trans and smallest <= 0:
         fail("T_size must yield positive sizes")
     return config
 

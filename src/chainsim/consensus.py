@@ -23,6 +23,8 @@ depth tie, so it stays simulated.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .config import SimConfig
 from .engine import EventKind, EventQueue, RandomSource, sample_exponential
@@ -62,7 +64,7 @@ class ConsensusEngine:
             raw = [n.stake for n in world.nodes]
         else:
             raw = [n.hash_power for n in world.nodes]
-        total = sum(raw)
+        total = reduce(add, raw, 0.0)  # left to right, whatever sum() does
         self.weights = [w / total for w in raw]
         # Mean seconds between a miner's blocks; 0 marks a node that never mines.
         self.means = [self.block_interval / w if w > 0 else 0.0 for w in self.weights]

@@ -4,6 +4,8 @@ uncle/inclusion rewards for configurations that reference uncle blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .config import SimConfig
 from .model import Block, BlockRegistry, NodeState
@@ -32,7 +34,8 @@ class RewardLedger(dict):
         return entry
 
     def grand_total(self) -> float:
-        return sum(entry.total for entry in self.values())
+        # Left to right, whatever sum() does: Python 3.12's compensates.
+        return reduce(add, (entry.total for entry in self.values()), 0.0)
 
 
 def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> float:

@@ -137,8 +137,3 @@ class World:
         bid = self._next_block_id
         self._next_block_id += 1
         return bid
-
-    def new_tx_id(self) -> int:
-        tid = self._next_tx_id
-        self._next_tx_id += 1
-        return tid

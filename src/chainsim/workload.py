@@ -4,7 +4,10 @@ Full: a Poisson stream of transactions, each tracked (enables latency
 metrics) and stamped at creation with when every miner holds it: at once for
 its submitter, one propagation delay later for the rest.  One run-wide
 pending list serves all miners: a miner's pool at time t is every pending
-transaction it holds by t whose id its chain has not adopted.
+transaction it holds by t whose id its chain has not adopted.  The list is
+kept in fee order as short sorted chunks, each with its least weight: a new
+transaction is filed in one chunk, whatever the list's length, and packing
+reads only the chunks in which something can still fit.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstantSampler, SimConfig, parse_sampler
-from .engine import EventKind, EventQueue, RandomSource, sample_exponential, sample_exponentials
+from .engine import EventKind, EventQueue, RandomSource, sample_exponentials
 from .model import NodeState, Transaction, World
 
 
@@ -35,6 +38,10 @@ class BlockBody:
 
 
 EMPTY_BODY = BlockBody((), 0, 0.0, 0.0)
+
+# Full mode keeps pending transactions in sorted chunks; a chunk splits in
+# two once it holds more than twice this many entries.
+PENDING_CHUNK = 64
 
 
 class SharedPool:
@@ -142,49 +149,60 @@ class TxWorkload:
             self.shared_pool = SharedPool(
                 world, rng, config, self.size_sampler, self.price_sampler
             )
-        # Full mode: (-fee, id, tx, arrival at each miner) in packing order.
-        self.pending: list[tuple[float, int, Transaction, tuple[float, ...]]] = []
-        self._smallest = math.inf  # least weight of any transaction created so far
+        # Full mode: sorted chunks of (-fee, id, tx, arrival at each miner)
+        # entries, in packing order, with each chunk's last entry and least
+        # weight alongside.
+        self.pending: list[list[tuple[float, int, Transaction, tuple[float, ...]]]] = []
+        self._lasts: list[tuple[float, int, Transaction, tuple[float, ...]]] = []
+        self._minima: list[float] = []
         self._miner_ids: list[int] = []
+        self._slots: list[int] = []  # node id -> index into arrivals, -1 for non-miners
 
     def start(self, miner_ids: list[int]) -> None:
         """Schedule the first transaction arrival (full mode); arrival times
         are kept for the block-creating ``miner_ids`` alone, in this order."""
         self._miner_ids = list(miner_ids)
+        self._slots = [-1] * len(self.world.nodes)
+        for slot, miner_id in enumerate(miner_ids):
+            self._slots[miner_id] = slot
         if self.full_mode and self.tx_rate > 0:
+            # Bound once: every transaction uses them.
+            self._random = self.rng.random
+            self._integers = self.rng.rng.integers
+            self._n_nodes = len(self.world.nodes)
+            self._gap_scale = -(1.0 / self.tx_rate)
             self._schedule_arrival(0.0)
 
     def _schedule_arrival(self, now: float) -> None:
-        gap = sample_exponential(self.rng, 1.0 / self.tx_rate)
-        at = now + gap
-        tx = self._make_tx(at)
-        self.queue.schedule(at, EventKind.TX_CREATE, tx.submitter_id, tx)
+        """Create the next transaction and schedule its ``TX_CREATE``.
 
-    def _make_tx(self, timestamp: float) -> Transaction:
-        rng = self.rng.rng
-        n_nodes = len(self.world.nodes)
-        submitter = int(rng.integers(n_nodes))
-        rng.integers(n_nodes)  # recipient: unmodelled, drawn to keep the random stream
+        The gap is ``sample_exponential(rng, 1 / T_n)`` computed in place;
+        then the submitter, an unmodelled recipient (drawn to keep the random
+        stream), the size and the unit price are drawn, in that order.
+        """
+        random = self._random
+        while True:
+            gap = self._gap_scale * math.log(1.0 - random())
+            if gap > 0.0:
+                break
+        at = now + gap
+        n_nodes = self._n_nodes
+        submitter = int(self._integers(n_nodes))
+        self._integers(n_nodes)  # recipient
         weight = self.size_sampler.draw(self.rng)
-        price = self.price_sampler.draw(self.rng)
-        return Transaction(
-            id=self.world.new_tx_id(),
-            timestamp=timestamp,
-            submitter_id=submitter,
-            weight=weight,
-            fee=weight * price,
-        )
+        fee = weight * self.price_sampler.draw(self.rng)
+        world = self.world
+        tx_id = world._next_tx_id
+        world._next_tx_id = tx_id + 1
+        tx = Transaction(tx_id, at, submitter, weight, fee)
+        self.queue.schedule(at, EventKind.TX_CREATE, submitter, tx)
 
     def _arrivals(self, tx: Transaction) -> tuple[float, ...]:
-        """When each miner holds ``tx``.  With exponential delays a delay is
+        """When each miner holds ``tx`` under exponential delays: a delay is
         drawn for every node but the submitter, in node order, as a
-        per-recipient broadcast would; a constant delay needs no draws, so
-        only the miners' stamps are computed."""
+        per-recipient broadcast would."""
         at = tx.timestamp
         submitter = tx.submitter_id
-        if not self.exponential:
-            relayed = at + self.tx_delay
-            return tuple(at if m == submitter else relayed for m in self._miner_ids)
         # Node n's delay, for n past the submitter, is draw n - 1.
         delays = sample_exponentials(self.rng, self.tx_delay, len(self.world.nodes) - 1)
         return tuple(
@@ -193,46 +211,95 @@ class TxWorkload:
         )
 
     def on_tx_create(self, submitter_id: int, now: float, tx: Transaction) -> None:
-        bisect.insort(self.pending, (-tx.fee, tx.id, tx, self._arrivals(tx)))
-        self._smallest = min(self._smallest, tx.weight)
+        """Stamp ``tx`` with its arrival at every miner, file it in
+        ``pending``, and schedule the next transaction.
+
+        A constant delay needs no draws: the submitter holds ``tx`` at once,
+        every other miner ``T_delay`` later.
+        """
+        if self.exponential:
+            arrivals = self._arrivals(tx)
+        else:
+            at = tx.timestamp
+            stamps = [at + self.tx_delay] * len(self._miner_ids)
+            slot = self._slots[tx.submitter_id]
+            if slot >= 0:
+                stamps[slot] = at
+            arrivals = tuple(stamps)
+        entry = (-tx.fee, tx.id, tx, arrivals)
+        weight = tx.weight
+        chunks, lasts, minima = self.pending, self._lasts, self._minima
+        c = bisect.bisect_left(lasts, entry)
+        if c < len(lasts):
+            bisect.insort(chunks[c], entry)
+        else:  # past every chunk's last entry: append to the last chunk
+            if not chunks:
+                chunks.append([])
+                lasts.append(entry)
+                minima.append(weight)
+            c = len(chunks) - 1
+            chunks[c].append(entry)
+            lasts[c] = entry
+        if weight < minima[c]:
+            minima[c] = weight
+        chunk = chunks[c]
+        if len(chunk) > 2 * PENDING_CHUNK:
+            tail = chunk[PENDING_CHUNK:]
+            del chunk[PENDING_CHUNK:]
+            chunks.insert(c + 1, tail)
+            lasts.insert(c, chunk[-1])
+            minima[c] = min(e[2].weight for e in chunk)
+            minima.insert(c + 1, min(e[2].weight for e in tail))
         self._schedule_arrival(now)
 
     def take_block(self, miner: NodeState, now: float) -> BlockBody:
         """Select the content of a new block mined at ``now``.
 
         Full mode packs the miner's pool greedily in fee order (ties to the
-        lower id), skipping what does not fit.  The scan stops once even the
-        lightest transaction created so far cannot fit, as none further down
-        can, and drops the entries it passes that every miner's chain holds.
+        lower id), skipping what does not fit.  A chunk of ``pending`` whose
+        least weight cannot fit is passed over whole, as nothing in it fits
+        and the running weight cannot change across it.  Entries the scan
+        visits that every miner's chain holds are dropped, and a chunk left
+        empty is deleted.
         """
         if self.shared_pool is not None:
             return self.shared_pool.take_block(now)
         if not self.full_mode:
             return EMPTY_BODY
-        slot = self._miner_ids.index(miner.id)
+        slot = self._slots[miner.id]
         on_chain = miner.chain_tx_ids
         chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._miner_ids]
         capacity = self.block_capacity
-        smallest = self._smallest
+        chunks, lasts, minima = self.pending, self._lasts, self._minima
         picked: list[Transaction] = []
-        dropped: list[int] = []
         used = 0.0
-        if smallest <= capacity:
-            for index, (_, tx_id, tx, arrivals) in enumerate(self.pending):
+        fees = 0.0
+        emptied: list[int] = []
+        for c, least in enumerate(minima):
+            if used + least > capacity:
+                continue
+            chunk = chunks[c]
+            dropped: list[int] = []
+            for index, (_, tx_id, tx, arrivals) in enumerate(chunk):
                 if tx_id in on_chain:
                     if all(tx_id in chain for chain in chains):
                         dropped.append(index)
                 elif arrivals[slot] <= now and used + tx.weight <= capacity:
                     picked.append(tx)
                     used += tx.weight
-                    if used + smallest > capacity:
+                    fees += tx.fee
+                    if used + least > capacity:
                         break
-        if dropped:
-            gone = set(dropped)
-            end = dropped[-1] + 1
-            self.pending[:end] = [e for i, e in enumerate(self.pending[:end]) if i not in gone]
+            if len(dropped) == len(chunk):
+                emptied.append(c)
+            elif dropped:
+                gone = set(dropped)
+                chunk[:] = [e for i, e in enumerate(chunk) if i not in gone]
+                lasts[c] = chunk[-1]
+                minima[c] = min(e[2].weight for e in chunk)
+        for c in reversed(emptied):
+            del chunks[c], lasts[c], minima[c]
         if not picked:
             return EMPTY_BODY
-        weight = sum(tx.weight for tx in picked)
-        fees = sum(tx.fee for tx in picked)
-        return BlockBody(tuple(picked), len(picked), fees, weight)
+        # Running sums: the values sum() gives on Python 3.10 and 3.11.
+        return BlockBody(tuple(picked), len(picked), fees, used)

@@ -434,6 +434,21 @@ def test_unbounded_full_mode_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--intervals", "1,2", "--delays", "0.5"]], ids=["run", "sweep"]
+)
+def test_unbounded_block_count_exit_2(tmp_path, capsys, command):
+    # About 1e9 expected blocks per run: refused before any run starts.
+    text = "hasTrans = false\nB_interval = 1\nSim_time = 1e9\nRuns = 1\n"
+    out = tmp_path / "o"
+    code = cli.main(command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a run expects about 1e+09 blocks")
+    assert err.count("\n") == 1 and "Sim_time" in err
+    assert not out.exists()
+
+
 def run_with_stdout_closed(argv):
     """Run ``chainsim argv`` in a fresh interpreter whose stdout pipe has
     already lost its reader."""

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from chainsim.config import (
+    MAX_BLOCKS_PER_RUN,
     MAX_FULL_MODE_TRANSACTIONS,
     ConfigError,
     ConstantSampler,
@@ -157,6 +158,41 @@ class TestParseConfig:
         else:
             with pytest.raises(ConfigError, match="cap"):
                 parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "horizon, key",
+        [("block_target = 1000000000", "lower block_target"),
+         ("B_interval = 1\nSim_time = 1e9", "lower Sim_time or raise B_interval")],
+    )
+    def test_block_count_above_cap_rejected(self, horizon, key):
+        # About 1e9 expected blocks, with or without transactions.
+        for trans in ("false", "true"):
+            with pytest.raises(ConfigError, match=rf"about 1e\+09 blocks.*{key}$"):
+                parse_config_text(f"hasTrans = {trans}\n{horizon}\n")
+
+    @pytest.mark.parametrize("fraction, ok", [(0.99, True), (1.01, False)])
+    def test_block_count_cap_boundary(self, fraction, ok):
+        for horizon in (
+            f"block_target = {round(fraction * MAX_BLOCKS_PER_RUN)}",
+            f"B_interval = 2\nSim_time = {fraction * 2 * MAX_BLOCKS_PER_RUN!r}",
+        ):
+            text = f"hasTrans = false\n{horizon}\n"
+            if ok:
+                parse_config_text(text)
+            else:
+                with pytest.raises(ConfigError, match="cap"):
+                    parse_config_text(text)
+
+    def test_nonpositive_histogram_size_rejected(self, tmp_path):
+        # The mean, 0.001, is positive, but half the draws would be negative.
+        (tmp_path / "sizes.txt").write_text("-0.001 0.5\n0.003 0.5\n")
+        with pytest.raises(ConfigError, match="T_size must yield positive sizes"):
+            parse_config(write_config(tmp_path, "t_size = hist:sizes.txt\nsim_time = 5\n"))
+        (tmp_path / "zero.txt").write_text("0 0.0\n0.003 1.0\n")
+        with pytest.raises(ConfigError, match="T_size must yield positive sizes"):
+            parse_config(write_config(tmp_path, "t_size = hist:zero.txt\nsim_time = 5\n"))
+        # Without transactions the sizes are never drawn.
+        parse_config(write_config(tmp_path, "hastrans = false\nt_size = hist:sizes.txt\nsim_time = 5\n"))
 
     def test_zero_size_accepted_without_transactions(self):
         config = parse_config_text("hastrans = false\nt_size = const:0\nblock_target = 10\n")

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from chainsim import consensus
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
 from chainsim.engine import EventKind, EventQueue, RandomSource, run_loop
 from chainsim.model import Block, Transaction, World
@@ -98,6 +101,16 @@ class TestScheduleNextCreation:
         time, _, kind, target, payload = queue.next_event()
         assert payload is world.nodes[0].tip
         assert (time, kind, target) == (at, EventKind.BLOCK_CREATE, 0)
+
+    def test_weights_normalised_by_left_to_right_sum(self, monkeypatch):
+        # Adding left to right, as sum() does before Python 3.12, gives
+        # 0.6000000000000001; compensated summation, as 3.12's sum() does,
+        # gives 0.6.  math.fsum stands in for the latter.
+        powers = (0.1, 0.2, 0.3)
+        assert (0.1 + 0.2) + 0.3 != math.fsum(powers)
+        monkeypatch.setattr(consensus, "sum", math.fsum, raising=False)
+        engine, _, _ = make_engine(n_nodes=3, hash_powers=powers)
+        assert engine.weights == [w / ((0.1 + 0.2) + 0.3) for w in powers]
 
     def test_zero_weight_miner_rejected(self):
         engine, world, _ = make_engine(2, (1.0, 0.0))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chainsim import incentives
 from chainsim.consensus import main_chain
 from chainsim.incentives import RewardEntry, RewardLedger, distribute, uncle_reward
 from chainsim.model import Block, BlockRegistry, World, make_genesis
@@ -141,6 +142,13 @@ class TestDistribute:
     def test_entry_total_is_component_sum(self):
         entry = RewardEntry(1.0, 0.25, 0.5, 0.125)
         assert entry.total == 1.875
+
+    def test_grand_total_adds_left_to_right(self, monkeypatch):
+        # Compensated summation (Python 3.12's sum(), here math.fsum) would
+        # give 0.6 rather than the left-to-right 0.6000000000000001.
+        monkeypatch.setattr(incentives, "sum", math.fsum, raising=False)
+        ledger = RewardLedger({m: RewardEntry(block_rewards=v) for m, v in enumerate((0.1, 0.2, 0.3))})
+        assert ledger.grand_total() == (0.1 + 0.2) + 0.3 != 0.6
 
 
 class TestRunLevelInvariants:

@@ -120,7 +120,7 @@ class TestWorld:
         world = World(1, hash_powers=(1.0,))
         assert world.new_block_id() == 1
         assert world.new_block_id() == 2
-        assert world.new_tx_id() == 1
+        assert world._next_tx_id == 1  # the first transaction's id
 
     def test_requires_a_node(self):
         with pytest.raises(ValueError):

@@ -192,7 +192,7 @@ class TestBroadcastTx:
         sim.workload.start(sim.consensus.miner_ids)
         t = some_tx(1000, ts=at, submitter=submitter)
         sim.workload.on_tx_create(submitter, at, t)
-        (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
+        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
         return dict(zip(sim.consensus.miner_ids, entry[3]))
 
     def test_constant_delay_fanout(self):
@@ -228,5 +228,5 @@ class TestBroadcastTx:
         t = some_tx(1000, ts=50.0, submitter=1)
         sim.workload.on_tx_create(1, 50.0, t)
         expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
-        (entry,) = [e for e in sim.workload.pending if e[1] == 1000]
+        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
         assert dict(zip(sim.consensus.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}

@@ -1,10 +1,14 @@
 import math
+from functools import reduce
+from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainsim import workload as workload_module
 from chainsim.config import (
     ConstantSampler,
     ExponentialSampler,
@@ -13,7 +17,7 @@ from chainsim.config import (
     parse_sampler,
 )
 from chainsim.consensus import main_chain
-from chainsim.engine import EventKind, RandomSource
+from chainsim.engine import EventKind, RandomSource, sample_exponentials
 from chainsim.model import Block, Transaction, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
@@ -232,8 +236,9 @@ class TestSharedPool:
             expected = reference_pack(pool)
             body = pool.take_block(0.0)
             assert body.tx_count == len(expected)
-            assert body.fee_total == sum(t.fee for t in expected)
-            assert body.weight_total == sum(t.weight for t in expected)
+            # Exact, as both add left to right (Python 3.12's sum() compensates).
+            assert body.fee_total == reduce(add, (t.fee for t in expected), 0.0)
+            assert body.weight_total == reduce(add, (t.weight for t in expected), 0.0)
 
     def test_light_throughput_tracks_arrival_rate(self):
         # Arrival-limited light mode: throughput ~= T_n within 5%.
@@ -313,7 +318,7 @@ class TestFullMode:
         sim.handlers[EventKind.TX_CREATE] = lambda *entry: fired.append(entry)
         report = sim.run()
         assert fired == []
-        assert sim.workload.pending == []
+        assert not any(sim.workload.pending)
         assert report.throughput_tps > 0  # light blocks still carry transactions
 
     def test_no_transaction_included_twice_in_main_chain(self):
@@ -357,7 +362,118 @@ class TestFullMode:
         assert relayed
 
 
+def pack_against_oracle(config, chunk):
+    """Run ``config`` with pending chunks of ``chunk`` entries and check every
+    created block against the greedy packing of its miner's pool, rebuilt
+    from the created transactions and their delay draws.
+
+    A transaction reaches its submitter at creation.  Under a constant delay
+    it reaches every other miner ``T_delay`` later; under exponential delays
+    node n's delay is draw n of the transaction, counting nodes other than
+    the submitter in id order.  Also checks that no transaction is on the
+    main chain twice.  Returns (blocks checked, chunk splits, chunks emptied).
+    """
+    sim = Simulation(config, 0)
+    pending = sim.workload.pending
+    miner_ids = sim.consensus.miner_ids
+    created: list[tuple[Transaction, dict[int, float]]] = []
+    draws: list[list[float]] = []
+    create_tx = sim.handlers[EventKind.TX_CREATE]
+    create_block = sim.handlers[EventKind.BLOCK_CREATE]
+    checked = splits = emptied = 0
+
+    def recording_exponentials(source, mean, k):
+        draws.append(sample_exponentials(source, mean, k))
+        return draws[-1]
+
+    def on_tx_create(submitter_id, time, tx):
+        nonlocal splits
+        drawn, chunks = len(draws), len(pending)
+        create_tx(submitter_id, time, tx)
+        splits += len(pending) > max(chunks, 1)
+        s, at = tx.submitter_id, tx.timestamp
+        if len(draws) > drawn:
+            (delays,) = draws[drawn:]
+            arrival = {m: at + delays[m if m < s else m - 1] for m in miner_ids}
+        else:
+            arrival = {m: at + config.t_delay for m in miner_ids}
+        arrival[s] = at
+        created.append((tx, arrival))
+
+    def on_block_create(miner_id, time, parent):
+        nonlocal checked, emptied
+        adopted = sim.world.nodes[miner_id].chain_tx_ids
+        pool = [t for t, arrival in created if t.id not in adopted and arrival[miner_id] <= time]
+        chunks = len(pending)
+        block = create_block(miner_id, time, parent)
+        emptied += len(pending) < chunks
+        if block is not None:
+            assert block.transactions == tuple(select_for_block(pool, config.b_size))
+            checked += 1
+        return block
+
+    sim.handlers[EventKind.TX_CREATE] = on_tx_create
+    sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
+    with mock.patch.object(workload_module, "PENDING_CHUNK", chunk), mock.patch.object(
+        workload_module, "sample_exponentials", recording_exponentials
+    ):
+        report = sim.run()
+    assert checked == report.blocks_created
+    on_main = [t.id for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
+    assert on_main and len(on_main) == len(set(on_main))
+    return checked, splits, emptied
+
+
+@pytest.fixture(scope="module")
+def hist_sizes(tmp_path_factory):
+    """Transaction sizes in MB; the heaviest never fits a 0.004 MB block."""
+    path = tmp_path_factory.mktemp("hist") / "sizes.txt"
+    path.write_text("0.0002 0.3\n0.0005 0.4\n0.0011 0.2\n0.005 0.1\n")
+    return path
+
+
 class TestPackingOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        powers=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+        gap=st.integers(1, 4),  # the zero-weight node sits after this many miners
+        extra_nodes=st.integers(0, 1),
+        size=st.sampled_from(["const", "exp", "hist"]),
+        fee=st.sampled_from(["const:0.3", "exp:0.3"]),
+        delay=st.sampled_from([("constant", 0.0), ("constant", 3.0), ("exponential", 3.0)]),
+        b_delay=st.sampled_from([0.0, 4.0]),
+        chunk=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_configs_match_rebuilt_pool(
+        self, hist_sizes, powers, gap, extra_nodes, size, fee, delay, b_delay, chunk, seed
+    ):
+        # About 20 transactions arrive per block interval and 8 mean-size
+        # ones fit a block, so every block is packed from a saturated pool.
+        total = sum(powers)
+        weights = [p / total for p in powers]
+        gap = min(gap, len(weights) - 1)
+        miners = (*weights[:gap], 0.0, *weights[gap:])
+        sizes = {"const": "const:0.0005", "exp": "exp:0.0005", "hist": f"hist:{hist_sizes}"}
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1.0, t_size=sizes[size], t_fee=fee,
+            delay_mode=delay[0], t_delay=delay[1], b_size=0.004, b_interval=20.0,
+            b_delay=b_delay, n_n=len(miners) + extra_nodes, miners=miners,
+            block_target=40, seed=seed,
+        )
+        checked, _, _ = pack_against_oracle(config, chunk)
+        assert checked == 40
+
+    def test_small_chunks_split_and_empty(self):
+        # Chunks of two entries: inserts split them and scans empty them.
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1.0, t_delay=3.0, t_size="exp:0.0005",
+            t_fee="exp:0.3", b_size=0.004, b_interval=20.0, b_delay=4.0, n_n=4,
+            miners=(0.5, 0.0, 0.5), block_target=60, seed=3,
+        )
+        checked, splits, emptied = pack_against_oracle(config, 2)
+        assert checked == 60 and splits and emptied
+
     def test_every_block_matches_rebuilt_pool(self):
         # Forks (B_delay is 20% of B_interval), variable sizes and fees, a
         # saturated capacity, and a non-mining node 2 between miners.  Each
