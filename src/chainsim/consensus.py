@@ -60,10 +60,10 @@ class ConsensusEngine:
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
-        if config.selector == "stake":
-            raw = [n.stake for n in world.nodes]
-        else:
-            raw = [n.hash_power for n in world.nodes]
+        # Under ``selector = stake`` stakes default to the hash-power fractions.
+        by_stake = config.selector == "stake" and config.stakes is not None
+        raw = list(config.stakes if by_stake else config.miners)
+        raw += [0.0] * (config.n_n - len(raw))  # nodes past the list never mine
         total = reduce(add, raw, 0.0)  # left to right, whatever sum() does
         self.weights = [w / total for w in raw]
         # Mean seconds between a miner's blocks; 0 marks a node that never mines.
@@ -104,7 +104,6 @@ class ConsensusEngine:
         if intended_parent.id != miner.tip.id:
             # The tip moved after this event was armed; the race already
             # restarted on the new tip when the miner adopted it.
-            self.world.stale_creation_events += 1
             if self.round_robin:
                 self._schedule_round_robin(now)
             return None
@@ -123,7 +122,7 @@ class ConsensusEngine:
             tx_fee_total=body.fee_total,
             uncles=self._reference_uncles(miner, parent.depth + 1),
         )
-        self.world.registry.add(block)
+        self.world.registry[block.id] = block
         self.world.blocks_created += 1
 
         miner.chain_pos[block.id] = len(miner.chain)
@@ -142,8 +141,8 @@ class ConsensusEngine:
         """Candidate uncles for a block at ``next_depth``, oldest first.
 
         Eligible means: inside the depth window, not on the node's current
-        chain, and not already referenced (by the node's chain or anywhere
-        else in the run).  Entries fallen out of the window are pruned.
+        chain, and not referenced by any block of the run, as recorded in
+        ``World.included_uncles``.  Entries fallen out of the window are pruned.
         """
         low = next_depth - self.uncle_window
         registry = self.world.registry
@@ -155,9 +154,7 @@ class ConsensusEngine:
                 continue
             if depth >= next_depth:
                 continue
-            if uncle_id in node.chain_pos or uncle_id in node.included_uncles:
-                continue
-            if uncle_id in self.world.included_uncles:
+            if uncle_id in node.chain_pos or uncle_id in self.world.included_uncles:
                 continue
             found.append((depth, uncle_id))
         found.sort()
@@ -169,7 +166,6 @@ class ConsensusEngine:
         chosen = self.eligible_uncles(miner, next_depth)
         for uncle_id in chosen:
             del miner.uncle_chain[uncle_id]
-            miner.included_uncles.add(uncle_id)
             self.world.included_uncles.add(uncle_id)
         return tuple(chosen)
 
@@ -203,7 +199,7 @@ class ConsensusEngine:
             if (
                 self.uncles_enabled
                 and self.weights[node.id] > 0
-                and block.id not in node.included_uncles
+                and block.id not in self.world.included_uncles
             ):
                 node.uncle_chain[block.id] = None
                 return ChainAction.STORED_AS_UNCLE
@@ -246,7 +242,6 @@ class ConsensusEngine:
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)
             for uncle_id in block.uncles:
-                node.included_uncles.add(uncle_id)
                 node.uncle_chain.pop(uncle_id, None)
 
 

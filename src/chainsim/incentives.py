@@ -8,7 +8,7 @@ from functools import reduce
 from operator import add
 
 from .config import SimConfig
-from .model import Block, BlockRegistry, NodeState
+from .model import Block
 
 
 @dataclass(slots=True)
@@ -54,10 +54,7 @@ def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> fl
 
 
 def distribute(
-    main_chain_ids: list[int],
-    registry: BlockRegistry,
-    config: SimConfig,
-    nodes: list[NodeState],
+    main_chain_ids: list[int], registry: dict[int, Block], config: SimConfig
 ) -> RewardLedger:
     """Pay every miner for its main-chain blocks, fees, and referenced uncles.
 
@@ -78,8 +75,4 @@ def distribute(
                 uncle.depth, config.g_uncle, block.depth, reward
             )
             entry.inclusion_rewards += config.inclusion_reward_fraction * reward
-    for node in nodes:
-        entry = ledger.get(node.id)
-        if entry is not None:
-            node.balance += entry.total
     return ledger

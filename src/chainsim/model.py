@@ -1,4 +1,4 @@
-"""Domain records: transactions, blocks, per-node state, and the block registry."""
+"""Domain records: transactions, blocks, per-node state, and the run's world."""
 
 from __future__ import annotations
 
@@ -45,35 +45,9 @@ def make_genesis() -> Block:
     )
 
 
-class BlockRegistry:
-    """Every block ever created in a run, by id.
-
-    Keeping the global registry lets a node that receives a block from a
-    branch it has never seen reconstruct the full path immediately instead
-    of modelling any fetch round-trips.
-    """
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self) -> None:
-        self._blocks: dict[int, Block] = {}
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self._blocks
-
-    def __getitem__(self, block_id: int) -> Block:
-        return self._blocks[block_id]
-
-    def add(self, block: Block) -> None:
-        self._blocks[block.id] = block
-
-
 @dataclass(slots=True)
 class NodeState:
-    """Per-node balance, local chain view, adopted transactions, and uncle bookkeeping.
+    """Per-node local chain view, adopted transactions, and uncle candidates.
 
     The local chain is stored as an id list plus an id->index map so that a
     reorganization only touches the blocks past the fork point.  ``tip``
@@ -81,16 +55,12 @@ class NodeState:
     """
 
     id: int
-    hash_power: float = 0.0  # fraction of network hash power; 0 marks a non-miner
-    stake: float = 0.0
-    balance: float = 0.0
     chain: list[int] = field(default_factory=list)
     chain_pos: dict[int, int] = field(default_factory=dict)
     tip: Block | None = None
-    # Adopted transactions and uncle bookkeeping; kept for nodes that create blocks.
+    # Adopted transactions and uncle candidates; kept for nodes that create blocks.
     chain_tx_ids: set[int] = field(default_factory=set)  # transactions ever adopted into the chain
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
-    included_uncles: set[int] = field(default_factory=set)  # uncle ids seen referenced by adopted blocks
 
     def install_genesis(self, genesis: Block) -> None:
         self.chain = [genesis.id]
@@ -99,7 +69,14 @@ class NodeState:
 
 
 class World:
-    """All mutable state of one simulation run."""
+    """All mutable state of one simulation run.
+
+    ``registry`` holds every block created in the run, by id: a node that
+    receives a block from a branch it has never seen rebuilds the path from
+    it at once instead of modelling any fetch round-trips.
+    ``included_uncles`` holds every uncle any block has referenced; it is
+    filled as the referencing block is created, before any node receives it.
+    """
 
     __slots__ = (
         "nodes",
@@ -107,31 +84,24 @@ class World:
         "genesis",
         "included_uncles",
         "blocks_created",
-        "stale_creation_events",
         "_next_block_id",
         "_next_tx_id",
     )
 
-    def __init__(self, n_nodes: int, hash_powers=(), stakes=()) -> None:
+    def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ValueError("a run needs at least one node")
         self.genesis = make_genesis()
-        self.registry = BlockRegistry()
-        self.registry.add(self.genesis)
+        self.registry: dict[int, Block] = {self.genesis.id: self.genesis}
         self.nodes: list[NodeState] = []
         for i in range(n_nodes):
-            node = NodeState(
-                id=i,
-                hash_power=hash_powers[i] if i < len(hash_powers) else 0.0,
-                stake=stakes[i] if i < len(stakes) else 0.0,
-            )
+            node = NodeState(id=i)
             node.install_genesis(self.genesis)
             self.nodes.append(node)
-        self.included_uncles: set[int] = set()  # referenced anywhere in the run
+        self.included_uncles: set[int] = set()
         self.blocks_created = 0
-        self.stale_creation_events = 0
         self._next_block_id = GENESIS_ID + 1
-        self._next_tx_id = 1
+        self._next_tx_id = 1  # full mode only; light-mode transactions carry no id
 
     def new_block_id(self) -> int:
         bid = self._next_block_id

@@ -33,8 +33,7 @@ class Simulation:
         self.seed = config.seed + run_index
         self.rng = RandomSource(self.seed)
 
-        stakes = config.stakes if config.stakes is not None else config.miners
-        self.world = World(config.n_n, hash_powers=config.miners, stakes=stakes)
+        self.world = World(config.n_n)
         self.queue = EventQueue()
         self.network = Network(self.queue, self.rng, config)
         self.workload = TxWorkload(self.world, self.queue, self.rng, config)
@@ -59,7 +58,7 @@ class Simulation:
             block_target=self.config.block_target,
         )
         chain = main_chain(self.world)
-        ledger = distribute(chain, self.world.registry, self.config, self.world.nodes)
+        ledger = distribute(chain, self.world.registry, self.config)
         return summarize_run(
             self.world,
             chain,

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .incentives import RewardLedger
-from .model import BlockRegistry, World
+from .model import Block, World
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -16,7 +16,7 @@ class InvariantViolation(RuntimeError):
     """The finished run's main chain is structurally inconsistent."""
 
 
-def check_main_chain(registry: BlockRegistry, chain_ids: list[int]) -> None:
+def check_main_chain(registry: dict[int, Block], chain_ids: list[int]) -> None:
     """Validate depth, linkage, and timestamp monotonicity of the main chain."""
     if not chain_ids:
         raise InvariantViolation("main chain is empty")
@@ -50,10 +50,8 @@ class RunReport:
     mean_tx_latency_s: float | None  # full workload mode only
     miner_shares: dict[int, float]
     reward_shares: dict[int, float]
-    reward_ledger: RewardLedger
     sim_time_s: float  # elapsed simulated seconds
     wall_clock_s: float
-    stale_creation_events: int = 0
 
     @property
     def blocks_per_day(self) -> float:
@@ -118,10 +116,8 @@ def summarize_run(
         mean_tx_latency_s=mean_latency,
         miner_shares=miner_shares,
         reward_shares=reward_shares,
-        reward_ledger=ledger,
         sim_time_s=elapsed,
         wall_clock_s=wall_clock,
-        stale_creation_events=world.stale_creation_events,
     )
 
 
@@ -130,14 +126,6 @@ class MetricAggregate:
     mean: float
     half_width_95: float  # Student-t 95% interval half width; 0 for a single run
     run_count: int
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width_95
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width_95
 
 
 def _t_central(t: float, df: int) -> float:

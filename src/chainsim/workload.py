@@ -53,52 +53,46 @@ class SharedPool:
     transactions than the configured demand generates.
     """
 
-    def __init__(
-        self, world: World, rng: RandomSource, config: SimConfig, size_sampler, price_sampler
-    ) -> None:
-        self.world = world
+    def __init__(self, rng: RandomSource, config: SimConfig, size_sampler, price_sampler) -> None:
         self.rng = rng
         self.size_sampler = size_sampler  # MB in size model, gas units in gas model
         self.price_sampler = price_sampler  # currency per MB, or per gas unit
         self.capacity = config.b_size
-        self.capacity_estimate = max(1, int(config.b_size / size_sampler.mean()))
+        capacity_estimate = max(1, int(config.b_size / size_sampler.mean()))
         if config.t_n > 0:
             arrivals = config.t_n * config.b_interval
-            self.refill_size = int(min(math.ceil(2 * arrivals), 2 * self.capacity_estimate))
+            self.refill_size = int(min(math.ceil(2 * arrivals), 2 * capacity_estimate))
             self.block_budget = max(1, math.ceil(arrivals))
         else:
             self.refill_size = 0
             self.block_budget = 0
         # With constant size and price the pool contents are interchangeable,
-        # so selection reduces to "first k ids" and no arrays are needed.
+        # so selection reduces to "take k" and no arrays are needed.
         self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
             price_sampler, ConstantSampler
         )
         self._sizes: np.ndarray | None = None
         self._fees: np.ndarray | None = None
-        self._first_id = 0
-        self.refill(0.0)
+        self.refill()
 
     def __len__(self) -> int:
         return self.refill_size
 
-    def refill(self, now: float) -> None:
-        """Discard the pool and fill it with fresh transactions stamped ``now``."""
+    def refill(self) -> None:
+        """Discard the pool and fill it with fresh transactions."""
         n = self.refill_size
-        self._first_id = self.world._next_tx_id
-        self.world._next_tx_id += n
         if n == 0 or self._uniform:
             return
         self._sizes = self.size_sampler.draw_many(self.rng, n)
         prices = self.price_sampler.draw_many(self.rng, n)
         self._fees = self._sizes * prices
 
-    def take_block(self, now: float) -> BlockBody:
+    def take_block(self) -> BlockBody:
         """Pack one block from the pool, then reset and refill it."""
         if self.refill_size == 0:
             return EMPTY_BODY
         body = self._pack()
-        self.refill(now)
+        self.refill()
         return body
 
     def _pack(self) -> BlockBody:
@@ -146,9 +140,7 @@ class TxWorkload:
         self.price_sampler = parse_sampler(config.t_fee)
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
-            self.shared_pool = SharedPool(
-                world, rng, config, self.size_sampler, self.price_sampler
-            )
+            self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
         # Full mode: sorted chunks of (-fee, id, tx, arrival at each miner)
         # entries, in packing order, with each chunk's last entry and least
         # weight alongside.
@@ -263,7 +255,7 @@ class TxWorkload:
         empty is deleted.
         """
         if self.shared_pool is not None:
-            return self.shared_pool.take_block(now)
+            return self.shared_pool.take_block()
         if not self.full_mode:
             return EMPTY_BODY
         slot = self._slots[miner.id]

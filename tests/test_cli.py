@@ -77,6 +77,19 @@ class TestRunCommand:
         rows = read_rows(out / "runs.csv")
         assert rows[1][1] == "99"
 
+    def test_stake_selector_without_stakes_matches_pow(self, tmp_path):
+        # Stakes default to the hash-power fractions, non-mining nodes included.
+        outputs = []
+        for selector in ("pow", "stake"):
+            text = BASE_CONFIG.replace("B_delay = 1.0", "B_delay = 20")
+            text += f"N_n = 7\nselector = {selector}\n"
+            config = write_config(tmp_path, text, f"{selector}.cfg")
+            out = tmp_path / selector
+            assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append(strip_wall_clock(read_rows(out / "runs.csv")))
+        assert outputs[0] == outputs[1]
+        assert any(float(row[4]) > 0 for row in outputs[0][1:])  # forks happened
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "B_interval = -1\nsim_time = 10\n")
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -91,6 +104,7 @@ class TestRunCommand:
             "B_interval = nan",
             "stakes = 0,0,0,0,0\nselector = stake",
             "stakes = 2,-1,0,0,0",
+            "T_fee = const:-5",
         ],
     )
     def test_bad_number_exit_2(self, tmp_path, capsys, bad):
@@ -196,6 +210,14 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_fee_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG + "T_fee = const:-5\n")
+        out = tmp_path / "o"
+        code = cli.main(["sweep", "--config", str(config), *SWEEP_GRID, "--out", str(out)])
+        assert code == 2
+        assert "T_fee must not yield negative prices" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("intervals, delays", [("nan", "1"), ("10", "inf"), ("0", "1")])
     def test_bad_grid_value_exit_2(self, tmp_path, capsys, intervals, delays):
@@ -419,16 +441,37 @@ def test_unusable_out_exit_3(tmp_path, capsys, command, out):
     assert err.startswith("cannot use --out") and err.count("\n") == 1
 
 
+def run_chainsim(argv, stdout, timeout=120):
+    """Run ``chainsim argv`` in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "chainsim", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=timeout,
+    )
+
+
+# A refused config exits within a second; a cap that let one through would
+# run for hours and take gigabytes.
+CAP_TIMEOUT_S = 30
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--intervals", "300,600", "--delays", "1"]], ids=["run", "sweep"]
 )
-def test_unbounded_full_mode_exit_2(tmp_path, capsys, command):
+def test_unbounded_full_mode_exit_2(tmp_path, command):
     # About 1.8e8 expected transactions per run: refused before any run starts.
+    # In a subprocess with a timeout, so a broken cap cannot run unbounded here.
     text = "T_technique = full\nT_n = 100000\nB_interval = 600\nblock_target = 3\n"
     out = tmp_path / "o"
-    code = cli.main(command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
+    done = run_chainsim(
+        command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)],
+        stdout=subprocess.DEVNULL, timeout=CAP_TIMEOUT_S,
+    )
+    assert done.returncode == 2
+    err = done.stderr.decode()
     assert err.startswith("config error: full mode expects") and err.count("\n") == 1
     assert "T_n" in err and "block_target" in err
     assert not out.exists()
@@ -437,13 +480,16 @@ def test_unbounded_full_mode_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--intervals", "1,2", "--delays", "0.5"]], ids=["run", "sweep"]
 )
-def test_unbounded_block_count_exit_2(tmp_path, capsys, command):
+def test_unbounded_block_count_exit_2(tmp_path, command):
     # About 1e9 expected blocks per run: refused before any run starts.
     text = "hasTrans = false\nB_interval = 1\nSim_time = 1e9\nRuns = 1\n"
     out = tmp_path / "o"
-    code = cli.main(command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
+    done = run_chainsim(
+        command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)],
+        stdout=subprocess.DEVNULL, timeout=CAP_TIMEOUT_S,
+    )
+    assert done.returncode == 2
+    err = done.stderr.decode()
     assert err.startswith("config error: a run expects about 1e+09 blocks")
     assert err.count("\n") == 1 and "Sim_time" in err
     assert not out.exists()
@@ -454,15 +500,8 @@ def run_with_stdout_closed(argv):
     already lost its reader."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = Path(cli.__file__).resolve().parents[1]
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "chainsim", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
+        return run_chainsim(argv, stdout=write_end)
     finally:
         os.close(write_end)
 

@@ -130,6 +130,7 @@ class TestParseConfig:
             "stakes = 1,nan,0,0,0",
             "T_size = const:nan",
             "T_fee = exp:inf",
+            "T_fee = const:-5",
         ],
     )
     def test_bad_numbers_rejected(self, line):
@@ -193,6 +194,15 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "t_size = hist:zero.txt\nsim_time = 5\n"))
         # Without transactions the sizes are never drawn.
         parse_config(write_config(tmp_path, "hastrans = false\nt_size = hist:sizes.txt\nsim_time = 5\n"))
+
+    def test_negative_price_rejected(self, tmp_path):
+        # The mean price, 0.001, is positive, but half the draws are negative.
+        (tmp_path / "prices.txt").write_text("-0.001 0.5\n0.003 0.5\n")
+        with pytest.raises(ConfigError, match="T_fee must not yield negative prices"):
+            parse_config(write_config(tmp_path, "t_fee = hist:prices.txt\nsim_time = 5\n"))
+        # A zero price is a free transaction; without transactions none is drawn.
+        parse_config_text("t_fee = const:0\nsim_time = 5\n")
+        parse_config(write_config(tmp_path, "hastrans = false\nt_fee = hist:prices.txt\nsim_time = 5\n"))
 
     def test_zero_size_accepted_without_transactions(self):
         config = parse_config_text("hastrans = false\nt_size = const:0\nblock_target = 10\n")

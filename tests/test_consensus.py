@@ -39,7 +39,7 @@ def make_engine(
         t_fee="const:1.0",
         t_delay=0.0,
     )
-    world = World(n_nodes, hash_powers=hash_powers)
+    world = World(n_nodes)
     queue = EventQueue()
     rng = RandomSource(seed)
     network = Network(queue, rng, config)
@@ -58,7 +58,10 @@ def ancestry(registry, head):
 
 
 def append_block(engine, world, miner_id, *, uncles=(), ts=None):
-    """Force-create a block on the miner's current tip (helper for receive tests)."""
+    """Force-create a block on the miner's current tip (helper for receive tests).
+
+    Its ``uncles`` join ``World.included_uncles``, as on_block_create does.
+    """
     miner = world.nodes[miner_id]
     parent = miner.tip
     block = Block(
@@ -69,7 +72,8 @@ def append_block(engine, world, miner_id, *, uncles=(), ts=None):
         miner_id=miner_id,
         uncles=tuple(uncles),
     )
-    world.registry.add(block)
+    world.registry[block.id] = block
+    world.included_uncles.update(uncles)
     miner.chain_pos[block.id] = len(miner.chain)
     miner.chain.append(block.id)
     miner.tip = block
@@ -189,7 +193,7 @@ class TestOnBlockCreate:
         block = engine.on_block_create(miner_id, time, parent)
         assert [tx.fee for tx in block.transactions] == [3.0]  # fee-3 stayed pooled
 
-    def test_stale_event_discarded_and_counted(self):
+    def test_stale_event_discarded(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), block_delay=0.0)
         engine.start()
         miner0 = world.nodes[0]
@@ -200,7 +204,6 @@ class TestOnBlockCreate:
         before = len(queue)
         result = engine.on_block_create(0, at, armed_on)
         assert result is None
-        assert world.stale_creation_events == 1
         assert world.blocks_created == 0
         # no fresh event scheduled here: the adoption path already rearmed
         assert len(queue) == before
@@ -257,7 +260,7 @@ class TestOnBlockReceive:
             timestamp=1.0,
             miner_id=0,
         )
-        world.registry.add(shorter)
+        world.registry[shorter.id] = shorter
         action = engine.on_block_receive(1, 51.0, shorter)
         assert action is ChainAction.DISCARDED_SHORTER
         assert node1.tip is deep
@@ -273,7 +276,7 @@ class TestOnBlockReceive:
             id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=0,
         )
-        world.registry.add(sibling)
+        world.registry[sibling.id] = sibling
         action = engine.on_block_receive(1, 31.0, sibling)
         assert action is ChainAction.STORED_AS_UNCLE
         assert sibling.id in world.nodes[1].uncle_chain
@@ -291,11 +294,10 @@ class TestOnBlockReceive:
             id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=1, uncles=(deep.previous_id,),
         )
-        world.registry.add(sibling)
+        world.registry[sibling.id] = sibling
         action = engine.on_block_receive(2, 31.0, sibling)
         assert action is ChainAction.DISCARDED_SHORTER
         assert not node2.uncle_chain
-        assert not node2.included_uncles
 
     def test_ancestor_redelivery_not_stored_as_uncle(self):
         engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
@@ -353,7 +355,7 @@ class TestEligibleUncles:
                 id=1000 + i, depth=depth, previous_id=None, timestamp=float(depth),
                 miner_id=1,
             )
-            world.registry.add(uncle)
+            world.registry[uncle.id] = uncle
             miner.uncle_chain[uncle.id] = None
         return engine, world, miner
 
@@ -384,7 +386,7 @@ class TestEligibleUncles:
         miner = world.nodes[0]
         append_block(engine, world, 0)
         uncle = Block(id=500, depth=1, previous_id=world.genesis.id, timestamp=0.5, miner_id=1)
-        world.registry.add(uncle)
+        world.registry[uncle.id] = uncle
         miner.uncle_chain[uncle.id] = None
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
@@ -397,12 +399,15 @@ class TestEligibleUncles:
         engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
         uncle = Block(id=600, depth=1, previous_id=world.genesis.id, timestamp=0.4, miner_id=0)
-        world.registry.add(uncle)
+        world.registry[uncle.id] = uncle
         node1.uncle_chain[uncle.id] = None
         block = append_block(engine, world, 0, uncles=(600,))
         engine.on_block_receive(1, 3.0, block)
         assert 600 not in node1.uncle_chain
-        assert 600 in node1.included_uncles
+        assert 600 in world.included_uncles
+        # A referenced uncle delivered again is not a candidate any more.
+        assert engine.on_block_receive(1, 4.0, uncle) is ChainAction.DISCARDED_SHORTER
+        assert 600 not in node1.uncle_chain
 
 
 class TestMainChain:

@@ -6,53 +6,58 @@ import pytest
 from chainsim import incentives
 from chainsim.consensus import main_chain
 from chainsim.incentives import RewardEntry, RewardLedger, distribute, uncle_reward
-from chainsim.model import Block, BlockRegistry, World, make_genesis
+from chainsim.model import Block, make_genesis
 from chainsim.runner import Simulation
 
 from conftest import make_config
 
 
+def run_ledger(sim):
+    """The finished run's per-miner reward breakdown."""
+    return distribute(main_chain(sim.world), sim.world.registry, sim.config)
+
+
 def full_run(**overrides):
-    """A short full-mode run; returns its report and the main chain's transactions."""
+    """A short full-mode run; returns its ledger and the main chain's transactions."""
     config = make_config(
         has_trans=True, t_technique="full", t_n=0.5, t_delay=1.0,
         b_interval=60.0, block_target=60, seed=2, **overrides,
     )
     sim = Simulation(config, 0)
-    report = sim.run()
+    sim.run()
     registry = sim.world.registry
     txs = [t for bid in main_chain(sim.world)[1:] for t in registry[bid].transactions]
     assert txs  # the run included transactions
-    return report, txs
+    return run_ledger(sim), txs
 
 
-def ledger_fees(report):
-    return math.fsum(entry.tx_fees for entry in report.reward_ledger.values())
+def ledger_fees(ledger):
+    return math.fsum(entry.tx_fees for entry in ledger.values())
 
 
 class TestTxFee:
     def test_size_model_uses_sampled_fee(self):
         # fee is computed at creation as size * unit price: 2 MB * 3 = 6
-        report, txs = full_run(t_size="const:2", t_fee="const:3", b_size=4.0)
+        ledger, txs = full_run(t_size="const:2", t_fee="const:3", b_size=4.0)
         assert all(t.weight == 2.0 and t.fee == 6.0 for t in txs)
-        assert ledger_fees(report) == pytest.approx(6.0 * len(txs))
+        assert ledger_fees(ledger) == pytest.approx(6.0 * len(txs))
 
     def test_gas_model(self):
         # gas model: fee = used gas * gas price = 21,000 * 0.001
-        report, txs = full_run(
+        ledger, txs = full_run(
             capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
         )
         assert all(t.weight == 21_000.0 for t in txs)
         assert all(t.fee == pytest.approx(21.0) for t in txs)
-        assert ledger_fees(report) == pytest.approx(21.0 * len(txs))
+        assert ledger_fees(ledger) == pytest.approx(21.0 * len(txs))
 
     def test_zero_gas(self):
         # a zero gas price earns nothing however much gas is used
-        report, txs = full_run(
+        ledger, txs = full_run(
             capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0"
         )
         assert all(t.fee == 0.0 for t in txs)
-        assert ledger_fees(report) == 0.0
+        assert ledger_fees(ledger) == 0.0
 
 
 class TestUncleReward:
@@ -92,23 +97,20 @@ class TestUncleReward:
 
 class TestDistribute:
     def _world_with_chain(self, blocks):
-        registry = BlockRegistry()
         genesis = make_genesis()
-        registry.add(genesis)
+        registry = {genesis.id: genesis}
         chain = [genesis.id]
         for b in blocks:
-            registry.add(b)
+            registry[b.id] = b
             chain.append(b.id)
         return registry, chain
 
     def test_single_empty_block(self):
         block = Block(id=1, depth=1, previous_id=0, timestamp=1.0, miner_id=3)
         registry, chain = self._world_with_chain([block])
-        world = World(4, hash_powers=(0, 0, 0, 1.0))
-        ledger = distribute(chain, registry, make_config(b_reward=2.0), world.nodes)
+        ledger = distribute(chain, registry, make_config(b_reward=2.0))
         assert ledger[3].total == 2.0
-        assert world.nodes[3].balance == 2.0
-        assert all(n.balance == 0.0 for n in world.nodes[:3])
+        assert list(ledger) == [3]  # nobody else earns anything
 
     def test_two_uncles_inclusion_bonus(self):
         uncle_a = Block(id=10, depth=1, previous_id=0, timestamp=0.5, miner_id=1)
@@ -119,11 +121,10 @@ class TestDistribute:
             uncles=(10, 11), tx_fee_total=0.5,
         )
         registry, chain = self._world_with_chain([b1, b2])
-        registry.add(uncle_a)
-        registry.add(uncle_b)
-        world = World(3, hash_powers=(0.5, 0.3, 0.2))
+        registry[uncle_a.id] = uncle_a
+        registry[uncle_b.id] = uncle_b
         params = make_config(b_reward=2.0, uncles_enabled=True, g_uncle=7)
-        ledger = distribute(chain, registry, params, world.nodes)
+        ledger = distribute(chain, registry, params)
         # includer: two block rewards + fees + 2 * (2/32)
         assert ledger[0].total == pytest.approx(4.0 + 0.5 + 2 * (2.0 / 32.0))
         assert ledger[0].inclusion_rewards == pytest.approx(0.125)
@@ -134,8 +135,7 @@ class TestDistribute:
     def test_fees_accumulate(self):
         b1 = Block(id=1, depth=1, previous_id=0, timestamp=1.0, miner_id=0, tx_fee_total=1.25)
         registry, chain = self._world_with_chain([b1])
-        world = World(1, hash_powers=(1.0,))
-        ledger = distribute(chain, registry, make_config(b_reward=2.0), world.nodes)
+        ledger = distribute(chain, registry, make_config(b_reward=2.0))
         assert ledger[0].tx_fees == 1.25
         assert ledger[0].total == 3.25
 
@@ -164,7 +164,7 @@ class TestRunLevelInvariants:
             block_target=800, seed=6,
         )
         sim = Simulation(config, 0)
-        report = sim.run()
+        sim.run()
         registry = sim.world.registry
         chain = main_chain(sim.world)
         fee_sum = math.fsum(registry[b].tx_fee_total for b in chain[1:])
@@ -182,19 +182,8 @@ class TestRunLevelInvariants:
             + uncle_count * 3.0 / 32.0
         )
         assert uncle_count > 0  # the run exercised the uncle path
-        total = math.fsum(e.total for e in report.reward_ledger.values())
+        total = math.fsum(e.total for e in run_ledger(sim).values())
         assert total == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
-
-    def test_balances_equal_ledger_totals(self):
-        config = make_config(
-            b_delay=2.0, block_target=400,
-            has_trans=True, t_technique="light", t_n=5.0, seed=3,
-        )
-        sim = Simulation(config, 0)
-        report = sim.run()
-        for node in sim.world.nodes:
-            entry = report.reward_ledger.get(node.id)
-            assert node.balance == (entry.total if entry else 0.0)
 
     def test_orphan_miners_get_zero_without_uncles(self):
         # With uncles disabled, miners whose every block went stale earn 0.
@@ -203,9 +192,11 @@ class TestRunLevelInvariants:
         report = sim.run()
         assert report.stale_rate > 0.2
         on_chain = {sim.world.registry[b].miner_id for b in main_chain(sim.world)[1:]}
+        ledger = run_ledger(sim)
         for node in sim.world.nodes:
             if node.id not in on_chain:
-                assert node.balance == 0.0
+                assert node.id not in ledger
+                assert report.reward_shares.get(node.id, 0.0) == 0.0
 
     def test_ledger_components_reconcile_with_full_mode_tx_fees(self):
         config = make_config(
@@ -214,11 +205,12 @@ class TestRunLevelInvariants:
             block_target=200, seed=11,
         )
         sim = Simulation(config, 0)
-        report = sim.run()
+        sim.run()
         expected_fees = {}
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             expected_fees.setdefault(block.miner_id, 0.0)
             expected_fees[block.miner_id] += math.fsum(t.fee for t in block.transactions)
+        ledger = run_ledger(sim)
         for miner_id, fees in expected_fees.items():
-            assert report.reward_ledger[miner_id].tx_fees == pytest.approx(fees, rel=1e-12)
+            assert ledger[miner_id].tx_fees == pytest.approx(fees, rel=1e-12)

@@ -30,14 +30,14 @@ def adopt(blocks, head):
     """
     sim, observer = observer_sim()
     for b in blocks:
-        sim.world.registry.add(b)
+        sim.world.registry[b.id] = b
     sim.consensus.on_block_receive(1, 50.0, head)
     return observer.chain
 
 
 class TestTip:
     def test_fresh_node_tip_is_genesis(self):
-        world = World(2, hash_powers=(1.0,))
+        world = World(2)
         assert world.nodes[0].tip.depth == 0
         assert world.nodes[1].tip is world.genesis
 
@@ -47,7 +47,7 @@ class TestTip:
         head = None
         for bid in (1, 2):
             head = blk(bid, bid, bid - 1)
-            sim.world.registry.add(head)
+            sim.world.registry[head.id] = head
         sim.consensus.on_block_receive(1, 5.0, head)
         assert observer.tip.id == observer.chain[-1] == 2
 
@@ -110,14 +110,17 @@ class TestRebuildChain:
 
 class TestWorld:
     def test_nodes_get_weights_and_genesis(self):
-        world = World(4, hash_powers=(0.7, 0.3), stakes=(1.0, 3.0))
-        assert [n.hash_power for n in world.nodes] == [0.7, 0.3, 0.0, 0.0]
-        assert [n.stake for n in world.nodes] == [1.0, 3.0, 0.0, 0.0]
-        assert all(n.balance == 0.0 for n in world.nodes)
-        assert all(n.tip is world.genesis for n in world.nodes)
+        # Weights follow the miners list, or the stakes under selector = stake,
+        # and every node past the list weighs 0.
+        cases = (("pow", [0.7, 0.3, 0.0, 0.0]), ("stake", [0.25, 0.75, 0.0, 0.0]))
+        for selector, weights in cases:
+            config = make_config(miners=(0.7, 0.3), stakes=(1.0, 3.0), n_n=4, selector=selector)
+            sim = Simulation(config, 0)
+            assert sim.consensus.weights == weights
+            assert all(n.tip is sim.world.genesis for n in sim.world.nodes)
 
     def test_ids_increment(self):
-        world = World(1, hash_powers=(1.0,))
+        world = World(1)
         assert world.new_block_id() == 1
         assert world.new_block_id() == 2
         assert world._next_tx_id == 1  # the first transaction's id

@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from chainsim.incentives import RewardLedger
-from chainsim.model import Block, BlockRegistry, make_genesis
+from chainsim.model import Block, make_genesis
 from chainsim.runner import run_many, run_single
 from chainsim.stats import (
     InvariantViolation,
@@ -32,7 +31,6 @@ def make_report(**overrides):
         mean_tx_latency_s=250.0,
         miner_shares={0: 0.6, 1: 0.4},
         reward_shares={0: 0.6, 1: 0.4},
-        reward_ledger=RewardLedger(),
         sim_time_s=60_000.0,
         wall_clock_s=1.0,
     )
@@ -66,13 +64,12 @@ class TestRunReport:
 
 class TestCheckMainChain:
     def _chain(self):
-        registry = BlockRegistry()
         genesis = make_genesis()
-        registry.add(genesis)
+        registry = {genesis.id: genesis}
         b1 = Block(id=1, depth=1, previous_id=0, timestamp=5.0, miner_id=0)
         b2 = Block(id=2, depth=2, previous_id=1, timestamp=9.0, miner_id=1)
         for b in (b1, b2):
-            registry.add(b)
+            registry[b.id] = b
         return registry, [0, 1, 2]
 
     def test_valid_chain_passes(self):
@@ -81,13 +78,13 @@ class TestCheckMainChain:
 
     def test_bad_linkage_raises(self):
         registry, chain = self._chain()
-        registry.add(Block(id=3, depth=2, previous_id=0, timestamp=10.0, miner_id=0))
+        registry[3] = Block(id=3, depth=2, previous_id=0, timestamp=10.0, miner_id=0)
         with pytest.raises(InvariantViolation):
             check_main_chain(registry, [0, 1, 3])
 
     def test_non_monotone_timestamp_raises(self):
         registry, chain = self._chain()
-        registry.add(Block(id=4, depth=3, previous_id=2, timestamp=9.0, miner_id=0))
+        registry[4] = Block(id=4, depth=3, previous_id=2, timestamp=9.0, miner_id=0)
         with pytest.raises(InvariantViolation):
             check_main_chain(registry, [0, 1, 2, 4])
 

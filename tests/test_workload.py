@@ -47,21 +47,19 @@ def light_config(**overrides):
     return make_config(**params)
 
 
-def make_pool(world, rng, config):
-    return SharedPool(
-        world, rng, config, parse_sampler(config.t_size), parse_sampler(config.t_fee)
-    )
+def make_pool(rng, config):
+    return SharedPool(rng, config, parse_sampler(config.t_size), parse_sampler(config.t_fee))
 
 
 def reference_pack(pool):
     """Object-based packing of the light pool's current contents.
 
-    Materializes one Transaction per pool entry, sorts by fee (ties to the
-    lower id) and packs greedily under the capacity, stopping at the
+    Materializes one Transaction per pool entry, with its index as its id,
+    sorts by fee (ties to the lower id) and packs greedily under the capacity, stopping at the
     per-block budget.
     """
     txs = [
-        Transaction(pool._first_id + i, 0.0, 0, float(size), float(fee))
+        Transaction(i, 0.0, 0, float(size), float(fee))
         for i, (size, fee) in enumerate(zip(pool._sizes, pool._fees))
     ]
     picked = []
@@ -148,55 +146,52 @@ class TestSelectForBlock:
         # T_n * B_interval = 4 arrivals per block: the light pool packs 4
         # transactions although 1,000 would fit.
         config = light_config(t_n=4 / 600.0)
-        pool = make_pool(World(1, hash_powers=(1.0,)), RandomSource(5), config)
+        pool = make_pool(RandomSource(5), config)
         assert pool.block_budget == 4
-        assert pool.take_block(0.0).tx_count == 4
+        assert pool.take_block().tx_count == 4
 
 
 class TestSharedPool:
     def _pool(self, tx_rate, capacity=1.0, size=0.001, interval=600.0):
-        world = World(1, hash_powers=(1.0,))
         config = light_config(
             t_n=tx_rate,
             b_size=capacity,
             t_size=f"const:{size}",
             b_interval=interval,
         )
-        return make_pool(world, RandomSource(5), config), world
+        return make_pool(RandomSource(5), config)
 
     def test_refill_covers_two_blocks_when_saturated(self):
         # capacity 1000 tx/block, high demand: N is two full blocks.
-        pool, _ = self._pool(tx_rate=100.0, capacity=1.0, size=0.001)
-        assert pool.capacity_estimate == 1000
+        pool = self._pool(tx_rate=100.0, capacity=1.0, size=0.001)
         assert pool.refill_size == 2000
 
     def test_refill_is_arrival_limited(self):
         # T_n * B_interval = 50 < capacity: N = 100.
-        pool, _ = self._pool(tx_rate=50 / 600.0, capacity=1.0, size=0.001)
+        pool = self._pool(tx_rate=50 / 600.0, capacity=1.0, size=0.001)
         assert pool.refill_size == 100
         assert pool.block_budget == 50
 
     def test_no_transactions_empty_pool(self):
-        pool, _ = self._pool(tx_rate=0.0)
-        body = pool.take_block(0.0)
+        pool = self._pool(tx_rate=0.0)
+        body = pool.take_block()
         assert body.tx_count == 0 and body.fee_total == 0.0
 
-    def test_fresh_ids_every_refill(self):
-        pool, world = self._pool(tx_rate=100.0)
-        first = pool.take_block(1.0)
-        id_base_after_first = world._next_tx_id
-        second = pool.take_block(2.0)
-        assert world._next_tx_id > id_base_after_first
+    def test_fresh_pool_every_refill(self):
+        # Packing does not drain the pool: every block finds it full again.
+        pool = self._pool(tx_rate=100.0)
+        first = pool.take_block()
+        second = pool.take_block()
         assert first.tx_count == second.tx_count == 1000
+        assert len(pool) == 2000
 
     def test_vectorized_packing_matches_object_oracle(self):
         # Dual route: the array-based light pool must agree with an
         # object-based packing of the same materialized pool.
-        world = World(1, hash_powers=(1.0,))
         config = light_config(
             t_n=2.0, b_size=0.05, t_size="exp:0.002", t_fee="exp:3.0", b_interval=30.0
         )
-        pool = make_pool(world, RandomSource(17), config)
+        pool = make_pool(RandomSource(17), config)
         expected = reference_pack(pool)
         body = pool._pack()
         assert body.tx_count == len(expected)
@@ -231,10 +226,10 @@ class TestSharedPool:
     )
     def test_packing_matches_object_oracle_on_random_pools(self, size, price, arrivals, fits, seed):
         config = light_config(t_n=arrivals / 60.0, b_interval=60.0, b_size=fits * size.mean())
-        pool = SharedPool(World(1, hash_powers=(1.0,)), RandomSource(seed), config, size, price)
+        pool = SharedPool(RandomSource(seed), config, size, price)
         for _ in range(2):  # the first pool, then its refill
             expected = reference_pack(pool)
-            body = pool.take_block(0.0)
+            body = pool.take_block()
             assert body.tx_count == len(expected)
             # Exact, as both add left to right (Python 3.12's sum() compensates).
             assert body.fee_total == reduce(add, (t.fee for t in expected), 0.0)
@@ -526,10 +521,10 @@ class TestPackingOracle:
 class TestTxLatency:
     def test_simple_difference(self):
         # One main-chain block at t=160 holding a transaction created at t=100.
-        world = World(1, hash_powers=(1.0,))
+        world = World(1)
         block = Block(id=world.new_block_id(), depth=1, previous_id=0, timestamp=160.0,
                       miner_id=0, transactions=(tx(1, 0.5, 0.001, ts=100.0),), tx_count=1)
-        world.registry.add(block)
+        world.registry[block.id] = block
         world.blocks_created = 1
         report = summarize_run(world, [0, block.id], RewardLedger(), miner_ids=[0],
                                elapsed=200.0, run_index=0, seed=0, wall_clock=0.0,
