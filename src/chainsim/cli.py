@@ -165,8 +165,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
 
     def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
-        with worker_pool(min(args.parallel, config.runs)):
-            reports = run_many(config, parallel=args.parallel)
+        reports = run_many(config, parallel=args.parallel)
         aggregates = aggregate(reports)
         write_run_csv(tracker.register(out_dir / RUN_CSV_NAME), reports)
         write_aggregate_csv(tracker.register(out_dir / AGGREGATE_CSV_NAME), aggregates)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RandomSource, sample_exponential
+from .engine import sample_exponential
 
 FRACTION_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
@@ -46,6 +46,14 @@ DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 PRESET_MINERS = (0.30, 0.25, 0.20, 0.15, 0.10)
 
 
+# Allowed values of each enumerated field, for the file parser and validate().
+CHOICES: dict[str, tuple[str, ...]] = {
+    "t_technique": ("full", "light"),
+    "selector": ("pow", "stake", "roundrobin"),
+    "delay_mode": ("constant", "exponential"),
+}
+
+
 class ConfigError(Exception):
     """Invalid configuration input; message carries the offending line."""
 
@@ -55,7 +63,7 @@ class SimConfig:
     preset: str = "custom"
     # blocks
     b_interval: float = 600.0  # mean seconds between blocks network-wide
-    b_size: float = 1.0  # MB, or block gas limit under the gas capacity model
+    b_size: float = 1.0  # MB, or a block gas limit: the unit of t_size
     b_delay: float = 0.5  # block propagation seconds
     b_reward: float = 2.0
     # transactions
@@ -64,7 +72,7 @@ class SimConfig:
     t_n: float = 10.0  # created per second
     t_delay: float = 1.0  # transaction propagation seconds (full mode)
     t_fee: str = "const:0.2"  # unit-price sampler (per MB, or per gas)
-    t_size: str = "const:0.000546"  # MB, or gas units under the gas model
+    t_size: str = "const:0.000546"  # MB, or gas units
     # nodes
     n_n: int = 5
     miners: tuple[float, ...] = DEFAULT_MINERS  # hash-power fractions, node ids 0..k-1
@@ -72,7 +80,6 @@ class SimConfig:
     # consensus
     selector: str = "pow"  # "pow" | "stake" | "roundrobin"
     delay_mode: str = "constant"  # "constant" | "exponential"
-    capacity_model: str = "size"  # "size" | "gas"
     uncles_enabled: bool = False
     u_max: int = 2
     g_uncle: int = 7
@@ -101,7 +108,6 @@ PRESETS: dict[str, dict] = {
         t_size="const:0.000546",
         n_n=5,
         miners=PRESET_MINERS,
-        capacity_model="size",
         uncles_enabled=False,
         block_target=10_000,
         runs=10,
@@ -119,7 +125,6 @@ PRESETS: dict[str, dict] = {
         t_size="exp:80000",  # used gas per transaction
         n_n=5,
         miners=PRESET_MINERS,
-        capacity_model="gas",
         uncles_enabled=True,
         u_max=2,
         g_uncle=7,
@@ -136,10 +141,10 @@ class ConstantSampler:
     def __init__(self, value: float) -> None:
         self.value = float(value)
 
-    def draw(self, rng: RandomSource) -> float:
+    def draw(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
+    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
     def mean(self) -> float:
@@ -154,11 +159,11 @@ class ExponentialSampler:
             raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
         self._mean = float(mean)
 
-    def draw(self, rng: RandomSource) -> float:
+    def draw(self, rng: np.random.Generator) -> float:
         return sample_exponential(rng, self._mean)
 
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
-        return rng.rng.exponential(self._mean, n)
+    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.exponential(self._mean, n)
 
     def mean(self) -> float:
         return self._mean
@@ -182,11 +187,11 @@ class HistogramSampler:
         self.values = np.asarray(values, dtype=float)
         self.probabilities = np.asarray(probabilities, dtype=float)
 
-    def draw(self, rng: RandomSource) -> float:
-        return float(rng.rng.choice(self.values, p=self.probabilities))
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.choice(self.values, p=self.probabilities))
 
-    def draw_many(self, rng: RandomSource, n: int) -> np.ndarray:
-        return rng.rng.choice(self.values, size=n, p=self.probabilities)
+    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.choice(self.values, size=n, p=self.probabilities)
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probabilities))
@@ -277,11 +282,11 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _parse_choice(*choices: str):
+def _parse_choice(name: str):
     def parse(raw: str) -> str:
         value = raw.strip().lower()
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}; got {raw!r}")
+        if value not in CHOICES[name]:
+            raise ValueError(f"expected one of {', '.join(CHOICES[name])}; got {raw!r}")
         return value
 
     return parse
@@ -295,7 +300,7 @@ _KEY_TABLE: dict[str, tuple[str, object]] = {
     "b_delay": ("b_delay", float),
     "b_reward": ("b_reward", float),
     "hastrans": ("has_trans", _parse_bool),
-    "t_technique": ("t_technique", _parse_choice("full", "light")),
+    "t_technique": ("t_technique", _parse_choice("t_technique")),
     "t_n": ("t_n", float),
     "t_delay": ("t_delay", float),
     "t_fee": ("t_fee", str.strip),
@@ -303,9 +308,8 @@ _KEY_TABLE: dict[str, tuple[str, object]] = {
     "n_n": ("n_n", int),
     "miners": ("miners", _parse_float_list),
     "stakes": ("stakes", _parse_float_list),
-    "selector": ("selector", _parse_choice("pow", "stake", "roundrobin")),
-    "delay_mode": ("delay_mode", _parse_choice("constant", "exponential")),
-    "capacity_model": ("capacity_model", _parse_choice("size", "gas")),
+    "selector": ("selector", _parse_choice("selector")),
+    "delay_mode": ("delay_mode", _parse_choice("delay_mode")),
     "uncles_enabled": ("uncles_enabled", _parse_bool),
     "u_max": ("u_max", int),
     "g_uncle": ("g_uncle", int),
@@ -345,6 +349,9 @@ def validate(config: SimConfig) -> SimConfig:
     for name, value in numbers.items():
         if value is not None and not math.isfinite(value):
             fail(f"{name} must be a finite number, got {value}")
+    for name, allowed in CHOICES.items():
+        if getattr(config, name) not in allowed:
+            fail(f"{name} must be one of {', '.join(allowed)}; got {getattr(config, name)!r}")
     if not all(math.isfinite(w) for w in config.miners + (config.stakes or ())):
         fail("miner hash fractions and stakes must be finite numbers")
     if config.b_interval <= 0:

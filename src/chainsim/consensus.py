@@ -26,8 +26,10 @@ from enum import Enum
 from functools import reduce
 from operator import add
 
+import numpy as np
+
 from .config import SimConfig
-from .engine import EventKind, EventQueue, RandomSource, sample_exponential
+from .engine import EventKind, EventQueue, sample_exponential
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
@@ -45,7 +47,7 @@ class ConsensusEngine:
         self,
         world: World,
         queue: EventQueue,
-        rng: RandomSource,
+        rng: np.random.Generator,
         config: SimConfig,
         network: Network,
         workload: TxWorkload,
@@ -110,8 +112,9 @@ class ConsensusEngine:
 
         parent = miner.tip
         body = self.workload.take_block(miner, now)
+        registry = self.world.registry
         block = Block(
-            id=self.world.new_block_id(),
+            id=len(registry),
             depth=parent.depth + 1,
             previous_id=parent.id,
             timestamp=now,
@@ -122,10 +125,7 @@ class ConsensusEngine:
             tx_fee_total=body.fee_total,
             uncles=self._reference_uncles(miner, parent.depth + 1),
         )
-        self.world.registry[block.id] = block
-        self.world.blocks_created += 1
-
-        miner.chain_pos[block.id] = len(miner.chain)
+        registry.append(block)
         miner.chain.append(block.id)
         miner.tip = block
         self._absorb(miner, block)
@@ -154,7 +154,7 @@ class ConsensusEngine:
                 continue
             if depth >= next_depth:
                 continue
-            if uncle_id in node.chain_pos or uncle_id in self.world.included_uncles:
+            if node.chain[depth] == uncle_id or uncle_id in self.world.included_uncles:
                 continue
             found.append((depth, uncle_id))
         found.sort()
@@ -179,13 +179,12 @@ class ConsensusEngine:
 
     def on_block_receive(self, node_id: int, now: float, block: Block) -> ChainAction:
         node = self.world.nodes[node_id]
-        if block.id in node.chain_pos:
+        tip = node.tip
+        if block.depth <= tip.depth and node.chain[block.depth] == block.id:
             # Already adopted earlier via a deeper descendant.
             return ChainAction.DISCARDED_SHORTER
 
-        tip = node.tip
         if block.previous_id == tip.id:
-            node.chain_pos[block.id] = len(node.chain)
             node.chain.append(block.id)
             node.tip = block
             self._absorb(node, block)
@@ -217,18 +216,15 @@ class ConsensusEngine:
         this node), then splice past the fork point.
         """
         registry = self.world.registry
+        chain = node.chain
         suffix = [block]
         parent = registry[block.previous_id]
-        while parent.id not in node.chain_pos:
+        while parent.depth >= len(chain) or chain[parent.depth] != parent.id:
             suffix.append(parent)
             parent = registry[parent.previous_id]
-        fork_index = node.chain_pos[parent.id]
-        for abandoned_id in node.chain[fork_index + 1 :]:
-            del node.chain_pos[abandoned_id]
-        del node.chain[fork_index + 1 :]
+        del chain[parent.depth + 1 :]
         for adopted in reversed(suffix):
-            node.chain_pos[adopted.id] = len(node.chain)
-            node.chain.append(adopted.id)
+            chain.append(adopted.id)
             self._absorb(node, adopted)
         node.tip = block
 

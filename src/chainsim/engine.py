@@ -1,4 +1,4 @@
-"""Simulation core: time-ordered event queue, clock, and seeded randomness.
+"""Simulation core: time-ordered event queue, clock, and exponential draws.
 
 A heap entry is a plain tuple ``(time, seq, kind, target, payload)``.  The
 queue numbers entries in insertion order, so entries due at the same time
@@ -11,8 +11,9 @@ dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
   in node order; it holds the place the first per-recipient entry would.
 - TX_CREATE: target is the submitter id, payload the transaction.
 
-A single run is strictly sequential; every piece of mutable state is owned
-by exactly one run, so multiple runs can execute in parallel processes.
+A single run is strictly sequential and owns all its mutable state, its
+seeded ``np.random.Generator`` included: the same seed and configuration
+replay it bit for bit, and runs can execute in parallel processes.
 """
 
 from __future__ import annotations
@@ -69,22 +70,7 @@ class EventQueue:
         return entry
 
 
-class RandomSource:
-    """Seeded random generator owned by a single run.
-
-    The same seed and configuration reproduce the event trace bit for bit.
-    ``random()`` is one uniform draw in [0, 1) and ``random(k)`` an array of
-    ``k`` of them, the same values as ``k`` single draws.
-    """
-
-    __slots__ = ("rng", "random")
-
-    def __init__(self, seed: int) -> None:
-        self.rng = np.random.default_rng(int(seed))
-        self.random = self.rng.random
-
-
-def sample_exponential(source: RandomSource, mean: float) -> float:
+def sample_exponential(rng: np.random.Generator, mean: float) -> float:
     """Draw -mean*ln(u) with u uniform in (0, 1]; always strictly positive.
 
     The u=1 boundary (which would map to exactly 0) is rejected so that
@@ -93,14 +79,14 @@ def sample_exponential(source: RandomSource, mean: float) -> float:
     if mean <= 0:
         raise ValueError(f"exponential mean must be positive, got {mean!r}")
     while True:
-        u = 1.0 - source.random()  # in (0, 1]
+        u = 1.0 - rng.random()  # in (0, 1]
         x = -mean * math.log(u)
         if x > 0.0:
             return x
 
 
-def sample_exponentials(source: RandomSource, mean: float, k: int) -> list[float]:
-    """``k`` draws of ``sample_exponential(source, mean)`` from one batch of
+def sample_exponentials(rng: np.random.Generator, mean: float, k: int) -> list[float]:
+    """``k`` draws of ``sample_exponential(rng, mean)`` from one batch of
     uniforms.  A rejected uniform is replaced by a further draw, so the
     values and the random stream match ``k`` single calls."""
     if mean <= 0:
@@ -108,7 +94,7 @@ def sample_exponentials(source: RandomSource, mean: float, k: int) -> list[float
     log = math.log
     values: list[float] = []
     while len(values) < k:
-        batch = [-mean * log(1.0 - u) for u in source.random(k - len(values)).tolist()]
+        batch = [-mean * log(1.0 - u) for u in rng.random(k - len(values)).tolist()]
         values.extend(x for x in batch if x > 0.0)
     return values
 
@@ -126,8 +112,9 @@ def run_loop(
     Stops when the queue is exhausted, when the earliest pending event lies
     beyond ``sim_time`` (that event is never dispatched), or -- right after
     the dispatch that reached it -- when ``block_target`` blocks have been
-    created.  Returns the elapsed simulated seconds used for rate metrics:
-    the full horizon in time-limited mode, otherwise the final clock value.
+    created, besides genesis.  Returns the elapsed simulated seconds used
+    for rate metrics: the full horizon in time-limited mode, otherwise the
+    final clock value.
     """
     table = [handlers[kind] for kind in EventKind]
     heap = queue._heap
@@ -137,6 +124,6 @@ def run_loop(
     while heap and heap[0][0] <= horizon:
         time, _, kind, target, payload = next_event()
         table[kind](target, time, payload)
-        if world.blocks_created >= target_blocks:
+        if len(world.registry) > target_blocks:
             break
     return sim_time if sim_time is not None else queue.clock

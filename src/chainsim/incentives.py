@@ -54,7 +54,7 @@ def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> fl
 
 
 def distribute(
-    main_chain_ids: list[int], registry: dict[int, Block], config: SimConfig
+    main_chain_ids: list[int], registry: list[Block], config: SimConfig
 ) -> RewardLedger:
     """Pay every miner for its main-chain blocks, fees, and referenced uncles.
 

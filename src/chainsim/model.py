@@ -13,7 +13,7 @@ class Transaction:
     id: int
     timestamp: float
     submitter_id: int
-    weight: float  # MB, or gas units under the gas capacity model
+    weight: float  # MB, or gas units
     fee: float
 
 
@@ -27,7 +27,7 @@ class Block:
     previous_id: int | None  # None marks genesis
     timestamp: float
     miner_id: int
-    weight: float = 0.0  # total transaction MB, or gas under the gas capacity model
+    weight: float = 0.0  # total transaction MB, or gas
     transactions: tuple[Transaction, ...] = ()
     tx_count: int = 0
     tx_fee_total: float = 0.0
@@ -49,14 +49,13 @@ def make_genesis() -> Block:
 class NodeState:
     """Per-node local chain view, adopted transactions, and uncle candidates.
 
-    The local chain is stored as an id list plus an id->index map so that a
-    reorganization only touches the blocks past the fork point.  ``tip``
-    caches the Block object for chain[-1].
+    The local chain is a list of block ids indexed by depth: ``chain[d]`` is
+    the block at depth ``d``, genesis at 0, so a reorganization only touches
+    the blocks past the fork point.  ``tip`` caches the Block for chain[-1].
     """
 
     id: int
     chain: list[int] = field(default_factory=list)
-    chain_pos: dict[int, int] = field(default_factory=dict)
     tip: Block | None = None
     # Adopted transactions and uncle candidates; kept for nodes that create blocks.
     chain_tx_ids: set[int] = field(default_factory=set)  # transactions ever adopted into the chain
@@ -64,46 +63,30 @@ class NodeState:
 
     def install_genesis(self, genesis: Block) -> None:
         self.chain = [genesis.id]
-        self.chain_pos = {genesis.id: 0}
         self.tip = genesis
 
 
 class World:
     """All mutable state of one simulation run.
 
-    ``registry`` holds every block created in the run, by id: a node that
-    receives a block from a branch it has never seen rebuilds the path from
-    it at once instead of modelling any fetch round-trips.
+    ``registry`` holds every block created in the run, indexed by id: ids
+    are dense from genesis's 0, so a new block's id is ``len(registry)``.  A
+    node that receives a block from a branch it has never seen rebuilds the
+    path from it at once instead of modelling any fetch round-trips.
     ``included_uncles`` holds every uncle any block has referenced; it is
     filled as the referencing block is created, before any node receives it.
     """
 
-    __slots__ = (
-        "nodes",
-        "registry",
-        "genesis",
-        "included_uncles",
-        "blocks_created",
-        "_next_block_id",
-        "_next_tx_id",
-    )
+    __slots__ = ("nodes", "registry", "genesis", "included_uncles")
 
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ValueError("a run needs at least one node")
         self.genesis = make_genesis()
-        self.registry: dict[int, Block] = {self.genesis.id: self.genesis}
+        self.registry: list[Block] = [self.genesis]
         self.nodes: list[NodeState] = []
         for i in range(n_nodes):
             node = NodeState(id=i)
             node.install_genesis(self.genesis)
             self.nodes.append(node)
         self.included_uncles: set[int] = set()
-        self.blocks_created = 0
-        self._next_block_id = GENESIS_ID + 1
-        self._next_tx_id = 1  # full mode only; light-mode transactions carry no id
-
-    def new_block_id(self) -> int:
-        bid = self._next_block_id
-        self._next_block_id += 1
-        return bid

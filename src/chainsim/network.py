@@ -14,13 +14,15 @@ not depend on the cut.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import SimConfig
-from .engine import EventKind, EventQueue, RandomSource, sample_exponentials
+from .engine import EventKind, EventQueue, sample_exponentials
 from .model import Block
 
 
 class Network:
-    def __init__(self, queue: EventQueue, rng: RandomSource, config: SimConfig) -> None:
+    def __init__(self, queue: EventQueue, rng: np.random.Generator, config: SimConfig) -> None:
         self.queue = queue
         self.rng = rng
         self.n_nodes = config.n_n

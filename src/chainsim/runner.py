@@ -14,9 +14,11 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+import numpy as np
+
 from .config import SimConfig, validate
 from .consensus import ConsensusEngine, main_chain
-from .engine import EventKind, EventQueue, RandomSource, run_loop
+from .engine import EventKind, EventQueue, run_loop
 from .incentives import distribute
 from .model import World
 from .network import Network
@@ -31,7 +33,7 @@ class Simulation:
         self.config = validate(config)
         self.run_index = run_index
         self.seed = config.seed + run_index
-        self.rng = RandomSource(self.seed)
+        self.rng = np.random.default_rng(int(self.seed))
 
         self.world = World(config.n_n)
         self.queue = EventQueue()

@@ -16,7 +16,7 @@ class InvariantViolation(RuntimeError):
     """The finished run's main chain is structurally inconsistent."""
 
 
-def check_main_chain(registry: dict[int, Block], chain_ids: list[int]) -> None:
+def check_main_chain(registry: list[Block], chain_ids: list[int]) -> None:
     """Validate depth, linkage, and timestamp monotonicity of the main chain."""
     if not chain_ids:
         raise InvariantViolation("main chain is empty")
@@ -76,7 +76,7 @@ def summarize_run(
     check_main_chain(world.registry, chain_ids)
     registry = world.registry
     included = len(chain_ids) - 1
-    created = world.blocks_created
+    created = len(registry) - 1  # genesis is not created
     stale_rate = (created - included) / created if created else 0.0
 
     tx_total = 0

@@ -17,13 +17,14 @@ which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConstantSampler, SimConfig, parse_sampler
-from .engine import EventKind, EventQueue, RandomSource, sample_exponentials
+from .engine import EventKind, EventQueue, sample_exponentials
 from .model import NodeState, Transaction, World
 
 
@@ -34,7 +35,7 @@ class BlockBody:
     transactions: tuple[Transaction, ...]
     tx_count: int
     fee_total: float
-    weight_total: float  # MB or gas, matching the capacity model
+    weight_total: float  # MB or gas, the unit of B_size
 
 
 EMPTY_BODY = BlockBody((), 0, 0.0, 0.0)
@@ -53,9 +54,11 @@ class SharedPool:
     transactions than the configured demand generates.
     """
 
-    def __init__(self, rng: RandomSource, config: SimConfig, size_sampler, price_sampler) -> None:
+    def __init__(
+        self, rng: np.random.Generator, config: SimConfig, size_sampler, price_sampler
+    ) -> None:
         self.rng = rng
-        self.size_sampler = size_sampler  # MB in size model, gas units in gas model
+        self.size_sampler = size_sampler  # MB or gas units
         self.price_sampler = price_sampler  # currency per MB, or per gas unit
         self.capacity = config.b_size
         capacity_estimate = max(1, int(config.b_size / size_sampler.mean()))
@@ -124,7 +127,7 @@ class TxWorkload:
         self,
         world: World,
         queue: EventQueue,
-        rng: RandomSource,
+        rng: np.random.Generator,
         config: SimConfig,
     ) -> None:
         self.world = world
@@ -149,6 +152,7 @@ class TxWorkload:
         self._minima: list[float] = []
         self._miner_ids: list[int] = []
         self._slots: list[int] = []  # node id -> index into arrivals, -1 for non-miners
+        self._tx_ids = itertools.count(1)  # full mode only
 
     def start(self, miner_ids: list[int]) -> None:
         """Schedule the first transaction arrival (full mode); arrival times
@@ -160,7 +164,7 @@ class TxWorkload:
         if self.full_mode and self.tx_rate > 0:
             # Bound once: every transaction uses them.
             self._random = self.rng.random
-            self._integers = self.rng.rng.integers
+            self._integers = self.rng.integers
             self._n_nodes = len(self.world.nodes)
             self._gap_scale = -(1.0 / self.tx_rate)
             self._schedule_arrival(0.0)
@@ -183,10 +187,7 @@ class TxWorkload:
         self._integers(n_nodes)  # recipient
         weight = self.size_sampler.draw(self.rng)
         fee = weight * self.price_sampler.draw(self.rng)
-        world = self.world
-        tx_id = world._next_tx_id
-        world._next_tx_id = tx_id + 1
-        tx = Transaction(tx_id, at, submitter, weight, fee)
+        tx = Transaction(next(self._tx_ids), at, submitter, weight, fee)
         self.queue.schedule(at, EventKind.TX_CREATE, submitter, tx)
 
     def _arrivals(self, tx: Transaction) -> tuple[float, ...]:

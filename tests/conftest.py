@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chainsim.config import SimConfig
-from chainsim.engine import RandomSource
 
 SKEWED_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 
@@ -46,12 +45,12 @@ def strip_wall_clock(rows):
 
 
 @pytest.fixture
-def rng() -> RandomSource:
-    return RandomSource(12345)
+def rng() -> np.random.Generator:
+    return np.random.default_rng(12345)
 
 
 class FixedUniform:
-    """RandomSource stand-in returning a scripted uniform sequence."""
+    """``np.random.Generator`` stand-in returning a scripted uniform sequence."""
 
     def __init__(self, values):
         self.values = list(values)

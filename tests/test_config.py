@@ -1,8 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+from chainsim import cli
 from chainsim.config import (
+    _KEY_TABLE,
+    CHOICES,
     MAX_BLOCKS_PER_RUN,
     MAX_FULL_MODE_TRANSACTIONS,
     ConfigError,
@@ -14,8 +19,13 @@ from chainsim.config import (
     parse_config,
     parse_config_text,
     parse_sampler,
+    validate,
 )
 from chainsim.runner import run_single
+
+from conftest import make_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text, name="sim.cfg"):
@@ -39,7 +49,6 @@ class TestParseConfig:
         assert config.b_interval == 12.42
         assert config.b_delay == 2.3
         assert config.b_size == 7_997_148.0
-        assert config.capacity_model == "gas"
         assert config.uncles_enabled and config.u_max == 2 and config.g_uncle == 7
 
     def test_file_overrides_preset_any_order(self, tmp_path):
@@ -66,6 +75,26 @@ class TestParseConfig:
         path = write_config(tmp_path, "B_interval = fast\nsim_time = 5\n")
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "field, bad", [("t_technique", "heavy"), ("selector", "round-robin"), ("delay_mode", "exp")]
+    )
+    def test_unknown_choice_rejected(self, tmp_path, capsys, field, bad):
+        # Layers test for the exact lowercase names, so validate() refuses any
+        # other spelling too: t_technique = "Full" would otherwise run light mode.
+        for value in (bad, CHOICES[field][0].capitalize()):
+            with pytest.raises(ConfigError, match=field):
+                validate(make_config(**{field: value}))
+        path = write_config(tmp_path, f"block_target = 50\n{field} = {bad}\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"line 2: bad value for '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_lists_every_key(self):
+        # The README configuration table holds exactly the keys the parser accepts.
+        text = README.read_text().split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE)
+        assert sorted(key.lower() for key in listed) == sorted(_KEY_TABLE)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "seed = 1\nseed = 2\nsim_time = 5\n")

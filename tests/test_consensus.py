@@ -5,7 +5,7 @@ import pytest
 
 from chainsim import consensus
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
-from chainsim.engine import EventKind, EventQueue, RandomSource, run_loop
+from chainsim.engine import EventKind, EventQueue, run_loop
 from chainsim.model import Block, Transaction, World
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
@@ -41,7 +41,7 @@ def make_engine(
     )
     world = World(n_nodes)
     queue = EventQueue()
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     network = Network(queue, rng, config)
     workload = TxWorkload(world, queue, rng, config)
     return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
@@ -57,6 +57,13 @@ def ancestry(registry, head):
     return path[::-1]
 
 
+def register(world, **fields):
+    """Add a block with the next free id to the registry and return it."""
+    block = Block(id=len(world.registry), **fields)
+    world.registry.append(block)
+    return block
+
+
 def append_block(engine, world, miner_id, *, uncles=(), ts=None):
     """Force-create a block on the miner's current tip (helper for receive tests).
 
@@ -64,17 +71,15 @@ def append_block(engine, world, miner_id, *, uncles=(), ts=None):
     """
     miner = world.nodes[miner_id]
     parent = miner.tip
-    block = Block(
-        id=world.new_block_id(),
+    block = register(
+        world,
         depth=parent.depth + 1,
         previous_id=parent.id,
         timestamp=parent.timestamp + 1.0 if ts is None else ts,
         miner_id=miner_id,
         uncles=tuple(uncles),
     )
-    world.registry[block.id] = block
     world.included_uncles.update(uncles)
-    miner.chain_pos[block.id] = len(miner.chain)
     miner.chain.append(block.id)
     miner.tip = block
     return block
@@ -175,7 +180,7 @@ class TestOnBlockCreate:
         assert block is not None
         assert block.tx_count == 0
         assert block.depth == 1
-        assert world.blocks_created == 1
+        assert world.registry == [world.genesis, block]
 
     def test_fee_sorted_greedy_packing(self):
         # The next arrival is ~1e6 s away, so only these three are pending.
@@ -202,9 +207,10 @@ class TestOnBlockCreate:
         append_block(engine, world, 0)  # tip advances depth 4 -> 5 analog
         assert armed_on.id != miner0.tip.id
         before = len(queue)
+        registered = len(world.registry)
         result = engine.on_block_create(0, at, armed_on)
         assert result is None
-        assert world.blocks_created == 0
+        assert len(world.registry) == registered
         # no fresh event scheduled here: the adoption path already rearmed
         assert len(queue) == before
 
@@ -243,7 +249,7 @@ class TestOnBlockReceive:
         # Oracle: the full walk back through the registry.
         assert node2.chain == ancestry(world.registry, b_head)
         assert not (set(node2.chain) & {a1.id, a2.id, a3.id})
-        assert node2.chain_pos == {bid: i for i, bid in enumerate(node2.chain)}
+        assert [world.registry[bid].depth for bid in node2.chain] == list(range(6))
 
     def test_shorter_discarded_bitcoin(self):
         engine, world, _ = make_engine(2, (1.0, 0.0))
@@ -253,14 +259,7 @@ class TestOnBlockReceive:
             deep = append_block(engine, world, 0)
         node1 = world.nodes[1]
         engine.on_block_receive(1, 50.0, deep)
-        shorter = Block(
-            id=world.new_block_id(),
-            depth=1,
-            previous_id=fork_parent.id,
-            timestamp=1.0,
-            miner_id=0,
-        )
-        world.registry[shorter.id] = shorter
+        shorter = register(world, depth=1, previous_id=fork_parent.id, timestamp=1.0, miner_id=0)
         action = engine.on_block_receive(1, 51.0, shorter)
         assert action is ChainAction.DISCARDED_SHORTER
         assert node1.tip is deep
@@ -272,11 +271,9 @@ class TestOnBlockReceive:
         for _ in range(3):
             deep = append_block(engine, world, 0)
         engine.on_block_receive(1, 30.0, deep)
-        sibling = Block(
-            id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
-            timestamp=3.5, miner_id=0,
+        sibling = register(
+            world, depth=3, previous_id=deep.previous_id, timestamp=3.5, miner_id=0
         )
-        world.registry[sibling.id] = sibling
         action = engine.on_block_receive(1, 31.0, sibling)
         assert action is ChainAction.STORED_AS_UNCLE
         assert sibling.id in world.nodes[1].uncle_chain
@@ -290,11 +287,10 @@ class TestOnBlockReceive:
             deep = append_block(engine, world, 0)
         node2 = world.nodes[2]
         engine.on_block_receive(2, 30.0, deep)
-        sibling = Block(
-            id=world.new_block_id(), depth=3, previous_id=deep.previous_id,
+        sibling = register(
+            world, depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=1, uncles=(deep.previous_id,),
         )
-        world.registry[sibling.id] = sibling
         action = engine.on_block_receive(2, 31.0, sibling)
         assert action is ChainAction.DISCARDED_SHORTER
         assert not node2.uncle_chain
@@ -350,64 +346,62 @@ class TestEligibleUncles:
         miner = world.nodes[0]
         while miner.tip.depth < next_depth - 1:
             append_block(engine, world, 0)
-        for i, depth in enumerate(uncle_depths):
-            uncle = Block(
-                id=1000 + i, depth=depth, previous_id=None, timestamp=float(depth),
-                miner_id=1,
+        uncle_ids = []
+        for depth in uncle_depths:
+            uncle = register(
+                world, depth=depth, previous_id=None, timestamp=float(depth), miner_id=1
             )
-            world.registry[uncle.id] = uncle
             miner.uncle_chain[uncle.id] = None
-        return engine, world, miner
+            uncle_ids.append(uncle.id)
+        return engine, world, miner, uncle_ids
 
     def test_depth_window_inclusive_boundary(self):
         # Uncle at depth 10, window 7: block depth 17 may reference it.
-        engine, world, miner = self._engine_with_uncles([10], next_depth=17)
-        assert engine.eligible_uncles(miner, 17) == [1000]
+        engine, world, miner, uncle_ids = self._engine_with_uncles([10], next_depth=17)
+        assert engine.eligible_uncles(miner, 17) == uncle_ids
 
     def test_depth_window_exceeded(self):
-        engine, world, miner = self._engine_with_uncles([10], next_depth=18)
+        engine, world, miner, (uncle_id,) = self._engine_with_uncles([10], next_depth=18)
         assert engine.eligible_uncles(miner, 18) == []
-        assert 1000 not in miner.uncle_chain  # pruned once unreachable
+        assert uncle_id not in miner.uncle_chain  # pruned once unreachable
 
     def test_max_two_oldest_first(self):
-        engine, world, miner = self._engine_with_uncles([5, 3, 4], next_depth=8)
+        engine, world, miner, _ = self._engine_with_uncles([5, 3, 4], next_depth=8)
         chosen = engine.eligible_uncles(miner, 8)
         assert len(chosen) == 2
         depths = [world.registry[u].depth for u in chosen]
         assert depths == [3, 4]
 
     def test_globally_included_uncle_not_reused(self):
-        engine, world, miner = self._engine_with_uncles([5], next_depth=8)
-        world.included_uncles.add(1000)
+        engine, world, miner, (uncle_id,) = self._engine_with_uncles([5], next_depth=8)
+        world.included_uncles.add(uncle_id)
         assert engine.eligible_uncles(miner, 8) == []
 
     def test_uncles_attached_and_removed_on_create(self):
         engine, world, queue = make_engine(2, (1.0, 0.0), uncles=True)
         miner = world.nodes[0]
         append_block(engine, world, 0)
-        uncle = Block(id=500, depth=1, previous_id=world.genesis.id, timestamp=0.5, miner_id=1)
-        world.registry[uncle.id] = uncle
+        uncle = register(world, depth=1, previous_id=world.genesis.id, timestamp=0.5, miner_id=1)
         miner.uncle_chain[uncle.id] = None
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert block.uncles == (500,)
-        assert 500 in world.included_uncles
-        assert 500 not in miner.uncle_chain
+        assert block.uncles == (uncle.id,)
+        assert uncle.id in world.included_uncles
+        assert uncle.id not in miner.uncle_chain
 
     def test_receiving_block_removes_included_uncles(self):
         engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
-        uncle = Block(id=600, depth=1, previous_id=world.genesis.id, timestamp=0.4, miner_id=0)
-        world.registry[uncle.id] = uncle
+        uncle = register(world, depth=1, previous_id=world.genesis.id, timestamp=0.4, miner_id=0)
         node1.uncle_chain[uncle.id] = None
-        block = append_block(engine, world, 0, uncles=(600,))
+        block = append_block(engine, world, 0, uncles=(uncle.id,))
         engine.on_block_receive(1, 3.0, block)
-        assert 600 not in node1.uncle_chain
-        assert 600 in world.included_uncles
+        assert uncle.id not in node1.uncle_chain
+        assert uncle.id in world.included_uncles
         # A referenced uncle delivered again is not a candidate any more.
         assert engine.on_block_receive(1, 4.0, uncle) is ChainAction.DISCARDED_SHORTER
-        assert 600 not in node1.uncle_chain
+        assert uncle.id not in node1.uncle_chain
 
 
 class TestMainChain:
@@ -435,7 +429,7 @@ class TestMainChain:
         sim.queue.schedule(10.0, EventKind.BLOCK_CREATE, 1, genesis)
         run_loop(sim.queue, sim.handlers, sim.world, sim_time=10.95)
         x, y = sim.world.registry[1], sim.world.registry[2]
-        assert (x.miner_id, y.miner_id, sim.world.blocks_created) == (2, 1, 2)
+        assert (x.miner_id, y.miner_id, len(sim.world.registry)) == (2, 1, 3)
         assert [node.tip for node in sim.world.nodes] == [x, y, x]
         assert main_chain(sim.world) == [genesis.id, x.id]
 

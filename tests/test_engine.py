@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from chainsim.engine import (
     EventKind,
     EventQueue,
-    RandomSource,
     SchedulingError,
     sample_exponential,
     sample_exponentials,
@@ -78,9 +79,9 @@ class TestEventQueue:
 class TestSampleExponential:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
-            sample_exponential(RandomSource(1), 0.0)
+            sample_exponential(np.random.default_rng(1), 0.0)
         with pytest.raises(ValueError):
-            sample_exponential(RandomSource(1), -3.0)
+            sample_exponential(np.random.default_rng(1), -3.0)
 
     def test_strictly_positive_even_at_u_one(self):
         # random() == 0.0 maps to u == 1.0, whose draw of exactly 0 is rejected.
@@ -99,19 +100,19 @@ class TestSampleExponential:
         assert sample_exponential(source, 10.0) == -10.0 * math.log(0.75)
 
     def test_sample_mean_within_lln_bound(self):
-        source = RandomSource(99)
+        source = np.random.default_rng(99)
         n = 100_000
         total = sum(sample_exponential(source, 10.0) for _ in range(n))
         assert abs(total / n - 10.0) < 0.3
 
     def test_positivity_fuzz(self):
-        source = RandomSource(5)
+        source = np.random.default_rng(5)
         assert all(sample_exponential(source, 0.001) > 0 for _ in range(10_000))
 
 
 class TestSampleExponentials:
     def test_batch_equals_single_draws_and_stream(self):
-        batch, single = RandomSource(31), RandomSource(31)
+        batch, single = np.random.default_rng(31), np.random.default_rng(31)
         values = sample_exponentials(batch, 2.5, 1_000)
         assert values == [sample_exponential(single, 2.5) for _ in range(1_000)]
         assert batch.random() == single.random()
@@ -133,7 +134,7 @@ class TestSampleExponentials:
 
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
-            sample_exponentials(RandomSource(1), 0.0, 3)
+            sample_exponentials(np.random.default_rng(1), 0.0, 3)
 
 
 class TestRunLoop:
@@ -208,3 +209,27 @@ class TestRunLoop:
         config = make_config(sim_time=600_000.0, b_interval=600.0, seed=3)
         report = run_single(config, 0)
         assert abs(report.blocks_created - 1000) <= 95
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        dict(has_trans=True, t_technique="full", t_n=0.05, b_delay=2.0),
+        dict(delay_mode="exponential", b_delay=5.0),
+        dict(uncles_enabled=True, b_interval=20.0, b_delay=4.0),
+    ],
+    ids=["bare", "full", "exponential-delay", "uncles"],
+)
+def test_finished_run_frees_itself_without_cyclic_gc(overrides):
+    # Reference counting alone must free a finished run: a cycle through the
+    # queued entries would keep every block alive until the cyclic GC ran.
+    sim = Simulation(make_config(block_target=100, **overrides), 0)
+    gc.disable()
+    try:
+        sim.run()
+        refs = [weakref.ref(obj) for obj in (sim, sim.consensus, sim.network, sim.workload)]
+        del sim
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()

@@ -45,7 +45,7 @@ class TestTxFee:
     def test_gas_model(self):
         # gas model: fee = used gas * gas price = 21,000 * 0.001
         ledger, txs = full_run(
-            capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
+            b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
         )
         assert all(t.weight == 21_000.0 for t in txs)
         assert all(t.fee == pytest.approx(21.0) for t in txs)
@@ -54,7 +54,7 @@ class TestTxFee:
     def test_zero_gas(self):
         # a zero gas price earns nothing however much gas is used
         ledger, txs = full_run(
-            capacity_model="gas", b_size=100_000.0, t_size="const:21000", t_fee="const:0"
+            b_size=100_000.0, t_size="const:21000", t_fee="const:0"
         )
         assert all(t.fee == 0.0 for t in txs)
         assert ledger_fees(ledger) == 0.0
@@ -158,7 +158,7 @@ class TestRunLevelInvariants:
         config = make_config(
             b_interval=12.42, b_delay=2.3, b_reward=3.0,
             has_trans=True, t_technique="light", t_n=20.0,
-            capacity_model="gas", b_size=7_997_148.0,
+            b_size=7_997_148.0,
             t_size="exp:80000", t_fee="const:1.5e-8",
             uncles_enabled=True, u_max=2, g_uncle=7,
             block_target=800, seed=6,

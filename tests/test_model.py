@@ -30,7 +30,8 @@ def adopt(blocks, head):
     """
     sim, observer = observer_sim()
     for b in blocks:
-        sim.world.registry[b.id] = b
+        assert b.id == len(sim.world.registry)  # ids index the registry
+        sim.world.registry.append(b)
     sim.consensus.on_block_receive(1, 50.0, head)
     return observer.chain
 
@@ -47,7 +48,7 @@ class TestTip:
         head = None
         for bid in (1, 2):
             head = blk(bid, bid, bid - 1)
-            sim.world.registry[head.id] = head
+            sim.world.registry.append(head)
         sim.consensus.on_block_receive(1, 5.0, head)
         assert observer.tip.id == observer.chain[-1] == 2
 
@@ -103,8 +104,8 @@ class TestRebuildChain:
         assert set(adopt(blocks, b3)) & {a1.id, a2.id} == set()
 
     def test_broken_ancestry_is_fatal(self):
-        orphan = blk(9, 3, 8)  # parent 8 never registered
-        with pytest.raises(KeyError):
+        orphan = blk(1, 3, 8)  # parent 8 never registered
+        with pytest.raises(LookupError):
             adopt([orphan], orphan)
 
 
@@ -120,10 +121,14 @@ class TestWorld:
             assert all(n.tip is sim.world.genesis for n in sim.world.nodes)
 
     def test_ids_increment(self):
-        world = World(1)
-        assert world.new_block_id() == 1
-        assert world.new_block_id() == 2
-        assert world._next_tx_id == 1  # the first transaction's id
+        # Block ids index the registry; the first transaction's id is 1.
+        config = make_config(has_trans=True, t_technique="full", t_n=0.01, block_target=20)
+        sim = Simulation(config, 0)
+        sim.run()
+        assert [b.id for b in sim.world.registry] == list(range(21))
+        fresh = Simulation(config, 0)
+        fresh.workload.start(fresh.consensus.miner_ids)
+        assert [entry[4].id for entry in fresh.queue._heap] == [1]
 
     def test_requires_a_node(self):
         with pytest.raises(ValueError):
@@ -133,5 +138,6 @@ class TestWorld:
         sim = Simulation(make_config(b_delay=3.0, block_target=250), 0)
         sim.run()
         for node in sim.world.nodes:
-            for bid in node.chain:
-                assert bid in sim.world.registry
+            for depth, bid in enumerate(node.chain):
+                block = sim.world.registry[bid]
+                assert (block.id, block.depth) == (bid, depth)

@@ -17,7 +17,7 @@ from chainsim.config import (
     parse_sampler,
 )
 from chainsim.consensus import main_chain
-from chainsim.engine import EventKind, RandomSource, sample_exponentials
+from chainsim.engine import EventKind, sample_exponentials
 from chainsim.model import Block, Transaction, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
@@ -76,12 +76,12 @@ def reference_pack(pool):
 class TestSamplers:
     def test_constant(self):
         s = ConstantSampler(2.5)
-        assert s.draw(RandomSource(1)) == 2.5
+        assert s.draw(np.random.default_rng(1)) == 2.5
         assert s.mean() == 2.5
 
     def test_exponential_positive_and_mean(self):
         s = ExponentialSampler(4.0)
-        rng = RandomSource(3)
+        rng = np.random.default_rng(3)
         draws = [s.draw(rng) for _ in range(20_000)]
         assert all(d > 0 for d in draws)
         assert abs(np.mean(draws) - 4.0) < 3 * 4.0 / math.sqrt(len(draws))
@@ -93,7 +93,7 @@ class TestSamplers:
     def test_histogram_mean_and_draws(self):
         s = HistogramSampler([1.0, 3.0], [0.25, 0.75])
         assert s.mean() == pytest.approx(2.5)
-        rng = RandomSource(8)
+        rng = np.random.default_rng(8)
         draws = s.draw_many(rng, 5_000)
         assert set(np.unique(draws)) == {1.0, 3.0}
         assert abs(np.mean(draws) - 2.5) < 0.05
@@ -146,7 +146,7 @@ class TestSelectForBlock:
         # T_n * B_interval = 4 arrivals per block: the light pool packs 4
         # transactions although 1,000 would fit.
         config = light_config(t_n=4 / 600.0)
-        pool = make_pool(RandomSource(5), config)
+        pool = make_pool(np.random.default_rng(5), config)
         assert pool.block_budget == 4
         assert pool.take_block().tx_count == 4
 
@@ -159,7 +159,7 @@ class TestSharedPool:
             t_size=f"const:{size}",
             b_interval=interval,
         )
-        return make_pool(RandomSource(5), config)
+        return make_pool(np.random.default_rng(5), config)
 
     def test_refill_covers_two_blocks_when_saturated(self):
         # capacity 1000 tx/block, high demand: N is two full blocks.
@@ -191,7 +191,7 @@ class TestSharedPool:
         config = light_config(
             t_n=2.0, b_size=0.05, t_size="exp:0.002", t_fee="exp:3.0", b_interval=30.0
         )
-        pool = make_pool(RandomSource(17), config)
+        pool = make_pool(np.random.default_rng(17), config)
         expected = reference_pack(pool)
         body = pool._pack()
         assert body.tx_count == len(expected)
@@ -226,7 +226,7 @@ class TestSharedPool:
     )
     def test_packing_matches_object_oracle_on_random_pools(self, size, price, arrivals, fits, seed):
         config = light_config(t_n=arrivals / 60.0, b_interval=60.0, b_size=fits * size.mean())
-        pool = SharedPool(RandomSource(seed), config, size, price)
+        pool = SharedPool(np.random.default_rng(seed), config, size, price)
         for _ in range(2):  # the first pool, then its refill
             expected = reference_pack(pool)
             body = pool.take_block()
@@ -522,10 +522,9 @@ class TestTxLatency:
     def test_simple_difference(self):
         # One main-chain block at t=160 holding a transaction created at t=100.
         world = World(1)
-        block = Block(id=world.new_block_id(), depth=1, previous_id=0, timestamp=160.0,
+        block = Block(id=1, depth=1, previous_id=0, timestamp=160.0,
                       miner_id=0, transactions=(tx(1, 0.5, 0.001, ts=100.0),), tx_count=1)
-        world.registry[block.id] = block
-        world.blocks_created = 1
+        world.registry.append(block)
         report = summarize_run(world, [0, block.id], RewardLedger(), miner_ids=[0],
                                elapsed=200.0, run_index=0, seed=0, wall_clock=0.0,
                                full_mode=True)
