@@ -170,9 +170,10 @@ class ExponentialSampler:
 
 
 class HistogramSampler:
-    """Empirical distribution given as (value, probability) pairs."""
+    """Empirical distribution given as (value, probability) pairs.  A draw
+    maps a uniform through the cumulative sum, as ``Generator.choice`` does."""
 
-    __slots__ = ("values", "probabilities")
+    __slots__ = ("values", "probabilities", "_cdf")
 
     def __init__(self, values: Sequence[float], probabilities: Sequence[float]) -> None:
         if len(values) != len(probabilities) or not values:
@@ -186,12 +187,14 @@ class HistogramSampler:
             raise ValueError(f"histogram probabilities sum to {total!r}, expected 1")
         self.values = np.asarray(values, dtype=float)
         self.probabilities = np.asarray(probabilities, dtype=float)
+        self._cdf = self.probabilities.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.values, p=self.probabilities))
+        return float(self.values[self._cdf.searchsorted(rng.random(), side="right")])
 
     def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.values, size=n, p=self.probabilities)
+        return self.values[self._cdf.searchsorted(rng.random(n), side="right")]
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probabilities))

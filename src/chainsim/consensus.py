@@ -111,7 +111,6 @@ class ConsensusEngine:
             return None
 
         parent = miner.tip
-        body = self.workload.take_block(miner, now)
         registry = self.world.registry
         block = Block(
             id=len(registry),
@@ -119,12 +118,9 @@ class ConsensusEngine:
             previous_id=parent.id,
             timestamp=now,
             miner_id=miner.id,
-            weight=body.weight_total,
-            transactions=body.transactions,
-            tx_count=body.tx_count,
-            tx_fee_total=body.fee_total,
             uncles=self._reference_uncles(miner, parent.depth + 1),
         )
+        self.workload.take_block(miner, now, block)
         registry.append(block)
         miner.chain.append(block.id)
         miner.tip = block

@@ -20,7 +20,8 @@ class Transaction:
 @dataclass(slots=True)
 class Block:
     """One block. ``transactions`` holds objects only in full workload mode;
-    light mode tracks the per-block count/fee/weight aggregates instead."""
+    light mode tracks the per-block count/fee/weight aggregates instead,
+    filled in when its batch is packed (by the end of the run)."""
 
     id: int
     depth: int

@@ -59,6 +59,8 @@ class Simulation:
             sim_time=self.config.sim_time,
             block_target=self.config.block_target,
         )
+        if self.workload.shared_pool is not None:
+            self.workload.shared_pool.pack()  # the light blocks still queued
         chain = main_chain(self.world)
         ledger = distribute(chain, self.world.registry, self.config)
         return summarize_run(

@@ -12,6 +12,8 @@ reads only the chunks in which something can still fit.
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
 which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
+Nothing reads those before the run ends, so blocks are packed in batches:
+once ``PACK_BATCH`` are waiting, and at the end of the run.
 """
 
 from __future__ import annotations
@@ -19,30 +21,19 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConstantSampler, SimConfig, parse_sampler
 from .engine import EventKind, EventQueue, sample_exponentials
-from .model import NodeState, Transaction, World
+from .model import Block, NodeState, Transaction, World
 
-
-@dataclass(slots=True)
-class BlockBody:
-    """What a miner packed into one block."""
-
-    transactions: tuple[Transaction, ...]
-    tx_count: int
-    fee_total: float
-    weight_total: float  # MB or gas, the unit of B_size
-
-
-EMPTY_BODY = BlockBody((), 0, 0.0, 0.0)
 
 # Full mode keeps pending transactions in sorted chunks; a chunk splits in
 # two once it holds more than twice this many entries.
 PENDING_CHUNK = 64
+# Light mode queues blocks and packs this many at a time, in one pass.
+PACK_BATCH = 128
 
 
 class SharedPool:
@@ -51,7 +42,9 @@ class SharedPool:
     N covers roughly two blocks of intake.  The per-block intake itself is
     capped both by the block capacity and by the expected number of
     arrivals per block interval, so a light run cannot process more
-    transactions than the configured demand generates.
+    transactions than the configured demand generates.  A block is queued
+    beside its pool, column j of ``(N, PACK_BATCH)`` arrays for the j-th
+    queued block, until ``pack`` fills the queue's blocks at once.
     """
 
     def __init__(
@@ -74,8 +67,9 @@ class SharedPool:
         self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
             price_sampler, ConstantSampler
         )
-        self._sizes: np.ndarray | None = None
-        self._fees: np.ndarray | None = None
+        self.blocks: list[Block] = []  # waiting for ``pack``
+        if not self._uniform:
+            self._sizes, self._fees = np.empty((2, self.refill_size, PACK_BATCH))
         self.refill()
 
     def __len__(self) -> int:
@@ -86,38 +80,63 @@ class SharedPool:
         n = self.refill_size
         if n == 0 or self._uniform:
             return
-        self._sizes = self.size_sampler.draw_many(self.rng, n)
-        prices = self.price_sampler.draw_many(self.rng, n)
-        self._fees = self._sizes * prices
+        j = len(self.blocks)
+        sizes = self._sizes[:, j] = self.size_sampler.draw_many(self.rng, n)
+        self._fees[:, j] = sizes * self.price_sampler.draw_many(self.rng, n)
 
-    def take_block(self) -> BlockBody:
-        """Pack one block from the pool, then reset and refill it."""
+    def take_block(self, block: Block) -> None:
+        """Give ``block`` the pool, then reset and refill it: a constant
+        pool fills ``block`` at once, any other queues it for ``pack``."""
         if self.refill_size == 0:
-            return EMPTY_BODY
-        body = self._pack()
-        self.refill()
-        return body
-
-    def _pack(self) -> BlockBody:
-        capacity = self.capacity
+            return
         if self._uniform:
             size = self.size_sampler.value
-            k = min(self.block_budget, int(capacity / size), self.refill_size)
-            fee = size * self.price_sampler.value
-            return BlockBody((), k, k * fee, k * size)
-        order = np.argsort(-self._fees, kind="stable")
-        budget = self.block_budget
-        used = 0.0
-        fees = 0.0
-        count = 0
-        for w, fee in zip(self._sizes[order].tolist(), self._fees[order].tolist()):
-            if count >= budget:
+            k = min(self.block_budget, int(self.capacity / size), self.refill_size)
+            block.tx_count, block.weight = k, k * size
+            block.tx_fee_total = k * (size * self.price_sampler.value)
+            return
+        self.blocks.append(block)
+        if len(self.blocks) == self._sizes.shape[1]:
+            self.pack()
+        self.refill()
+
+    def pack(self) -> None:
+        """Fill every queued block from its pool and empty the queue.
+
+        Each pool is scanned in fee order, ties to the lower index, taking
+        what fits the capacity, up to ``block_budget`` entries.  The pools
+        advance one row at a time and every sum runs in scan order, so each
+        block gets exactly what a loop over its own pool would give it.
+        """
+        k = len(self.blocks)
+        if k == 0:
+            return
+        sizes, fees = self._sizes[:, :k], self._fees[:, :k]
+        for kind in (None, "stable"):
+            order = np.argsort(-fees, axis=0, kind=kind)
+            w = np.take_along_axis(sizes, order, axis=0)
+            f = np.take_along_axis(fees, order, axis=0)
+            # An unstable sort may reorder a run of equal fees, which
+            # changes the packing only if the run's sizes differ.
+            if not np.any((f[1:] == f[:-1]) & (w[1:] != w[:-1])):
                 break
-            if used + w <= capacity:
-                used += w
-                fees += fee
-                count += 1
-        return BlockBody((), count, fees, used)
+        taken = np.empty(w.shape, dtype=bool)
+        used, new = np.zeros(k), np.empty(k)
+        for row, took in zip(w, taken):
+            np.add(used, row, out=new)
+            np.less_equal(new, self.capacity, out=took)
+            np.copyto(used, new, where=took)
+        if self.block_budget < self.refill_size:  # only the first block_budget count
+            taken &= taken.cumsum(axis=0) <= self.block_budget
+        # Adding 0.0 for an entry not taken leaves a running sum as it was.
+        w *= taken
+        f *= taken
+        counts = np.count_nonzero(taken, axis=0).tolist()
+        fee_totals = np.add.accumulate(f, axis=0, out=f)[-1].tolist()
+        weights = np.add.accumulate(w, axis=0, out=w)[-1].tolist()
+        for block, *filled in zip(self.blocks, counts, fee_totals, weights):
+            block.tx_count, block.tx_fee_total, block.weight = filled
+        self.blocks.clear()
 
 
 class TxWorkload:
@@ -245,8 +264,10 @@ class TxWorkload:
             minima.insert(c + 1, min(e[2].weight for e in tail))
         self._schedule_arrival(now)
 
-    def take_block(self, miner: NodeState, now: float) -> BlockBody:
-        """Select the content of a new block mined at ``now``.
+    def take_block(self, miner: NodeState, now: float, block: Block) -> None:
+        """Fill ``block``, mined by ``miner`` at ``now``, in place.
+
+        Light mode hands it to the shared pool, which may fill it later.
 
         Full mode packs the miner's pool greedily in fee order (ties to the
         lower id), skipping what does not fit.  A chunk of ``pending`` whose
@@ -256,9 +277,10 @@ class TxWorkload:
         empty is deleted.
         """
         if self.shared_pool is not None:
-            return self.shared_pool.take_block()
+            self.shared_pool.take_block(block)
+            return
         if not self.full_mode:
-            return EMPTY_BODY
+            return
         slot = self._slots[miner.id]
         on_chain = miner.chain_tx_ids
         chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._miner_ids]
@@ -292,7 +314,6 @@ class TxWorkload:
                 minima[c] = min(e[2].weight for e in chunk)
         for c in reversed(emptied):
             del chunks[c], lasts[c], minima[c]
-        if not picked:
-            return EMPTY_BODY
         # Running sums: the values sum() gives on Python 3.10 and 3.11.
-        return BlockBody(tuple(picked), len(picked), fees, used)
+        block.transactions, block.tx_count = tuple(picked), len(picked)
+        block.tx_fee_total, block.weight = fees, used
