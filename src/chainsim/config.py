@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +47,7 @@ DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 PRESET_MINERS = (0.30, 0.25, 0.20, 0.15, 0.10)
 
 
-# Allowed values of each enumerated field, for the file parser and validate().
+# Allowed values of each enumerated field, for the file parser and ``validate``.
 CHOICES: dict[str, tuple[str, ...]] = {
     "t_technique": ("full", "light"),
     "selector": ("pow", "stake", "roundrobin"),
@@ -58,8 +59,11 @@ class ConfigError(Exception):
     """Invalid configuration input; message carries the offending line."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One run configuration.  It is checked by ``validate`` when it is made,
+    so every ``SimConfig`` is valid; derive variants with ``dataclasses.replace``."""
+
     preset: str = "custom"
     # blocks
     b_interval: float = 600.0  # mean seconds between blocks network-wide
@@ -89,6 +93,15 @@ class SimConfig:
     block_target: int | None = None  # stop after this many blocks created
     runs: int = 10
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        validate(self)
+
+    @cached_property
+    def samplers(self) -> tuple:
+        """The ``(T_size, T_fee)`` samplers, parsed once: ``validate`` and
+        every run, in any worker the config is sent to, share them."""
+        return parse_sampler(self.t_size), parse_sampler(self.t_fee)
 
 
 # Preset parameter sets for the two reference networks.  The ethereum
@@ -324,15 +337,6 @@ _KEY_TABLE: dict[str, tuple[str, object]] = {
 }
 
 
-def apply_preset(config: SimConfig, name: str) -> SimConfig:
-    key = name.strip().lower()
-    if key in ("custom", ""):
-        return dataclasses.replace(config, preset="custom")
-    if key not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r} (choose bitcoin, ethereum, or custom)")
-    return dataclasses.replace(config, preset=key, **PRESETS[key])
-
-
 def validate(config: SimConfig) -> SimConfig:
     """Raise ConfigError on any inconsistent parameter combination."""
 
@@ -397,6 +401,8 @@ def validate(config: SimConfig) -> SimConfig:
         fail("block_target must be at least 1")
     if config.runs < 1:
         fail("Runs must be at least 1")
+    if config.seed < 0:
+        fail(f"seed must be non-negative, got {config.seed}")
     by_time = config.sim_time is not None
     blocks = config.sim_time / config.b_interval if by_time else config.block_target
     if blocks > MAX_BLOCKS_PER_RUN:
@@ -415,8 +421,7 @@ def validate(config: SimConfig) -> SimConfig:
                 + ("Sim_time" if by_time else "block_target")
             )
     # Samplers must parse now, not at run time.
-    size_sampler = parse_sampler(config.t_size)
-    price_sampler = parse_sampler(config.t_fee)
+    size_sampler, price_sampler = config.samplers
     if config.has_trans and _least_draw(size_sampler) <= 0:
         fail("T_size must yield positive sizes")
     if config.has_trans and _least_draw(price_sampler) < 0:
@@ -427,17 +432,20 @@ def validate(config: SimConfig) -> SimConfig:
 def config_from_pairs(
     pairs: list[tuple[int, str, str]], base_dir: Path | None = None
 ) -> SimConfig:
-    """Build and validate a SimConfig from (line, key, value) triples."""
-    config = SimConfig()
+    """Build a SimConfig from (line, key, value) triples."""
+    values: dict = {}
     seen: dict[str, int] = {}
-    preset_applied = False
     # The preset loads first so file keys override it regardless of order.
     for lineno, key, value in pairs:
         if key.strip().lower() == "preset":
-            if preset_applied:
+            if "preset" in seen:
                 raise ConfigError(f"line {lineno}: duplicate key 'preset'")
-            config = apply_preset(config, value)
-            preset_applied = True
+            name = value.strip().lower()
+            if name not in (*PRESETS, "custom", ""):
+                raise ConfigError(
+                    f"unknown preset {value!r} (choose bitcoin, ethereum, or custom)"
+                )
+            values.update(PRESETS.get(name, {}), preset=name or "custom")
             seen["preset"] = lineno
     for lineno, key, value in pairs:
         normalized = key.strip().lower()
@@ -453,26 +461,20 @@ def config_from_pairs(
         seen[normalized] = lineno
         field, parser = entry
         try:
-            parsed = parser(value)
+            values[field] = parser(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key.strip()!r}: {exc}") from exc
-        config = dataclasses.replace(config, **{field: parsed})
     # Choosing a sim_time in the file replaces a preset's block target (and
-    # vice versa); explicitly setting both is still rejected by validate().
-    if "sim_time" in seen and "block_target" not in seen and config.block_target is not None:
-        config = dataclasses.replace(config, block_target=None)
-    if "block_target" in seen and "sim_time" not in seen and config.sim_time is not None:
-        config = dataclasses.replace(config, sim_time=None)
-    # Resolve histogram paths once, so runs read the file validate() read.
-    config = dataclasses.replace(
-        config,
-        t_size=_anchor_hist(config.t_size, base_dir),
-        t_fee=_anchor_hist(config.t_fee, base_dir),
-    )
-    try:
-        return validate(config)
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from None
+    # vice versa); setting both in the file is still refused.
+    if "sim_time" in seen and "block_target" not in seen:
+        values["block_target"] = None
+    if "block_target" in seen and "sim_time" not in seen:
+        values["sim_time"] = None
+    # Resolve the file's histogram paths once, so runs read the file the check read.
+    for field in ("t_size", "t_fee"):
+        if field in seen:
+            values[field] = _anchor_hist(values[field], base_dir)
+    return SimConfig(**values)
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
@@ -509,10 +511,15 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.intervals or not self.delays:
             raise ConfigError("sweep grid must contain at least one cell")
-        for cell in self.cells():
-            validate(cell)
+        self._grid  # made, and so checked, before any run starts
 
-    def cells(self):
-        for interval in self.intervals:
-            for delay in self.delays:
-                yield dataclasses.replace(self.base, b_interval=interval, b_delay=delay)
+    @cached_property
+    def _grid(self) -> tuple[SimConfig, ...]:
+        return tuple(
+            dataclasses.replace(self.base, b_interval=interval, b_delay=delay)
+            for interval in self.intervals
+            for delay in self.delays
+        )
+
+    def cells(self) -> tuple[SimConfig, ...]:
+        return self._grid

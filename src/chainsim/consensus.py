@@ -230,7 +230,7 @@ class ConsensusEngine:
         if self.weights[node.id] <= 0:
             return
         if block.transactions:
-            node.chain_tx_ids.update(tx.id for tx in block.transactions)
+            node.chain_tx_ids.update(tx_id for tx_id, _, _, _ in block.transactions)
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)
             for uncle_id in block.uncles:

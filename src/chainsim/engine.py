@@ -9,7 +9,8 @@ dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
 - BLOCK_RECEIVE: target is a tuple of recipient ids, payload the block.  A
   constant-delay broadcast is one entry for all its recipients, delivered
   in node order; it holds the place the first per-recipient entry would.
-- TX_CREATE: target is the submitter id, payload the transaction.
+- TX_CREATE: target is the submitter id, payload the transaction, the
+  plain tuple ``(id, timestamp, weight, fee)``.
 
 A single run is strictly sequential and owns all its mutable state, its
 seeded ``np.random.Generator`` included: the same seed and configuration

@@ -1,4 +1,4 @@
-"""Domain records: transactions, blocks, per-node state, and the run's world."""
+"""Domain records: blocks, per-node state, and the run's world."""
 
 from __future__ import annotations
 
@@ -9,19 +9,12 @@ GENESIS_MINER = -1
 
 
 @dataclass(slots=True)
-class Transaction:
-    id: int
-    timestamp: float
-    submitter_id: int
-    weight: float  # MB, or gas units
-    fee: float
-
-
-@dataclass(slots=True)
 class Block:
-    """One block. ``transactions`` holds objects only in full workload mode;
-    light mode tracks the per-block count/fee/weight aggregates instead,
-    filled in when its batch is packed (by the end of the run)."""
+    """One block.  In full workload mode ``transactions`` holds each packed
+    transaction as the plain tuple ``(id, timestamp, weight, fee)``, weight
+    in MB or gas units; light mode holds none and tracks the per-block
+    count/fee/weight aggregates instead, filled in when its batch is packed
+    (by the end of the run)."""
 
     id: int
     depth: int
@@ -29,7 +22,7 @@ class Block:
     timestamp: float
     miner_id: int
     weight: float = 0.0  # total transaction MB, or gas
-    transactions: tuple[Transaction, ...] = ()
+    transactions: tuple[tuple[int, float, float, float], ...] = ()
     tx_count: int = 0
     tx_fee_total: float = 0.0
     uncles: tuple[int, ...] = ()

@@ -16,7 +16,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .config import SimConfig, validate
+from .config import SimConfig
 from .consensus import ConsensusEngine, main_chain
 from .engine import EventKind, EventQueue, run_loop
 from .incentives import distribute
@@ -30,7 +30,7 @@ class Simulation:
     """One fully wired run: world, queue, network, workload, and consensus."""
 
     def __init__(self, config: SimConfig, run_index: int = 0) -> None:
-        self.config = validate(config)
+        self.config = config
         self.run_index = run_index
         self.seed = config.seed + run_index
         self.rng = np.random.default_rng(int(self.seed))
@@ -72,7 +72,6 @@ class Simulation:
             run_index=self.run_index,
             seed=self.seed,
             wall_clock=time.perf_counter() - started,
-            full_mode=self.workload.full_mode,
         )
 
 

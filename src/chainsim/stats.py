@@ -70,7 +70,6 @@ def summarize_run(
     run_index: int,
     seed: int,
     wall_clock: float,
-    full_mode: bool,
 ) -> RunReport:
     """Fold a finished world into one RunReport (and validate the chain)."""
     check_main_chain(world.registry, chain_ids)
@@ -80,6 +79,7 @@ def summarize_run(
     stale_rate = (created - included) / created if created else 0.0
 
     tx_total = 0
+    tracked = 0  # transactions held as tuples: full mode only
     latency_sum = 0.0
     block_counts = {miner_id: 0 for miner_id in miner_ids}
     for block_id in chain_ids[1:]:
@@ -87,12 +87,12 @@ def summarize_run(
         tx_total += block.tx_count
         if block.miner_id in block_counts:
             block_counts[block.miner_id] += 1
-        if full_mode:
-            for tx in block.transactions:
-                latency_sum += block.timestamp - tx.timestamp
+        tracked += len(block.transactions)
+        for _, stamp, _, _ in block.transactions:
+            latency_sum += block.timestamp - stamp
 
     throughput = tx_total / elapsed if elapsed > 0 else 0.0
-    mean_latency = latency_sum / tx_total if full_mode and tx_total else None
+    mean_latency = latency_sum / tracked if tracked else None
 
     if included:
         miner_shares = {m: block_counts[m] / included for m in miner_ids}

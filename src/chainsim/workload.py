@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .config import ConstantSampler, SimConfig, parse_sampler
+from .config import ConstantSampler, SimConfig
 from .engine import EventKind, EventQueue, sample_exponentials
-from .model import Block, NodeState, Transaction, World
+from .model import Block, NodeState, World
 
 
 # Full mode keeps pending transactions in sorted chunks; a chunk splits in
@@ -158,16 +158,15 @@ class TxWorkload:
         # Exponential delays with a zero mean are all zero and draw nothing.
         self.exponential = config.delay_mode == "exponential" and config.t_delay > 0.0
         self.block_capacity = config.b_size
-        self.size_sampler = parse_sampler(config.t_size)
-        self.price_sampler = parse_sampler(config.t_fee)
+        self.size_sampler, self.price_sampler = config.samplers
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
         # Full mode: sorted chunks of (-fee, id, tx, arrival at each miner)
         # entries, in packing order, with each chunk's last entry and least
-        # weight alongside.
-        self.pending: list[list[tuple[float, int, Transaction, tuple[float, ...]]]] = []
-        self._lasts: list[tuple[float, int, Transaction, tuple[float, ...]]] = []
+        # weight alongside.  Comparisons stop at the unique id.
+        self.pending: list[list[tuple[float, int, tuple, tuple[float, ...]]]] = []
+        self._lasts: list[tuple[float, int, tuple, tuple[float, ...]]] = []
         self._minima: list[float] = []
         self._miner_ids: list[int] = []
         self._slots: list[int] = []  # node id -> index into arrivals, -1 for non-miners
@@ -189,7 +188,8 @@ class TxWorkload:
             self._schedule_arrival(0.0)
 
     def _schedule_arrival(self, now: float) -> None:
-        """Create the next transaction and schedule its ``TX_CREATE``.
+        """Create the next transaction, the plain tuple ``(id, timestamp,
+        weight, fee)``, and schedule its ``TX_CREATE`` at its submitter.
 
         The gap is ``sample_exponential(rng, 1 / T_n)`` computed in place;
         then the submitter, an unmodelled recipient (drawn to keep the random
@@ -206,15 +206,13 @@ class TxWorkload:
         self._integers(n_nodes)  # recipient
         weight = self.size_sampler.draw(self.rng)
         fee = weight * self.price_sampler.draw(self.rng)
-        tx = Transaction(next(self._tx_ids), at, submitter, weight, fee)
+        tx = (next(self._tx_ids), at, weight, fee)
         self.queue.schedule(at, EventKind.TX_CREATE, submitter, tx)
 
-    def _arrivals(self, tx: Transaction) -> tuple[float, ...]:
-        """When each miner holds ``tx`` under exponential delays: a delay is
-        drawn for every node but the submitter, in node order, as a
-        per-recipient broadcast would."""
-        at = tx.timestamp
-        submitter = tx.submitter_id
+    def _arrivals(self, submitter: int, at: float) -> tuple[float, ...]:
+        """When each miner holds a transaction ``submitter`` created ``at``,
+        under exponential delays: a delay is drawn for every node but the
+        submitter, in node order, as a per-recipient broadcast would."""
         # Node n's delay, for n past the submitter, is draw n - 1.
         delays = sample_exponentials(self.rng, self.tx_delay, len(self.world.nodes) - 1)
         return tuple(
@@ -222,24 +220,24 @@ class TxWorkload:
             for m in self._miner_ids
         )
 
-    def on_tx_create(self, submitter_id: int, now: float, tx: Transaction) -> None:
-        """Stamp ``tx`` with its arrival at every miner, file it in
-        ``pending``, and schedule the next transaction.
+    def on_tx_create(self, submitter_id: int, now: float, tx: tuple) -> None:
+        """Stamp ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
+        ``submitter_id`` created, with its arrival at every miner, file it
+        in ``pending``, and schedule the next transaction.
 
         A constant delay needs no draws: the submitter holds ``tx`` at once,
         every other miner ``T_delay`` later.
         """
+        tx_id, at, weight, fee = tx
         if self.exponential:
-            arrivals = self._arrivals(tx)
+            arrivals = self._arrivals(submitter_id, at)
         else:
-            at = tx.timestamp
             stamps = [at + self.tx_delay] * len(self._miner_ids)
-            slot = self._slots[tx.submitter_id]
+            slot = self._slots[submitter_id]
             if slot >= 0:
                 stamps[slot] = at
             arrivals = tuple(stamps)
-        entry = (-tx.fee, tx.id, tx, arrivals)
-        weight = tx.weight
+        entry = (-fee, tx_id, tx, arrivals)
         chunks, lasts, minima = self.pending, self._lasts, self._minima
         c = bisect.bisect_left(lasts, entry)
         if c < len(lasts):
@@ -260,8 +258,8 @@ class TxWorkload:
             del chunk[PENDING_CHUNK:]
             chunks.insert(c + 1, tail)
             lasts.insert(c, chunk[-1])
-            minima[c] = min(e[2].weight for e in chunk)
-            minima.insert(c + 1, min(e[2].weight for e in tail))
+            minima[c] = min(tx[2] for _, _, tx, _ in chunk)
+            minima.insert(c + 1, min(tx[2] for _, _, tx, _ in tail))
         self._schedule_arrival(now)
 
     def take_block(self, miner: NodeState, now: float, block: Block) -> None:
@@ -286,7 +284,7 @@ class TxWorkload:
         chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._miner_ids]
         capacity = self.block_capacity
         chunks, lasts, minima = self.pending, self._lasts, self._minima
-        picked: list[Transaction] = []
+        picked: list[tuple] = []
         used = 0.0
         fees = 0.0
         emptied: list[int] = []
@@ -299,10 +297,10 @@ class TxWorkload:
                 if tx_id in on_chain:
                     if all(tx_id in chain for chain in chains):
                         dropped.append(index)
-                elif arrivals[slot] <= now and used + tx.weight <= capacity:
+                elif arrivals[slot] <= now and used + tx[2] <= capacity:
                     picked.append(tx)
-                    used += tx.weight
-                    fees += tx.fee
+                    used += tx[2]
+                    fees += tx[3]
                     if used + least > capacity:
                         break
             if len(dropped) == len(chunk):
@@ -311,7 +309,7 @@ class TxWorkload:
                 gone = set(dropped)
                 chunk[:] = [e for i, e in enumerate(chunk) if i not in gone]
                 lasts[c] = chunk[-1]
-                minima[c] = min(e[2].weight for e in chunk)
+                minima[c] = min(tx[2] for _, _, tx, _ in chunk)
         for c in reversed(emptied):
             del chunks[c], lasts[c], minima[c]
         # Running sums: the values sum() gives on Python 3.10 and 3.11.

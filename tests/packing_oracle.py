@@ -2,7 +2,8 @@
 
 ``select_for_block`` packs an explicit pool the simple way: sort by fee and
 fill greedily.  Tests build a miner's pool independently and compare the
-simulator's blocks with this packing.
+simulator's blocks with this packing.  A transaction is the tuple
+``(id, timestamp, weight, fee)``.
 """
 
 
@@ -13,11 +14,12 @@ def select_for_block(pool, capacity):
     large high-fee transaction cannot block smaller ones behind it.  Fee
     ties break toward the lower transaction id.
     """
-    ordered = sorted(pool, key=lambda t: (-t.fee, t.id))
+    ordered = sorted(pool, key=lambda t: (-t[3], t[0]))  # (-fee, id)
     picked = []
     used = 0.0
     for tx in ordered:
-        if used + tx.weight <= capacity:
+        weight = tx[2]
+        if used + weight <= capacity:
             picked.append(tx)
-            used += tx.weight
+            used += weight
     return picked

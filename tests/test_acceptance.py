@@ -15,7 +15,6 @@ two are printed, not asserted, and a guard test pins that they are the
 only ones.
 """
 
-import csv
 import dataclasses
 import math
 from fractions import Fraction
@@ -29,6 +28,7 @@ from chainsim.consensus import main_chain
 from chainsim.incentives import distribute, uncle_reward
 from chainsim.runner import Simulation, run_many
 from chainsim.stats import aggregate, check_main_chain
+from conftest import read_rows
 from reference_race import reference_cell
 
 SKEWED = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -71,9 +71,7 @@ def saturated_config(b_interval, b_delay, **overrides) -> SimConfig:
 
 
 def preset_config(name, **overrides) -> SimConfig:
-    config = dataclasses.replace(SimConfig(), preset=name, **PRESETS[name])
-    overrides.setdefault("seed", 42)
-    return dataclasses.replace(config, **overrides)
+    return SimConfig(**{**PRESETS[name], "preset": name, "seed": 42, **overrides})
 
 
 def report_line(label, value, low, high, unit=""):
@@ -391,7 +389,7 @@ def test_criterion_8d_determinism_byte_identical_csv(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        rows = list(csv.reader(open(out / "runs.csv", newline="")))
+        rows = read_rows(out / "runs.csv")
         idx = rows[0].index("wall_clock_s")  # the only real-time column
         outputs.append([row[:idx] + row[idx + 1 :] for row in rows])
     assert outputs[0] == outputs[1]

@@ -6,12 +6,14 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim import cli, runner
+from chainsim import config as config_module
 from chainsim.config import parse_config
 from chainsim.runner import run_many, worker_pool
 from chainsim.stats import aggregate
@@ -122,6 +124,16 @@ class TestRunCommand:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["run", "--config", "sub/h.cfg", "--out", "out"]) == 0
         assert (tmp_path / "out" / "runs.csv").exists()
+
+    def test_hist_file_read_once_per_command(self, tmp_path):
+        # The config check and all three runs share one parse of the file.
+        (tmp_path / "h.txt").write_text("0.0005 0.5\n0.001 0.5\n")
+        config = write_config(tmp_path, BASE_CONFIG + "T_fee = hist:h.txt\n")
+        loads = mock.patch.object(config_module, "load_histogram", wraps=config_module.load_histogram)
+        with loads as load:
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert load.call_count == 1
+        assert len(read_rows(tmp_path / "o" / "runs.csv")) == 4
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -492,6 +504,23 @@ def test_unbounded_block_count_exit_2(tmp_path, command):
     err = done.stderr.decode()
     assert err.startswith("config error: a run expects about 1e+09 blocks")
     assert err.count("\n") == 1 and "Sim_time" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--intervals", "60", "--delays", "1"]], ids=["run", "sweep"]
+)
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_negative_seed_exit_2(tmp_path, capsys, command, source):
+    # Whether the file or --seed sets it, a negative seed is refused before any run.
+    text = BASE_CONFIG.replace("seed = 42", "seed = -3") if source == "file" else BASE_CONFIG
+    out = tmp_path / "o"
+    argv = command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed must be non-negative") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -238,6 +238,23 @@ class TestParseConfig:
         assert run_single(config, 0).blocks_created == 10
 
 
+class TestFrozenConfig:
+    def test_fields_cannot_be_assigned(self):
+        config = make_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.b_interval = 1.0
+
+    def test_every_config_is_checked_when_made(self):
+        with pytest.raises(ConfigError, match="B_interval must be positive"):
+            dataclasses.replace(make_config(), b_interval=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            make_config(seed=-1)
+
+    def test_default_config_needs_a_horizon(self):
+        with pytest.raises(ConfigError, match="set one of Sim_time or block_target"):
+            SimConfig()
+
+
 class TestSamplerSpecs:
     def test_const(self):
         sampler = parse_sampler("const:2.5")

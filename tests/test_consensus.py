@@ -6,7 +6,7 @@ import pytest
 from chainsim import consensus
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
 from chainsim.engine import EventKind, EventQueue, run_loop
-from chainsim.model import Block, Transaction, World
+from chainsim.model import Block, World
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.workload import TxWorkload
@@ -113,13 +113,13 @@ class TestScheduleNextCreation:
 
     def test_weights_normalised_by_left_to_right_sum(self, monkeypatch):
         # Adding left to right, as sum() does before Python 3.12, gives
-        # 0.6000000000000001; compensated summation, as 3.12's sum() does,
-        # gives 0.6.  math.fsum stands in for the latter.
-        powers = (0.1, 0.2, 0.3)
-        assert (0.1 + 0.2) + 0.3 != math.fsum(powers)
+        # 0.9999999999999999; compensated summation, as 3.12's sum() does,
+        # gives 1.0.  math.fsum stands in for the latter.
+        powers = (0.7, 0.2, 0.1)
+        assert (0.7 + 0.2) + 0.1 != math.fsum(powers)
         monkeypatch.setattr(consensus, "sum", math.fsum, raising=False)
         engine, _, _ = make_engine(n_nodes=3, hash_powers=powers)
-        assert engine.weights == [w / ((0.1 + 0.2) + 0.3) for w in powers]
+        assert engine.weights == [w / ((0.7 + 0.2) + 0.1) for w in powers]
 
     def test_zero_weight_miner_rejected(self):
         engine, world, _ = make_engine(2, (1.0, 0.0))
@@ -187,16 +187,15 @@ class TestOnBlockCreate:
         engine, world, queue = make_engine(1, (1.0,), full=True, capacity=0.8, tx_rate=1e-6)
         engine.workload.start(engine.miner_ids)
         for tid, fee in ((1, 5.0), (2, 3.0), (3, 9.0)):
-            tx = Transaction(tid, 0.0, 0, 0.4, fee)
-            engine.workload.on_tx_create(0, 0.0, tx)
+            engine.workload.on_tx_create(0, 0.0, (tid, 0.0, 0.4, fee))
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert [tx.fee for tx in block.transactions] == [9.0, 5.0]
+        assert [fee for _, _, _, fee in block.transactions] == [9.0, 5.0]
         time, _, kind, miner_id, parent = queue.next_event()
         assert kind == EventKind.BLOCK_CREATE
         block = engine.on_block_create(miner_id, time, parent)
-        assert [tx.fee for tx in block.transactions] == [3.0]  # fee-3 stayed pooled
+        assert [fee for _, _, _, fee in block.transactions] == [3.0]  # fee-3 stayed pooled
 
     def test_stale_event_discarded(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), block_delay=0.0)

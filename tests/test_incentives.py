@@ -39,7 +39,7 @@ class TestTxFee:
     def test_size_model_uses_sampled_fee(self):
         # fee is computed at creation as size * unit price: 2 MB * 3 = 6
         ledger, txs = full_run(t_size="const:2", t_fee="const:3", b_size=4.0)
-        assert all(t.weight == 2.0 and t.fee == 6.0 for t in txs)
+        assert all(weight == 2.0 and fee == 6.0 for _, _, weight, fee in txs)
         assert ledger_fees(ledger) == pytest.approx(6.0 * len(txs))
 
     def test_gas_model(self):
@@ -47,8 +47,8 @@ class TestTxFee:
         ledger, txs = full_run(
             b_size=100_000.0, t_size="const:21000", t_fee="const:0.001"
         )
-        assert all(t.weight == 21_000.0 for t in txs)
-        assert all(t.fee == pytest.approx(21.0) for t in txs)
+        assert all(weight == 21_000.0 for _, _, weight, _ in txs)
+        assert all(fee == pytest.approx(21.0) for _, _, _, fee in txs)
         assert ledger_fees(ledger) == pytest.approx(21.0 * len(txs))
 
     def test_zero_gas(self):
@@ -56,7 +56,7 @@ class TestTxFee:
         ledger, txs = full_run(
             b_size=100_000.0, t_size="const:21000", t_fee="const:0"
         )
-        assert all(t.fee == 0.0 for t in txs)
+        assert all(fee == 0.0 for _, _, _, fee in txs)
         assert ledger_fees(ledger) == 0.0
 
 
@@ -210,7 +210,7 @@ class TestRunLevelInvariants:
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             expected_fees.setdefault(block.miner_id, 0.0)
-            expected_fees[block.miner_id] += math.fsum(t.fee for t in block.transactions)
+            expected_fees[block.miner_id] += math.fsum(fee for _, _, _, fee in block.transactions)
         ledger = run_ledger(sim)
         for miner_id, fees in expected_fees.items():
             assert ledger[miner_id].tx_fees == pytest.approx(fees, rel=1e-12)

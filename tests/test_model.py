@@ -128,7 +128,7 @@ class TestWorld:
         assert [b.id for b in sim.world.registry] == list(range(21))
         fresh = Simulation(config, 0)
         fresh.workload.start(fresh.consensus.miner_ids)
-        assert [entry[4].id for entry in fresh.queue._heap] == [1]
+        assert [entry[4][0] for entry in fresh.queue._heap] == [1]  # the tuple's id
 
     def test_requires_a_node(self):
         with pytest.raises(ValueError):

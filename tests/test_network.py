@@ -6,7 +6,7 @@ import pytest
 from chainsim import cli
 from chainsim.config import ConfigError, parse_config_text
 from chainsim.engine import EventKind, EventQueue, SchedulingError, sample_exponential
-from chainsim.model import Transaction, make_genesis
+from chainsim.model import make_genesis
 from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
@@ -30,8 +30,8 @@ def drain(queue):
     return entries
 
 
-def some_tx(tid=1, ts=0.0, submitter=0):
-    return Transaction(tid, ts, submitter, 0.001, 0.0002)
+def some_tx(tid=1, ts=0.0):
+    return (tid, ts, 0.001, 0.0002)
 
 
 class TestDelayModel:
@@ -191,7 +191,7 @@ class TestBroadcastTx:
         params.update(overrides)
         sim = Simulation(make_config(**params), 0)
         sim.workload.start(sim.consensus.miner_ids)
-        t = some_tx(1000, ts=at, submitter=submitter)
+        t = some_tx(1000, ts=at)
         sim.workload.on_tx_create(submitter, at, t)
         (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
         return dict(zip(sim.consensus.miner_ids, entry[3]))
@@ -226,7 +226,7 @@ class TestBroadcastTx:
         sim.workload.start(sim.consensus.miner_ids)
         replay = np.random.default_rng(0)
         replay.bit_generator.state = sim.rng.bit_generator.state
-        t = some_tx(1000, ts=50.0, submitter=1)
+        t = some_tx(1000, ts=50.0)
         sim.workload.on_tx_create(1, 50.0, t)
         expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
         (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]

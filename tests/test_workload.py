@@ -1,3 +1,4 @@
+import gc
 import math
 from functools import reduce
 from operator import add
@@ -19,7 +20,7 @@ from chainsim.config import (
 )
 from chainsim.consensus import main_chain
 from chainsim.engine import EventKind, sample_exponentials
-from chainsim.model import Block, Transaction, World
+from chainsim.model import Block, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
@@ -30,7 +31,7 @@ from packing_oracle import select_for_block
 
 
 def tx(tid, fee, weight, ts=0.0):
-    return Transaction(tid, ts, 0, weight, fee)
+    return (tid, ts, weight, fee)
 
 
 def light_config(**overrides):
@@ -53,24 +54,21 @@ def make_pool(rng, config):
 
 
 def reference_pack(pool, sizes, fees):
-    """Object-based packing of one light pool of ``sizes`` and ``fees``.
+    """Loop-based packing of one light pool of ``sizes`` and ``fees``.
 
-    Materializes one Transaction per pool entry, with its index as its id,
-    sorts by fee (ties to the lower id) and packs greedily under the capacity, stopping at the
-    per-block budget.
+    Materializes one ``(id, timestamp, weight, fee)`` transaction per pool
+    entry, with its index as its id, sorts by fee (ties to the lower id) and
+    packs greedily under the capacity, stopping at the per-block budget.
     """
-    txs = [
-        Transaction(i, 0.0, 0, float(size), float(fee))
-        for i, (size, fee) in enumerate(zip(sizes, fees))
-    ]
+    txs = [tx(i, float(fee), float(size)) for i, (size, fee) in enumerate(zip(sizes, fees))]
     picked = []
     used = 0.0
-    for t in sorted(txs, key=lambda t: (-t.fee, t.id)):
+    for t in sorted(txs, key=lambda t: (-t[3], t[0])):
         if len(picked) >= pool.block_budget:
             break
-        if used + t.weight <= pool.capacity:
+        if used + t[2] <= pool.capacity:
             picked.append(t)
-            used += t.weight
+            used += t[2]
     return picked
 
 
@@ -111,8 +109,8 @@ def check_against_oracle(config, size, price, count, seed):
     for block, drawn, unit in zip(blocks, sizes.batches, prices.batches):
         expected = reference_pack(pool, drawn, drawn * unit)
         assert block.tx_count == len(expected)
-        assert block.tx_fee_total == reduce(add, (t.fee for t in expected), 0.0)
-        assert block.weight == reduce(add, (t.weight for t in expected), 0.0)
+        assert block.tx_fee_total == reduce(add, (fee for _, _, _, fee in expected), 0.0)
+        assert block.weight == reduce(add, (weight for _, _, weight, _ in expected), 0.0)
     assert len(sizes.batches) == count + 1  # the pool a next block would take
 
 
@@ -179,12 +177,12 @@ class TestSelectForBlock:
     def test_fee_order_under_capacity(self):
         pool = [tx(1, 1.0, 0.4), tx(2, 2.0, 0.4), tx(3, 3.0, 0.4)]
         picked = select_for_block(pool, 0.8)
-        assert [t.fee for t in picked] == [3.0, 2.0]
+        assert [fee for _, _, _, fee in picked] == [3.0, 2.0]
 
     def test_skip_too_big_continues_scanning(self):
         pool = [tx(1, 9.0, 0.9), tx(2, 8.0, 0.1)]
         picked = select_for_block(pool, 0.5)
-        assert [t.fee for t in picked] == [8.0]
+        assert [fee for _, _, _, fee in picked] == [8.0]
 
     def test_empty_pool(self):
         assert select_for_block([], 1.0) == []
@@ -192,15 +190,15 @@ class TestSelectForBlock:
     def test_fee_ties_break_to_lower_id(self):
         pool = [tx(5, 1.0, 0.4), tx(2, 1.0, 0.4), tx(9, 1.0, 0.4)]
         picked = select_for_block(pool, 0.8)
-        assert [t.id for t in picked] == [2, 5]
+        assert [t[0] for t in picked] == [2, 5]
 
     def test_gas_weighted_selection(self):
         a = tx(1, 5.0, 30_000.0)
         b = tx(2, 4.0, 80_000.0)
         picked = select_for_block([a, b], 110_000.0)
-        assert [t.id for t in picked] == [1, 2]
+        assert [t[0] for t in picked] == [1, 2]
         picked = select_for_block([a, b], 90_000.0)
-        assert [t.id for t in picked] == [1]
+        assert [t[0] for t in picked] == [1]
 
     def test_budget_caps_count(self):
         # T_n * B_interval = 4 arrivals per block: the light pool packs 4
@@ -257,8 +255,8 @@ class TestSharedPool:
         (block,) = take_blocks(pool, 1)
         expected = reference_pack(pool, size.batches[0], size.batches[0] * price.batches[0])
         assert block.tx_count == len(expected)
-        assert block.tx_fee_total == pytest.approx(sum(t.fee for t in expected), rel=1e-12)
-        assert block.weight == pytest.approx(sum(t.weight for t in expected), rel=1e-12)
+        assert block.tx_fee_total == pytest.approx(sum(t[3] for t in expected), rel=1e-12)
+        assert block.weight == pytest.approx(sum(t[2] for t in expected), rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -374,7 +372,7 @@ class TestFullMode:
         original = sim.handlers[EventKind.TX_CREATE]
 
         def counting(submitter_id, time, tx):
-            created.append(tx.id)
+            created.append(tx[0])
             return original(submitter_id, time, tx)
 
         sim.handlers[EventKind.TX_CREATE] = counting
@@ -395,10 +393,10 @@ class TestFullMode:
         config = light_config(n_n=3, miners=(1.0,), t_technique="full", t_n=1e-6, t_delay=5.0)
         sim = Simulation(config, 0)
         sim.workload.start(sim.consensus.miner_ids)
-        own = Transaction(1000, 100.0, 0, 0.001, 0.5)
-        relayed = Transaction(1001, 100.0, 1, 0.001, 0.5)
-        for t in (own, relayed):
-            sim.workload.on_tx_create(t.submitter_id, 100.0, t)
+        own = tx(1000, 0.5, 0.001, ts=100.0)
+        relayed = tx(1001, 0.5, 0.001, ts=100.0)
+        for submitter, t in ((0, own), (1, relayed)):
+            sim.workload.on_tx_create(submitter, 100.0, t)
         miner = sim.world.nodes[0]
         early = sim.consensus.on_block_create(0, 104.0, miner.tip)
         assert early.transactions == (own,)
@@ -432,10 +430,22 @@ class TestFullMode:
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             assert block.weight <= 0.005 + 1e-12  # capacity respected
-            for t in block.transactions:
-                assert t.id not in seen
-                seen.add(t.id)
+            for tx_id, _, _, _ in block.transactions:
+                assert tx_id not in seen
+                seen.add(tx_id)
         assert seen  # the run actually included transactions
+
+    def test_transactions_untracked_by_the_cyclic_gc(self):
+        # A transaction is a tuple of numbers, which the collector stops tracking.
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1.0, t_delay=1.0,
+            b_interval=60.0, b_size=0.01, t_size="const:0.000546", block_target=50,
+        )
+        sim = Simulation(config, 0)
+        sim.run()
+        gc.collect()
+        txs = [t for block in sim.world.registry for t in block.transactions]
+        assert txs and not any(gc.is_tracked(t) for t in txs)
 
     def test_full_pools_only_after_delay_invariant(self):
         # Spot-check a real run: a block holds only transactions its miner
@@ -446,15 +456,23 @@ class TestFullMode:
             sim_time=2_000.0, seed=3,
         )
         sim = Simulation(config, 0)
+        submitters = {}  # transaction id -> submitter
+        create_tx = sim.handlers[EventKind.TX_CREATE]
+
+        def on_tx_create(submitter_id, time, tx):
+            submitters[tx[0]] = submitter_id
+            return create_tx(submitter_id, time, tx)
+
+        sim.handlers[EventKind.TX_CREATE] = on_tx_create
         sim.run()
         relayed = 0
         for bid in range(1, len(sim.world.registry)):
             block = sim.world.registry[bid]
-            for t in block.transactions:
-                if t.submitter_id == block.miner_id:
-                    assert t.timestamp <= block.timestamp
+            for tx_id, stamp, _, _ in block.transactions:
+                if submitters[tx_id] == block.miner_id:
+                    assert stamp <= block.timestamp
                 else:
-                    assert t.timestamp + 4.0 <= block.timestamp
+                    assert stamp + 4.0 <= block.timestamp
                     relayed += 1
         assert relayed
 
@@ -473,7 +491,7 @@ def pack_against_oracle(config, chunk):
     sim = Simulation(config, 0)
     pending = sim.workload.pending
     miner_ids = sim.consensus.miner_ids
-    created: list[tuple[Transaction, dict[int, float]]] = []
+    created: list[tuple[tuple, dict[int, float]]] = []
     draws: list[list[float]] = []
     create_tx = sim.handlers[EventKind.TX_CREATE]
     create_block = sim.handlers[EventKind.BLOCK_CREATE]
@@ -488,7 +506,7 @@ def pack_against_oracle(config, chunk):
         drawn, chunks = len(draws), len(pending)
         create_tx(submitter_id, time, tx)
         splits += len(pending) > max(chunks, 1)
-        s, at = tx.submitter_id, tx.timestamp
+        s, at = submitter_id, tx[1]
         if len(draws) > drawn:
             (delays,) = draws[drawn:]
             arrival = {m: at + delays[m if m < s else m - 1] for m in miner_ids}
@@ -500,7 +518,7 @@ def pack_against_oracle(config, chunk):
     def on_block_create(miner_id, time, parent):
         nonlocal checked, emptied
         adopted = sim.world.nodes[miner_id].chain_tx_ids
-        pool = [t for t, arrival in created if t.id not in adopted and arrival[miner_id] <= time]
+        pool = [t for t, arrival in created if t[0] not in adopted and arrival[miner_id] <= time]
         chunks = len(pending)
         block = create_block(miner_id, time, parent)
         emptied += len(pending) < chunks
@@ -516,7 +534,7 @@ def pack_against_oracle(config, chunk):
     ):
         report = sim.run()
     assert checked == report.blocks_created
-    on_main = [t.id for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
+    on_main = [t[0] for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
     assert on_main and len(on_main) == len(set(on_main))
     return checked, splits, emptied
 
@@ -585,24 +603,21 @@ class TestPackingOracle:
             block_target=150, seed=5,
         )
         sim = Simulation(config, 0)
-        created: list[Transaction] = []
+        created: list[tuple[int, tuple]] = []  # (submitter, transaction)
         checked = in_flight = over_capacity = 0
         create_tx = sim.handlers[EventKind.TX_CREATE]
         create_block = sim.handlers[EventKind.BLOCK_CREATE]
 
         def on_tx_create(submitter_id, time, tx):
-            created.append(tx)
+            created.append((submitter_id, tx))
             return create_tx(submitter_id, time, tx)
 
         def on_block_create(miner_id, time, parent):
             nonlocal checked, in_flight, over_capacity
             miner = sim.world.nodes[miner_id]
             adopted = set(miner.chain_tx_ids)
-            candidates = [t for t in created if t.id not in adopted]
-            pool = [
-                t for t in candidates
-                if (t.timestamp if t.submitter_id == miner.id else t.timestamp + 3.0) <= time
-            ]
+            candidates = [(s, t) for s, t in created if t[0] not in adopted]
+            pool = [t for s, t in candidates if (t[1] if s == miner.id else t[1] + 3.0) <= time]
             block = create_block(miner_id, time, parent)
             if block is not None:
                 expected = select_for_block(pool, config.b_size)
@@ -628,8 +643,7 @@ class TestTxLatency:
                       miner_id=0, transactions=(tx(1, 0.5, 0.001, ts=100.0),), tx_count=1)
         world.registry.append(block)
         report = summarize_run(world, [0, block.id], RewardLedger(), miner_ids=[0],
-                               elapsed=200.0, run_index=0, seed=0, wall_clock=0.0,
-                               full_mode=True)
+                               elapsed=200.0, run_index=0, seed=0, wall_clock=0.0)
         assert report.mean_tx_latency_s == 60.0
 
     def test_latency_never_negative(self):
@@ -644,8 +658,8 @@ class TestTxLatency:
         included = 0
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
-            for t in block.transactions:
-                assert t.timestamp <= block.timestamp
+            for _, stamp, _, _ in block.transactions:
+                assert stamp <= block.timestamp
                 included += 1
         assert included
 
