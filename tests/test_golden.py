@@ -49,6 +49,49 @@ seed = 3
 """,
         "e7773044530ae29f8b20a325b73fe8219368e78970359d10ec53960702361ae3",
     ),
+    # One node: integers(1) reads nothing, so no submitter or recipient is
+    # drawn and every transaction takes only its gap, size and price.
+    "single-node": (
+        """
+B_interval = 30
+B_delay = 4
+B_size = 0.01
+hasTrans = true
+T_technique = full
+T_n = 1
+T_delay = 2
+T_size = exp:0.0005
+T_fee = exp:0.3
+N_n = 1
+miners = 1
+block_target = 120
+Runs = 2
+seed = 23
+""",
+        "834257e49a0dcd97ccb218b05116ae298fc56c4167a26f81160b90dd8724070f",
+    ),
+    # 100 nodes, the five default miners and exponential delays: submitters
+    # past the miners, 99 delays per transaction, and a Lemire rejection
+    # bound of 2**32 % 100 = 96 for each submitter and recipient draw.
+    "hundred-nodes-exponential": (
+        """
+B_interval = 30
+B_delay = 4
+B_size = 0.01
+hasTrans = true
+T_technique = full
+T_n = 0.2
+T_delay = 2
+T_size = exp:0.0005
+T_fee = exp:0.3
+N_n = 100
+delay_mode = exponential
+block_target = 120
+Runs = 2
+seed = 29
+""",
+        "92452becb1526e8b9e3539fd94d6a2390629c4d6d0d40b240bf3751415f15408",
+    ),
 }
 
 
