@@ -100,6 +100,44 @@ def sample_exponentials(rng: np.random.Generator, mean: float, k: int) -> list[f
     return values
 
 
+def exponential_and_pair(
+    rng: np.random.Generator, mean: float, n: int
+) -> Callable[[], tuple[float, int]]:
+    """Return ``draw()``: ``sample_exponential(rng, mean)`` and the first of
+    two ``rng.integers(n)``, from the same stream, read as raw PCG64 words.
+
+    ``random()`` is a word's top 53 bits over 2**53.  ``integers(n)`` is
+    Lemire's method on a 32-bit half, low half first, keeping the high half
+    for the next draw, so the two take one word when both halves pass the
+    rejection test.  A word that either rejects is given back and numpy
+    draws the pair.  Numpy draws every pair for n outside [2, 2**32), and
+    every later pair once a half is left buffered, which it would read first.
+    """
+    bits = rng.bit_generator
+    raw, integers = bits.random_raw, rng.integers
+    bound = 2**32 % n if 2 <= n < 2**32 and not bits.state["has_uint32"] else None
+
+    def draw() -> tuple[float, int]:
+        nonlocal bound
+        while True:
+            x = -mean * math.log(1.0 - (raw() >> 11) * 2.0**-53)
+            if x > 0.0:
+                break
+        if bound is not None:
+            word = raw()
+            low, high = (word & 0xFFFFFFFF) * n, (word >> 32) * n
+            if (low & 0xFFFFFFFF) >= bound and (high & 0xFFFFFFFF) >= bound:
+                return x, low >> 32
+            bits.advance(-1)
+        first = int(integers(n))
+        integers(n)
+        if bound is not None and bits.state["has_uint32"]:
+            bound = None
+        return x, first
+
+    return draw
+
+
 def run_loop(
     queue: EventQueue,
     handlers: Mapping[EventKind, Callable[[object, float, object], object]],

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .config import ConstantSampler, SimConfig
-from .engine import EventKind, EventQueue, sample_exponentials
+from .engine import EventKind, EventQueue, exponential_and_pair, sample_exponentials
 from .model import Block, NodeState, World
 
 
@@ -174,36 +174,27 @@ class TxWorkload:
 
     def start(self, miner_ids: list[int]) -> None:
         """Schedule the first transaction arrival (full mode); arrival times
-        are kept for the block-creating ``miner_ids`` alone, in this order."""
+        are kept for the block-creating ``miner_ids`` alone, in this order.
+        The generator's state is read here, once, to choose how every
+        transaction's submitter and recipient are drawn."""
         self._miner_ids = list(miner_ids)
         self._slots = [-1] * len(self.world.nodes)
         for slot, miner_id in enumerate(miner_ids):
             self._slots[miner_id] = slot
         if self.full_mode and self.tx_rate > 0:
-            # Bound once: every transaction uses them.
-            self._random = self.rng.random
-            self._integers = self.rng.integers
-            self._n_nodes = len(self.world.nodes)
-            self._gap_scale = -(1.0 / self.tx_rate)
+            self._draw = exponential_and_pair(self.rng, 1.0 / self.tx_rate, len(self.world.nodes))
             self._schedule_arrival(0.0)
 
     def _schedule_arrival(self, now: float) -> None:
         """Create the next transaction, the plain tuple ``(id, timestamp,
         weight, fee)``, and schedule its ``TX_CREATE`` at its submitter.
 
-        The gap is ``sample_exponential(rng, 1 / T_n)`` computed in place;
-        then the submitter, an unmodelled recipient (drawn to keep the random
-        stream), the size and the unit price are drawn, in that order.
+        ``exponential_and_pair`` draws the gap and the submitter, then an
+        unmodelled recipient (drawn to keep the random stream); the size
+        and the unit price follow, in that order.
         """
-        random = self._random
-        while True:
-            gap = self._gap_scale * math.log(1.0 - random())
-            if gap > 0.0:
-                break
+        gap, submitter = self._draw()
         at = now + gap
-        n_nodes = self._n_nodes
-        submitter = int(self._integers(n_nodes))
-        self._integers(n_nodes)  # recipient
         weight = self.size_sampler.draw(self.rng)
         fee = weight * self.price_sampler.draw(self.rng)
         tx = (next(self._tx_ids), at, weight, fee)

@@ -1,14 +1,19 @@
+import dataclasses
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainsim.engine import (
     EventKind,
     EventQueue,
     SchedulingError,
+    exponential_and_pair,
     sample_exponential,
     sample_exponentials,
 )
@@ -135,6 +140,108 @@ class TestSampleExponentials:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
             sample_exponentials(np.random.default_rng(1), 0.0, 3)
+
+
+# Pair sizes for exponential_and_pair, each with what it covers.
+PAIR_SIZES = {
+    1: "integers(1) reads nothing, so the pair takes no word",
+    2: "smallest n read from a raw word; 2**32 % 2 == 0, so no half rejects",
+    3: "odd n, rejection bound 1",
+    5: "the five default nodes, rejection bound 1",
+    100: "rejection bound 96",
+    2**31 + 1: "bound 2**31 - 1: about three words in four reject, so the word "
+    "is given back, and a pair that leaves a half buffered keeps numpy drawing",
+    2**32 - 1: "largest n read from a raw word, rejection bound 1",
+    2**32: "numpy takes a whole 32-bit half with no rejection test",
+    2**33 + 7: "numpy draws from whole 64-bit words",
+}
+
+
+class CountingGenerator(np.random.Generator):
+    """A ``Generator`` that counts its ``integers`` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def assert_same_generator_state(a, b):
+    a, b = a.bit_generator.state, b.bit_generator.state
+    assert (a["state"], a["has_uint32"]) == (b["state"], b["has_uint32"])
+    if a["has_uint32"]:
+        assert a["uinteger"] == b["uinteger"]
+
+
+class TestExponentialAndPair:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.sampled_from(list(PAIR_SIZES)),
+        k=st.integers(1, 300),
+        mean=st.sampled_from([1.0, 0.7]),
+    )
+    @example(seed=5, n=2**31 + 1, k=300, mean=1.0)
+    def test_values_and_state_match_numpy_draws(self, seed, n, k, mean):
+        fast, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = exponential_and_pair(fast, mean, n)
+        for _ in range(k):
+            gap, first = draw()
+            assert gap == sample_exponential(twin, mean)
+            assert first == int(twin.integers(n))
+            twin.integers(n)
+            assert_same_generator_state(fast, twin)
+
+    def test_default_nodes_read_raw_words_only(self):
+        rng = CountingGenerator(np.random.PCG64(11))
+        draw = exponential_and_pair(rng, 1.0, 5)
+        for _ in range(10_000):
+            draw()
+        assert rng.calls == 0
+
+    def test_rejected_word_is_given_back_then_a_buffered_half_keeps_numpy(self):
+        # Seed 30 at n = 2**31 + 1: three pairs from raw words, three
+        # rejected words whose numpy pairs leave no half buffered, then one
+        # that does, after which every pair is two integers calls.
+        n = 2**31 + 1
+        rng, twin = CountingGenerator(np.random.PCG64(30)), np.random.default_rng(30)
+        draw = exponential_and_pair(rng, 1.0, n)
+        steps = []
+        for _ in range(300):
+            before = rng.calls
+            assert draw() == (sample_exponential(twin, 1.0), int(twin.integers(n)))
+            twin.integers(n)
+            assert_same_generator_state(rng, twin)
+            steps.append((rng.calls - before, rng.bit_generator.state["has_uint32"]))
+        assert steps[:7] == [(0, 0)] * 3 + [(2, 0)] * 3 + [(2, 1)]
+        assert {calls for calls, _ in steps[7:]} == {2}
+
+    def test_buffered_half_at_the_start_keeps_numpy(self):
+        rng, twin = CountingGenerator(np.random.PCG64(3)), np.random.default_rng(3)
+        assert rng.integers(5) == twin.integers(5)  # leaves the high half buffered
+        draw = exponential_and_pair(rng, 1.0, 5)
+        for _ in range(50):
+            assert draw() == (sample_exponential(twin, 1.0), int(twin.integers(5)))
+            twin.integers(5)
+            assert_same_generator_state(rng, twin)
+        assert rng.calls == 1 + 2 * 50
+
+    def test_full_mode_run_calls_no_integers(self):
+        config = make_config(has_trans=True, t_technique="full", t_n=0.05, block_target=50)
+        expected = run_single(config)
+        made = []
+
+        def counting_rng(seed):
+            made.append(CountingGenerator(np.random.PCG64(seed)))
+            return made[-1]
+
+        with mock.patch("chainsim.runner.np.random.default_rng", counting_rng):
+            report = run_single(config)
+        assert made[0].calls == 0
+        assert dataclasses.replace(report, wall_clock_s=0.0) == dataclasses.replace(
+            expected, wall_clock_s=0.0
+        )
 
 
 class TestRunLoop:
