@@ -238,6 +238,144 @@ class TestParseConfig:
         assert run_single(config, 0).blocks_created == 10
 
 
+# Config text -> the exact message after "config error: ".  The messages were
+# recorded before the key declarations were folded into SimConfig's fields,
+# and a file with two faults pins which check speaks first.
+ERROR_MESSAGES = [
+    # each finiteness check, in validate's order
+    ("B_interval = inf\nblock_target = 10", "B_interval must be a finite number, got inf"),
+    ("B_size = inf\nblock_target = 10", "B_size must be a finite number, got inf"),
+    ("B_delay = nan\nblock_target = 10", "B_delay must be a finite number, got nan"),
+    ("B_reward = nan\nblock_target = 10", "B_reward must be a finite number, got nan"),
+    ("T_n = nan\nblock_target = 10", "T_n must be a finite number, got nan"),
+    ("T_delay = inf\nblock_target = 10", "T_delay must be a finite number, got inf"),
+    (
+        "inclusion_reward_fraction = nan\nblock_target = 10",
+        "inclusion_reward_fraction must be a finite number, got nan",
+    ),
+    ("Sim_time = inf", "Sim_time must be a finite number, got inf"),
+    (
+        "miners = nan,0.5,0.5\nblock_target = 10",
+        "miner hash fractions and stakes must be finite numbers",
+    ),
+    (
+        "stakes = 1,nan,0,0,0\nblock_target = 10",
+        "miner hash fractions and stakes must be finite numbers",
+    ),
+    # each choice field
+    (
+        "block_target = 10\nT_technique = heavy",
+        "line 2: bad value for 'T_technique': expected one of full, light; got 'heavy'",
+    ),
+    (
+        "block_target = 10\nselector = round-robin",
+        "line 2: bad value for 'selector': expected one of pow, stake, roundrobin; got 'round-robin'",
+    ),
+    (
+        "block_target = 10\ndelay_mode = exp",
+        "line 2: bad value for 'delay_mode': expected one of constant, exponential; got 'exp'",
+    ),
+    # parser errors
+    (
+        "hasTrans = maybe\nblock_target = 10",
+        "line 1: bad value for 'hasTrans': expected a boolean, got 'maybe'",
+    ),
+    (
+        "N_n = 2.5\nblock_target = 10",
+        "line 1: bad value for 'N_n': invalid literal for int() with base 10: '2.5'",
+    ),
+    (
+        "B_interval = fast\nblock_target = 10",
+        "line 1: bad value for 'B_interval': could not convert string to float: 'fast'",
+    ),
+    (
+        "miners = ,\nblock_target = 10",
+        "line 1: bad value for 'miners': expected a comma-separated list of numbers",
+    ),
+    (
+        "inclusion_reward_fraction = 1/0\nblock_target = 10",
+        "line 1: bad value for 'inclusion_reward_fraction': float division by zero",
+    ),
+    ("block_target = 10\nbogus_key = 3", "line 2: unknown key 'bogus_key'"),
+    ("seed = 1\nblock_target = 10\nSEED = 2", "line 3: duplicate key 'SEED' (first on line 1)"),
+    ("preset = bitcoin\npreset = ethereum", "line 2: duplicate key 'preset'"),
+    ("preset = litecoin", "unknown preset 'litecoin' (choose bitcoin, ethereum, or custom)"),
+    ("B_interval\nblock_target = 10", "line 1: expected 'key = value', got 'B_interval'"),
+    (
+        "T_size = gauss:3\nblock_target = 10",
+        "unknown sampler kind 'gauss' (use const:, exp:, or hist:)",
+    ),
+    ("T_fee = const\nblock_target = 10", "sampler spec 'const' needs the form kind:argument"),
+    (
+        "T_fee = exp:0\nblock_target = 10",
+        "bad exp: sampler argument '0': exponential sampler mean must be positive, got 0.0",
+    ),
+    (
+        "T_size = const:nan\nblock_target = 10",
+        "bad const: sampler argument 'nan': not a finite number",
+    ),
+    # range rules
+    ("B_interval = 0\nblock_target = 10", "B_interval must be positive, got 0.0"),
+    ("B_size = 0\nblock_target = 10", "B_size must be positive, got 0.0"),
+    ("B_delay = -1\nblock_target = 10", "propagation delays must be non-negative"),
+    ("T_delay = -1\nblock_target = 10", "propagation delays must be non-negative"),
+    ("B_reward = -1\nblock_target = 10", "B_reward must be non-negative"),
+    ("T_n = -1\nblock_target = 10", "T_n must be non-negative, got -1.0"),
+    ("miners = 1.5,-0.5\nblock_target = 10", "miner hash fractions must be non-negative"),
+    ("miners = 0.6,0.5\nblock_target = 10", "miner hash fractions must sum to 1, got 1.1"),
+    ("N_n = 3\nblock_target = 10", "N_n=3 is smaller than the number of miners (5)"),
+    (
+        "miners = 0.5,0.5\nN_n = 2\nstakes = 1\nblock_target = 10",
+        "stakes list must match the miners list in length",
+    ),
+    ("stakes = 2,-1,0,0,0\nblock_target = 10", "stakes must be non-negative with a positive sum"),
+    (
+        "stakes = 0,0,0,0,0\nselector = stake\nblock_target = 10",
+        "stakes must be non-negative with a positive sum",
+    ),
+    ("U_max = -1\nblock_target = 10", "U_max must be non-negative"),
+    (
+        "uncles_enabled = true\nG_uncle = 0\nblock_target = 10",
+        "G_uncle must be at least 1 when uncles are enabled",
+    ),
+    (
+        "inclusion_reward_fraction = 1\nblock_target = 10",
+        "inclusion_reward_fraction must be in [0, 1)",
+    ),
+    ("B_interval = 10", "set one of Sim_time or block_target"),
+    ("Sim_time = 5\nblock_target = 10", "Sim_time and block_target are mutually exclusive"),
+    ("Sim_time = -1", "Sim_time must be non-negative"),
+    ("block_target = 0", "block_target must be at least 1"),
+    ("Runs = 0\nblock_target = 10", "Runs must be at least 1"),
+    ("seed = -1\nblock_target = 10", "seed must be non-negative, got -1"),
+    # both caps
+    (
+        "block_target = 1000000000",
+        "a run expects about 1e+09 blocks, more than the cap of 1,000,000; lower block_target",
+    ),
+    (
+        "T_technique = full\nT_n = 100000\nSim_time = 1800",
+        "full mode expects about 1.8e+08 transactions per run (T_n = 100000/s over a 1800 s horizon), more than the cap of 1,000,000; lower T_n or Sim_time",
+    ),
+    # both sampler-sign rules
+    ("T_size = const:0\nblock_target = 10", "T_size must yield positive sizes"),
+    ("T_fee = const:-5\nblock_target = 10", "T_fee must not yield negative prices"),
+    # two faults: the first check to fail speaks
+    ("B_interval = 0\nRuns = 0\nblock_target = 10", "B_interval must be positive, got 0.0"),
+    ("B_interval = 0\nT_n = nan\nblock_target = 10", "T_n must be a finite number, got nan"),
+    ("bogus_key = 1\nB_interval = fast\nblock_target = 10", "line 1: unknown key 'bogus_key'"),
+]
+
+
+@pytest.mark.parametrize("text, message", ERROR_MESSAGES)
+def test_config_error_message_word_for_word(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "runs.csv").exists()
+
+
 class TestFrozenConfig:
     def test_fields_cannot_be_assigned(self):
         config = make_config()
