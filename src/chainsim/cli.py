@@ -37,36 +37,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _miner_ids(report: RunReport) -> list[int]:
-    return list(report.miner_shares)
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Write ``rows`` under a header of the first row's names."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
 
 
 def write_run_csv(path: Path, reports: list[RunReport]) -> None:
-    miner_ids = _miner_ids(reports[0])
-    header = (
-        ["run_index", "seed", "blocks_created", "blocks_included", "stale_rate",
-         "throughput_tps", "mean_tx_latency_s"]
-        + [f"share_{m}" for m in miner_ids]
-        + [f"reward_share_{m}" for m in miner_ids]
-        + ["wall_clock_s"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in reports:
-            row = [
-                r.run_index,
-                r.seed,
-                r.blocks_created,
-                r.blocks_included,
-                _fmt(r.stale_rate),
-                _fmt(r.throughput_tps),
-                _fmt(r.mean_tx_latency_s),
-            ]
-            row += [_fmt(r.miner_shares[m]) for m in miner_ids]
-            row += [_fmt(r.reward_shares[m]) for m in miner_ids]
-            row.append(_fmt(r.wall_clock_s))
-            writer.writerow(row)
+    _write_csv(path, [report.columns("runs") for report in reports])
 
 
 def write_aggregate_csv(path: Path, aggregates: dict[str, MetricAggregate]) -> None:
@@ -78,14 +58,7 @@ def write_aggregate_csv(path: Path, aggregates: dict[str, MetricAggregate]) -> N
 
 
 def write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        return
-    header = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in header])
+    _write_csv(path, rows)
 
 
 def summary_lines(config: SimConfig, aggregates: dict[str, MetricAggregate]) -> list[str]:
@@ -152,17 +125,13 @@ def _write_outputs(out: str, write) -> int:
 
 def _load_config(args) -> SimConfig:
     config = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(args)
 
     def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
         reports = run_many(config, parallel=args.parallel)
@@ -185,16 +154,12 @@ def _parse_grid_list(raw: str, what: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        base = _load_config(args)
-        spec = SweepSpec(
-            base,
-            _parse_grid_list(args.intervals, "intervals"),
-            _parse_grid_list(args.delays, "delays"),
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _load_config(args)
+    spec = SweepSpec(
+        base,
+        _parse_grid_list(args.intervals, "intervals"),
+        _parse_grid_list(args.delays, "delays"),
+    )
 
     def write(out_dir: Path, tracker: _OutputTracker) -> list[str]:
         rows: list[dict] = []
@@ -205,15 +170,8 @@ def _cmd_sweep(args) -> int:
             for cell in cells:
                 reports = run_many(cell, parallel=args.parallel)
                 aggs = aggregate(reports)
-                row = {
-                    "b_interval": cell.b_interval,
-                    "b_delay": cell.b_delay,
-                    "stale_rate": aggs["stale_rate"].mean,
-                    "throughput_tps": aggs["throughput_tps"].mean,
-                }
-                for miner_id in reports[0].miner_shares:
-                    row[f"share_{miner_id}"] = aggs[f"share_{miner_id}"].mean
-                row["wall_clock_s"] = aggs["wall_clock_s"].mean
+                row = {"b_interval": cell.b_interval, "b_delay": cell.b_delay}
+                row.update((name, aggs[name].mean) for name in reports[0].columns("sweep"))
                 rows.append(row)
                 _say(
                     f"cell B_interval={_fmt(cell.b_interval)} B_delay={_fmt(cell.b_delay)}: "
@@ -253,7 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # from loading: _write_outputs catches what a run raises
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -1,6 +1,12 @@
 """Run configuration: flat ``key = value`` files, presets, and sampler specs.
 
 Keys are the simulator's input-parameter names, matched case-insensitively.
+Each key is declared once, on its ``SimConfig`` field: its spelling, and its
+allowed values or its own parser where it has them.  The file parser's
+``_KEY_TABLE``, the ``CHOICES`` table and ``validate``'s finiteness checks
+are derived from those declarations in field order; every other rule is code
+in ``validate``.  A field's parser follows its annotation.
+
 ``#`` starts a comment.  Sampler values use a mini-syntax:
 
     const:X     fixed value X
@@ -14,9 +20,9 @@ any later key in the file overrides.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -47,16 +53,44 @@ DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 PRESET_MINERS = (0.30, 0.25, 0.20, 0.15, 0.10)
 
 
-# Allowed values of each enumerated field, for the file parser and ``validate``.
-CHOICES: dict[str, tuple[str, ...]] = {
-    "t_technique": ("full", "light"),
-    "selector": ("pow", "stake", "roundrobin"),
-    "delay_mode": ("constant", "exponential"),
-}
-
-
 class ConfigError(Exception):
     """Invalid configuration input; message carries the offending line."""
+
+
+def _parse_bool(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value in ("true", "yes", "on", "1"):
+        return True
+    if value in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_fraction(raw: str) -> float:
+    if "/" in raw:
+        num, _, den = raw.partition("/")
+        return float(num) / float(den)
+    return float(raw)
+
+
+def _parse_float_list(raw: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("expected a comma-separated list of numbers")
+    return tuple(float(p) for p in parts)
+
+
+def _parse_choice(choices: tuple[str, ...], raw: str) -> str:
+    value = raw.strip().lower()
+    if value not in choices:
+        raise ValueError(f"expected one of {', '.join(choices)}; got {raw!r}")
+    return value
+
+
+def _key(spelling: str, default, **rules):
+    """A ``SimConfig`` field read from the file key ``spelling``.  ``rules``
+    may give its ``choices`` or a ``parse`` function of its own."""
+    return dataclasses.field(default=default, metadata={"key": spelling, **rules})
 
 
 @dataclass(frozen=True)
@@ -64,44 +98,80 @@ class SimConfig:
     """One run configuration.  It is checked by ``validate`` when it is made,
     so every ``SimConfig`` is valid; derive variants with ``dataclasses.replace``."""
 
-    preset: str = "custom"
+    preset: str = _key("preset", "custom")
     # blocks
-    b_interval: float = 600.0  # mean seconds between blocks network-wide
-    b_size: float = 1.0  # MB, or a block gas limit: the unit of t_size
-    b_delay: float = 0.5  # block propagation seconds
-    b_reward: float = 2.0
+    b_interval: float = _key("B_interval", 600.0)  # mean seconds between blocks network-wide
+    b_size: float = _key("B_size", 1.0)  # MB, or a block gas limit: the unit of t_size
+    b_delay: float = _key("B_delay", 0.5)  # block propagation seconds
+    b_reward: float = _key("B_reward", 2.0)
     # transactions
-    has_trans: bool = True
-    t_technique: str = "light"  # "full" | "light"
-    t_n: float = 10.0  # created per second
-    t_delay: float = 1.0  # transaction propagation seconds (full mode)
-    t_fee: str = "const:0.2"  # unit-price sampler (per MB, or per gas)
-    t_size: str = "const:0.000546"  # MB, or gas units
+    has_trans: bool = _key("hasTrans", True)
+    t_technique: str = _key("T_technique", "light", choices=("full", "light"))
+    t_n: float = _key("T_n", 10.0)  # created per second
+    t_delay: float = _key("T_delay", 1.0)  # transaction propagation seconds (full mode)
+    t_fee: str = _key("T_fee", "const:0.2")  # unit-price sampler (per MB, or per gas)
+    t_size: str = _key("T_size", "const:0.000546")  # MB, or gas units
     # nodes
-    n_n: int = 5
-    miners: tuple[float, ...] = DEFAULT_MINERS  # hash-power fractions, node ids 0..k-1
-    stakes: tuple[float, ...] | None = None  # defaults to the hash-power fractions
+    n_n: int = _key("N_n", 5)
+    miners: tuple[float, ...] = _key("miners", DEFAULT_MINERS)  # hash power of nodes 0..k-1
+    stakes: tuple[float, ...] | None = _key("stakes", None)  # defaults to the hash power
     # consensus
-    selector: str = "pow"  # "pow" | "stake" | "roundrobin"
-    delay_mode: str = "constant"  # "constant" | "exponential"
-    uncles_enabled: bool = False
-    u_max: int = 2
-    g_uncle: int = 7
-    inclusion_reward_fraction: float = 1.0 / 32.0
+    selector: str = _key("selector", "pow", choices=("pow", "stake", "roundrobin"))
+    delay_mode: str = _key("delay_mode", "constant", choices=("constant", "exponential"))
+    uncles_enabled: bool = _key("uncles_enabled", False)
+    u_max: int = _key("U_max", 2)
+    g_uncle: int = _key("G_uncle", 7)
+    inclusion_reward_fraction: float = _key(
+        "inclusion_reward_fraction", 1.0 / 32.0, parse=_parse_fraction
+    )
     # simulation
-    sim_time: float | None = None  # seconds; exclusive with block_target
-    block_target: int | None = None  # stop after this many blocks created
-    runs: int = 10
-    seed: int = 42
+    sim_time: float | None = _key("Sim_time", None)  # seconds; exclusive with block_target
+    block_target: int | None = _key("block_target", None)  # stop after this many blocks created
+    runs: int = _key("Runs", 10)
+    seed: int = _key("seed", 42)
+    # The specs and parsed samplers behind ``samplers``.  ``dataclasses.replace``
+    # hands them to the variant it makes, which parses anew only if a spec changed.
+    _parsed: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate(self)
 
-    @cached_property
+    @property
     def samplers(self) -> tuple:
-        """The ``(T_size, T_fee)`` samplers, parsed once: ``validate`` and
-        every run, in any worker the config is sent to, share them."""
-        return parse_sampler(self.t_size), parse_sampler(self.t_fee)
+        """The ``(T_size, T_fee)`` samplers, parsed once: ``validate``, every run, in
+        any worker, and each ``dataclasses.replace`` variant that keeps both specs share them."""
+        specs = (self.t_size, self.t_fee)
+        if self._parsed is None or self._parsed[0] != specs:
+            object.__setattr__(self, "_parsed", (specs, tuple(map(parse_sampler, specs))))
+        return self._parsed[1]
+
+
+# The value parser for each field annotation, with ``| None`` removed.
+_PARSERS = {
+    "str": str.strip,
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "tuple[float, ...]": _parse_float_list,
+}
+
+
+def _parser(field: dataclasses.Field):
+    if "choices" in field.metadata:
+        return functools.partial(_parse_choice, field.metadata["choices"])
+    parse = field.metadata.get("parse") or _PARSERS.get(field.type.removesuffix(" | None"))
+    if parse is None:
+        raise TypeError(f"SimConfig.{field.name}: no parser for {field.type!r}")
+    return parse
+
+
+_KEYED = [f for f in dataclasses.fields(SimConfig) if "key" in f.metadata]
+# key (lowercased) -> (SimConfig field, value parser)
+_KEY_TABLE = {f.metadata["key"].lower(): (f.name, _parser(f)) for f in _KEYED}
+# Allowed values of each enumerated field, for the file parser and ``validate``.
+CHOICES = {f.name: f.metadata["choices"] for f in _KEYED if "choices" in f.metadata}
+# (key, field) of each number field, which ``validate`` requires to be finite.
+_FINITE = [(f.metadata["key"], f.name) for f in _KEYED if f.type.startswith("float")]
 
 
 # Preset parameter sets for the two reference networks.  The ethereum
@@ -242,7 +312,7 @@ def parse_sampler(spec: str):
     """Build a sampler object from a ``const:/exp:/hist:`` spec string.
 
     A relative ``hist:`` path resolves against the working directory;
-    ``config_from_pairs`` anchors config-file paths before they get here.
+    ``parse_config_text`` anchors config-file paths before they get here.
     """
     kind, sep, arg = spec.partition(":")
     if not sep:
@@ -275,87 +345,16 @@ def _anchor_hist(spec: str, base_dir: Path | None) -> str:
     return f"hist:{(Path(base_dir or '') / arg.strip()).absolute()}"
 
 
-def _parse_bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_fraction(raw: str) -> float:
-    if "/" in raw:
-        num, _, den = raw.partition("/")
-        return float(num) / float(den)
-    return float(raw)
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_choice(name: str):
-    def parse(raw: str) -> str:
-        value = raw.strip().lower()
-        if value not in CHOICES[name]:
-            raise ValueError(f"expected one of {', '.join(CHOICES[name])}; got {raw!r}")
-        return value
-
-    return parse
-
-
-# key (lowercased) -> (SimConfig field, value parser)
-_KEY_TABLE: dict[str, tuple[str, object]] = {
-    "preset": ("preset", str.strip),
-    "b_interval": ("b_interval", float),
-    "b_size": ("b_size", float),
-    "b_delay": ("b_delay", float),
-    "b_reward": ("b_reward", float),
-    "hastrans": ("has_trans", _parse_bool),
-    "t_technique": ("t_technique", _parse_choice("t_technique")),
-    "t_n": ("t_n", float),
-    "t_delay": ("t_delay", float),
-    "t_fee": ("t_fee", str.strip),
-    "t_size": ("t_size", str.strip),
-    "n_n": ("n_n", int),
-    "miners": ("miners", _parse_float_list),
-    "stakes": ("stakes", _parse_float_list),
-    "selector": ("selector", _parse_choice("selector")),
-    "delay_mode": ("delay_mode", _parse_choice("delay_mode")),
-    "uncles_enabled": ("uncles_enabled", _parse_bool),
-    "u_max": ("u_max", int),
-    "g_uncle": ("g_uncle", int),
-    "inclusion_reward_fraction": ("inclusion_reward_fraction", _parse_fraction),
-    "sim_time": ("sim_time", float),
-    "block_target": ("block_target", int),
-    "runs": ("runs", int),
-    "seed": ("seed", int),
-}
-
-
 def validate(config: SimConfig) -> SimConfig:
     """Raise ConfigError on any inconsistent parameter combination."""
 
     def fail(message: str) -> None:
         raise ConfigError(message)
 
-    numbers = {
-        "B_interval": config.b_interval,
-        "B_size": config.b_size,
-        "B_delay": config.b_delay,
-        "B_reward": config.b_reward,
-        "T_n": config.t_n,
-        "T_delay": config.t_delay,
-        "inclusion_reward_fraction": config.inclusion_reward_fraction,
-        "Sim_time": config.sim_time,
-    }
-    for name, value in numbers.items():
+    for key, name in _FINITE:
+        value = getattr(config, name)
         if value is not None and not math.isfinite(value):
-            fail(f"{name} must be a finite number, got {value}")
+            fail(f"{key} must be a finite number, got {value}")
     for name, allowed in CHOICES.items():
         if getattr(config, name) not in allowed:
             fail(f"{name} must be one of {', '.join(allowed)}; got {getattr(config, name)!r}")
@@ -429,18 +428,25 @@ def validate(config: SimConfig) -> SimConfig:
     return config
 
 
-def config_from_pairs(
-    pairs: list[tuple[int, str, str]], base_dir: Path | None = None
-) -> SimConfig:
-    """Build a SimConfig from (line, key, value) triples."""
+def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
+    """Build a SimConfig from ``key = value`` lines; ``base_dir`` anchors ``hist:`` paths."""
+    pairs: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        pairs.append((lineno, key.strip(), value.strip()))
     values: dict = {}
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # field -> the line that set it
     # The preset loads first so file keys override it regardless of order.
     for lineno, key, value in pairs:
-        if key.strip().lower() == "preset":
+        if key.lower() == "preset":
             if "preset" in seen:
                 raise ConfigError(f"line {lineno}: duplicate key 'preset'")
-            name = value.strip().lower()
+            name = value.lower()
             if name not in (*PRESETS, "custom", ""):
                 raise ConfigError(
                     f"unknown preset {value!r} (choose bitcoin, ethereum, or custom)"
@@ -448,22 +454,21 @@ def config_from_pairs(
             values.update(PRESETS.get(name, {}), preset=name or "custom")
             seen["preset"] = lineno
     for lineno, key, value in pairs:
-        normalized = key.strip().lower()
-        if normalized == "preset":
-            continue
-        entry = _KEY_TABLE.get(normalized)
+        entry = _KEY_TABLE.get(key.lower())
         if entry is None:
-            raise ConfigError(f"line {lineno}: unknown key {key.strip()!r}")
-        if normalized in seen:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {key.strip()!r} (first on line {seen[normalized]})"
-            )
-        seen[normalized] = lineno
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field, parser = entry
+        if field == "preset":
+            continue
+        if field in seen:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r} (first on line {seen[field]})"
+            )
+        seen[field] = lineno
         try:
             values[field] = parser(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key.strip()!r}: {exc}") from exc
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     # Choosing a sim_time in the file replaces a preset's block target (and
     # vice versa); setting both in the file is still refused.
     if "sim_time" in seen and "block_target" not in seen:
@@ -475,19 +480,6 @@ def config_from_pairs(
         if field in seen:
             values[field] = _anchor_hist(values[field], base_dir)
     return SimConfig(**values)
-
-
-def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
-    pairs: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        pairs.append((lineno, key, value.strip()))
-    return config_from_pairs(pairs, base_dir)
 
 
 def parse_config(path) -> SimConfig:
@@ -511,15 +503,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.intervals or not self.delays:
             raise ConfigError("sweep grid must contain at least one cell")
-        self._grid  # made, and so checked, before any run starts
-
-    @cached_property
-    def _grid(self) -> tuple[SimConfig, ...]:
-        return tuple(
+        # Made, and so checked, before any run starts; the cells share the base's samplers.
+        cells = tuple(
             dataclasses.replace(self.base, b_interval=interval, b_delay=delay)
             for interval in self.intervals
             for delay in self.delays
         )
+        object.__setattr__(self, "_cells", cells)
 
     def cells(self) -> tuple[SimConfig, ...]:
-        return self._grid
+        return self._cells

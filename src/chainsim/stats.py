@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .incentives import RewardLedger
 from .model import Block, World
@@ -39,25 +39,54 @@ def check_main_chain(registry: list[Block], chain_ids: list[int]) -> None:
         previous = block
 
 
+def _metric(*tables: str, per_miner: str = "", last: bool = False, **kwargs):
+    """A ``RunReport`` field written to ``tables`` ("runs", "aggregate", "sweep");
+    a ``per_miner`` dict as one column per miner, named with that prefix.
+    ``last`` columns end runs.csv and sweep.csv rows, after the deterministic ones."""
+    return field(metadata={"tables": tables, "per_miner": per_miner, "last": last}, **kwargs)
+
+
 @dataclass(slots=True)
 class RunReport:
-    run_index: int
-    seed: int
-    blocks_created: int
-    blocks_included: int  # main chain, excluding genesis
-    stale_rate: float
-    throughput_tps: float
-    mean_tx_latency_s: float | None  # full workload mode only
-    miner_shares: dict[int, float]
-    reward_shares: dict[int, float]
-    sim_time_s: float  # elapsed simulated seconds
-    wall_clock_s: float
+    """One run's results, its metrics in aggregate.csv order."""
 
-    @property
-    def blocks_per_day(self) -> float:
-        if self.sim_time_s <= 0:
-            return 0.0
-        return self.blocks_included * SECONDS_PER_DAY / self.sim_time_s
+    run_index: int = _metric("runs")
+    seed: int = _metric("runs")
+    blocks_created: int = _metric("runs", "aggregate")
+    blocks_included: int = _metric("runs", "aggregate")  # main chain, excluding genesis
+    stale_rate: float = _metric("runs", "aggregate", "sweep")
+    throughput_tps: float = _metric("runs", "aggregate", "sweep")
+    blocks_per_day: float = _metric("aggregate", init=False)
+    wall_clock_s: float = _metric("runs", "aggregate", "sweep", last=True)
+    # full workload mode only; ``aggregate`` leaves out a metric that a run lacks
+    mean_tx_latency_s: float | None = _metric("runs", "aggregate")
+    miner_shares: dict[int, float] = _metric("runs", "aggregate", "sweep", per_miner="share_")
+    reward_shares: dict[int, float] = _metric("runs", "aggregate", per_miner="reward_share_")
+    sim_time_s: float  # elapsed simulated seconds
+
+    def __post_init__(self) -> None:
+        elapsed = self.sim_time_s
+        self.blocks_per_day = self.blocks_included * SECONDS_PER_DAY / elapsed if elapsed > 0 else 0.0
+
+    def columns(self, table: str) -> dict[str, float | None]:
+        """This run's columns of ``table``, name -> value, in column order."""
+        row = {}
+        for f in _COLUMNS[table]:
+            value, prefix = getattr(self, f.name), f.metadata["per_miner"]
+            if prefix:
+                row.update((f"{prefix}{m}", v) for m, v in value.items())
+            else:
+                row[f.name] = value
+        return row
+
+
+_COLUMNS = {
+    table: sorted(
+        (f for f in fields(RunReport) if table in f.metadata.get("tables", ())),
+        key=lambda f: table != "aggregate" and f.metadata["last"],
+    )
+    for table in ("runs", "aggregate", "sweep")
+}
 
 
 def summarize_run(
@@ -181,26 +210,9 @@ def aggregate(reports: list[RunReport]) -> dict[str, MetricAggregate]:
     """Cross-run mean and 95% half-width per metric, in a stable key order."""
     if not reports:
         raise ValueError("cannot aggregate zero run reports")
-    out: dict[str, MetricAggregate] = {}
-    scalar_fields = [
-        "blocks_created",
-        "blocks_included",
-        "stale_rate",
-        "throughput_tps",
-        "blocks_per_day",
-        "wall_clock_s",
-    ]
-    for name in scalar_fields:
-        out[name] = _aggregate_values([float(getattr(r, name)) for r in reports])
-    latencies = [r.mean_tx_latency_s for r in reports]
-    if all(v is not None for v in latencies):
-        out["mean_tx_latency_s"] = _aggregate_values([float(v) for v in latencies])
-    for miner_id in reports[0].miner_shares:
-        out[f"share_{miner_id}"] = _aggregate_values(
-            [r.miner_shares[miner_id] for r in reports]
-        )
-    for miner_id in reports[0].reward_shares:
-        out[f"reward_share_{miner_id}"] = _aggregate_values(
-            [r.reward_shares[miner_id] for r in reports]
-        )
-    return out
+    rows = [report.columns("aggregate") for report in reports]
+    return {
+        name: _aggregate_values([float(row[name]) for row in rows])
+        for name in rows[0]
+        if all(row[name] is not None for row in rows)
+    }

@@ -57,7 +57,14 @@ class TestRunCommand:
         assert rows[1][0] == "0" and rows[1][1] == "42"
         agg_rows = read_rows(out / "aggregate.csv")
         assert agg_rows[0] == ["metric", "mean", "half_width_95", "runs"]
-        assert any(r[0] == "stale_rate" for r in agg_rows)
+        # Light mode has no latency row; the digests drop wall_clock_s, so its place is pinned here.
+        assert [r[0] for r in agg_rows[1:]] == [
+            "blocks_created", "blocks_included", "stale_rate", "throughput_tps",
+            "blocks_per_day", "wall_clock_s",
+            "share_0", "share_1", "share_2", "share_3", "share_4",
+            "reward_share_0", "reward_share_1", "reward_share_2", "reward_share_3",
+            "reward_share_4",
+        ]
         assert "B_interval=60" in capsys.readouterr().out
 
     def test_run_matches_api(self, tmp_path):
@@ -126,14 +133,26 @@ class TestRunCommand:
         assert (tmp_path / "out" / "runs.csv").exists()
 
     def test_hist_file_read_once_per_command(self, tmp_path):
-        # The config check and all three runs share one parse of the file.
+        # The config check and all three runs share one parse of the file, and
+        # so do a --seed variant and every sweep cell made from the base.
         (tmp_path / "h.txt").write_text("0.0005 0.5\n0.001 0.5\n")
         config = write_config(tmp_path, BASE_CONFIG + "T_fee = hist:h.txt\n")
-        loads = mock.patch.object(config_module, "load_histogram", wraps=config_module.load_histogram)
-        with loads as load:
-            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-        assert load.call_count == 1
-        assert len(read_rows(tmp_path / "o" / "runs.csv")) == 4
+        grid = ["--intervals", "30,60", "--delays", "1,2"]
+        commands = {
+            "run": (["run"], "runs.csv", 4),
+            "run-seed": (["run", "--seed", "3"], "runs.csv", 4),
+            "sweep": (["sweep", *grid], "sweep.csv", 5),
+            "sweep-seed": (["sweep", *grid, "--seed", "3"], "sweep.csv", 5),
+        }
+        for name, (argv, table, rows) in commands.items():
+            out = tmp_path / name
+            loads = mock.patch.object(
+                config_module, "load_histogram", wraps=config_module.load_histogram
+            )
+            with loads as load:
+                assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+            assert load.call_count == 1, name
+            assert len(read_rows(out / table)) == rows
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -96,6 +96,14 @@ class TestParseConfig:
         listed = re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE)
         assert sorted(key.lower() for key in listed) == sorted(_KEY_TABLE)
 
+    def test_readme_spells_every_key_as_declared(self):
+        # The README table and the SimConfig declarations spell each key alike,
+        # case included: hasTrans, not hastrans.
+        text = README.read_text().split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE)
+        declared = [f.metadata["key"] for f in dataclasses.fields(SimConfig) if "key" in f.metadata]
+        assert listed == declared
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "seed = 1\nseed = 2\nsim_time = 5\n")
         with pytest.raises(ConfigError, match="duplicate"):
