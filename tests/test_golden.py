@@ -308,8 +308,8 @@ def csv_digest(path):
 
 
 def stdout_digest(out):
-    return digest("".join(line for line in out.splitlines(keepends=True)
-                          if not line.lstrip().startswith("wall_clock_s")))
+    lines = out.splitlines(keepends=True)
+    return digest("".join(line for line in lines if not line.lstrip().startswith("wall_clock_s")))
 
 
 def run_digests(tmp_path, capsys, text):
