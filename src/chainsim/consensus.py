@@ -12,19 +12,16 @@ propagation delay.  Discarding *and* rescheduling at fire time instead
 would hand the previous winner a head start and demonstrably skews block
 shares away from hash shares.
 
-Blocks reach only the nodes up to the highest-id miner.  A zero-weight node
-above it changes no output: packing reads only miners' adopted transactions,
-only creators reference uncles, rewards follow ``Block.miner_id``, and
-``main_chain`` never picks it, as the creator of its tip has a lower id and a
-chain at least as deep.  A zero-weight node below some miner can win that
-depth tie, so it stays simulated.
+Who mines is decided once, when the ``World`` is built: the engine reads
+each node's creation weight and the miner ids from it.  The world holds the
+nodes up to the highest-id miner and no more, so blocks reach those alone
+(see ``World``).
 """
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -62,17 +59,10 @@ class ConsensusEngine:
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
-        # Under ``selector = stake`` stakes default to the hash-power fractions.
-        by_stake = config.selector == "stake" and config.stakes is not None
-        raw = list(config.stakes if by_stake else config.miners)
-        raw += [0.0] * (config.n_n - len(raw))  # nodes past the list never mine
-        total = reduce(add, raw, 0.0)  # left to right, whatever sum() does
-        self.weights = [w / total for w in raw]
+        self.weights = world.weights
         # Mean seconds between a miner's blocks; 0 marks a node that never mines.
         self.means = [self.block_interval / w if w > 0 else 0.0 for w in self.weights]
-        self.miner_ids = [n.id for n in world.nodes if self.weights[n.id] > 0]
-        network.set_recipients(self.miner_ids[-1] + 1)
-        self._rr_cycle = 0
+        self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
 
     # -- scheduling -----------------------------------------------------
 
@@ -81,7 +71,7 @@ class ConsensusEngine:
         if self.round_robin:
             self._schedule_round_robin(0.0)
             return
-        for miner_id in self.miner_ids:
+        for miner_id in self.world.miner_ids:
             self.schedule_next_creation(self.world.nodes[miner_id], 0.0)
 
     def schedule_next_creation(self, miner: NodeState, at: float) -> float:
@@ -94,8 +84,7 @@ class ConsensusEngine:
         return time
 
     def _schedule_round_robin(self, at: float) -> None:
-        miner_id = self.miner_ids[self._rr_cycle % len(self.miner_ids)]
-        self._rr_cycle += 1
+        miner_id = next(self._rr_turns)
         tip = self.world.nodes[miner_id].tip
         self.queue.schedule(at + self.block_interval, EventKind.BLOCK_CREATE, miner_id, tip)
 
@@ -239,8 +228,4 @@ class ConsensusEngine:
 
 def main_chain(world: World) -> list[int]:
     """The deepest local chain at end of run; ties go to the lowest node id."""
-    best: NodeState | None = None
-    for node in world.nodes:
-        if best is None or node.tip.depth > best.tip.depth:
-            best = node
-    return list(best.chain)
+    return list(max(world.nodes, key=lambda node: node.tip.depth).chain)

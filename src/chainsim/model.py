@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+from typing import Sequence
 
-GENESIS_ID = 0
-GENESIS_MINER = -1
+from .config import SimConfig
 
 
 @dataclass(slots=True)
@@ -28,17 +30,6 @@ class Block:
     uncles: tuple[int, ...] = ()
 
 
-def make_genesis() -> Block:
-    """Empty block at depth 0 installed on every node's chain at startup."""
-    return Block(
-        id=GENESIS_ID,
-        depth=0,
-        previous_id=None,
-        timestamp=0.0,
-        miner_id=GENESIS_MINER,
-    )
-
-
 @dataclass(slots=True)
 class NodeState:
     """Per-node local chain view, adopted transactions, and uncle candidates.
@@ -49,19 +40,30 @@ class NodeState:
     """
 
     id: int
-    chain: list[int] = field(default_factory=list)
-    tip: Block | None = None
+    chain: list[int]
+    tip: Block
     # Adopted transactions and uncle candidates; kept for nodes that create blocks.
     chain_tx_ids: set[int] = field(default_factory=set)  # transactions ever adopted into the chain
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
 
-    def install_genesis(self, genesis: Block) -> None:
-        self.chain = [genesis.id]
-        self.tip = genesis
+
+def creation_weights(config: SimConfig) -> list[float]:
+    """Each listed node's share of block creation: ``miners``, or ``stakes``
+    under ``selector = stake``, over their sum.  The stakes default to ``miners``."""
+    by_stake = config.selector == "stake" and config.stakes is not None
+    raw = config.stakes if by_stake else config.miners
+    total = reduce(add, raw, 0.0)  # left to right, whatever sum() does
+    return [w / total for w in raw]
 
 
 class World:
     """All mutable state of one simulation run.
+
+    ``weights`` is each node's share of block creation and ``miner_ids`` the
+    nodes with a positive share, in id order.  Nodes are built up to the last
+    miner only: one above it mines nothing, and its chain could at most tie in
+    depth the chain of the miner it came from, a tie ``main_chain`` gives to
+    the lower id.  A zero-weight node below some miner can win that tie.
 
     ``registry`` holds every block created in the run, indexed by id: ids
     are dense from genesis's 0, so a new block's id is ``len(registry)``.  A
@@ -71,16 +73,16 @@ class World:
     filled as the referencing block is created, before any node receives it.
     """
 
-    __slots__ = ("nodes", "registry", "genesis", "included_uncles")
+    __slots__ = ("weights", "miner_ids", "nodes", "registry", "included_uncles")
 
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes < 1:
-            raise ValueError("a run needs at least one node")
-        self.genesis = make_genesis()
-        self.registry: list[Block] = [self.genesis]
-        self.nodes: list[NodeState] = []
-        for i in range(n_nodes):
-            node = NodeState(id=i)
-            node.install_genesis(self.genesis)
-            self.nodes.append(node)
+    def __init__(self, weights: Sequence[float]) -> None:
+        self.miner_ids = [i for i, w in enumerate(weights) if w > 0]
+        if not self.miner_ids:
+            raise ValueError("a run needs a node with a positive creation weight")
+        cut = self.miner_ids[-1] + 1
+        self.weights = list(weights[:cut])
+        # Genesis, which no node mined, starts every chain.
+        genesis = Block(id=0, depth=0, previous_id=None, timestamp=0.0, miner_id=-1)
+        self.registry: list[Block] = [genesis]
+        self.nodes = [NodeState(i, [genesis.id], genesis) for i in range(cut)]
         self.included_uncles: set[int] = set()

@@ -6,10 +6,10 @@ constant delay reaches every recipient at once, so one queue entry carries
 them all.  In exponential mode each recipient draws its own independent
 delay and gets its own entry.
 
-Only the nodes below the cut that ``ConsensusEngine`` passes to
-``set_recipients`` receive blocks.  Exponential mode still draws a delay
-for every node but the sender, in node order, so the random stream does
-not depend on the cut.
+Blocks reach the ``recipients`` nodes the ``World`` builds, the ids up to
+the highest-id miner.  Exponential mode still draws a delay for each of the
+``N_n`` nodes but the sender, in node order, and drops those past the
+recipients, so the random stream is the one every node would draw.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ from .model import Block
 
 
 class Network:
-    def __init__(self, queue: EventQueue, rng: np.random.Generator, config: SimConfig) -> None:
+    def __init__(
+        self, queue: EventQueue, rng: np.random.Generator, config: SimConfig, recipients: int
+    ) -> None:
         self.queue = queue
         self.rng = rng
         self.n_nodes = config.n_n
+        self.recipients = recipients  # blocks reach the node ids below this
         self.block_delay = config.b_delay
         # Exponential delays with a zero mean are all zero and draw nothing.
         self.exponential = config.delay_mode == "exponential" and config.b_delay > 0.0
-        self.set_recipients(config.n_n)
-
-    def set_recipients(self, count: int) -> None:
-        """Deliver blocks to the node ids below ``count`` only."""
-        self.recipients, self._others = count, {}  # sender id -> the other recipients
+        self._others: dict[int, tuple[int, ...]] = {}  # sender id -> the other recipients
 
     def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
         """Queue the block's delivery to every recipient but the sender;

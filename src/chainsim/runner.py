@@ -7,6 +7,7 @@ by run index.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -20,7 +21,7 @@ from .config import SimConfig
 from .consensus import ConsensusEngine, main_chain
 from .engine import EventKind, EventQueue, run_loop
 from .incentives import distribute
-from .model import World
+from .model import World, creation_weights
 from .network import Network
 from .stats import RunReport, summarize_run
 from .workload import TxWorkload
@@ -35,9 +36,9 @@ class Simulation:
         self.seed = config.seed + run_index
         self.rng = np.random.default_rng(int(self.seed))
 
-        self.world = World(config.n_n)
+        self.world = World(creation_weights(config))
         self.queue = EventQueue()
-        self.network = Network(self.queue, self.rng, config)
+        self.network = Network(self.queue, self.rng, config, len(self.world.nodes))
         self.workload = TxWorkload(self.world, self.queue, self.rng, config)
         self.consensus = ConsensusEngine(
             self.world, self.queue, self.rng, config, self.network, self.workload
@@ -50,7 +51,7 @@ class Simulation:
 
     def run(self) -> RunReport:
         started = time.perf_counter()
-        self.workload.start(self.consensus.miner_ids)
+        self.workload.start()
         self.consensus.start()
         elapsed = run_loop(
             self.queue,
@@ -67,7 +68,6 @@ class Simulation:
             self.world,
             chain,
             ledger,
-            miner_ids=self.consensus.miner_ids,
             elapsed=elapsed,
             run_index=self.run_index,
             seed=self.seed,
@@ -107,8 +107,9 @@ _open_pool: ContextVar[_SharedPool | None] = ContextVar("worker_pool", default=N
 def worker_pool(
     workers: int, grid: Iterable[SimConfig] = ()
 ) -> Iterator[ProcessPoolExecutor | None]:
-    """Share one pool of ``workers`` processes among the ``run_many`` calls
-    made inside the block; yields it, or None when ``workers`` <= 1.
+    """Share one pool of ``workers`` processes, at most one per CPU, among
+    the ``run_many`` calls made inside the block; yields it, or None when
+    that leaves one worker or none.
 
     ``grid`` lists the configs the block will pass to ``run_many``, in that
     order.  Nothing forks on entry: the first ``run_many`` call submits
@@ -121,6 +122,7 @@ def worker_pool(
     exit, cancelling queued runs if the block raised.
     """
     shared = _open_pool.get()
+    workers = min(workers, os.cpu_count() or 1)
     if shared is not None or workers <= 1:
         yield shared.executor if shared is not None else None
         return
@@ -138,10 +140,12 @@ def run_many(config: SimConfig, parallel: int = 1) -> list[RunReport]:
 
     With ``parallel`` > 1 the runs go to the open ``worker_pool``, which
     may have queued them already, or to a pool of ``min(parallel,
-    config.runs)`` workers opened for this call.  The first run to raise,
-    in run order, raises here.
+    config.runs)`` workers opened for this call; on a host with one CPU they
+    run here.  The first run to raise, in run order, raises here.
     """
-    if parallel <= 1 or config.runs == 1:
-        return [run_single(config, i) for i in range(config.runs)]
-    with worker_pool(min(parallel, config.runs)):
-        return [future.result() for future in _open_pool.get().futures(config)]
+    if parallel > 1 and config.runs > 1:
+        with worker_pool(min(parallel, config.runs)):
+            shared = _open_pool.get()
+            if shared is not None:  # None on a host with one CPU
+                return [future.result() for future in shared.futures(config)]
+    return [run_single(config, i) for i in range(config.runs)]

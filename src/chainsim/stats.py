@@ -94,7 +94,6 @@ def summarize_run(
     chain_ids: list[int],
     ledger: RewardLedger,
     *,
-    miner_ids: list[int],
     elapsed: float,
     run_index: int,
     seed: int,
@@ -102,7 +101,7 @@ def summarize_run(
 ) -> RunReport:
     """Fold a finished world into one RunReport (and validate the chain)."""
     check_main_chain(world.registry, chain_ids)
-    registry = world.registry
+    registry, miner_ids = world.registry, world.miner_ids
     included = len(chain_ids) - 1
     created = len(registry) - 1  # genesis is not created
     stale_rate = (created - included) / created if created else 0.0
@@ -114,8 +113,7 @@ def summarize_run(
     for block_id in chain_ids[1:]:
         block = registry[block_id]
         tx_total += block.tx_count
-        if block.miner_id in block_counts:
-            block_counts[block.miner_id] += 1
+        block_counts[block.miner_id] += 1
         tracked += len(block.transactions)
         for _, stamp, _, _ in block.transactions:
             latency_sum += block.timestamp - stamp
@@ -123,17 +121,12 @@ def summarize_run(
     throughput = tx_total / elapsed if elapsed > 0 else 0.0
     mean_latency = latency_sum / tracked if tracked else None
 
-    if included:
-        miner_shares = {m: block_counts[m] / included for m in miner_ids}
-    else:
-        miner_shares = {m: 0.0 for m in miner_ids}
+    miner_shares = {m: block_counts[m] / included if included else 0.0 for m in miner_ids}
     total_reward = ledger.grand_total()
-    if total_reward > 0:
-        reward_shares = {
-            m: (ledger[m].total / total_reward if m in ledger else 0.0) for m in miner_ids
-        }
-    else:
-        reward_shares = {m: 0.0 for m in miner_ids}
+    reward_shares = {
+        m: ledger[m].total / total_reward if total_reward > 0 and m in ledger else 0.0
+        for m in miner_ids
+    }
 
     return RunReport(
         run_index=run_index,

@@ -152,6 +152,7 @@ class TxWorkload:
         self.world = world
         self.queue = queue
         self.rng = rng
+        self.n_nodes = config.n_n  # submitters and exponential delays are drawn over all N_n
         self.full_mode = config.has_trans and config.t_technique == "full"
         self.tx_rate = config.t_n
         self.tx_delay = config.t_delay
@@ -168,21 +169,16 @@ class TxWorkload:
         self.pending: list[list[tuple[float, int, tuple, tuple[float, ...]]]] = []
         self._lasts: list[tuple[float, int, tuple, tuple[float, ...]]] = []
         self._minima: list[float] = []
-        self._miner_ids: list[int] = []
-        self._slots: list[int] = []  # node id -> index into arrivals, -1 for non-miners
+        # Miner id -> index into a transaction's arrival times, in id order.
+        self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
         self._tx_ids = itertools.count(1)  # full mode only
 
-    def start(self, miner_ids: list[int]) -> None:
-        """Schedule the first transaction arrival (full mode); arrival times
-        are kept for the block-creating ``miner_ids`` alone, in this order.
-        The generator's state is read here, once, to choose how every
+    def start(self) -> None:
+        """Schedule the first transaction arrival (full mode).  The
+        generator's state is read here, once, to choose how every
         transaction's submitter and recipient are drawn."""
-        self._miner_ids = list(miner_ids)
-        self._slots = [-1] * len(self.world.nodes)
-        for slot, miner_id in enumerate(miner_ids):
-            self._slots[miner_id] = slot
         if self.full_mode and self.tx_rate > 0:
-            self._draw = exponential_and_pair(self.rng, 1.0 / self.tx_rate, len(self.world.nodes))
+            self._draw = exponential_and_pair(self.rng, 1.0 / self.tx_rate, self.n_nodes)
             self._schedule_arrival(0.0)
 
     def _schedule_arrival(self, now: float) -> None:
@@ -205,10 +201,10 @@ class TxWorkload:
         under exponential delays: a delay is drawn for every node but the
         submitter, in node order, as a per-recipient broadcast would."""
         # Node n's delay, for n past the submitter, is draw n - 1.
-        delays = sample_exponentials(self.rng, self.tx_delay, len(self.world.nodes) - 1)
+        delays = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
         return tuple(
             at if m == submitter else at + delays[m if m < submitter else m - 1]
-            for m in self._miner_ids
+            for m in self._slots
         )
 
     def on_tx_create(self, submitter_id: int, now: float, tx: tuple) -> None:
@@ -223,9 +219,9 @@ class TxWorkload:
         if self.exponential:
             arrivals = self._arrivals(submitter_id, at)
         else:
-            stamps = [at + self.tx_delay] * len(self._miner_ids)
-            slot = self._slots[submitter_id]
-            if slot >= 0:
+            stamps = [at + self.tx_delay] * len(self._slots)
+            slot = self._slots.get(submitter_id)
+            if slot is not None:
                 stamps[slot] = at
             arrivals = tuple(stamps)
         entry = (-fee, tx_id, tx, arrivals)
@@ -272,7 +268,7 @@ class TxWorkload:
             return
         slot = self._slots[miner.id]
         on_chain = miner.chain_tx_ids
-        chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._miner_ids]
+        chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._slots]
         capacity = self.block_capacity
         chunks, lasts, minima = self.pending, self._lasts, self._minima
         picked: list[tuple] = []

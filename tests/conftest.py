@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chainsim.config import SimConfig
+from chainsim.model import Block, World
 
 SKEWED_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 
@@ -28,6 +29,11 @@ def make_config(**overrides) -> SimConfig:
     if "sim_time" in overrides and "block_target" not in overrides:
         overrides.setdefault("block_target", None)
     return dataclasses.replace(base, **overrides)
+
+
+def genesis() -> Block:
+    """The genesis block every ``World`` starts its chains from."""
+    return World([1.0]).registry[0]
 
 
 def read_rows(path):

@@ -266,7 +266,9 @@ SWEEP_GRID = ["--intervals", "30,60", "--delays", "0.5,2"]
 
 @pytest.fixture
 def pools_made(monkeypatch):
-    """The ``max_workers`` of every process pool the runner constructs."""
+    """The ``max_workers`` of every process pool the runner constructs, on a
+    host that reports 8 CPUs, so the CPU bound leaves ``--parallel`` as asked."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     made = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -318,6 +320,27 @@ class TestWorkerPool:
         # The pool lives for one command: the next command forks its own.
         assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
         assert pools_made == [workers, workers]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, pools", [(None, []), (1, []), (3, [3, 3])])
+    def test_pool_never_outnumbers_the_cpus(self, tmp_path, pools_made, monkeypatch, cpus, pools):
+        # Runs = 4 and --parallel 5000: one worker per CPU, and on one CPU
+        # (or an unknown count) no pool at all, the runs going serially.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = write_config(tmp_path, BASE_CONFIG.replace("runs = 3", "runs = 4"))
+        for command in (["run"], ["sweep"] + SWEEP_GRID):
+            argv = command + ["--config", str(config)]
+            assert cli.main(argv + ["--out", str(tmp_path / "s")]) == 0
+            assert cli.main(argv + ["--parallel", "5000", "--out", str(tmp_path / "p")]) == 0
+            for name in ("runs.csv", "aggregate.csv") if command == ["run"] else ("sweep.csv",):
+                assert strip_wall_clock(read_rows(tmp_path / "s" / name)) == strip_wall_clock(
+                    read_rows(tmp_path / "p" / name)
+                )
+        assert pools_made == pools
+        small = make_config(runs=2, block_target=20)
+        assert [run_key(r) for r in run_many(small, parallel=5000)] == [
+            run_key(r) for r in run_many(small)
+        ]
         assert multiprocessing.active_children() == []
 
     def test_library_calls_share_an_open_pool(self, pools_made):
@@ -420,6 +443,7 @@ class TestWorkerPool:
             return real_run(sim)
 
         monkeypatch.setattr(runner.Simulation, "run", fail_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the runs fork on any host
         argv = ["sweep", "--config", str(config)] + SWEEP_GRID
         assert cli.main(argv + ["--parallel", "2", "--out", str(out)]) == 3
         captured = capsys.readouterr()
@@ -449,6 +473,7 @@ class TestWorkerPool:
             return real_run(sim)
 
         monkeypatch.setattr(runner.Simulation, "run", fail_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the runs fork on any host
         argv = ["sweep", "--config", str(config)] + SWEEP_GRID
         assert cli.main(argv + ["--parallel", "2", "--out", str(out)]) == 3
         captured = capsys.readouterr()

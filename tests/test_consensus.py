@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from chainsim import consensus
+from chainsim import model
 from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
 from chainsim.engine import EventKind, EventQueue, run_loop
-from chainsim.model import Block, World
+from chainsim.model import Block, World, creation_weights
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.workload import TxWorkload
@@ -39,10 +39,10 @@ def make_engine(
         t_fee="const:1.0",
         t_delay=0.0,
     )
-    world = World(n_nodes)
+    world = World(creation_weights(config))
     queue = EventQueue()
     rng = np.random.default_rng(seed)
-    network = Network(queue, rng, config)
+    network = Network(queue, rng, config, len(world.nodes))
     workload = TxWorkload(world, queue, rng, config)
     return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
 
@@ -117,14 +117,14 @@ class TestScheduleNextCreation:
         # gives 1.0.  math.fsum stands in for the latter.
         powers = (0.7, 0.2, 0.1)
         assert (0.7 + 0.2) + 0.1 != math.fsum(powers)
-        monkeypatch.setattr(consensus, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(model, "sum", math.fsum, raising=False)
         engine, _, _ = make_engine(n_nodes=3, hash_powers=powers)
         assert engine.weights == [w / ((0.7 + 0.2) + 0.1) for w in powers]
 
     def test_zero_weight_miner_rejected(self):
-        engine, world, _ = make_engine(2, (1.0, 0.0))
+        engine, world, _ = make_engine(2, (0.0, 1.0))
         with pytest.raises(ValueError):
-            engine.schedule_next_creation(world.nodes[1], 0.0)
+            engine.schedule_next_creation(world.nodes[0], 0.0)
 
     def test_block_shares_match_hash_shares_at_zero_delay(self):
         # 10,000-block runs, zero delay: shares within 1 percentage point.
@@ -180,12 +180,12 @@ class TestOnBlockCreate:
         assert block is not None
         assert block.tx_count == 0
         assert block.depth == 1
-        assert world.registry == [world.genesis, block]
+        assert world.registry[1:] == [block]
 
     def test_fee_sorted_greedy_packing(self):
         # The next arrival is ~1e6 s away, so only these three are pending.
         engine, world, queue = make_engine(1, (1.0,), full=True, capacity=0.8, tx_rate=1e-6)
-        engine.workload.start(engine.miner_ids)
+        engine.workload.start()
         for tid, fee in ((1, 5.0), (2, 3.0), (3, 9.0)):
             engine.workload.on_tx_create(0, 0.0, (tid, 0.0, 0.4, fee))
         engine.start()
@@ -223,7 +223,7 @@ class TestOnBlockCreate:
 
 class TestOnBlockReceive:
     def test_appended(self):
-        engine, world, queue = make_engine(2, (1.0, 0.0))
+        engine, world, queue = make_engine(2, (0.5, 0.5))
         block = append_block(engine, world, 0)
         action = engine.on_block_receive(1, 2.0, block)
         assert action is ChainAction.APPENDED
@@ -251,8 +251,8 @@ class TestOnBlockReceive:
         assert [world.registry[bid].depth for bid in node2.chain] == list(range(6))
 
     def test_shorter_discarded_bitcoin(self):
-        engine, world, _ = make_engine(2, (1.0, 0.0))
-        fork_parent = world.genesis
+        engine, world, _ = make_engine(2, (0.5, 0.5))
+        fork_parent = world.registry[0]
         deep = None
         for _ in range(5):
             deep = append_block(engine, world, 0)
@@ -280,19 +280,19 @@ class TestOnBlockReceive:
     def test_non_miner_keeps_no_uncle_candidates(self):
         # Only block creation reads or prunes candidates, so a node that
         # never creates a block stores none.
-        engine, world, _ = make_engine(3, (0.5, 0.5, 0.0), uncles=True)
+        engine, world, _ = make_engine(3, (0.0, 0.5, 0.5), uncles=True)
         deep = None
         for _ in range(3):
-            deep = append_block(engine, world, 0)
-        node2 = world.nodes[2]
-        engine.on_block_receive(2, 30.0, deep)
+            deep = append_block(engine, world, 1)
+        node0 = world.nodes[0]
+        engine.on_block_receive(0, 30.0, deep)
         sibling = register(
             world, depth=3, previous_id=deep.previous_id,
-            timestamp=3.5, miner_id=1, uncles=(deep.previous_id,),
+            timestamp=3.5, miner_id=2, uncles=(deep.previous_id,),
         )
-        action = engine.on_block_receive(2, 31.0, sibling)
+        action = engine.on_block_receive(0, 31.0, sibling)
         assert action is ChainAction.DISCARDED_SHORTER
-        assert not node2.uncle_chain
+        assert not node0.uncle_chain
 
     def test_ancestor_redelivery_not_stored_as_uncle(self):
         engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
@@ -307,7 +307,7 @@ class TestOnBlockReceive:
         assert first.id not in node1.uncle_chain
 
     def test_equal_depth_first_seen_wins(self):
-        engine, world, _ = make_engine(3, (0.5, 0.5, 0.0))
+        engine, world, _ = make_engine(3, (0.5, 0.25, 0.25))
         left = append_block(engine, world, 0)
         right = append_block(engine, world, 1, ts=1.5)
         node2 = world.nodes[2]
@@ -380,7 +380,7 @@ class TestEligibleUncles:
         engine, world, queue = make_engine(2, (1.0, 0.0), uncles=True)
         miner = world.nodes[0]
         append_block(engine, world, 0)
-        uncle = register(world, depth=1, previous_id=world.genesis.id, timestamp=0.5, miner_id=1)
+        uncle = register(world, depth=1, previous_id=0, timestamp=0.5, miner_id=1)
         miner.uncle_chain[uncle.id] = None
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
@@ -392,7 +392,7 @@ class TestEligibleUncles:
     def test_receiving_block_removes_included_uncles(self):
         engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
-        uncle = register(world, depth=1, previous_id=world.genesis.id, timestamp=0.4, miner_id=0)
+        uncle = register(world, depth=1, previous_id=0, timestamp=0.4, miner_id=0)
         node1.uncle_chain[uncle.id] = None
         block = append_block(engine, world, 0, uncles=(uncle.id,))
         engine.on_block_receive(1, 3.0, block)
@@ -423,7 +423,7 @@ class TestMainChain:
         # at 10 s; at 10.95 s node 0 and miner 2 hold X and miner 1 holds Y.
         # The depth tie goes to node 0, so X wins; without node 0 it is Y.
         sim = Simulation(make_config(n_n=3, miners=(0.0, 0.5, 0.5), b_delay=1.0), 0)
-        genesis = sim.world.genesis
+        genesis = sim.world.registry[0]
         sim.queue.schedule(9.9, EventKind.BLOCK_CREATE, 2, genesis)
         sim.queue.schedule(10.0, EventKind.BLOCK_CREATE, 1, genesis)
         run_loop(sim.queue, sim.handlers, sim.world, sim_time=10.95)

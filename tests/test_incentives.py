@@ -6,10 +6,10 @@ import pytest
 from chainsim import incentives
 from chainsim.consensus import main_chain
 from chainsim.incentives import RewardEntry, RewardLedger, distribute, uncle_reward
-from chainsim.model import Block, make_genesis
+from chainsim.model import Block
 from chainsim.runner import Simulation
 
-from conftest import make_config
+from conftest import genesis, make_config
 
 
 def run_ledger(sim):
@@ -97,9 +97,9 @@ class TestUncleReward:
 
 class TestDistribute:
     def _world_with_chain(self, blocks):
-        genesis = make_genesis()
-        registry = {genesis.id: genesis}
-        chain = [genesis.id]
+        first = genesis()
+        registry = {first.id: first}
+        chain = [first.id]
         for b in blocks:
             registry[b.id] = b
             chain.append(b.id)

@@ -1,10 +1,10 @@
 import pytest
 
 from chainsim.consensus import ChainAction
-from chainsim.model import Block, World, make_genesis
+from chainsim.model import Block, World
 from chainsim.runner import Simulation
 
-from conftest import make_config
+from conftest import genesis, make_config
 
 
 def blk(bid, depth, prev, miner=0, ts=None):
@@ -18,9 +18,9 @@ def blk(bid, depth, prev, miner=0, ts=None):
 
 
 def observer_sim():
-    """An unstarted two-node world; node 1 never mines and only receives."""
-    sim = Simulation(make_config(miners=(1.0,), n_n=2), 0)
-    return sim, sim.world.nodes[1]
+    """An unstarted two-node world; node 0 never mines and only receives."""
+    sim = Simulation(make_config(miners=(0.0, 1.0), n_n=2), 0)
+    return sim, sim.world.nodes[0]
 
 
 def adopt(blocks, head):
@@ -32,15 +32,15 @@ def adopt(blocks, head):
     for b in blocks:
         assert b.id == len(sim.world.registry)  # ids index the registry
         sim.world.registry.append(b)
-    sim.consensus.on_block_receive(1, 50.0, head)
+    sim.consensus.on_block_receive(0, 50.0, head)
     return observer.chain
 
 
 class TestTip:
     def test_fresh_node_tip_is_genesis(self):
-        world = World(2)
+        world = World([0.5, 0.5])
         assert world.nodes[0].tip.depth == 0
-        assert world.nodes[1].tip is world.genesis
+        assert world.nodes[1].tip is world.registry[0]
 
     def test_tip_tracks_chain_tail(self):
         # A node that adopts a three-block chain ends with the head as its tip.
@@ -49,7 +49,7 @@ class TestTip:
         for bid in (1, 2):
             head = blk(bid, bid, bid - 1)
             sim.world.registry.append(head)
-        sim.consensus.on_block_receive(1, 5.0, head)
+        sim.consensus.on_block_receive(0, 5.0, head)
         assert observer.tip.id == observer.chain[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
@@ -67,9 +67,9 @@ class TestTip:
 class TestRebuildChain:
     def test_head_genesis(self):
         sim, observer = observer_sim()
-        action = sim.consensus.on_block_receive(1, 1.0, sim.world.genesis)
+        action = sim.consensus.on_block_receive(0, 1.0, sim.world.registry[0])
         assert action is ChainAction.DISCARDED_SHORTER
-        assert observer.chain == [sim.world.genesis.id]
+        assert observer.chain == [sim.world.registry[0].id]
 
     def test_linear_chain(self):
         blocks = [blk(i, i, i - 1) for i in range(1, 5)]
@@ -79,7 +79,7 @@ class TestRebuildChain:
 
     def test_forked_registry_follows_single_branch(self):
         # Hand-built 6-block fork: two children of genesis, one branch deeper.
-        g = make_genesis()
+        g = genesis()
         a1 = blk(1, 1, g.id)
         a2 = blk(2, 2, a1.id)
         b1 = blk(3, 1, g.id)
@@ -112,13 +112,13 @@ class TestRebuildChain:
 class TestWorld:
     def test_nodes_get_weights_and_genesis(self):
         # Weights follow the miners list, or the stakes under selector = stake,
-        # and every node past the list weighs 0.
-        cases = (("pow", [0.7, 0.3, 0.0, 0.0]), ("stake", [0.25, 0.75, 0.0, 0.0]))
+        # and no node past the last miner is built.
+        cases = (("pow", [0.7, 0.3]), ("stake", [0.25, 0.75]))
         for selector, weights in cases:
             config = make_config(miners=(0.7, 0.3), stakes=(1.0, 3.0), n_n=4, selector=selector)
             sim = Simulation(config, 0)
-            assert sim.consensus.weights == weights
-            assert all(n.tip is sim.world.genesis for n in sim.world.nodes)
+            assert sim.world.weights == weights
+            assert all(n.tip is sim.world.registry[0] for n in sim.world.nodes)
 
     def test_ids_increment(self):
         # Block ids index the registry; the first transaction's id is 1.
@@ -127,12 +127,12 @@ class TestWorld:
         sim.run()
         assert [b.id for b in sim.world.registry] == list(range(21))
         fresh = Simulation(config, 0)
-        fresh.workload.start(fresh.consensus.miner_ids)
+        fresh.workload.start()
         assert [entry[4][0] for entry in fresh.queue._heap] == [1]  # the tuple's id
 
     def test_requires_a_node(self):
         with pytest.raises(ValueError):
-            World(0)
+            World([0.0, 0.0])
 
     def test_every_chain_block_is_registered_after_a_run(self):
         sim = Simulation(make_config(b_delay=3.0, block_target=250), 0)

@@ -6,12 +6,11 @@ import pytest
 from chainsim import cli
 from chainsim.config import ConfigError, parse_config_text
 from chainsim.engine import EventKind, EventQueue, SchedulingError, sample_exponential
-from chainsim.model import make_genesis
 from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
 
-from conftest import make_config, read_rows, strip_wall_clock
+from conftest import genesis, make_config, read_rows, strip_wall_clock
 
 
 def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
@@ -19,7 +18,7 @@ def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
     config = make_config(
         n_n=n_nodes, miners=(1.0,), b_delay=block_delay, delay_mode=mode
     )
-    return queue, Network(queue, np.random.default_rng(seed), config)
+    return queue, Network(queue, np.random.default_rng(seed), config, n_nodes)
 
 
 def drain(queue):
@@ -46,19 +45,19 @@ class TestBroadcastBlock:
     def test_constant_delay_fanout(self):
         # One entry carries every recipient but the sender, in node order.
         queue, net = make_network(3)
-        genesis = make_genesis()
-        seqs = net.broadcast_block(0, genesis, at=10.0)
+        block = genesis()
+        seqs = net.broadcast_block(0, block, at=10.0)
         assert len(queue) == 1
-        assert drain(queue) == [(12.0, seqs[0], EventKind.BLOCK_RECEIVE, (1, 2), genesis)]
+        assert drain(queue) == [(12.0, seqs[0], EventKind.BLOCK_RECEIVE, (1, 2), block)]
 
     def test_single_node_no_events(self):
         queue, net = make_network(1)
-        assert net.broadcast_block(0, make_genesis(), at=0.0) == []
+        assert net.broadcast_block(0, genesis(), at=0.0) == []
         assert len(queue) == 0
 
     def test_fanout_is_always_n_minus_one(self):
         queue, net = make_network(7)
-        net.broadcast_block(3, make_genesis(), at=1.0)
+        net.broadcast_block(3, genesis(), at=1.0)
         ((*_, targets, _),) = drain(queue)
         assert targets == (0, 1, 2, 4, 5, 6)
 
@@ -68,14 +67,14 @@ class TestBroadcastBlock:
             queue.schedule(5.0, EventKind.BLOCK_CREATE, 0, None)
             queue.next_event()
             with pytest.raises(SchedulingError):
-                net.broadcast_block(0, make_genesis(), at=1.0)
+                net.broadcast_block(0, genesis(), at=1.0)
 
     def test_exponential_mean_empirical(self):
         # 10,000 deliveries, mean 2: 3 sigma bound on the sample mean is 0.06.
         queue, net = make_network(2, block_delay=2.0, mode="exponential")
         n = 10_000
         for _ in range(n):
-            assert len(net.broadcast_block(0, make_genesis(), at=0.0)) == 1
+            assert len(net.broadcast_block(0, genesis(), at=0.0)) == 1
         entries = drain(queue)
         assert len(entries) == n
         assert all(targets == (1,) for *_, targets, _ in entries)
@@ -84,7 +83,7 @@ class TestBroadcastBlock:
     def test_exponential_mode_draws_per_recipient(self):
         # One single-recipient entry per node, each with its own delay.
         queue, net = make_network(4, block_delay=3.0, mode="exponential")
-        assert len(net.broadcast_block(0, make_genesis(), at=0.0)) == 3
+        assert len(net.broadcast_block(0, genesis(), at=0.0)) == 3
         entries = drain(queue)
         assert sorted(e[3] for e in entries) == [(1,), (2,), (3,)]
         assert len({e[0] for e in entries}) == 3  # independent draws
@@ -92,7 +91,7 @@ class TestBroadcastBlock:
     def test_zero_mean_exponential_is_one_constant_entry(self):
         queue, net = make_network(3, block_delay=0.0, mode="exponential")
         state = net.rng.bit_generator.state
-        net.broadcast_block(1, make_genesis(), at=4.0)
+        net.broadcast_block(1, genesis(), at=4.0)
         assert [(e[0], e[3]) for e in drain(queue)] == [(4.0, (0, 2))]
         assert net.rng.bit_generator.state == state  # nothing drawn
 
@@ -154,20 +153,13 @@ seed = 21
         assert len(sim.world.registry) > 1
         assert sim.network._others == {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
-    def test_changing_the_cut_rebuilds_the_recipients(self):
-        queue, net = make_network(5)
-        net.broadcast_block(1, make_genesis(), at=0.0)
-        net.set_recipients(3)
-        net.broadcast_block(1, make_genesis(), at=0.0)
-        assert [e[3] for e in drain(queue)] == [(0, 2, 3, 4), (0, 2)]
-
     def test_exponential_draws_for_nodes_past_the_recipients(self):
         # Node 3 never mines and gets no event, but still takes its draw.
         config = make_config(n_n=4, miners=(0.5, 0.0, 0.5), b_delay=2.0, delay_mode="exponential")
         sim = Simulation(config, 0)
         replay = np.random.default_rng(0)
         replay.bit_generator.state = sim.rng.bit_generator.state
-        sim.network.broadcast_block(0, make_genesis(), at=1.0)
+        sim.network.broadcast_block(0, genesis(), at=1.0)
         entries = sorted(drain(sim.queue), key=lambda e: e[3])
         assert [(e[3], e[0]) for e in entries] == [
             ((1,), 1.0 + sample_exponential(replay, 2.0)),
@@ -190,11 +182,11 @@ class TestBroadcastTx:
         )
         params.update(overrides)
         sim = Simulation(make_config(**params), 0)
-        sim.workload.start(sim.consensus.miner_ids)
+        sim.workload.start()
         t = some_tx(1000, ts=at)
         sim.workload.on_tx_create(submitter, at, t)
         (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
-        return dict(zip(sim.consensus.miner_ids, entry[3]))
+        return dict(zip(sim.world.miner_ids, entry[3]))
 
     def test_constant_delay_fanout(self):
         # The submitter holds it at once, every other miner 5 s later; the
@@ -223,11 +215,11 @@ class TestBroadcastTx:
             t_n=1e-6, t_delay=3.0, delay_mode="exponential",
         )
         sim = Simulation(make_config(**params), 0)
-        sim.workload.start(sim.consensus.miner_ids)
+        sim.workload.start()
         replay = np.random.default_rng(0)
         replay.bit_generator.state = sim.rng.bit_generator.state
         t = some_tx(1000, ts=50.0)
         sim.workload.on_tx_create(1, 50.0, t)
         expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
         (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
-        assert dict(zip(sim.consensus.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}
+        assert dict(zip(sim.world.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}

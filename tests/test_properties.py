@@ -1,6 +1,10 @@
 """Properties over random small configs that hold whatever the seed."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -79,6 +83,7 @@ class TestNodesAboveTheLastCreator:
     ):
         # Constant delays and no full mode: N_n sets no draw, so the CSVs
         # cannot depend on it.  Exponential delays and full mode draw over N_n.
+        # Nodes above the last creator are not built, even ten million of them.
         selector, miners, stakes, cut = selection
         base = dict(
             selector=selector, miners=miners, stakes=stakes, uncles_enabled=uncles,
@@ -86,8 +91,39 @@ class TestNodesAboveTheLastCreator:
             seed=seed, **workload,
         )
         at_cut = report_rows(make_config(n_n=cut, **base))
-        for n_n in (cut + 1, cut + 40):
+        for n_n in (cut + 1, cut + 40, 10**7):
             assert report_rows(make_config(n_n=n_n, **base)) == at_cut
+            assert len(Simulation(make_config(n_n=n_n, **base), 0).world.nodes) == cut
+
+
+# Runs a config in this interpreter and prints its peak resident set size.
+PEAK_RSS_SCRIPT = """
+import json, resource, sys
+from chainsim import cli
+code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_ten_million_nodes_cost_no_memory(tmp_path):
+    # The bitcoin preset with 9,999,995 nodes above its five miners: the
+    # same CSVs as five nodes, in the memory of five nodes.
+    text = "preset = bitcoin\nblock_target = 200\nRuns = 1\nN_n = {}\n"
+    rows = {}
+    for n_n in (5, 10**7):
+        config, out = tmp_path / f"{n_n}.cfg", tmp_path / str(n_n)
+        config.write_text(text.format(n_n))
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, str(config), str(out)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, peak_kb = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert peak_kb < 100 * 1024
+        rows[n_n] = [strip_wall_clock(read_rows(out / name)) for name in ("runs.csv", "aggregate.csv")]
+    assert rows[10**7] == rows[5]
 
 
 def expected_grand_total(blocks_included, chain, registry, config):

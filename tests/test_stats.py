@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chainsim.model import Block, make_genesis
+from chainsim.model import Block
 from chainsim.runner import run_many, run_single
 from chainsim.stats import (
     InvariantViolation,
@@ -17,7 +17,7 @@ from chainsim.stats import (
     t_quantile,
 )
 
-from conftest import make_config
+from conftest import genesis, make_config
 
 
 def make_report(**overrides):
@@ -64,8 +64,8 @@ class TestRunReport:
 
 class TestCheckMainChain:
     def _chain(self):
-        genesis = make_genesis()
-        registry = {genesis.id: genesis}
+        first = genesis()
+        registry = {first.id: first}
         b1 = Block(id=1, depth=1, previous_id=0, timestamp=5.0, miner_id=0)
         b2 = Block(id=2, depth=2, previous_id=1, timestamp=9.0, miner_id=1)
         for b in (b1, b2):

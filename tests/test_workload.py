@@ -392,7 +392,7 @@ class TestFullMode:
         # one submitted by node 1 at t=100 reaches it at t=105.
         config = light_config(n_n=3, miners=(1.0,), t_technique="full", t_n=1e-6, t_delay=5.0)
         sim = Simulation(config, 0)
-        sim.workload.start(sim.consensus.miner_ids)
+        sim.workload.start()
         own = tx(1000, 0.5, 0.001, ts=100.0)
         relayed = tx(1001, 0.5, 0.001, ts=100.0)
         for submitter, t in ((0, own), (1, relayed)):
@@ -490,7 +490,7 @@ def pack_against_oracle(config, chunk):
     """
     sim = Simulation(config, 0)
     pending = sim.workload.pending
-    miner_ids = sim.consensus.miner_ids
+    miner_ids = sim.world.miner_ids
     created: list[tuple[tuple, dict[int, float]]] = []
     draws: list[list[float]] = []
     create_tx = sim.handlers[EventKind.TX_CREATE]
@@ -638,11 +638,11 @@ class TestPackingOracle:
 class TestTxLatency:
     def test_simple_difference(self):
         # One main-chain block at t=160 holding a transaction created at t=100.
-        world = World(1)
+        world = World([1.0])
         block = Block(id=1, depth=1, previous_id=0, timestamp=160.0,
                       miner_id=0, transactions=(tx(1, 0.5, 0.001, ts=100.0),), tx_count=1)
         world.registry.append(block)
-        report = summarize_run(world, [0, block.id], RewardLedger(), miner_ids=[0],
+        report = summarize_run(world, [0, block.id], RewardLedger(),
                                elapsed=200.0, run_index=0, seed=0, wall_clock=0.0)
         assert report.mean_tx_latency_s == 60.0
 
