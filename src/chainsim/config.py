@@ -44,6 +44,13 @@ MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # run makes some 45,000 a second on the same host, so a run at the cap takes
 # about 20 s and 700 MB; far above it, a run would not end.
 MAX_BLOCKS_PER_RUN = 1_000_000
+# Most entries a light-mode pool may hold.  Each costs 16 bytes in a pool
+# (a size and a unit price) and some 80 more while it is packed, and every
+# block draws and sorts its own pool: on a 2-vCPU host a pool at the cap
+# (T_n = 500, B_interval = 1000, T_size = exp:1e-6) took 0.14 s a block and
+# 87 MB, or 0.19 s and 112 MB with B_size = 0.6, which the pool overflows.
+# Far above it, a run would take gigabytes and hours.
+MAX_LIGHT_POOL = 1_000_000
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -227,8 +234,8 @@ class ConstantSampler:
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.value)
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Draw nothing and leave ``out`` as it is: a row kept for a constant holds its value."""
 
     def mean(self) -> float:
         return self.value
@@ -245,8 +252,10 @@ class ExponentialSampler:
     def draw(self, rng: np.random.Generator) -> float:
         return sample_exponential(rng, self._mean)
 
-    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self._mean, n)
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with the values ``rng.exponential(mean, len(out))`` gives."""
+        rng.standard_exponential(out=out)
+        out *= self._mean
 
     def mean(self) -> float:
         return self._mean
@@ -276,8 +285,10 @@ class HistogramSampler:
     def draw(self, rng: np.random.Generator) -> float:
         return float(self.values[self._cdf.searchsorted(rng.random(), side="right")])
 
-    def draw_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.values[self._cdf.searchsorted(rng.random(n), side="right")]
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with ``len(out)`` draws, as ``draw`` makes them one by one."""
+        rng.random(out=out)
+        self.values.take(self._cdf.searchsorted(out, side="right"), out=out)
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probabilities))
@@ -343,6 +354,16 @@ def _anchor_hist(spec: str, base_dir: Path | None) -> str:
     if kind.strip().lower() != "hist":
         return spec
     return f"hist:{(Path(base_dir or '') / arg.strip()).absolute()}"
+
+
+def light_pool_size(config: SimConfig, mean_size: float) -> int:
+    """Entries in a light-mode pool: twice the arrivals per block interval, and
+    at most twice the transactions of ``mean_size`` a block holds."""
+    if config.t_n <= 0:
+        return 0
+    arrivals = config.t_n * config.b_interval
+    fits = max(1, int(config.b_size / mean_size))
+    return int(min(math.ceil(2 * arrivals), 2 * fits))
 
 
 def validate(config: SimConfig) -> SimConfig:
@@ -425,6 +446,17 @@ def validate(config: SimConfig) -> SimConfig:
         fail("T_size must yield positive sizes")
     if config.has_trans and _least_draw(price_sampler) < 0:
         fail("T_fee must not yield negative prices")
+    if config.has_trans and config.t_technique == "light":
+        mean_size = size_sampler.mean()
+        entries = light_pool_size(config, mean_size)
+        if entries > MAX_LIGHT_POOL:
+            fail(
+                f"light mode draws a pool of {entries:,} transactions per block, the lesser of "
+                f"2 x T_n x B_interval = 2 x {config.t_n:g}/s x {config.b_interval:g} s and "
+                f"2 x B_size / T_size = 2 x {config.b_size:g} / {mean_size:g} (the mean size), "
+                f"more than the cap of {MAX_LIGHT_POOL:,}; lower T_n, B_interval or B_size, "
+                "or raise T_size"
+            )
     return config
 
 

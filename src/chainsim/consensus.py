@@ -1,16 +1,20 @@
 """Miner selection, block production, and longest-chain reception handling.
 
 Proof of work is modelled as a per-miner exponential race: every miner
-always has one live creation event drawn with mean block_interval/weight.
+always has one armed creation, drawn with mean block_interval/weight.
 Whenever a miner's tip moves (its own block, or an adopted incoming block)
-it schedules a fresh creation event on the new tip; the superseded event
-still sits in the queue and is discarded when it fires, because the parent
-it recorded is no longer the miner's tip.  By memorylessness each miner's
-successful creations form a Poisson process at rate weight/block_interval,
-which reproduces both hash-share proportionality and fork formation under
-propagation delay.  Discarding *and* rescheduling at fire time instead
-would hand the previous winner a head start and demonstrably skews block
-shares away from hash shares.
+it arms a fresh creation on the new tip, which replaces the one armed
+before in the miner's slot of the event queue (see ``EventQueue.arm``), so
+each creation that fires builds a block.  By memorylessness each miner's
+creations form a Poisson process at rate weight/block_interval, which
+reproduces both hash-share proportionality and fork formation under
+propagation delay.  Re-drawing only when an armed creation fires, on a tip
+that has moved, would instead hand the previous winner a head start and
+demonstrably skews block shares away from hash shares.
+
+Round robin arms one miner at a time, ``B_interval`` after the last slot,
+on that miner's tip as it stands then.  If the tip has moved by the time
+the slot fires, the slot is skipped and the next miner is armed.
 
 Who mines is decided once, when the ``World`` is built: the engine reads
 each node's creation weight and the miner ids from it.  The world holds the
@@ -26,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .config import SimConfig
-from .engine import EventKind, EventQueue, sample_exponential
+from .engine import EventQueue, sample_exponential
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
@@ -80,21 +84,22 @@ class ConsensusEngine:
         if mean <= 0:
             raise ValueError(f"node {miner.id} has zero creation weight")
         time = at + sample_exponential(self.rng, mean)
-        self.queue.schedule(time, EventKind.BLOCK_CREATE, miner.id, miner.tip)
+        self.queue.arm(time, miner.id, miner.tip)
         return time
 
     def _schedule_round_robin(self, at: float) -> None:
         miner_id = next(self._rr_turns)
         tip = self.world.nodes[miner_id].tip
-        self.queue.schedule(at + self.block_interval, EventKind.BLOCK_CREATE, miner_id, tip)
+        self.queue.arm(at + self.block_interval, miner_id, tip)
 
     # -- block creation -------------------------------------------------
 
     def on_block_create(self, miner_id: int, now: float, intended_parent: Block) -> Block | None:
         miner = self.world.nodes[miner_id]
         if intended_parent.id != miner.tip.id:
-            # The tip moved after this event was armed; the race already
-            # restarted on the new tip when the miner adopted it.
+            # Armed on a tip the miner has since left: a round-robin slot is
+            # skipped.  A proof-of-work miner re-arms on every tip change, so
+            # its slot never holds such a creation.
             if self.round_robin:
                 self._schedule_round_robin(now)
             return None

@@ -1,8 +1,8 @@
 """Simulation core: time-ordered event queue, clock, and exponential draws.
 
-A heap entry is a plain tuple ``(time, seq, kind, target, payload)``.  The
-queue numbers entries in insertion order, so entries due at the same time
-pop first-in first-out and the comparison never reaches ``kind``.  The
+An event is a plain tuple ``(time, seq, kind, target, payload)``.  The
+queue numbers events in insertion order, so events due at the same time
+run first-in first-out and the comparison never reaches ``kind``.  The
 dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
 
 - BLOCK_CREATE: target is the miner id, payload the tip it was armed on.
@@ -11,6 +11,12 @@ dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
   in node order; it holds the place the first per-recipient entry would.
 - TX_CREATE: target is the submitter id, payload the transaction, the
   plain tuple ``(id, timestamp, weight, fee)``.
+
+Each miner's next creation sits in a slot of its own, outside the heap;
+arming the slot again replaces it, so a creation a tip change superseded is
+never queued or dispatched.  Slot and heap events share one sequence
+counter and are merged by ``(time, seq)``, so the dispatch order is the one
+a single heap holding every event but the superseded ones would give.
 
 A single run is strictly sequential and owns all its mutable state, its
 seeded ``np.random.Generator`` included: the same seed and configuration
@@ -41,20 +47,23 @@ class SchedulingError(RuntimeError):
 
 
 class EventQueue:
-    """Min-heap of ``(time, seq, kind, target, payload)`` entries."""
+    """Min-heap of ``(time, seq, kind, target, payload)`` events, beside one
+    ``BLOCK_CREATE`` slot per miner, with the earliest armed slot cached."""
 
-    __slots__ = ("_heap", "_next_seq", "clock")
+    __slots__ = ("_heap", "_armed", "_first", "_next_seq", "clock")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, EventKind, object, object]] = []
+        self._armed: dict[int, tuple[float, int, EventKind, object, object]] = {}
+        self._first: tuple[float, int, EventKind, object, object] | None = None
         self._next_seq = 0
         self.clock = 0.0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._armed)
 
     def schedule(self, time: float, kind: EventKind, target: object, payload: object) -> int:
-        """Push one entry and return its sequence number."""
+        """Push one event onto the heap and return its sequence number."""
         if time < self.clock:
             raise SchedulingError(f"event at t={time!r} is before the clock t={self.clock!r}")
         seq = self._next_seq
@@ -62,13 +71,44 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, kind, target, payload))
         return seq
 
-    def next_event(self) -> tuple[float, int, EventKind, object, object] | None:
-        """Pop the earliest entry and advance the clock to its time."""
-        if not self._heap:
+    def arm(self, time: float, miner_id: int, tip: object) -> int:
+        """Set ``miner_id``'s next ``BLOCK_CREATE``, on ``tip``, replacing the
+        one armed before, if any; return its sequence number."""
+        if time < self.clock:
+            raise SchedulingError(f"event at t={time!r} is before the clock t={self.clock!r}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = (time, seq, EventKind.BLOCK_CREATE, miner_id, tip)
+        armed, first = self._armed, self._first
+        replaced = armed.get(miner_id)
+        armed[miner_id] = entry
+        if first is None or entry < first:
+            self._first = entry
+        elif replaced is first:
+            self._first = min(armed.values())
+        return seq
+
+    def next_event(
+        self, horizon: float = math.inf
+    ) -> tuple[float, int, EventKind, object, object] | None:
+        """Take the earliest event, slot or heap, and advance the clock to its
+        time; None if there is none, or the earliest lies past ``horizon``."""
+        heap, first = self._heap, self._first
+        if heap:
+            top = heap[0]
+            if first is None or top < first:
+                if top[0] > horizon:
+                    return None
+                heapq.heappop(heap)
+                self.clock = top[0]
+                return top
+        if first is None or first[0] > horizon:
             return None
-        entry = heapq.heappop(self._heap)
-        self.clock = entry[0]
-        return entry
+        armed = self._armed
+        del armed[first[3]]
+        self._first = min(armed.values()) if armed else None
+        self.clock = first[0]
+        return first
 
 
 def sample_exponential(rng: np.random.Generator, mean: float) -> float:
@@ -156,12 +196,11 @@ def run_loop(
     final clock value.
     """
     table = [handlers[kind] for kind in EventKind]
-    heap = queue._heap
     next_event = queue.next_event
     horizon = math.inf if sim_time is None else sim_time
     target_blocks = math.inf if block_target is None else block_target
-    while heap and heap[0][0] <= horizon:
-        time, _, kind, target, payload = next_event()
+    while (entry := next_event(horizon)) is not None:
+        time, _, kind, target, payload = entry
         table[kind](target, time, payload)
         if len(world.registry) > target_blocks:
             break

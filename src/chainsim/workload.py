@@ -13,7 +13,7 @@ Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
 which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
 Nothing reads those before the run ends, so blocks are packed in batches:
-once ``PACK_BATCH`` are waiting, and at the end of the run.
+once a batch is full, and at the end of the run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import ConstantSampler, SimConfig
+from .config import ConstantSampler, SimConfig, light_pool_size
 from .engine import EventKind, EventQueue, exponential_and_pair, sample_exponentials
 from .model import Block, NodeState, World
 
@@ -32,8 +32,18 @@ from .model import Block, NodeState, World
 # Full mode keeps pending transactions in sorted chunks; a chunk splits in
 # two once it holds more than twice this many entries.
 PENDING_CHUNK = 64
-# Light mode queues blocks and packs this many at a time, in one pass.
+# Light mode queues up to this many blocks and packs them in one pass ...
 PACK_BATCH = 128
+# ... as long as their pools, 16 bytes an entry, fit in this many bytes.
+BATCH_BYTES = 8 << 20
+# Light packing scans pools a step at a time from where the first one
+# overflows; after this many steps, and each doubling of them, the scan
+# checks whether it can stop.
+SCAN_CHECK = 16
+# A scan step costs three numpy calls, some 3 microseconds on a 2-vCPU host,
+# and a Python loop about 0.1 microseconds an entry, so fewer pools than this
+# are scanned one by one in Python.
+FEW_POOLS = 32
 
 
 class SharedPool:
@@ -43,8 +53,10 @@ class SharedPool:
     capped both by the block capacity and by the expected number of
     arrivals per block interval, so a light run cannot process more
     transactions than the configured demand generates.  A block is queued
-    beside its pool, column j of ``(N, PACK_BATCH)`` arrays for the j-th
-    queued block, until ``pack`` fills the queue's blocks at once.
+    beside its pool until ``pack`` fills the queue's blocks at once: the
+    j-th queued block's pool is row j of a ``(width, N)`` array of sizes and
+    one of unit prices, each row contiguous.  The width is ``PACK_BATCH``,
+    or fewer where that many pools would pass ``BATCH_BYTES``.
     """
 
     def __init__(
@@ -54,22 +66,17 @@ class SharedPool:
         self.size_sampler = size_sampler  # MB or gas units
         self.price_sampler = price_sampler  # currency per MB, or per gas unit
         self.capacity = config.b_size
-        capacity_estimate = max(1, int(config.b_size / size_sampler.mean()))
-        if config.t_n > 0:
-            arrivals = config.t_n * config.b_interval
-            self.refill_size = int(min(math.ceil(2 * arrivals), 2 * capacity_estimate))
-            self.block_budget = max(1, math.ceil(arrivals))
-        else:
-            self.refill_size = 0
-            self.block_budget = 0
+        self.refill_size = light_pool_size(config, size_sampler.mean())
+        arrivals = config.t_n * config.b_interval
+        self.block_budget = max(1, math.ceil(arrivals)) if config.t_n > 0 else 0
         # With constant size and price the pool contents are interchangeable,
         # so selection reduces to "take k" and no arrays are needed.
         self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
             price_sampler, ConstantSampler
         )
+        self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
         self.blocks: list[Block] = []  # waiting for ``pack``
-        if not self._uniform:
-            self._sizes, self._fees = np.empty((2, self.refill_size, PACK_BATCH))
+        self._rows: np.ndarray | None = None  # sizes and unit prices, made by the first refill
         self.refill()
 
     def __len__(self) -> int:
@@ -80,9 +87,15 @@ class SharedPool:
         n = self.refill_size
         if n == 0 or self._uniform:
             return
+        if self._rows is None:
+            # A constant sampler draws nothing, so every row starts at the
+            # sampler's mean, which is a constant's value.
+            self._rows = np.empty((2, self.width, n))
+            self._rows[0].fill(self.size_sampler.mean())
+            self._rows[1].fill(self.price_sampler.mean())
         j = len(self.blocks)
-        sizes = self._sizes[:, j] = self.size_sampler.draw_many(self.rng, n)
-        self._fees[:, j] = sizes * self.price_sampler.draw_many(self.rng, n)
+        self.size_sampler.draw_into(self.rng, self._rows[0, j])
+        self.price_sampler.draw_into(self.rng, self._rows[1, j])
 
     def take_block(self, block: Block) -> None:
         """Give ``block`` the pool, then reset and refill it: a constant
@@ -96,7 +109,7 @@ class SharedPool:
             block.tx_fee_total = k * (size * self.price_sampler.value)
             return
         self.blocks.append(block)
-        if len(self.blocks) == self._sizes.shape[1]:
+        if len(self.blocks) == self.width:
             self.pack()
         self.refill()
 
@@ -104,39 +117,106 @@ class SharedPool:
         """Fill every queued block from its pool and empty the queue.
 
         Each pool is scanned in fee order, ties to the lower index, taking
-        what fits the capacity, up to ``block_budget`` entries.  The pools
-        advance one row at a time and every sum runs in scan order, so each
-        block gets exactly what a loop over its own pool would give it.
+        what fits the capacity, up to ``block_budget`` entries.  Every sum
+        runs in scan order, so each block gets exactly what a loop over its
+        own pool would give it.  The pools are sorted row by row, then
+        gathered position by position: column j holds pool j in fee order.
+        The running weights find where the first pool overflows; before
+        that every pool takes all, and from there the scan advances every
+        pool one entry a step.
         """
         k = len(self.blocks)
         if k == 0:
             return
-        sizes, fees = self._sizes[:, :k], self._fees[:, :k]
+        n, budget = self.refill_size, self.block_budget
+        sizes, prices = self._rows[:, :k]
+        fees = sizes * prices
         for kind in (None, "stable"):
-            order = np.argsort(-fees, axis=0, kind=kind)
-            w = np.take_along_axis(sizes, order, axis=0)
-            f = np.take_along_axis(fees, order, axis=0)
+            order = np.argsort(-fees, axis=1, kind=kind)
+            order += np.arange(0, k * n, n)[:, None]  # flat indices, row by row
+            order = order.T.copy()
+            w, f = sizes.take(order), fees.take(order)
             # An unstable sort may reorder a run of equal fees, which
             # changes the packing only if the run's sizes differ.
             if not np.any((f[1:] == f[:-1]) & (w[1:] != w[:-1])):
                 break
-        taken = np.empty(w.shape, dtype=bool)
-        used, new = np.zeros(k), np.empty(k)
-        for row, took in zip(w, taken):
-            np.add(used, row, out=new)
-            np.less_equal(new, self.capacity, out=took)
-            np.copyto(used, new, where=took)
-        if self.block_budget < self.refill_size:  # only the first block_budget count
-            taken &= taken.cumsum(axis=0) <= self.block_budget
-        # Adding 0.0 for an entry not taken leaves a running sum as it was.
-        w *= taken
+        limit = min(budget, n)
+        start, used = self._fitting_prefix(w, limit)
+        taken = np.zeros(w.shape, dtype=bool)
+        taken[:start] = True
+        if start < limit:
+            scan = self._scan_each if k < FEW_POOLS else self._scan
+            scan(w[start:], used, taken[start:], start)
+        counts = taken.sum(axis=0)
+        over = np.flatnonzero(counts > budget)
+        if over.size:  # the scan ran past the budget: only the first ``budget`` count
+            taken[:, over] &= taken[:, over].cumsum(axis=0) <= budget
+            counts[over] = budget
+            # Adding 0.0 for an entry not taken leaves a running sum as it was.
+            used[over] = np.add.accumulate(w[:, over] * taken[:, over], axis=0)[-1]
         f *= taken
-        counts = np.count_nonzero(taken, axis=0).tolist()
-        fee_totals = np.add.accumulate(f, axis=0, out=f)[-1].tolist()
-        weights = np.add.accumulate(w, axis=0, out=w)[-1].tolist()
-        for block, *filled in zip(self.blocks, counts, fee_totals, weights):
+        fee_totals = np.add.accumulate(f, axis=0, out=f)[-1]
+        for block, *filled in zip(self.blocks, counts.tolist(), fee_totals.tolist(), used.tolist()):
             block.tx_count, block.tx_fee_total, block.weight = filled
         self.blocks.clear()
+
+    def _fitting_prefix(self, w: np.ndarray, limit: int) -> tuple[int, np.ndarray]:
+        """The first position below ``limit`` at which some pool's running
+        weight passes the capacity, or ``limit``, and each pool's weight
+        before it.  The running weights are summed in chunks that double,
+        each carrying the last, so each sum adds in scan order."""
+        used = np.zeros(w.shape[1])
+        at, size = 0, 2 * SCAN_CHECK
+        while at < limit:
+            part = w[at : min(at + size, limit)].copy()
+            part[0] += used
+            np.add.accumulate(part, axis=0, out=part)
+            over = (part > self.capacity).any(axis=1)
+            if over.any():
+                first = int(over.argmax())
+                return at + first, part[first - 1] if first else used
+            used = part[-1]
+            at += len(part)
+            size *= 2
+        return limit, used
+
+    def _scan_each(self, steps: np.ndarray, used: np.ndarray, took: np.ndarray, start: int) -> None:
+        """``_scan``, one pool at a time in Python floats, which add as
+        numpy's do; each pool stops at ``block_budget`` entries."""
+        capacity, budget = self.capacity, self.block_budget
+        for j in range(steps.shape[1]):
+            weight, count, picked = float(used[j]), start, []
+            for i, x in enumerate(steps[:, j].tolist()):
+                if weight + x <= capacity:
+                    weight += x
+                    picked.append(i)
+                    count += 1
+                    if count == budget:
+                        break
+            used[j] = weight
+            took[picked, j] = True
+
+    def _scan(self, steps: np.ndarray, used: np.ndarray, took: np.ndarray, start: int) -> None:
+        """Run the greedy scan from position ``start`` on: row i of ``steps``
+        holds each pool's weight at ``start + i``, and row i of ``took``
+        receives what each took there.  Each pool has taken its first
+        ``start`` entries, weighing ``used``, which the scan keeps up to
+        date.  Whenever the steps made double, it stops if nothing left fits
+        any pool, or if each has taken ``block_budget`` entries."""
+        new = np.empty_like(used)
+        capacity, budget = self.capacity, self.block_budget
+        add, less_equal, copyto = np.add, np.less_equal, np.copyto
+        check = SCAN_CHECK
+        for i, (row, out) in enumerate(zip(steps, took), start=1):
+            add(used, row, new)
+            less_equal(new, capacity, out)
+            copyto(used, new, where=out)
+            if i == check and i < len(steps):
+                check *= 2
+                if not (used + steps[i:].min(axis=0) <= capacity).any():
+                    break
+                if budget < start + len(steps) and (start + took[:i].sum(axis=0) >= budget).all():
+                    break
 
 
 class TxWorkload:

@@ -534,6 +534,24 @@ def test_unbounded_full_mode_exit_2(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--intervals", "300,600", "--delays", "1"]], ids=["run", "sweep"]
+)
+def test_unbounded_light_pool_exit_2(tmp_path, command):
+    # Light pools of up to 2e7 entries, 320 MB each: refused before any run starts.
+    text = "T_n = 100000\nB_interval = 600\nT_size = exp:1e-7\nblock_target = 3\n"
+    out = tmp_path / "o"
+    done = run_chainsim(
+        command + ["--config", str(write_config(tmp_path, text)), "--out", str(out)],
+        stdout=subprocess.DEVNULL, timeout=CAP_TIMEOUT_S,
+    )
+    assert done.returncode == 2
+    err = done.stderr.decode()
+    assert err.startswith("config error: light mode draws a pool of") and err.count("\n") == 1
+    assert all(key in err for key in ("T_n", "B_interval", "B_size", "T_size"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--intervals", "1,2", "--delays", "0.5"]], ids=["run", "sweep"]
 )
 def test_unbounded_block_count_exit_2(tmp_path, command):

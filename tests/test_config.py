@@ -356,7 +356,7 @@ ERROR_MESSAGES = [
     ("block_target = 0", "block_target must be at least 1"),
     ("Runs = 0\nblock_target = 10", "Runs must be at least 1"),
     ("seed = -1\nblock_target = 10", "seed must be non-negative, got -1"),
-    # both caps
+    # the three caps
     (
         "block_target = 1000000000",
         "a run expects about 1e+09 blocks, more than the cap of 1,000,000; lower block_target",
@@ -364,6 +364,10 @@ ERROR_MESSAGES = [
     (
         "T_technique = full\nT_n = 100000\nSim_time = 1800",
         "full mode expects about 1.8e+08 transactions per run (T_n = 100000/s over a 1800 s horizon), more than the cap of 1,000,000; lower T_n or Sim_time",
+    ),
+    (
+        "T_n = 100000\nB_interval = 600\nT_size = exp:1e-7\nblock_target = 3",
+        "light mode draws a pool of 20,000,000 transactions per block, the lesser of 2 x T_n x B_interval = 2 x 100000/s x 600 s and 2 x B_size / T_size = 2 x 1 / 1e-07 (the mean size), more than the cap of 1,000,000; lower T_n, B_interval or B_size, or raise T_size",
     ),
     # both sampler-sign rules
     ("T_size = const:0\nblock_target = 10", "T_size must yield positive sizes"),

@@ -87,14 +87,19 @@ def append_block(engine, world, miner_id, *, uncles=(), ts=None):
 
 class TestScheduleNextCreation:
     def test_single_miner_exponential_mean(self):
+        # A miner has one armed creation: each re-arm replaces the last.
         engine, world, queue = make_engine(1, (1.0,), block_interval=600.0)
         miner = world.nodes[0]
         n = 10_000
         total = 0.0
         for _ in range(n):
-            total += engine.schedule_next_creation(miner, 0.0)
-        assert len(queue) == n
+            at = engine.schedule_next_creation(miner, 0.0)
+            total += at
+            assert len(queue) == 1
         assert abs(total / n - 600.0) < 18.0  # 3 sigma on the exponential mean
+        time, seq, kind, target, payload = queue.next_event()
+        assert (time, seq, kind, target, payload) == (at, n - 1, EventKind.BLOCK_CREATE, 0, miner.tip)
+        assert queue.next_event() is None
 
     def test_rate_scales_with_weight(self):
         engine, world, _ = make_engine(2, (0.25, 0.75), block_interval=100.0)
@@ -331,12 +336,56 @@ class TestOnBlockReceive:
         ]
 
     def test_adoption_restarts_miner_race(self):
+        # Adopting a block re-arms node 1 on it: the new creation replaces
+        # the one armed on genesis, so each miner still has exactly one.
         engine, world, queue = make_engine(2, (0.5, 0.5))
         engine.start()
-        pending = len(queue)
         block = append_block(engine, world, 0)
         engine.on_block_receive(1, 2.0, block)
-        assert len(queue) == pending + 1  # node 1 rearmed on the new tip
+        entries = [queue.next_event() for _ in range(len(queue))]
+        assert queue.next_event() is None
+        armed = {target: (time, seq, payload) for time, seq, _, target, payload in entries}
+        assert len(entries) == len(armed) == 2
+        genesis = world.registry[0]
+        assert armed[0][1:] == (0, genesis)  # miner 0's creation from start()
+        assert armed[1][1:] == (2, block) and armed[1][0] > 2.0  # seq 1 was replaced
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(b_delay=3.0, uncles_enabled=True),
+            dict(b_delay=3.0, delay_mode="exponential", n_n=7),
+            dict(selector="stake", stakes=(0.1, 0.2, 0.3, 0.2, 0.2), b_delay=1.0),
+        ],
+        ids=["constant", "exponential", "stake"],
+    )
+    def test_each_dispatched_creation_makes_a_block(self, overrides):
+        # Forks and reorganisations re-arm miners often, yet no creation a
+        # tip change superseded is ever dispatched.
+        config = make_config(b_interval=10.0, block_target=400, **overrides)
+        sim = Simulation(config, 0)
+        create = sim.handlers[EventKind.BLOCK_CREATE]
+        made = []
+        sim.handlers[EventKind.BLOCK_CREATE] = lambda *event: made.append(create(*event))
+        report = sim.run()
+        assert report.stale_rate > 0.0  # the race forked
+        assert len(made) == report.blocks_created == 400
+        assert None not in made
+
+    def test_round_robin_still_skips_a_slot_on_a_moved_tip(self):
+        # The pinned defect (test_round_robin_fills_every_slot): with two
+        # miners, every other slot is armed on a tip its miner has left and
+        # is dispatched only to be skipped.
+        config = make_config(
+            selector="roundrobin", miners=(0.5, 0.5), n_n=2, b_interval=30.0, b_delay=0.0,
+            block_target=120,
+        )
+        sim = Simulation(config, 0)
+        create = sim.handlers[EventKind.BLOCK_CREATE]
+        made = []
+        sim.handlers[EventKind.BLOCK_CREATE] = lambda *event: made.append(create(*event))
+        sim.run()
+        assert made[1::2] == [None] * 119 and None not in made[::2]
 
 
 class TestEligibleUncles:

@@ -126,6 +126,26 @@ def test_ten_million_nodes_cost_no_memory(tmp_path):
     assert rows[10**7] == rows[5]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_tall_light_pool_stays_small(tmp_path):
+    # Every block draws a light pool of 100,000 transactions.  Pools are
+    # packed a few at a time, as many as fit the batch's byte budget, so the
+    # run stays small whatever PACK_BATCH is.
+    config, out = tmp_path / "tall.cfg", tmp_path / "out"
+    config.write_text(
+        "T_technique = light\nT_n = 500\nB_interval = 100\nB_size = 1\n"
+        "T_size = exp:1e-6\nT_fee = exp:1.0\nblock_target = 300\nRuns = 1\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(config), str(out)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, peak_kb = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert peak_kb < 100 * 1024
+
+
 def expected_grand_total(blocks_included, chain, registry, config):
     """``blocks_included`` block rewards plus the main chain's fees, uncle
     rewards and inclusion rewards, with the uncle reward's linear decay

@@ -73,7 +73,7 @@ def reference_pack(pool, sizes, fees):
 
 
 class Recording:
-    """A sampler that keeps every batch it draws, to rebuild each light pool."""
+    """A sampler that keeps a copy of every row it fills, to rebuild each light pool."""
 
     def __init__(self, sampler):
         self.sampler = sampler
@@ -82,9 +82,9 @@ class Recording:
     def mean(self):
         return self.sampler.mean()
 
-    def draw_many(self, rng, n):
-        self.batches.append(self.sampler.draw_many(rng, n))
-        return self.batches[-1]
+    def draw_into(self, rng, out):
+        self.sampler.draw_into(rng, out)
+        self.batches.append(out.copy())
 
 
 def take_blocks(pool, count):
@@ -135,7 +135,8 @@ class TestSamplers:
         s = HistogramSampler([1.0, 3.0], [0.25, 0.75])
         assert s.mean() == pytest.approx(2.5)
         rng = np.random.default_rng(8)
-        draws = s.draw_many(rng, 5_000)
+        draws = np.empty(5_000)
+        s.draw_into(rng, draws)
         assert set(np.unique(draws)) == {1.0, 3.0}
         assert abs(np.mean(draws) - 2.5) < 0.05
 
@@ -160,11 +161,45 @@ class TestSamplers:
         s = HistogramSampler(values, probabilities)
         for seed in range(20):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn = [s.draw(ours) for _ in range(100)] + s.draw_many(ours, 50).tolist()
+            drawn = [s.draw(ours) for _ in range(100)]
+            batch = np.empty(50)
+            s.draw_into(ours, batch)
+            drawn += batch.tolist()
             expected = [float(theirs.choice(s.values, p=s.probabilities)) for _ in range(100)]
             expected += theirs.choice(s.values, size=50, p=s.probabilities).tolist()
             assert drawn == expected
             assert ours.random() == theirs.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sampler=st.one_of(
+            st.floats(1e-3, 1e3).map(ConstantSampler),
+            st.floats(1e-3, 1e3).map(ExponentialSampler),
+            st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.01, 1.0)), min_size=1, max_size=5).map(
+                lambda pairs: HistogramSampler(
+                    [v for v, _ in pairs], [p / sum(q for _, q in pairs) for _, p in pairs]
+                )
+            ),
+        ),
+        n=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_into_is_exact(self, sampler, n, seed):
+        # Each fill gives, bit for bit, what the batch expression it replaced
+        # gave on a twin generator, and leaves the generator where that did.
+        # A constant's row holds its value already; it draws nothing.
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            if isinstance(sampler, ConstantSampler):
+                out, expected = np.full(n, sampler.value), np.full(n, sampler.value)
+            elif isinstance(sampler, ExponentialSampler):
+                out, expected = np.full(n, np.nan), twin.exponential(sampler.mean(), n)
+            else:
+                u = twin.random(n)
+                out, expected = np.full(n, np.nan), sampler.values[sampler._cdf.searchsorted(u, side="right")]
+            sampler.draw_into(ours, out)
+            assert out.tobytes() == expected.tobytes()
+            assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_load_histogram_bad_row(self, tmp_path):
         path = tmp_path / "bad.txt"
