@@ -40,10 +40,6 @@ BATCH_BYTES = 8 << 20
 # overflows; after this many steps, and each doubling of them, the scan
 # checks whether it can stop.
 SCAN_CHECK = 16
-# A scan step costs three numpy calls, some 3 microseconds on a 2-vCPU host,
-# and a Python loop about 0.1 microseconds an entry, so fewer pools than this
-# are scanned one by one in Python.
-FEW_POOLS = 32
 
 
 class SharedPool:
@@ -76,7 +72,12 @@ class SharedPool:
         )
         self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
         self.blocks: list[Block] = []  # waiting for ``pack``
-        self._rows: np.ndarray | None = None  # sizes and unit prices, made by the first refill
+        if self.refill_size and not self._uniform:
+            # Sizes and unit prices.  A constant sampler draws nothing, so
+            # every row starts at the sampler's mean, which is a constant's value.
+            self._rows = np.empty((2, self.width, self.refill_size))
+            self._rows[0].fill(size_sampler.mean())
+            self._rows[1].fill(price_sampler.mean())
         self.refill()
 
     def __len__(self) -> int:
@@ -84,15 +85,8 @@ class SharedPool:
 
     def refill(self) -> None:
         """Discard the pool and fill it with fresh transactions."""
-        n = self.refill_size
-        if n == 0 or self._uniform:
+        if self.refill_size == 0 or self._uniform:
             return
-        if self._rows is None:
-            # A constant sampler draws nothing, so every row starts at the
-            # sampler's mean, which is a constant's value.
-            self._rows = np.empty((2, self.width, n))
-            self._rows[0].fill(self.size_sampler.mean())
-            self._rows[1].fill(self.price_sampler.mean())
         j = len(self.blocks)
         self.size_sampler.draw_into(self.rng, self._rows[0, j])
         self.price_sampler.draw_into(self.rng, self._rows[1, j])
@@ -130,23 +124,23 @@ class SharedPool:
             return
         n, budget = self.refill_size, self.block_budget
         sizes, prices = self._rows[:, :k]
-        fees = sizes * prices
         for kind in (None, "stable"):
-            order = np.argsort(-fees, axis=1, kind=kind)
+            order = np.argsort(-(sizes * prices), axis=1, kind=kind)
             order += np.arange(0, k * n, n)[:, None]  # flat indices, row by row
             order = order.T.copy()
-            w, f = sizes.take(order), fees.take(order)
+            w, f = sizes.take(order), prices.take(order)
+            f *= w  # each fee, with the bits of size * price
             # An unstable sort may reorder a run of equal fees, which
             # changes the packing only if the run's sizes differ.
             if not np.any((f[1:] == f[:-1]) & (w[1:] != w[:-1])):
                 break
+        del order  # freed before the running sums, which read only w and f
         limit = min(budget, n)
         start, used = self._fitting_prefix(w, limit)
         taken = np.zeros(w.shape, dtype=bool)
         taken[:start] = True
         if start < limit:
-            scan = self._scan_each if k < FEW_POOLS else self._scan
-            scan(w[start:], used, taken[start:], start)
+            self._scan(w[start:], used, taken[start:], start)
         counts = taken.sum(axis=0)
         over = np.flatnonzero(counts > budget)
         if over.size:  # the scan ran past the budget: only the first ``budget`` count
@@ -163,38 +157,11 @@ class SharedPool:
     def _fitting_prefix(self, w: np.ndarray, limit: int) -> tuple[int, np.ndarray]:
         """The first position below ``limit`` at which some pool's running
         weight passes the capacity, or ``limit``, and each pool's weight
-        before it.  The running weights are summed in chunks that double,
-        each carrying the last, so each sum adds in scan order."""
-        used = np.zeros(w.shape[1])
-        at, size = 0, 2 * SCAN_CHECK
-        while at < limit:
-            part = w[at : min(at + size, limit)].copy()
-            part[0] += used
-            np.add.accumulate(part, axis=0, out=part)
-            over = (part > self.capacity).any(axis=1)
-            if over.any():
-                first = int(over.argmax())
-                return at + first, part[first - 1] if first else used
-            used = part[-1]
-            at += len(part)
-            size *= 2
-        return limit, used
-
-    def _scan_each(self, steps: np.ndarray, used: np.ndarray, took: np.ndarray, start: int) -> None:
-        """``_scan``, one pool at a time in Python floats, which add as
-        numpy's do; each pool stops at ``block_budget`` entries."""
-        capacity, budget = self.capacity, self.block_budget
-        for j in range(steps.shape[1]):
-            weight, count, picked = float(used[j]), start, []
-            for i, x in enumerate(steps[:, j].tolist()):
-                if weight + x <= capacity:
-                    weight += x
-                    picked.append(i)
-                    count += 1
-                    if count == budget:
-                        break
-            used[j] = weight
-            took[picked, j] = True
+        before it."""
+        run = np.add.accumulate(w[:limit], axis=0)
+        over = (run > self.capacity).any(axis=1)
+        first = int(over.argmax()) if over.any() else limit
+        return first, run[first - 1] if first else np.zeros(w.shape[1])
 
     def _scan(self, steps: np.ndarray, used: np.ndarray, took: np.ndarray, start: int) -> None:
         """Run the greedy scan from position ``start`` on: row i of ``steps``
