@@ -16,7 +16,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, SimConfig, SweepSpec, parse_config
+from .config import ConfigError, RunCapError, SimConfig, SweepSpec, parse_config
 from .runner import run_many, worker_pool
 from .stats import MetricAggregate, RunReport, aggregate
 
@@ -104,7 +104,8 @@ def _write_outputs(out: str, write) -> int:
     then print the lines ``write`` returns, once its files are complete.
 
     An unusable ``out`` is reported in one line; if ``write`` fails, the
-    files it registered are removed and the traceback is printed."""
+    files it registered are removed and the failure is printed: in one line
+    for a run that passed a cap, otherwise as a traceback."""
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,9 +115,12 @@ def _write_outputs(out: str, write) -> int:
     tracker = _OutputTracker()
     try:
         lines = write(out_dir, tracker)
-    except Exception:
+    except Exception as exc:
         tracker.discard_all()
-        traceback.print_exc()
+        if isinstance(exc, RunCapError):
+            print(f"run stopped: {exc}", file=sys.stderr)
+        else:
+            traceback.print_exc()
         return EXIT_RUNTIME
     for line in lines:
         _say(line)

@@ -35,9 +35,8 @@ PROBABILITY_TOLERANCE = 1e-9
 # Most transactions one full-mode run may expect (T_n x horizon).  On a
 # 2-vCPU host each costs 10-30 microseconds and about 400 bytes while
 # pending, so a run at the cap takes up to half a minute and about 450 MB;
-# far above it, a run would not end.  The cap bounds the expected count, not
-# the realised one: T_n = 400, B_interval = 600, B_size = 0.1, block_target
-# = 4 (960,000 expected) made about 1.38 M transactions in 17.8 s, 576 MB.
+# far above it, a run would not end.  ``validate`` bounds the expected
+# count, and a run that makes more than this many stops with ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
 # Every block is kept until the run ends, about 650 bytes each, and a bare
@@ -58,6 +57,10 @@ DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 # real networks spread hash power across many pools, and the stale rate
 # scales with that dispersion.
 PRESET_MINERS = (0.30, 0.25, 0.20, 0.15, 0.10)
+
+
+class RunCapError(RuntimeError):
+    """A run passed one of the caps above while it ran."""
 
 
 class ConfigError(Exception):
@@ -257,6 +260,11 @@ class ExponentialSampler:
         rng.standard_exponential(out=out)
         out *= self._mean
 
+    def from_uniforms(self, u: np.ndarray) -> list[float]:
+        """The values ``draw`` makes from the nonzero uniforms ``u``."""
+        mean, log = self._mean, math.log  # not np.log, which may differ by an ulp
+        return [-mean * log(1.0 - x) for x in u.tolist()]
+
     def mean(self) -> float:
         return self._mean
 
@@ -289,6 +297,10 @@ class HistogramSampler:
         """Fill ``out`` with ``len(out)`` draws, as ``draw`` makes them one by one."""
         rng.random(out=out)
         self.values.take(self._cdf.searchsorted(out, side="right"), out=out)
+
+    def from_uniforms(self, u: np.ndarray) -> list[float]:
+        """The values ``draw`` makes from the uniforms ``u``."""
+        return self.values.take(self._cdf.searchsorted(u, side="right")).tolist()
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probabilities))

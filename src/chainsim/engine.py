@@ -9,8 +9,10 @@ dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
 - BLOCK_RECEIVE: target is a tuple of recipient ids, payload the block.  A
   constant-delay broadcast is one entry for all its recipients, delivered
   in node order; it holds the place the first per-recipient entry would.
-- TX_CREATE: target is the submitter id, payload the transaction, the
-  plain tuple ``(id, timestamp, weight, fee)``.
+
+Full-mode transactions are not queued.  The workload holds the next one
+and a sequence number taken from the queue's counter, and the dispatch loop
+has it file, before each event, every transaction that sorts before it.
 
 Each miner's next creation sits in a slot of its own, outside the heap;
 arming the slot again replaces it, so a creation a tip change superseded is
@@ -39,7 +41,6 @@ if TYPE_CHECKING:
 class EventKind(IntEnum):
     BLOCK_CREATE = 0
     BLOCK_RECEIVE = 1
-    TX_CREATE = 2
 
 
 class SchedulingError(RuntimeError):
@@ -69,6 +70,13 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq = seq + 1
         heapq.heappush(self._heap, (time, seq, kind, target, payload))
+        return seq
+
+    def take_seqs(self, k: int) -> int:
+        """Hand out ``k`` consecutive sequence numbers, as ``k`` events
+        scheduled now would take them; return the first."""
+        seq = self._next_seq
+        self._next_seq = seq + k
         return seq
 
     def arm(self, time: float, miner_id: int, tip: object) -> int:
@@ -140,42 +148,23 @@ def sample_exponentials(rng: np.random.Generator, mean: float, k: int) -> list[f
     return values
 
 
-def exponential_and_pair(
-    rng: np.random.Generator, mean: float, n: int
-) -> Callable[[], tuple[float, int]]:
-    """Return ``draw()``: ``sample_exponential(rng, mean)`` and the first of
-    two ``rng.integers(n)``, from the same stream, read as raw PCG64 words.
+def rejects_only_zero(mean: float) -> bool:
+    """Whether ``sample_exponential(rng, mean)`` rejects only a zero
+    uniform, that is a raw PCG64 word below 2**11: true unless ``mean`` is
+    so small that the least nonzero uniform gives 0 too."""
+    return -mean * math.log(1.0 - 2.0**-53) > 0.0
 
-    ``random()`` is a word's top 53 bits over 2**53.  ``integers(n)`` is
-    Lemire's method on a 32-bit half, low half first, keeping the high half
-    for the next draw, so the two take one word when both halves pass the
-    rejection test.  A word that either rejects is given back and numpy
-    draws the pair.  Numpy draws every pair for n outside [2, 2**32), and
-    every later pair once a half is left buffered, which it would read first.
-    """
-    bits = rng.bit_generator
-    raw, integers = bits.random_raw, rng.integers
-    bound = 2**32 % n if 2 <= n < 2**32 and not bits.state["has_uint32"] else None
 
-    def draw() -> tuple[float, int]:
-        nonlocal bound
-        while True:
-            x = -mean * math.log(1.0 - (raw() >> 11) * 2.0**-53)
-            if x > 0.0:
-                break
-        if bound is not None:
-            word = raw()
-            low, high = (word & 0xFFFFFFFF) * n, (word >> 32) * n
-            if (low & 0xFFFFFFFF) >= bound and (high & 0xFFFFFFFF) >= bound:
-                return x, low >> 32
-            bits.advance(-1)
-        first = int(integers(n))
-        integers(n)
-        if bound is not None and bits.state["has_uint32"]:
-            bound = None
-        return x, first
-
-    return draw
+def skip_exponentials(rng: np.random.Generator, mean: float, k: int) -> None:
+    """Advance ``rng`` as ``sample_exponentials(rng, mean, k)`` would,
+    without computing the values: ``k`` raw words, then one more for each
+    word rejected."""
+    if not rejects_only_zero(mean):
+        sample_exponentials(rng, mean, k)
+        return
+    raw = rng.bit_generator.random_raw
+    while k > 0:
+        k = int(np.count_nonzero(raw(k) < 2**11))
 
 
 def run_loop(
@@ -183,6 +172,7 @@ def run_loop(
     handlers: Mapping[EventKind, Callable[[object, float, object], object]],
     world: "World",
     *,
+    advance: Callable[[float, float], object] | None = None,
     sim_time: float | None = None,
     block_target: int | None = None,
 ) -> float:
@@ -194,14 +184,23 @@ def run_loop(
     created, besides genesis.  Returns the elapsed simulated seconds used
     for rate metrics: the full horizon in time-limited mode, otherwise the
     final clock value.
+
+    ``advance``, if given, is called as ``advance(time, seq)`` before each
+    event is dispatched, and as ``advance(sim_time, math.inf)`` when the
+    horizon ends the run: it files the transactions that come first.
     """
     table = [handlers[kind] for kind in EventKind]
     next_event = queue.next_event
     horizon = math.inf if sim_time is None else sim_time
     target_blocks = math.inf if block_target is None else block_target
     while (entry := next_event(horizon)) is not None:
-        time, _, kind, target, payload = entry
+        time, seq, kind, target, payload = entry
+        if advance is not None:
+            advance(time, seq)
         table[kind](target, time, payload)
         if len(world.registry) > target_blocks:
             break
+    else:
+        if advance is not None and sim_time is not None:
+            advance(sim_time, math.inf)
     return sim_time if sim_time is not None else queue.clock

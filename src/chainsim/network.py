@@ -7,9 +7,10 @@ them all.  In exponential mode each recipient draws its own independent
 delay and gets its own entry.
 
 Blocks reach the ``recipients`` nodes the ``World`` builds, the ids up to
-the highest-id miner.  Exponential mode still draws a delay for each of the
-``N_n`` nodes but the sender, in node order, and drops those past the
-recipients, so the random stream is the one every node would draw.
+the highest-id miner.  Exponential mode still takes a draw for each of the
+``N_n`` nodes but the sender, in node order, so the random stream is the one
+every node would draw; the draws past the recipients are read as raw words
+and never computed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SimConfig
-from .engine import EventKind, EventQueue, sample_exponentials
+from .engine import EventKind, EventQueue, sample_exponentials, skip_exponentials
 from .model import Block
 
 
@@ -43,7 +44,7 @@ class Network:
         if not self.exponential:
             due = [(at + self.block_delay, others)] if others else []
         else:
-            # The draws past the recipients' are taken and discarded.
-            delays = sample_exponentials(self.rng, self.block_delay, self.n_nodes - 1)
+            delays = sample_exponentials(self.rng, self.block_delay, len(others))
+            skip_exponentials(self.rng, self.block_delay, self.n_nodes - 1 - len(others))
             due = [(at + delay, (node_id,)) for node_id, delay in zip(others, delays)]
         return [self.queue.schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]

@@ -46,17 +46,17 @@ class Simulation:
         self.handlers = {
             EventKind.BLOCK_CREATE: self.consensus.on_block_create,
             EventKind.BLOCK_RECEIVE: self.consensus.deliver_block,
-            EventKind.TX_CREATE: self.workload.on_tx_create,
         }
 
     def run(self) -> RunReport:
         started = time.perf_counter()
-        self.workload.start()
+        advance = self.workload.start()
         self.consensus.start()
         elapsed = run_loop(
             self.queue,
             self.handlers,
             self.world,
+            advance=advance,
             sim_time=self.config.sim_time,
             block_target=self.config.block_target,
         )

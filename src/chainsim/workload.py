@@ -1,13 +1,15 @@
 """Transaction workload in two techniques.
 
 Full: a Poisson stream of transactions, each tracked (enables latency
-metrics) and stamped at creation with when every miner holds it: at once for
-its submitter, one propagation delay later for the rest.  One run-wide
+metrics) and filed at creation with the delay after which each miner holds
+it: none for its submitter, one propagation delay for the rest.  One run-wide
 pending list serves all miners: a miner's pool at time t is every pending
 transaction it holds by t whose id its chain has not adopted.  The list is
 kept in fee order as short sorted chunks, each with its least weight: a new
 transaction is filed in one chunk, whatever the list's length, and packing
-reads only the chunks in which something can still fit.
+reads only the chunks in which something can still fit.  Transactions are
+not events: before each event, the ones created before it are filed, drawn
+in batches from the stretch of the random stream they alone read.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -21,17 +23,28 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import ConstantSampler, SimConfig, light_pool_size
-from .engine import EventKind, EventQueue, exponential_and_pair, sample_exponentials
+from .config import (
+    MAX_FULL_MODE_TRANSACTIONS,
+    ConstantSampler,
+    ExponentialSampler,
+    RunCapError,
+    SimConfig,
+    light_pool_size,
+)
+from .engine import EventQueue, rejects_only_zero, sample_exponentials
 from .model import Block, NodeState, World
 
 
 # Full mode keeps pending transactions in sorted chunks; a chunk splits in
 # two once it holds more than twice this many entries.
 PENDING_CHUNK = 64
+# Full mode reads up to this many bytes of raw words in one batch of rows.
+TX_BATCH_BYTES = 1 << 20
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)  # a raw word's 32-bit halves
 # Light mode queues up to this many blocks and packs them in one pass ...
 PACK_BATCH = 128
 # ... as long as their pools, 16 bytes an entry, fit in this many bytes.
@@ -40,6 +53,11 @@ BATCH_BYTES = 8 << 20
 # overflows; after this many steps, and each doubling of them, the scan
 # checks whether it can stop.
 SCAN_CHECK = 16
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """What ``Generator.random()`` makes of each raw word: its top 53 bits over 2**53."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class SharedPool:
@@ -187,7 +205,23 @@ class SharedPool:
 
 
 class TxWorkload:
-    """Event-facing workload engine; also the miner's source of block bodies."""
+    """The transaction stream, and the miners' source of block bodies.
+
+    Full mode holds the next transaction, drawn but not filed, and the
+    ``(time, seq)`` its creation sorts at among the events, the seq taken
+    from the queue's counter.  ``advance`` files each transaction created
+    before an event and draws its successor, in the order one event per
+    transaction would.  It reads rows of raw PCG64 words, one per
+    transaction filed: its delays to the other ``N_n - 1`` nodes under
+    exponential ``T_delay``, then its successor's gap, a word for the
+    submitter and the unmodelled recipient, and the size and the unit price
+    unless constant.  ``random()`` is a word's top 53 bits over 2**53, and
+    ``integers(n)`` runs Lemire's method on its low, then its high half.  A
+    row with a rejected half or a zero word is given back for numpy's own
+    calls to draw, as is every row when numpy would not read the pair from
+    one word (``N_n`` outside [2, 2**32), or a half buffered), or when an
+    exponential mean is so small that a nonzero uniform gives 0 too.
+    """
 
     def __init__(
         self,
@@ -210,68 +244,167 @@ class TxWorkload:
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
-        # Full mode: sorted chunks of (-fee, id, tx, arrival at each miner)
+        # Full mode: sorted chunks of (-fee, id, tx, delay to each miner)
         # entries, in packing order, with each chunk's last entry and least
         # weight alongside.  Comparisons stop at the unique id.
         self.pending: list[list[tuple[float, int, tuple, tuple[float, ...]]]] = []
         self._lasts: list[tuple[float, int, tuple, tuple[float, ...]]] = []
         self._minima: list[float] = []
-        # Miner id -> index into a transaction's arrival times, in id order.
+        # Miner id -> index into a transaction's delays, in id order.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
-        self._tx_ids = itertools.count(1)  # full mode only
+        # Constant delays, shared: from a non-miner, and from each miner.
+        self._lag = (self.tx_delay,) * len(self._slots)
+        self._lags = {m: (*self._lag[:s], 0.0, *self._lag[s + 1 :]) for m, s in self._slots.items()}
+        self.created = 0  # full-mode transactions drawn; the last one's id
 
-    def start(self) -> None:
-        """Schedule the first transaction arrival (full mode).  The
-        generator's state is read here, once, to choose how every
-        transaction's submitter and recipient are drawn."""
-        if self.full_mode and self.tx_rate > 0:
-            self._draw = exponential_and_pair(self.rng, 1.0 / self.tx_rate, self.n_nodes)
-            self._schedule_arrival(0.0)
+    def start(self) -> Callable[[float, float], None] | None:
+        """Draw the first transaction (full mode) and return ``advance``, for
+        ``run_loop`` to call before each event; None without a transaction
+        stream.  The generator's state is read here, once, to choose how
+        transactions are drawn."""
+        if not self.full_mode or self.tx_rate <= 0:
+            return None
+        n, bits = self.n_nodes, self.rng.bit_generator
+        self._gaps = ExponentialSampler(1.0 / self.tx_rate)
+        self._delays = ExponentialSampler(self.tx_delay) if self.exponential else None
+        samplers = (self._gaps, self._delays, self.size_sampler, self.price_sampler)
+        # A row: the delays, the gap, the pair, then the size and price unless constant.
+        self._pair = n if self.exponential else 1
+        self._stride = self._pair + 1 + sum(not isinstance(s, ConstantSampler) for s in samplers[2:])
+        self._max_rows = max(TX_BATCH_BYTES // (8 * self._stride), 1)
+        raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
+        raw = raw and all(rejects_only_zero(s.mean()) for s in samplers if isinstance(s, ExponentialSampler))
+        self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
+        self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
+        self._draw_one(0.0)
+        return self.advance
 
-    def _schedule_arrival(self, now: float) -> None:
-        """Create the next transaction, the plain tuple ``(id, timestamp,
-        weight, fee)``, and schedule its ``TX_CREATE`` at its submitter.
+    def advance(self, time: float, seq: float) -> None:
+        """File, in creation order, every transaction whose creation sorts
+        before the event at ``(time, seq)``, and hold the first that does not."""
+        while self._due < (time, seq):
+            if self._bound is None:
+                self._file_one()
+            else:
+                self._file_rows(time, seq)
 
-        ``exponential_and_pair`` draws the gap and the submitter, then an
-        unmodelled recipient (drawn to keep the random stream); the size
-        and the unit price follow, in that order.
-        """
-        gap, submitter = self._draw()
-        at = now + gap
-        weight = self.size_sampler.draw(self.rng)
-        fee = weight * self.price_sampler.draw(self.rng)
-        tx = (next(self._tx_ids), at, weight, fee)
-        self.queue.schedule(at, EventKind.TX_CREATE, submitter, tx)
+    def _file_rows(self, time: float, seq: float) -> None:
+        """File the held transaction and those after it that sort before the
+        event at ``(time, seq)`` from a batch of rows, up to the first
+        irregular one, which numpy's own calls read if it is due.  The batch
+        covers the expected count and a margin, within ``TX_BATCH_BYTES``;
+        the rows not used are given back."""
+        submitter, tx = self._held
+        expected = self.tx_rate * (time - tx[1])
+        k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
+        bits, pair = self.rng.bit_generator, self._pair
+        words = bits.random_raw(k * self._stride).reshape(k, -1)
+        regular = self._regular(words, pair)
+        drawn = self._drawn(words[:regular, pair - 1 :], tx[1])
+        # Transactions drawn here take seqs past every queued event's, so they
+        # sort before one by time alone; ``math.inf`` marks the horizon, which
+        # takes those at its own time too.
+        find = bisect.bisect_left if seq < math.inf else bisect.bisect_right
+        used = min(find(drawn, time, key=lambda d: d[1][1]) + 1, regular)
+        if used:
+            delays: Iterable = itertools.repeat(None)
+            if self._delays is not None:
+                # Node n's delay, for n past the submitter, is word n - 1.
+                filed, miners = np.array([submitter] + [s for s, _ in drawn[: used - 1]]), self._miners
+                picked = words[np.arange(used)[:, None], miners - (miners > filed[:, None])]
+                flat, width = self._delays.from_uniforms(_uniforms(picked.ravel())), len(miners)
+                delays = [flat[i : i + width] for i in range(0, len(flat), width)]
+            file = self.file
+            for delay, successor in zip(delays, drawn[:used]):
+                file(submitter, tx, delay)
+                submitter, tx = successor
+            self._hold(drawn[:used])
+        if used < k:
+            bits.advance(-(k - used) * self._stride)
+        if used == regular < k and self._due < (time, seq):
+            self._file_one()
 
-    def _arrivals(self, submitter: int, at: float) -> tuple[float, ...]:
-        """When each miner holds a transaction ``submitter`` created ``at``,
-        under exponential delays: a delay is drawn for every node but the
-        submitter, in node order, as a per-recipient broadcast would."""
-        # Node n's delay, for n past the submitter, is draw n - 1.
-        delays = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
-        return tuple(
-            at if m == submitter else at + delays[m if m < submitter else m - 1]
-            for m in self._slots
+    def _regular(self, words: np.ndarray, pair: int) -> int:
+        """How many rows of ``words``, with the pair in column ``pair``, come
+        before the first irregular one.  Any word below 2**11 makes a row
+        irregular: where an exponential reads it, it is a zero uniform."""
+        n, bound = self._n, self._bound
+        bad = (words < 2**11).any(axis=1)
+        bad |= (words[:, pair] & _LOW) * n & _LOW < bound
+        bad |= (words[:, pair] >> _HALF) * n & _LOW < bound
+        return int(bad.argmax()) if bad.any() else len(words)
+
+    def _drawn(self, tail: np.ndarray, at: float) -> list[tuple[int, tuple]]:
+        """The ``(submitter, tx)`` that the regular rows ``tail``, from the
+        gap on, draw after a transaction made at ``at``; ids follow the last held."""
+        k = len(tail)
+        gaps = self._gaps.from_uniforms(_uniforms(tail[:, 0]))
+        times = list(itertools.accumulate(gaps, initial=at))[1:]
+        submitters = ((tail[:, 1] & _LOW) * self._n >> _HALF).tolist()
+        columns = iter(tail.T[2:])  # one for each sampler that is not constant
+        weights, prices = (
+            [s.value] * k if isinstance(s, ConstantSampler) else s.from_uniforms(_uniforms(next(columns)))
+            for s in (self.size_sampler, self.price_sampler)
         )
+        fees = [weight * price for weight, price in zip(weights, prices)]
+        ids = range(self.created + 1, self.created + k + 1)
+        return list(zip(submitters, zip(ids, times, weights, fees)))
 
-    def on_tx_create(self, submitter_id: int, now: float, tx: tuple) -> None:
-        """Stamp ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
-        ``submitter_id`` created, with its arrival at every miner, file it
-        in ``pending``, and schedule the next transaction.
+    def _file_one(self) -> None:
+        """File the held transaction, its delays drawn by numpy's own calls, and draw its successor."""
+        submitter, tx = self._held
+        delays = None
+        if self._delays is not None:
+            drawn = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
+            delays = [drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots]
+        self.file(submitter, tx, delays)
+        self._draw_one(tx[1])
 
-        A constant delay needs no draws: the submitter holds ``tx`` at once,
-        every other miner ``T_delay`` later.
+    def _draw_one(self, now: float) -> None:
+        """Hold the transaction after one made at ``now``: read from a row's
+        words from the gap on if they are regular, else drawn by numpy's own
+        calls (gap, submitter, unmodelled recipient, size and unit price)."""
+        rng, n, bits = self.rng, self.n_nodes, self.rng.bit_generator
+        if self._bound is not None:
+            tail = bits.random_raw(self._stride - self._pair + 1).reshape(1, -1)
+            if self._regular(tail, 1):
+                self._hold(self._drawn(tail, now))
+                return
+            bits.advance(-tail.size)
+        at = now + self._gaps.draw(rng)
+        submitter = int(rng.integers(n))
+        rng.integers(n)
+        weight = self.size_sampler.draw(rng)
+        self._hold([(submitter, (self.created + 1, at, weight, weight * self.price_sampler.draw(rng)))])
+        if self._bound is not None and bits.state["has_uint32"]:
+            self._bound = None  # numpy reads the buffered half first from now on
+
+    def _hold(self, drawn: list[tuple[int, tuple]]) -> None:
+        """Hold the last of the transactions just drawn, taking a seq for each."""
+        self.created += len(drawn)
+        self._held = drawn[-1]
+        self._due = (self._held[1][1], self.queue.take_seqs(len(drawn)) + len(drawn) - 1)
+
+    def file(self, submitter: int, tx: tuple, delays: Sequence[float] | None = None) -> None:
+        """File ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
+        ``submitter`` created, in ``pending``, with the delay after which each
+        miner holds it: none for the submitter, ``T_delay`` for the others,
+        or, given ``delays``, each one's own, in slot order.
+
+        Raises ``RunCapError`` once the ids pass ``MAX_FULL_MODE_TRANSACTIONS``.
         """
-        tx_id, at, weight, fee = tx
-        if self.exponential:
-            arrivals = self._arrivals(submitter_id, at)
+        tx_id, _, weight, fee = tx
+        if tx_id > MAX_FULL_MODE_TRANSACTIONS:
+            raise RunCapError(
+                f"a full-mode run made more than {MAX_FULL_MODE_TRANSACTIONS:,} transactions; "
+                "lower T_n or the horizon"
+            )
+        if delays is None:
+            delays = self._lags.get(submitter, self._lag)
         else:
-            stamps = [at + self.tx_delay] * len(self._slots)
-            slot = self._slots.get(submitter_id)
-            if slot is not None:
-                stamps[slot] = at
-            arrivals = tuple(stamps)
-        entry = (-fee, tx_id, tx, arrivals)
+            slot = self._slots.get(submitter)
+            delays = tuple(0.0 if i == slot else delay for i, delay in enumerate(delays))
+        entry = (-fee, tx_id, tx, delays)
         chunks, lasts, minima = self.pending, self._lasts, self._minima
         c = bisect.bisect_left(lasts, entry)
         if c < len(lasts):
@@ -294,7 +427,6 @@ class TxWorkload:
             lasts.insert(c, chunk[-1])
             minima[c] = min(tx[2] for _, _, tx, _ in chunk)
             minima.insert(c + 1, min(tx[2] for _, _, tx, _ in tail))
-        self._schedule_arrival(now)
 
     def take_block(self, miner: NodeState, now: float, block: Block) -> None:
         """Fill ``block``, mined by ``miner`` at ``now``, in place.
@@ -327,11 +459,11 @@ class TxWorkload:
                 continue
             chunk = chunks[c]
             dropped: list[int] = []
-            for index, (_, tx_id, tx, arrivals) in enumerate(chunk):
+            for index, (_, tx_id, tx, delays) in enumerate(chunk):
                 if tx_id in on_chain:
                     if all(tx_id in chain for chain in chains):
                         dropped.append(index)
-                elif arrivals[slot] <= now and used + tx[2] <= capacity:
+                elif tx[1] + delays[slot] <= now and used + tx[2] <= capacity:
                     picked.append(tx)
                     used += tx[2]
                     fees += tx[3]

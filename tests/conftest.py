@@ -36,6 +36,19 @@ def genesis() -> Block:
     return World([1.0]).registry[0]
 
 
+def record_filing(sim) -> list:
+    """Record each ``(submitter, tx, delays)`` that ``sim``'s workload files."""
+    filed = []
+    workload, file = sim.workload, type(sim.workload).file
+
+    def recording(submitter, tx, delays=None):
+        filed.append((submitter, tx, delays))
+        file(workload, submitter, tx, delays)
+
+    workload.file = recording
+    return filed
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))

@@ -533,6 +533,29 @@ def test_unbounded_full_mode_exit_2(tmp_path, command):
     assert not out.exists()
 
 
+def test_realised_full_mode_cap_exit_3(tmp_path):
+    # About 960,000 transactions expected, so validate lets it through, but
+    # with seed 5 the four blocks take long enough for about 1.38 million:
+    # the run stops once the ids pass the cap, with one line and no CSV.
+    # In a subprocess with a timeout, so a broken cap cannot run unbounded here.
+    text = (
+        "T_technique = full\nT_n = 400\nB_interval = 600\nB_size = 0.1\n"
+        "block_target = 4\nRuns = 1\nseed = 5\n"
+    )
+    out = tmp_path / "o"
+    done = run_chainsim(
+        ["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)],
+        stdout=subprocess.DEVNULL, timeout=60,
+    )
+    assert done.returncode == 3
+    err = done.stderr.decode()
+    assert err == (
+        "run stopped: a full-mode run made more than 1,000,000 transactions; "
+        "lower T_n or the horizon\n"
+    )
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--intervals", "300,600", "--delays", "1"]], ids=["run", "sweep"]
 )

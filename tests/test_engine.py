@@ -13,13 +13,15 @@ from chainsim.engine import (
     EventKind,
     EventQueue,
     SchedulingError,
-    exponential_and_pair,
+    rejects_only_zero,
     sample_exponential,
     sample_exponentials,
+    skip_exponentials,
 )
+from chainsim.engine import run_loop
 from chainsim.runner import Simulation, run_single
 
-from conftest import FixedUniform, make_config
+from conftest import FixedUniform, make_config, record_filing
 
 
 def ev(q, t, node=0, kind=EventKind.BLOCK_CREATE, payload=None):
@@ -142,14 +144,83 @@ class TestSampleExponentials:
             sample_exponentials(np.random.default_rng(1), 0.0, 3)
 
 
-# Pair sizes for exponential_and_pair, each with what it covers.
+class TestSkipExponentials:
+    def test_leaves_the_state_sample_exponentials_leaves(self):
+        skipped, drawn = np.random.default_rng(8), np.random.default_rng(8)
+        skip_exponentials(skipped, 2.3, 10_000)
+        sample_exponentials(drawn, 2.3, 10_000)
+        assert_same_generator_state(skipped, drawn)
+
+    def test_zero_word_takes_one_more(self):
+        skipped, drawn = np.random.default_rng(9), np.random.default_rng(9)
+        for rng in (skipped, drawn):
+            zero_word_in(rng, 3)
+        skip_exponentials(skipped, 1.0, 5)
+        assert len(sample_exponentials(drawn, 1.0, 5)) == 5
+        assert_same_generator_state(skipped, drawn)
+        assert skipped.bit_generator.state != zero_word_in(np.random.default_rng(9), 3)
+
+    def test_tiny_mean_draws_the_values(self):
+        # At this mean a nonzero uniform can give 0 too, so raw words cannot tell.
+        assert rejects_only_zero(1e-300) and not rejects_only_zero(1e-310)
+        with mock.patch("chainsim.engine.sample_exponentials") as exact:
+            skip_exponentials(np.random.default_rng(1), 1e-310, 4)
+        exact.assert_called_once()
+
+
+MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def zero_word_in(rng, j):
+    """Set ``rng``'s state so that the ``j``-th raw word it reads next is 0:
+    the LCG is stepped back ``j`` times from a state whose halves are equal,
+    which PCG64's XSL-RR output maps to 0.  Returns the state set."""
+    state = rng.bit_generator.state
+    inc, word = state["state"]["inc"], 0x0123456789ABCDEF
+    value = (word << 64) | word
+    for _ in range(j):
+        value = (value - inc) * pow(MULTIPLIER, -1, 2**128) % 2**128
+    state["state"]["state"] = value
+    rng.bit_generator.state = state
+    return state
+
+
+class TestNumpyRules:
+    """The rules of numpy's generator that full-mode batches rely on."""
+
+    def test_random_raw_reads_the_words_of_scalar_calls(self):
+        batch, single = np.random.default_rng(4), np.random.default_rng(4)
+        words = batch.bit_generator.random_raw(100).tolist()
+        assert words == [single.bit_generator.random_raw() for _ in range(100)]
+        assert [(w >> 11) * 2.0**-53 for w in words[:3]] == [
+            r.random() for r in [np.random.default_rng(4)] for _ in range(3)
+        ]
+
+    def test_advance_back_gives_back_exactly_k_words_and_clears_a_buffered_half(self):
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"]
+        words = rng.bit_generator.random_raw(7)
+        rng.bit_generator.advance(-7)
+        assert not rng.bit_generator.state["has_uint32"]
+        assert rng.bit_generator.random_raw(7).tolist() == words.tolist()
+        twin.bit_generator.random_raw(1 + 7)  # the word integers(5) read, and the seven
+        assert twin.bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+    def test_zero_word_is_scripted(self):
+        rng = np.random.default_rng(2)
+        zero_word_in(rng, 3)
+        assert rng.bit_generator.random_raw(4).tolist()[2] == 0
+
+
+# Pair sizes for the submitter draw, each with what it covers.
 PAIR_SIZES = {
     1: "integers(1) reads nothing, so the pair takes no word",
     2: "smallest n read from a raw word; 2**32 % 2 == 0, so no half rejects",
     3: "odd n, rejection bound 1",
     5: "the five default nodes, rejection bound 1",
     100: "rejection bound 96",
-    2**31 + 1: "bound 2**31 - 1: about three words in four reject, so the word "
+    2**31 + 1: "bound 2**31 - 1: about three words in four reject, so the row "
     "is given back, and a pair that leaves a half buffered keeps numpy drawing",
     2**32 - 1: "largest n read from a raw word, rejection bound 1",
     2**32: "numpy takes a whole 32-bit half with no rejection test",
@@ -174,58 +245,172 @@ def assert_same_generator_state(a, b):
         assert a["uinteger"] == b["uinteger"]
 
 
+class OneAtATime:
+    """The full-mode draws as one event per transaction made them, by
+    numpy's own calls: at each transaction's creation, its delays to the
+    other ``N_n - 1`` nodes under exponential ``T_delay``, then its
+    successor's gap, submitter, unmodelled recipient, size and unit price."""
+
+    def __init__(self, rng, config, miner_ids):
+        self.rng, self.config, self.miner_ids = rng, config, miner_ids
+        self.ids = 0
+
+    def draw(self, now):
+        rng, config = self.rng, self.config
+        size, price = config.samplers
+        at = now + sample_exponential(rng, 1.0 / config.t_n)
+        submitter = int(rng.integers(config.n_n))
+        rng.integers(config.n_n)
+        weight = size.draw(rng)
+        self.ids += 1
+        return submitter, (self.ids, at, weight, weight * price.draw(rng))
+
+    def arrivals(self, submitter, at):
+        config = self.config
+        if config.delay_mode == "exponential" and config.t_delay > 0:
+            delays = sample_exponentials(self.rng, config.t_delay, config.n_n - 1)
+            late = {m: at + delays[m - (m > submitter)] for m in self.miner_ids if m != submitter}
+        else:
+            late = {m: at + config.t_delay for m in self.miner_ids}
+        return tuple(at if m == submitter else late[m] for m in self.miner_ids)
+
+
+def stream_config(n, **overrides):
+    miners = (1.0,) if n == 1 else (0.5, 0.5) if n == 2 else (0.4, 0.0, 0.6)
+    params = dict(has_trans=True, t_technique="full", t_n=1.0, t_delay=2.0, n_n=n, miners=miners)
+    params.update(overrides)
+    return make_config(**params)
+
+
+def arrivals_by_id(sim):
+    """Each pending transaction's arrival at each miner: its time plus the delay filed."""
+    return {
+        tx[0]: tuple(tx[1] + delay for delay in delays)
+        for chunk in sim.workload.pending
+        for _, _, tx, delays in chunk
+    }
+
+
+def start_both(sim, twin):
+    """Start ``sim``'s stream and a one-at-a-time reference on ``twin``;
+    return ``advance``, the reference and the transaction both hold."""
+    advance = sim.workload.start()
+    reference = OneAtATime(twin, sim.config, sim.world.miner_ids)
+    held = reference.draw(0.0)
+    assert sim.workload._held == held
+    assert_same_generator_state(sim.workload.rng, twin)
+    return advance, reference, held
+
+
+def check_against_one_at_a_time(sim, advance, reference, held, steps):
+    """Advance ``sim``'s stream by each of ``steps`` transactions in turn
+    and check every one filed, and the generator, against ``reference``."""
+    twin = reference.rng
+    filed = record_filing(sim)
+    expected = []
+    for step in steps:
+        for _ in range(step):
+            submitter, tx = held
+            expected.append((submitter, tx, reference.arrivals(submitter, tx[1])))
+            held = reference.draw(tx[1])
+        advance(held[1][1], -1)  # an event just after the last of them
+        assert_same_generator_state(sim.workload.rng, twin)
+        stamps = arrivals_by_id(sim)
+        assert [(s, tx, stamps[tx[0]]) for s, tx, _ in filed] == expected
+        assert sim.workload._held == held
+
+
+@pytest.fixture(scope="module")
+def hist_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hist") / "values.txt"
+    path.write_text("0.0002 0.3\n0.0005 0.4\n0.0011 0.2\n0.005 0.1\n")
+    return path
+
+
 class TestExponentialAndPair:
+    """Full-mode transactions read from raw words: the exponential gap, the
+    submitter pair and the rest are the draws one event at a time made."""
+
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         n=st.sampled_from(list(PAIR_SIZES)),
-        k=st.integers(1, 300),
-        mean=st.sampled_from([1.0, 0.7]),
+        steps=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+        rate=st.sampled_from([1.0, 1 / 0.7]),
+        size=st.sampled_from(["const", "exp", "hist"]),
+        price=st.sampled_from(["const", "exp", "hist"]),
+        exponential=st.booleans(),
     )
-    @example(seed=5, n=2**31 + 1, k=300, mean=1.0)
-    def test_values_and_state_match_numpy_draws(self, seed, n, k, mean):
-        fast, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = exponential_and_pair(fast, mean, n)
-        for _ in range(k):
-            gap, first = draw()
-            assert gap == sample_exponential(twin, mean)
-            assert first == int(twin.integers(n))
-            twin.integers(n)
-            assert_same_generator_state(fast, twin)
+    @example(seed=5, n=2**31 + 1, steps=[300], rate=1.0, size="const", price="const",
+             exponential=False)
+    def test_values_and_state_match_numpy_draws(
+        self, hist_path, seed, n, steps, rate, size, price, exponential
+    ):
+        samplers = {"const": "const:0.0005", "exp": "exp:0.0005", "hist": f"hist:{hist_path}"}
+        # Exponential delays draw for every node but the submitter: up to 100 nodes.
+        delay = "exponential" if exponential and n <= 100 else "constant"
+        config = stream_config(n, t_n=rate, t_size=samplers[size], t_fee=samplers[price],
+                               delay_mode=delay, seed=seed % 2**63)
+        twin = np.random.default_rng(seed % 2**63)
+        sim = Simulation(config, 0)
+        check_against_one_at_a_time(sim, *start_both(sim, twin), steps)
+
+    @pytest.mark.parametrize("delay", ["constant", "exponential"])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 9])
+    def test_zero_word_row_is_read_by_numpy(self, delay, j):
+        # The j-th word after the first transaction is 0: a rejected delay,
+        # gap, half or size, which makes its row irregular.
+        config = stream_config(5, delay_mode=delay, t_size="exp:0.0005", seed=4)
+        sim = Simulation(config, 0)
+        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(4))
+        twin = np.random.default_rng(4)
+        advance, reference, held = start_both(sim, twin)
+        twin.bit_generator.state = zero_word_in(rng, j)
+        with mock.patch.object(sim.workload, "_file_one", wraps=sim.workload._file_one) as spy:
+            check_against_one_at_a_time(sim, advance, reference, held, [5, 20])
+        assert spy.call_count == 1  # the one irregular row
+        # numpy's calls draw the pair unless the zero is one of the row's four
+        # delays, in a row of seven words: delays, gap, pair and size.
+        assert rng.calls == (0 if delay == "exponential" and (j - 1) % 7 < 4 else 2)
 
     def test_default_nodes_read_raw_words_only(self):
-        rng = CountingGenerator(np.random.PCG64(11))
-        draw = exponential_and_pair(rng, 1.0, 5)
-        for _ in range(10_000):
-            draw()
-        assert rng.calls == 0
+        config = stream_config(5, n_n=5, miners=(0.4, 0.3, 0.15, 0.1, 0.05), seed=11)
+        sim = Simulation(config, 0)
+        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(11))
+        advance = sim.workload.start()
+        advance(10_000.0, -1)
+        assert rng.calls == 0 and sim.workload.created > 9_000
 
     def test_rejected_word_is_given_back_then_a_buffered_half_keeps_numpy(self):
         # Seed 30 at n = 2**31 + 1: three pairs from raw words, three
         # rejected words whose numpy pairs leave no half buffered, then one
         # that does, after which every pair is two integers calls.
         n = 2**31 + 1
-        rng, twin = CountingGenerator(np.random.PCG64(30)), np.random.default_rng(30)
-        draw = exponential_and_pair(rng, 1.0, n)
+        sim = Simulation(stream_config(n, seed=30), 0)
+        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(30))
+        reference = OneAtATime(np.random.default_rng(30), sim.config, sim.world.miner_ids)
         steps = []
-        for _ in range(300):
+        advance = sim.workload.start()
+        steps.append((rng.calls, rng.bit_generator.state["has_uint32"]))
+        held = reference.draw(0.0)
+        for _ in range(299):
             before = rng.calls
-            assert draw() == (sample_exponential(twin, 1.0), int(twin.integers(n)))
-            twin.integers(n)
-            assert_same_generator_state(rng, twin)
+            reference.arrivals(held[0], held[1][1])
+            held = reference.draw(held[1][1])
+            advance(held[1][1], -1)
+            assert sim.workload._held == held
+            assert_same_generator_state(rng, reference.rng)
             steps.append((rng.calls - before, rng.bit_generator.state["has_uint32"]))
         assert steps[:7] == [(0, 0)] * 3 + [(2, 0)] * 3 + [(2, 1)]
         assert {calls for calls, _ in steps[7:]} == {2}
 
     def test_buffered_half_at_the_start_keeps_numpy(self):
-        rng, twin = CountingGenerator(np.random.PCG64(3)), np.random.default_rng(3)
+        sim = Simulation(stream_config(5, seed=3), 0)
+        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(3))
+        twin = np.random.default_rng(3)
         assert rng.integers(5) == twin.integers(5)  # leaves the high half buffered
-        draw = exponential_and_pair(rng, 1.0, 5)
-        for _ in range(50):
-            assert draw() == (sample_exponential(twin, 1.0), int(twin.integers(5)))
-            twin.integers(5)
-            assert_same_generator_state(rng, twin)
-        assert rng.calls == 1 + 2 * 50
+        check_against_one_at_a_time(sim, *start_both(sim, twin), [1] * 10 + [40])
+        assert rng.calls == 1 + 2 * 51
 
     def test_full_mode_run_calls_no_integers(self):
         config = make_config(has_trans=True, t_technique="full", t_n=0.05, block_target=50)
@@ -310,6 +495,30 @@ class TestRunLoop:
         sim.handlers = {kind: wrap(h) for kind, h in sim.handlers.items()}
         sim.run()
         assert all(t <= 5_000.0 for t in seen)
+
+    @pytest.mark.parametrize("stop", [dict(sim_time=5_000.0), dict(block_target=10)])
+    def test_advance_comes_before_each_event_then_the_horizon(self, stop):
+        sim = Simulation(make_config(b_delay=1.5, **stop), 0)
+        calls = []
+
+        def wrap(handler):
+            def wrapped(target, time, payload):
+                calls.append(("event", time))
+                return handler(target, time, payload)
+
+            return wrapped
+
+        sim.handlers = {kind: wrap(h) for kind, h in sim.handlers.items()}
+        sim.consensus.start()
+        run_loop(sim.queue, sim.handlers, sim.world,
+                 advance=lambda time, seq: calls.append(("advance", time, seq)), **stop)
+        events = [call for call in calls if call[0] == "event"]
+        horizon = [("advance", 5_000.0, math.inf)] if "sim_time" in stop else []
+        assert len(events) >= 10
+        assert [c[:2] for c in calls[: 2 * len(events)]] == [
+            c for event in events for c in (("advance", event[1]), event)
+        ]
+        assert calls[2 * len(events) :] == horizon
 
     def test_superposition_total_rate(self):
         # Aggregate creation rate is 1/B_interval regardless of the split.

@@ -4,7 +4,7 @@ from chainsim.consensus import ChainAction
 from chainsim.model import Block, World
 from chainsim.runner import Simulation
 
-from conftest import genesis, make_config
+from conftest import genesis, make_config, record_filing
 
 
 def blk(bid, depth, prev, miner=0, ts=None):
@@ -127,8 +127,10 @@ class TestWorld:
         sim.run()
         assert [b.id for b in sim.world.registry] == list(range(21))
         fresh = Simulation(config, 0)
-        fresh.workload.start()
-        assert [entry[4][0] for entry in fresh.queue._heap] == [1]  # the tuple's id
+        filed = record_filing(fresh)
+        fresh.run()
+        ids = [tx[0] for _, tx, _ in filed]  # the tuple's id
+        assert ids[:1] == [1] and ids == list(range(1, len(ids) + 1))
 
     def test_requires_a_node(self):
         with pytest.raises(ValueError):

@@ -170,8 +170,8 @@ seed = 21
 
 
 class TestBroadcastTx:
-    """A full-mode transaction is stamped, at creation, with the time each
-    block-creating node holds it."""
+    """A full-mode transaction is filed, at creation, with the delay after
+    which each block-creating node holds it."""
 
     @staticmethod
     def stamps(submitter=1, at=100.0, **overrides):
@@ -183,10 +183,9 @@ class TestBroadcastTx:
         params.update(overrides)
         sim = Simulation(make_config(**params), 0)
         sim.workload.start()
-        t = some_tx(1000, ts=at)
-        sim.workload.on_tx_create(submitter, at, t)
+        sim.workload.file(submitter, some_tx(1000, ts=at))
         (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
-        return dict(zip(sim.world.miner_ids, entry[3]))
+        return {m: at + delay for m, delay in zip(sim.world.miner_ids, entry[3])}
 
     def test_constant_delay_fanout(self):
         # The submitter holds it at once, every other miner 5 s later; the
@@ -195,7 +194,7 @@ class TestBroadcastTx:
 
     def test_light_mode_never_broadcasts_tx(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(TxWorkload, "_arrivals", lambda *args: calls.append(args))
+        monkeypatch.setattr(TxWorkload, "file", lambda *args: calls.append(args))
         config = make_config(has_trans=True, t_technique="light", t_n=5.0, block_target=50)
         Simulation(config, 0).run()
         assert calls == []
@@ -215,11 +214,14 @@ class TestBroadcastTx:
             t_n=1e-6, t_delay=3.0, delay_mode="exponential",
         )
         sim = Simulation(make_config(**params), 0)
-        sim.workload.start()
+        advance = sim.workload.start()
         replay = np.random.default_rng(0)
         replay.bit_generator.state = sim.rng.bit_generator.state
-        t = some_tx(1000, ts=50.0)
-        sim.workload.on_tx_create(1, 50.0, t)
-        expected = {n: 50.0 + sample_exponential(replay, 3.0) for n in (0, 2, 3, 4, 5)}
-        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
-        assert dict(zip(sim.world.miner_ids, entry[3])) == {0: expected[0], 2: expected[2]}
+        (at, _), (submitter, tx) = sim.workload._due, sim.workload._held
+        advance(at, math.inf)  # files the first transaction, drawing its delays
+        others = [n for n in range(6) if n != submitter]
+        expected = {n: at + sample_exponential(replay, 3.0) for n in others}
+        expected[submitter] = at
+        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == tx[0]]
+        arrivals = {m: at + delay for m, delay in zip(sim.world.miner_ids, entry[3])}
+        assert arrivals == {0: expected[0], 2: expected[2]}

@@ -12,21 +12,23 @@ from hypothesis import strategies as st
 from chainsim import cli
 from chainsim import workload as workload_module
 from chainsim.config import (
+    MAX_FULL_MODE_TRANSACTIONS,
     ConstantSampler,
     ExponentialSampler,
     HistogramSampler,
+    RunCapError,
     load_histogram,
     parse_sampler,
 )
 from chainsim.consensus import main_chain
-from chainsim.engine import EventKind, sample_exponentials
+from chainsim.engine import EventKind
 from chainsim.model import Block, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
 from chainsim.workload import SharedPool
 
-from conftest import make_config, read_rows, strip_wall_clock
+from conftest import make_config, read_rows, record_filing, strip_wall_clock
 from packing_oracle import select_for_block
 
 
@@ -403,24 +405,39 @@ class TestFullMode:
     def test_poisson_stream_count(self):
         # T_n = 10/s over 1,000 s: about 10,000 creations, 3 sigma = 300.
         sim = self._sim(sim_time=1_000.0, b_interval=1e9, t_delay=0.0)
-        created = []
-        original = sim.handlers[EventKind.TX_CREATE]
-
-        def counting(submitter_id, time, tx):
-            created.append(tx[0])
-            return original(submitter_id, time, tx)
-
-        sim.handlers[EventKind.TX_CREATE] = counting
+        filed = record_filing(sim)
         sim.run()
+        created = [tx[0] for _, tx, _ in filed]
         assert abs(len(created) - 10_000) <= 300
         assert len(set(created)) == len(created)
 
     def test_zero_rate_no_events(self):
         sim = self._sim(t_n=0.0, sim_time=10_000.0)
-        fired = []
-        sim.handlers[EventKind.TX_CREATE] = lambda *entry: fired.append(entry)
+        fired = record_filing(sim)
+        assert sim.workload.start() is None
         sim.run()
         assert fired == []
+
+    def test_ids_past_the_cap_stop_the_run(self):
+        sim = self._sim(block_target=5)
+        sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS, 0.5, 0.001))
+        with pytest.raises(RunCapError, match="more than 1,000,000 transactions"):
+            sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS + 1, 0.5, 0.001))
+        assert [e[1] for chunk in sim.workload.pending for e in chunk] == [
+            MAX_FULL_MODE_TRANSACTIONS
+        ]
+
+    @pytest.mark.parametrize("offset, filed", [(-1, False), (1, True)])
+    def test_an_event_at_the_held_time_sorts_by_seq(self, offset, filed):
+        # An event at the held transaction's own time comes after it if its
+        # seq is higher, as two queued events would.
+        sim = self._sim(block_target=5)
+        advance = sim.workload.start()
+        record = record_filing(sim)
+        held, (at, seq) = sim.workload._held, sim.workload._due
+        advance(at, seq + offset)
+        assert record == ([(*held, None)] if filed else [])
+        assert (sim.workload._held == held) is not filed
 
     def test_propagation_delay_gates_pool_entry(self):
         # Node 0 is the only miner.  Its own transaction is packable at once;
@@ -431,7 +448,7 @@ class TestFullMode:
         own = tx(1000, 0.5, 0.001, ts=100.0)
         relayed = tx(1001, 0.5, 0.001, ts=100.0)
         for submitter, t in ((0, own), (1, relayed)):
-            sim.workload.on_tx_create(submitter, 100.0, t)
+            sim.workload.file(submitter, t)
         miner = sim.world.nodes[0]
         early = sim.consensus.on_block_create(0, 104.0, miner.tip)
         assert early.transactions == (own,)
@@ -444,8 +461,7 @@ class TestFullMode:
             t_size="const:0.000546", block_target=50,
         )
         sim = Simulation(config, 0)
-        fired = []
-        sim.handlers[EventKind.TX_CREATE] = lambda *entry: fired.append(entry)
+        fired = record_filing(sim)
         report = sim.run()
         assert fired == []
         assert not any(sim.workload.pending)
@@ -491,15 +507,9 @@ class TestFullMode:
             sim_time=2_000.0, seed=3,
         )
         sim = Simulation(config, 0)
-        submitters = {}  # transaction id -> submitter
-        create_tx = sim.handlers[EventKind.TX_CREATE]
-
-        def on_tx_create(submitter_id, time, tx):
-            submitters[tx[0]] = submitter_id
-            return create_tx(submitter_id, time, tx)
-
-        sim.handlers[EventKind.TX_CREATE] = on_tx_create
+        filed = record_filing(sim)
         sim.run()
+        submitters = {tx[0]: submitter for submitter, tx, _ in filed}  # transaction id -> submitter
         relayed = 0
         for bid in range(1, len(sim.world.registry)):
             block = sim.world.registry[bid]
@@ -515,39 +525,32 @@ class TestFullMode:
 def pack_against_oracle(config, chunk):
     """Run ``config`` with pending chunks of ``chunk`` entries and check every
     created block against the greedy packing of its miner's pool, rebuilt
-    from the created transactions and their delay draws.
+    from the filed transactions and their delays.
 
     A transaction reaches its submitter at creation.  Under a constant delay
     it reaches every other miner ``T_delay`` later; under exponential delays
-    node n's delay is draw n of the transaction, counting nodes other than
-    the submitter in id order.  Also checks that no transaction is on the
-    main chain twice.  Returns (blocks checked, chunk splits, chunks emptied).
+    each miner's own delay later, as filed.  Also checks that no transaction
+    is on the main chain twice.  Returns (blocks checked, chunk splits,
+    chunks emptied).
     """
     sim = Simulation(config, 0)
     pending = sim.workload.pending
     miner_ids = sim.world.miner_ids
     created: list[tuple[tuple, dict[int, float]]] = []
-    draws: list[list[float]] = []
-    create_tx = sim.handlers[EventKind.TX_CREATE]
+    file = sim.workload.file
     create_block = sim.handlers[EventKind.BLOCK_CREATE]
     checked = splits = emptied = 0
 
-    def recording_exponentials(source, mean, k):
-        draws.append(sample_exponentials(source, mean, k))
-        return draws[-1]
-
-    def on_tx_create(submitter_id, time, tx):
+    def filing(submitter, tx, delays=None):
         nonlocal splits
-        drawn, chunks = len(draws), len(pending)
-        create_tx(submitter_id, time, tx)
+        chunks = len(pending)
+        file(submitter, tx, delays)
         splits += len(pending) > max(chunks, 1)
-        s, at = submitter_id, tx[1]
-        if len(draws) > drawn:
-            (delays,) = draws[drawn:]
-            arrival = {m: at + delays[m if m < s else m - 1] for m in miner_ids}
-        else:
-            arrival = {m: at + config.t_delay for m in miner_ids}
-        arrival[s] = at
+        at = tx[1]
+        if delays is None:
+            delays = [config.t_delay] * len(miner_ids)
+        arrival = {m: at + delay for m, delay in zip(miner_ids, delays)}
+        arrival[submitter] = at
         created.append((tx, arrival))
 
     def on_block_create(miner_id, time, parent):
@@ -562,11 +565,9 @@ def pack_against_oracle(config, chunk):
             checked += 1
         return block
 
-    sim.handlers[EventKind.TX_CREATE] = on_tx_create
+    sim.workload.file = filing
     sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
-    with mock.patch.object(workload_module, "PENDING_CHUNK", chunk), mock.patch.object(
-        workload_module, "sample_exponentials", recording_exponentials
-    ):
+    with mock.patch.object(workload_module, "PENDING_CHUNK", chunk):
         report = sim.run()
     assert checked == report.blocks_created
     on_main = [t[0] for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
@@ -638,20 +639,15 @@ class TestPackingOracle:
             block_target=150, seed=5,
         )
         sim = Simulation(config, 0)
-        created: list[tuple[int, tuple]] = []  # (submitter, transaction)
+        filed = record_filing(sim)  # (submitter, transaction, delays)
         checked = in_flight = over_capacity = 0
-        create_tx = sim.handlers[EventKind.TX_CREATE]
         create_block = sim.handlers[EventKind.BLOCK_CREATE]
-
-        def on_tx_create(submitter_id, time, tx):
-            created.append((submitter_id, tx))
-            return create_tx(submitter_id, time, tx)
 
         def on_block_create(miner_id, time, parent):
             nonlocal checked, in_flight, over_capacity
             miner = sim.world.nodes[miner_id]
             adopted = set(miner.chain_tx_ids)
-            candidates = [(s, t) for s, t in created if t[0] not in adopted]
+            candidates = [(s, t) for s, t, _ in filed if t[0] not in adopted]
             pool = [t for s, t in candidates if (t[1] if s == miner.id else t[1] + 3.0) <= time]
             block = create_block(miner_id, time, parent)
             if block is not None:
@@ -662,7 +658,6 @@ class TestPackingOracle:
                 over_capacity += len(expected) < len(pool)
             return block
 
-        sim.handlers[EventKind.TX_CREATE] = on_tx_create
         sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
         report = sim.run()
         assert checked == report.blocks_created == 150
