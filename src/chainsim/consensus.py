@@ -224,7 +224,7 @@ class ConsensusEngine:
         if self.weights[node.id] <= 0:
             return
         if block.transactions:
-            node.chain_tx_ids.update(tx_id for tx_id, _, _, _ in block.transactions)
+            self.workload.adopt(node.id, block)
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)
             for uncle_id in block.uncles:

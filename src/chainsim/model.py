@@ -32,7 +32,7 @@ class Block:
 
 @dataclass(slots=True)
 class NodeState:
-    """Per-node local chain view, adopted transactions, and uncle candidates.
+    """Per-node local chain view and uncle candidates.
 
     The local chain is a list of block ids indexed by depth: ``chain[d]`` is
     the block at depth ``d``, genesis at 0, so a reorganization only touches
@@ -42,8 +42,7 @@ class NodeState:
     id: int
     chain: list[int]
     tip: Block
-    # Adopted transactions and uncle candidates; kept for nodes that create blocks.
-    chain_tx_ids: set[int] = field(default_factory=set)  # transactions ever adopted into the chain
+    # Uncle candidates, kept for nodes that create blocks.
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
 
 

@@ -21,9 +21,8 @@ once a batch is full, and at the end of the run.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,6 +220,11 @@ class TxWorkload:
     calls to draw, as is every row when numpy would not read the pair from
     one word (``N_n`` outside [2, 2**32), or a half buffered), or when an
     exponential mean is so small that a nonzero uniform gives 0 too.
+
+    Filed transactions live in columns indexed by id: time, weight, fee,
+    the arrival at each miner's slot, and a flag per slot set once that
+    miner's chain adopts it.  Adoption is never undone, as a reorg returns
+    no transaction to the pool.
     """
 
     def __init__(
@@ -244,25 +248,28 @@ class TxWorkload:
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
-        # Full mode: sorted chunks of (-fee, id, tx, delay to each miner)
-        # entries, in packing order, with each chunk's last entry and least
-        # weight alongside.  Comparisons stop at the unique id.
-        self.pending: list[list[tuple[float, int, tuple, tuple[float, ...]]]] = []
-        self._lasts: list[tuple[float, int, tuple, tuple[float, ...]]] = []
+        # Full mode: the pending ids in packing order, as sorted chunks of
+        # (-fee, id) keys, with each chunk's last key and least weight
+        # alongside.  Comparisons stop at the unique id.
+        self.pending: list[list[tuple[float, int]]] = []
+        self._lasts: list[tuple[float, int]] = []
         self._minima: list[float] = []
-        # Miner id -> index into a transaction's delays, in id order.
+        # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
-        # Constant delays, shared: from a non-miner, and from each miner.
-        self._lag = (self.tx_delay,) * len(self._slots)
-        self._lags = {m: (*self._lag[:s], 0.0, *self._lag[s + 1 :]) for m, s in self._slots.items()}
         self.created = 0  # full-mode transactions drawn; the last one's id
 
     def start(self) -> Callable[[float, float], None] | None:
-        """Draw the first transaction (full mode) and return ``advance``, for
-        ``run_loop`` to call before each event; None without a transaction
-        stream.  The generator's state is read here, once, to choose how
-        transactions are drawn."""
-        if not self.full_mode or self.tx_rate <= 0:
+        """Set up the full-mode columns, draw the first transaction and
+        return ``advance``, for ``run_loop`` to call before each event; None
+        without a transaction stream.  The generator's state is read here,
+        once, to choose how transactions are drawn."""
+        if not self.full_mode:
+            return None
+        self._times, self._weights, self._fees = np.zeros(0), np.zeros(0), np.zeros(0)
+        self._arrivals = np.zeros((0, len(self._slots)))
+        self._adopted = np.zeros((0, len(self._slots)), dtype=bool)
+        self._miners = np.array(self.world.miner_ids)
+        if self.tx_rate <= 0:
             return None
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
@@ -275,8 +282,8 @@ class TxWorkload:
         raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
         raw = raw and all(rejects_only_zero(s.mean()) for s in samplers if isinstance(s, ExponentialSampler))
         self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
-        self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
-        self._draw_one(0.0)
+        self._n = np.uint64(n)
+        self._draw_one((0, (0, 0.0, 0.0, 0.0)))
         return self.advance
 
     def advance(self, time: float, seq: float) -> None:
@@ -289,36 +296,33 @@ class TxWorkload:
                 self._file_rows(time, seq)
 
     def _file_rows(self, time: float, seq: float) -> None:
-        """File the held transaction and those after it that sort before the
-        event at ``(time, seq)`` from a batch of rows, up to the first
-        irregular one, which numpy's own calls read if it is due.  The batch
-        covers the expected count and a margin, within ``TX_BATCH_BYTES``;
-        the rows not used are given back."""
+        """File, in one batch, the held transaction and those after it that
+        sort before the event at ``(time, seq)``, drawn from a batch of rows
+        up to the first irregular one, which numpy's own calls read if it is
+        due.  The batch covers the expected count and a margin, within
+        ``TX_BATCH_BYTES``; the rows not used are given back."""
         submitter, tx = self._held
         expected = self.tx_rate * (time - tx[1])
         k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
         bits, pair = self.rng.bit_generator, self._pair
         words = bits.random_raw(k * self._stride).reshape(k, -1)
         regular = self._regular(words, pair)
-        drawn = self._drawn(words[:regular, pair - 1 :], tx[1])
+        drawn = self._drawn(words[:regular, pair - 1 :], self._held)
         # Transactions drawn here take seqs past every queued event's, so they
         # sort before one by time alone; ``math.inf`` marks the horizon, which
         # takes those at its own time too.
-        find = bisect.bisect_left if seq < math.inf else bisect.bisect_right
-        used = min(find(drawn, time, key=lambda d: d[1][1]) + 1, regular)
+        side = "left" if seq < math.inf else "right"
+        used = min(int(drawn[1][1:].searchsorted(time, side)) + 1, regular)
         if used:
-            delays: Iterable = itertools.repeat(None)
+            submitters = drawn[0][:used]
+            delays = None
             if self._delays is not None:
                 # Node n's delay, for n past the submitter, is word n - 1.
-                filed, miners = np.array([submitter] + [s for s, _ in drawn[: used - 1]]), self._miners
-                picked = words[np.arange(used)[:, None], miners - (miners > filed[:, None])]
-                flat, width = self._delays.from_uniforms(_uniforms(picked.ravel())), len(miners)
-                delays = [flat[i : i + width] for i in range(0, len(flat), width)]
-            file = self.file
-            for delay, successor in zip(delays, drawn[:used]):
-                file(submitter, tx, delay)
-                submitter, tx = successor
-            self._hold(drawn[:used])
+                miners = self._miners
+                picked = words[np.arange(used)[:, None], miners - (miners > submitters[:, None])]
+                delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
+            self.file_batch(tx[0], *(column[:used] for column in drawn), delays)
+            self._hold(used, *(column[used] for column in drawn))
         if used < k:
             bits.advance(-(k - used) * self._stride)
         if used == regular < k and self._due < (time, seq):
@@ -334,21 +338,25 @@ class TxWorkload:
         bad |= (words[:, pair] >> _HALF) * n & _LOW < bound
         return int(bad.argmax()) if bad.any() else len(words)
 
-    def _drawn(self, tail: np.ndarray, at: float) -> list[tuple[int, tuple]]:
-        """The ``(submitter, tx)`` that the regular rows ``tail``, from the
-        gap on, draw after a transaction made at ``at``; ids follow the last held."""
-        k = len(tail)
-        gaps = self._gaps.from_uniforms(_uniforms(tail[:, 0]))
-        times = list(itertools.accumulate(gaps, initial=at))[1:]
-        submitters = ((tail[:, 1] & _LOW) * self._n >> _HALF).tolist()
+    def _drawn(self, tail: np.ndarray, held: tuple) -> tuple[np.ndarray, ...]:
+        """The columns (submitters, times, weights, fees) of ``held``, then
+        of the transactions that the regular rows ``tail``, from the gap on,
+        draw after it; ids follow the held one's."""
+        submitter, (_, at, weight, fee) = held
+        times = np.array([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])
+        np.add.accumulate(times, out=times)  # in order, as a running sum in Python
+        submitters = np.empty(len(times), dtype=np.int64)
+        submitters[0], submitters[1:] = submitter, (tail[:, 1] & _LOW) * self._n >> _HALF
         columns = iter(tail.T[2:])  # one for each sampler that is not constant
         weights, prices = (
-            [s.value] * k if isinstance(s, ConstantSampler) else s.from_uniforms(_uniforms(next(columns)))
+            np.full(len(times), s.value) if isinstance(s, ConstantSampler)
+            else np.array([0.0, *s.from_uniforms(_uniforms(next(columns)))])
             for s in (self.size_sampler, self.price_sampler)
         )
-        fees = [weight * price for weight, price in zip(weights, prices)]
-        ids = range(self.created + 1, self.created + k + 1)
-        return list(zip(submitters, zip(ids, times, weights, fees)))
+        weights[0] = weight
+        fees = weights * prices
+        fees[0] = fee
+        return submitters, times, weights, fees
 
     def _file_one(self) -> None:
         """File the held transaction, its delays drawn by numpy's own calls, and draw its successor."""
@@ -358,75 +366,116 @@ class TxWorkload:
             drawn = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
             delays = [drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots]
         self.file(submitter, tx, delays)
-        self._draw_one(tx[1])
+        self._draw_one(self._held)
 
-    def _draw_one(self, now: float) -> None:
-        """Hold the transaction after one made at ``now``: read from a row's
-        words from the gap on if they are regular, else drawn by numpy's own
-        calls (gap, submitter, unmodelled recipient, size and unit price)."""
+    def _draw_one(self, held: tuple) -> None:
+        """Hold the transaction after ``held``: read from a row's words from
+        the gap on if they are regular, else drawn by numpy's own calls
+        (gap, submitter, unmodelled recipient, size and unit price)."""
         rng, n, bits = self.rng, self.n_nodes, self.rng.bit_generator
         if self._bound is not None:
             tail = bits.random_raw(self._stride - self._pair + 1).reshape(1, -1)
             if self._regular(tail, 1):
-                self._hold(self._drawn(tail, now))
+                self._hold(1, *(column[1] for column in self._drawn(tail, held)))
                 return
             bits.advance(-tail.size)
-        at = now + self._gaps.draw(rng)
+        at = held[1][1] + self._gaps.draw(rng)
         submitter = int(rng.integers(n))
         rng.integers(n)
         weight = self.size_sampler.draw(rng)
-        self._hold([(submitter, (self.created + 1, at, weight, weight * self.price_sampler.draw(rng)))])
+        self._hold(1, submitter, at, weight, weight * self.price_sampler.draw(rng))
         if self._bound is not None and bits.state["has_uint32"]:
             self._bound = None  # numpy reads the buffered half first from now on
 
-    def _hold(self, drawn: list[tuple[int, tuple]]) -> None:
-        """Hold the last of the transactions just drawn, taking a seq for each."""
-        self.created += len(drawn)
-        self._held = drawn[-1]
-        self._due = (self._held[1][1], self.queue.take_seqs(len(drawn)) + len(drawn) - 1)
+    def _hold(self, drawn: int, submitter, at, weight, fee) -> None:
+        """Hold the last of the ``drawn`` transactions just drawn, taking a seq for each."""
+        self.created += drawn
+        self._held = (int(submitter), (self.created, float(at), float(weight), float(fee)))
+        self._due = (self._held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
 
     def file(self, submitter: int, tx: tuple, delays: Sequence[float] | None = None) -> None:
         """File ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
-        ``submitter`` created, in ``pending``, with the delay after which each
-        miner holds it: none for the submitter, ``T_delay`` for the others,
-        or, given ``delays``, each one's own, in slot order.
+        ``submitter`` created: ``file_batch`` with a batch of one."""
+        tx_id, *row = tx
+        self.file_batch(tx_id, [submitter], *([value] for value in row), None if delays is None else [delays])
 
-        Raises ``RunCapError`` once the ids pass ``MAX_FULL_MODE_TRANSACTIONS``.
+    def file_batch(self, first: int, submitters, times, weights, fees, delays=None) -> None:
+        """File the transactions with ids ``first``, ``first + 1``, ...: the
+        i-th was created by ``submitters[i]`` at ``times[i]``, weighs
+        ``weights[i]`` and pays ``fees[i]``.  Each miner holds it from its
+        creation plus a delay: none for the submitter, ``T_delay`` for the
+        others, or, given ``delays``, each one's own, row i in slot order.
+
+        Raises ``RunCapError`` once the ids pass ``MAX_FULL_MODE_TRANSACTIONS``,
+        after filing those up to it.
         """
-        tx_id, _, weight, fee = tx
-        if tx_id > MAX_FULL_MODE_TRANSACTIONS:
+        k = min(len(times), MAX_FULL_MODE_TRANSACTIONS + 1 - first)
+        if k > 0:
+            rows = slice(first, first + k)
+            if rows.stop > len(self._times):
+                self._grow(rows.stop)
+            self._times[rows], self._weights[rows], self._fees[rows] = times[:k], weights[:k], fees[:k]
+            at, arrivals = self._times[rows, None], self._arrivals[rows]
+            np.add(at, self.tx_delay if delays is None else np.asarray(delays)[:k], out=arrivals)
+            np.copyto(arrivals, at, where=np.equal.outer(submitters[:k], self._miners))
+            self._order(first, k)
+        if k < len(times):
             raise RunCapError(
                 f"a full-mode run made more than {MAX_FULL_MODE_TRANSACTIONS:,} transactions; "
                 "lower T_n or the horizon"
             )
-        if delays is None:
-            delays = self._lags.get(submitter, self._lag)
-        else:
-            slot = self._slots.get(submitter)
-            delays = tuple(0.0 if i == slot else delay for i, delay in enumerate(delays))
-        entry = (-fee, tx_id, tx, delays)
+
+    def _grow(self, top: int) -> None:
+        """Make room in every column for the ids below ``top``, at least doubling it."""
+        size = max(top, 2 * len(self._times))
+        for name in ("_times", "_weights", "_fees", "_arrivals", "_adopted"):
+            old = getattr(self, name)
+            grown = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
+            grown[: len(old)] = old
+            setattr(self, name, grown)
+
+    def _order(self, first: int, k: int) -> None:
+        """Put the ``k`` ids from ``first`` in the fee order.  Their keys are
+        sorted once; those past every pending key are appended to the last
+        chunk, the rest are insorted one at a time."""
+        order = np.argsort(-self._fees[first : first + k], kind="stable") + first
+        keys = list(zip((-self._fees[order]).tolist(), order.tolist()))
+        weights = self._weights[order].tolist()
         chunks, lasts, minima = self.pending, self._lasts, self._minima
-        c = bisect.bisect_left(lasts, entry)
-        if c < len(lasts):
-            bisect.insort(chunks[c], entry)
-        else:  # past every chunk's last entry: append to the last chunk
+        inner = bisect.bisect_left(keys, lasts[-1]) if lasts else 0
+        for key, weight in zip(keys[:inner], weights):
+            c = bisect.bisect_left(lasts, key)
+            bisect.insort(chunks[c], key)
+            if weight < minima[c]:
+                minima[c] = weight
+            if len(chunks[c]) > 2 * PENDING_CHUNK:
+                self._split(c)
+        if inner < k:
             if not chunks:
                 chunks.append([])
-                lasts.append(entry)
-                minima.append(weight)
-            c = len(chunks) - 1
-            chunks[c].append(entry)
-            lasts[c] = entry
-        if weight < minima[c]:
-            minima[c] = weight
-        chunk = chunks[c]
-        if len(chunk) > 2 * PENDING_CHUNK:
-            tail = chunk[PENDING_CHUNK:]
-            del chunk[PENDING_CHUNK:]
-            chunks.insert(c + 1, tail)
-            lasts.insert(c, chunk[-1])
-            minima[c] = min(tx[2] for _, _, tx, _ in chunk)
-            minima.insert(c + 1, min(tx[2] for _, _, tx, _ in tail))
+                lasts.append(keys[-1])
+                minima.append(math.inf)
+            chunks[-1] += keys[inner:]
+            lasts[-1] = keys[-1]
+            minima[-1] = min(minima[-1], *weights[inner:])
+            if len(chunks[-1]) > 2 * PENDING_CHUNK:
+                self._split(len(chunks) - 1)
+
+    def _split(self, c: int) -> None:
+        """Cut chunk ``c`` into chunks of ``PENDING_CHUNK`` keys, the last of
+        which takes the remainder."""
+        chunk = self.pending[c]
+        starts = range(0, len(chunk) - PENDING_CHUNK, PENDING_CHUNK)
+        pieces = [chunk[s : s + PENDING_CHUNK] for s in starts[:-1]] + [chunk[starts[-1] :]]
+        self.pending[c : c + 1] = pieces
+        self._lasts[c : c + 1] = [piece[-1] for piece in pieces]
+        weights = self._weights[[tx_id for _, tx_id in chunk]]
+        self._minima[c : c + 1] = np.minimum.reduceat(weights, starts).tolist()
+
+    def adopt(self, miner_id: int, block: Block) -> None:
+        """Flag the transactions in ``block`` as adopted by the chain of
+        ``miner_id``, which therefore never packs them again."""
+        self._adopted[[tx_id for tx_id, _, _, _ in block.transactions], self._slots[miner_id]] = True
 
     def take_block(self, miner: NodeState, now: float, block: Block) -> None:
         """Fill ``block``, mined by ``miner`` at ``now``, in place.
@@ -436,9 +485,10 @@ class TxWorkload:
         Full mode packs the miner's pool greedily in fee order (ties to the
         lower id), skipping what does not fit.  A chunk of ``pending`` whose
         least weight cannot fit is passed over whole, as nothing in it fits
-        and the running weight cannot change across it.  Entries the scan
-        visits that every miner's chain holds are dropped, and a chunk left
-        empty is deleted.
+        and the running weight cannot change across it.  From each chunk
+        visited, the ids every miner's chain has adopted are dropped, and a
+        chunk left empty is deleted.  Weights and fees are summed in the
+        order taken, so the totals have the bits of a running sum.
         """
         if self.shared_pool is not None:
             self.shared_pool.take_block(block)
@@ -446,38 +496,66 @@ class TxWorkload:
         if not self.full_mode:
             return
         slot = self._slots[miner.id]
-        on_chain = miner.chain_tx_ids
-        chains = [self.world.nodes[miner_id].chain_tx_ids for miner_id in self._slots]
         capacity = self.block_capacity
         chunks, lasts, minima = self.pending, self._lasts, self._minima
-        picked: list[tuple] = []
+        arrivals, adopted = self._arrivals[:, slot], self._adopted
+        taken: list[np.ndarray] = []
         used = 0.0
-        fees = 0.0
         emptied: list[int] = []
-        for c, least in enumerate(minima):
-            if used + least > capacity:
-                continue
-            chunk = chunks[c]
-            dropped: list[int] = []
-            for index, (_, tx_id, tx, delays) in enumerate(chunk):
-                if tx_id in on_chain:
-                    if all(tx_id in chain for chain in chains):
-                        dropped.append(index)
-                elif tx[1] + delays[slot] <= now and used + tx[2] <= capacity:
-                    picked.append(tx)
-                    used += tx[2]
-                    fees += tx[3]
-                    if used + least > capacity:
-                        break
-            if len(dropped) == len(chunk):
-                emptied.append(c)
-            elif dropped:
-                gone = set(dropped)
-                chunk[:] = [e for i, e in enumerate(chunk) if i not in gone]
-                lasts[c] = chunk[-1]
-                minima[c] = min(tx[2] for _, _, tx, _ in chunk)
+        # The chunks ahead in which something can still fit, found again each time ``used`` grows.
+        lower = np.array(minima)
+        ahead, i = np.flatnonzero(lower <= capacity), 0
+        while i < len(ahead):
+            c, i = int(ahead[i]), i + 1
+            chunk, least, before = chunks[c], minima[c], used
+            ids = np.fromiter([tx_id for _, tx_id in chunk], np.intp, len(chunk))
+            mine = adopted[ids, slot]
+            ready = ids[(arrivals[ids] <= now) & ~mine]
+            if len(ready):
+                used = self._fill(ready, used, least, taken)
+            if mine.any():
+                gone = adopted[ids].all(axis=1)
+                if gone.all():
+                    emptied.append(c)
+                elif gone.any():
+                    chunk[:] = [key for key, out in zip(chunk, gone.tolist()) if not out]
+                    lasts[c] = chunk[-1]
+                    minima[c] = float(self._weights[ids[~gone]].min())
+            if used != before:
+                ahead, i = np.flatnonzero(used + lower[c + 1 :] <= capacity) + (c + 1), 0
         for c in reversed(emptied):
             del chunks[c], lasts[c], minima[c]
-        # Running sums: the values sum() gives on Python 3.10 and 3.11.
-        block.transactions, block.tx_count = tuple(picked), len(picked)
-        block.tx_fee_total, block.weight = fees, used
+        if taken:
+            picked = np.concatenate(taken)
+            weights, fees = self._weights[picked], self._fees[picked]
+            block.transactions = tuple(
+                zip(picked.tolist(), self._times[picked].tolist(), weights.tolist(), fees.tolist())
+            )
+            block.tx_count, block.weight = len(picked), used
+            block.tx_fee_total = float(np.add.accumulate(fees)[-1]) if len(picked) else 0.0
+
+    def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:
+        """Take, in order, each id of ``ready`` that fits beside ``used``,
+        appending them to ``taken``, and return the weight used.  The prefix
+        that fits comes from one running sum started at ``used``; after it,
+        each later fit from an elementwise test, until less than ``least``
+        is left."""
+        capacity = self.block_capacity
+        weights = self._weights[ready]
+        run = weights.copy()
+        run[0] += used
+        np.add.accumulate(run, out=run)
+        fit = int(run.searchsorted(capacity, "right"))  # weights are not negative, so ``run`` is sorted
+        taken.append(ready[:fit])
+        if fit:
+            used = float(run[fit - 1])
+        ready, weights = ready[fit + 1 :], weights[fit + 1 :]
+        while len(weights) and used + least <= capacity:
+            fits = np.flatnonzero(used + weights <= capacity)
+            if not len(fits):
+                break
+            j = fits[0]
+            taken.append(ready[j : j + 1])
+            used += float(weights[j])
+            ready, weights = ready[j + 1 :], weights[j + 1 :]
+        return used

@@ -37,16 +37,32 @@ def genesis() -> Block:
 
 
 def record_filing(sim) -> list:
-    """Record each ``(submitter, tx, delays)`` that ``sim``'s workload files."""
+    """Record each ``(submitter, tx, delays)`` that ``sim``'s workload files,
+    one per transaction, by hooking its batch entry point ``file_batch``;
+    ``delays`` is the row of miner delays given, or None."""
     filed = []
-    workload, file = sim.workload, type(sim.workload).file
+    workload, file_batch = sim.workload, type(sim.workload).file_batch
 
-    def recording(submitter, tx, delays=None):
-        filed.append((submitter, tx, delays))
-        file(workload, submitter, tx, delays)
+    def recording(first, submitters, times, weights, fees, delays=None):
+        columns = (np.asarray(column).tolist() for column in (submitters, times, weights, fees))
+        for i, (submitter, *row) in enumerate(zip(*columns)):
+            filed.append((submitter, (first + i, *row), None if delays is None else tuple(delays[i])))
+        file_batch(workload, first, submitters, times, weights, fees, delays)
 
-    workload.file = recording
+    workload.file_batch = recording
     return filed
+
+
+def pending_arrivals(workload) -> dict[int, tuple[float, ...]]:
+    """A copy of the pending transactions, in packing order: each id with
+    its arrival at each miner, in slot order."""
+    return {tx_id: tuple(workload._arrivals[tx_id].tolist()) for chunk in workload.pending for _, tx_id in chunk}
+
+
+def adopted_ids(workload, miner_id) -> set[int]:
+    """The ids of the transactions that the chain of ``miner_id`` has adopted."""
+    slot = workload.world.miner_ids.index(miner_id)
+    return set(np.flatnonzero(workload._adopted[:, slot]).tolist())
 
 
 def read_rows(path):

@@ -21,7 +21,7 @@ from chainsim.engine import (
 from chainsim.engine import run_loop
 from chainsim.runner import Simulation, run_single
 
-from conftest import FixedUniform, make_config, record_filing
+from conftest import FixedUniform, make_config, pending_arrivals, record_filing
 
 
 def ev(q, t, node=0, kind=EventKind.BLOCK_CREATE, payload=None):
@@ -282,15 +282,6 @@ def stream_config(n, **overrides):
     return make_config(**params)
 
 
-def arrivals_by_id(sim):
-    """Each pending transaction's arrival at each miner: its time plus the delay filed."""
-    return {
-        tx[0]: tuple(tx[1] + delay for delay in delays)
-        for chunk in sim.workload.pending
-        for _, _, tx, delays in chunk
-    }
-
-
 def start_both(sim, twin):
     """Start ``sim``'s stream and a one-at-a-time reference on ``twin``;
     return ``advance``, the reference and the transaction both hold."""
@@ -315,7 +306,7 @@ def check_against_one_at_a_time(sim, advance, reference, held, steps):
             held = reference.draw(tx[1])
         advance(held[1][1], -1)  # an event just after the last of them
         assert_same_generator_state(sim.workload.rng, twin)
-        stamps = arrivals_by_id(sim)
+        stamps = pending_arrivals(sim.workload)
         assert [(s, tx, stamps[tx[0]]) for s, tx, _ in filed] == expected
         assert sim.workload._held == held
 

@@ -10,7 +10,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
 
-from conftest import genesis, make_config, read_rows, strip_wall_clock
+from conftest import genesis, make_config, pending_arrivals, read_rows, strip_wall_clock
 
 
 def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
@@ -184,8 +184,7 @@ class TestBroadcastTx:
         sim = Simulation(make_config(**params), 0)
         sim.workload.start()
         sim.workload.file(submitter, some_tx(1000, ts=at))
-        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == 1000]
-        return {m: at + delay for m, delay in zip(sim.world.miner_ids, entry[3])}
+        return dict(zip(sim.world.miner_ids, pending_arrivals(sim.workload)[1000]))
 
     def test_constant_delay_fanout(self):
         # The submitter holds it at once, every other miner 5 s later; the
@@ -222,6 +221,5 @@ class TestBroadcastTx:
         others = [n for n in range(6) if n != submitter]
         expected = {n: at + sample_exponential(replay, 3.0) for n in others}
         expected[submitter] = at
-        (entry,) = [e for chunk in sim.workload.pending for e in chunk if e[1] == tx[0]]
-        arrivals = {m: at + delay for m, delay in zip(sim.world.miner_ids, entry[3])}
+        arrivals = dict(zip(sim.world.miner_ids, pending_arrivals(sim.workload)[tx[0]]))
         assert arrivals == {0: expected[0], 2: expected[2]}

@@ -1,5 +1,6 @@
 import gc
 import math
+from contextlib import nullcontext
 from functools import reduce
 from operator import add
 from unittest import mock
@@ -28,7 +29,14 @@ from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
 from chainsim.workload import SharedPool
 
-from conftest import make_config, read_rows, record_filing, strip_wall_clock
+from conftest import (
+    adopted_ids,
+    make_config,
+    pending_arrivals,
+    read_rows,
+    record_filing,
+    strip_wall_clock,
+)
 from packing_oracle import select_for_block
 
 
@@ -420,12 +428,11 @@ class TestFullMode:
 
     def test_ids_past_the_cap_stop_the_run(self):
         sim = self._sim(block_target=5)
+        sim.workload.start()
         sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS, 0.5, 0.001))
         with pytest.raises(RunCapError, match="more than 1,000,000 transactions"):
             sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS + 1, 0.5, 0.001))
-        assert [e[1] for chunk in sim.workload.pending for e in chunk] == [
-            MAX_FULL_MODE_TRANSACTIONS
-        ]
+        assert list(pending_arrivals(sim.workload)) == [MAX_FULL_MODE_TRANSACTIONS]
 
     @pytest.mark.parametrize("offset, filed", [(-1, False), (1, True)])
     def test_an_event_at_the_held_time_sorts_by_seq(self, offset, filed):
@@ -535,28 +542,23 @@ def pack_against_oracle(config, chunk):
     """
     sim = Simulation(config, 0)
     pending = sim.workload.pending
-    miner_ids = sim.world.miner_ids
-    created: list[tuple[tuple, dict[int, float]]] = []
-    file = sim.workload.file
+    slots = {miner_id: slot for slot, miner_id in enumerate(sim.world.miner_ids)}
+    filed = record_filing(sim)
     create_block = sim.handlers[EventKind.BLOCK_CREATE]
-    checked = splits = emptied = 0
+    checked = emptied = 0
 
-    def filing(submitter, tx, delays=None):
-        nonlocal splits
-        chunks = len(pending)
-        file(submitter, tx, delays)
-        splits += len(pending) > max(chunks, 1)
-        at = tx[1]
-        if delays is None:
-            delays = [config.t_delay] * len(miner_ids)
-        arrival = {m: at + delay for m, delay in zip(miner_ids, delays)}
-        arrival[submitter] = at
-        created.append((tx, arrival))
+    def arrival(submitter, tx, delays, miner_id):
+        if miner_id == submitter:
+            return tx[1]
+        return tx[1] + (config.t_delay if delays is None else delays[slots[miner_id]])
 
     def on_block_create(miner_id, time, parent):
         nonlocal checked, emptied
-        adopted = sim.world.nodes[miner_id].chain_tx_ids
-        pool = [t for t, arrival in created if t[0] not in adopted and arrival[miner_id] <= time]
+        adopted = adopted_ids(sim.workload, miner_id)
+        pool = [
+            tx for submitter, tx, delays in filed
+            if tx[0] not in adopted and arrival(submitter, tx, delays, miner_id) <= time
+        ]
         chunks = len(pending)
         block = create_block(miner_id, time, parent)
         emptied += len(pending) < chunks
@@ -565,14 +567,14 @@ def pack_against_oracle(config, chunk):
             checked += 1
         return block
 
-    sim.workload.file = filing
     sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
-    with mock.patch.object(workload_module, "PENDING_CHUNK", chunk):
+    split = mock.patch.object(sim.workload, "_split", wraps=sim.workload._split)
+    with mock.patch.object(workload_module, "PENDING_CHUNK", chunk), split as splits:
         report = sim.run()
     assert checked == report.blocks_created
     on_main = [t[0] for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
     assert on_main and len(on_main) == len(set(on_main))
-    return checked, splits, emptied
+    return checked, splits.call_count, emptied
 
 
 @pytest.fixture(scope="module")
@@ -646,7 +648,7 @@ class TestPackingOracle:
         def on_block_create(miner_id, time, parent):
             nonlocal checked, in_flight, over_capacity
             miner = sim.world.nodes[miner_id]
-            adopted = set(miner.chain_tx_ids)
+            adopted = adopted_ids(sim.workload, miner_id)
             candidates = [(s, t) for s, t, _ in filed if t[0] not in adopted]
             pool = [t for s, t in candidates if (t[1] if s == miner.id else t[1] + 3.0) <= time]
             block = create_block(miner_id, time, parent)
@@ -663,6 +665,78 @@ class TestPackingOracle:
         assert checked == report.blocks_created == 150
         assert report.stale_rate > 0  # forks happened
         assert in_flight and over_capacity
+
+
+def pending_keys(workload):
+    """The pending keys in packing order, each with its arrivals, but for
+    those every miner's chain has adopted: packing drops them only from the
+    chunks it visits."""
+    done = set.intersection(*(adopted_ids(workload, m) for m in workload.world.miner_ids))
+    arrivals = pending_arrivals(workload)
+    return [(key, arrivals[key[1]]) for chunk in workload.pending for key in chunk if key[1] not in done]
+
+
+class TestBatchFiling:
+    """Filing a stretch as one batch and filing it one ``file`` call per
+    transaction give the same pending order, arrivals and blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fee=st.sampled_from(["const", "exp", "tied"]),
+        delay=st.sampled_from(["constant", "exponential"]),
+        stretches=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+        chunk=st.integers(1, 5),
+        capped=st.booleans(),
+    )
+    def test_one_batch_files_as_one_call_each(self, seed, fee, delay, stretches, chunk, capped):
+        # Nodes 0, 2 and 3 mine; node 1 and the unbuilt nodes 4 and 5 only submit.
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1e-6, t_delay=2.0, delay_mode=delay,
+            n_n=6, miners=(0.5, 0.0, 0.3, 0.2), b_size=0.004, block_target=50,
+        )
+        batched, single = Simulation(config, 0), Simulation(config, 0)
+        for sim in (batched, single):
+            sim.workload.start()
+        rng = np.random.default_rng(seed)
+        first, now = batched.workload.created + 1, 0.0
+        with mock.patch.object(workload_module, "PENDING_CHUNK", chunk):
+            for n, k in enumerate(stretches, start=1):
+                if capped and n == len(stretches):
+                    first = MAX_FULL_MODE_TRANSACTIONS - k // 2  # the last id passes the cap
+                submitters = rng.integers(0, 6, k)
+                times = now + np.cumsum(rng.exponential(0.1, k))
+                weights = rng.exponential(0.0005, k)  # no two equal
+                fees = {
+                    "const": np.full(k, 0.3),
+                    "exp": weights * rng.exponential(600.0, k),
+                    "tied": rng.choice([0.1, 0.2, 0.3], k),  # equal fees on unequal sizes
+                }[fee]
+                delays = None if delay == "constant" else rng.exponential(2.0, (k, 3))
+                passed = first + k - 1 > MAX_FULL_MODE_TRANSACTIONS
+                with pytest.raises(RunCapError) if passed else nullcontext():
+                    batched.workload.file_batch(first, submitters, times, weights, fees, delays)
+                with pytest.raises(RunCapError) if passed else nullcontext():
+                    for i in range(k):
+                        row = None if delays is None else delays[i].tolist()
+                        tx = (first + i, *(float(c[i]) for c in (times, weights, fees)))
+                        single.workload.file(int(submitters[i]), tx, row)
+                assert pending_keys(batched.workload) == pending_keys(single.workload)
+                if passed:  # filed up to the cap, and no further
+                    assert max(pending_arrivals(batched.workload)) == MAX_FULL_MODE_TRANSACTIONS
+                first, now = first + k, float(times[-1])
+                # A block by one miner, reaching a random set of the others.
+                miner_id = int(rng.choice([0, 2, 3]))
+                receivers = [m for m in (0, 2, 3) if m != miner_id and rng.random() < 0.5]
+                now += float(rng.exponential(2.0))
+                made = []
+                for sim in (batched, single):
+                    block = sim.consensus.on_block_create(miner_id, now, sim.world.nodes[miner_id].tip)
+                    for node_id in receivers:
+                        sim.consensus.on_block_receive(node_id, now, block)
+                    made.append((block.transactions, block.tx_count, block.weight, block.tx_fee_total))
+                assert made[0] == made[1]
+                assert pending_keys(batched.workload) == pending_keys(single.workload)
 
 
 class TestTxLatency:
