@@ -291,7 +291,7 @@ class TxWorkload:
         before the event at ``(time, seq)``, and hold the first that does not."""
         while self._due < (time, seq):
             if self._bound is None:
-                self._file_one()
+                self._file_one(time, seq)
             else:
                 self._file_rows(time, seq)
 
@@ -321,12 +321,12 @@ class TxWorkload:
                 miners = self._miners
                 picked = words[np.arange(used)[:, None], miners - (miners > submitters[:, None])]
                 delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
-            self.file_batch(tx[0], *(column[:used] for column in drawn), delays)
+            self.file(tx[0], *(column[:used] for column in drawn), delays)
             self._hold(used, *(column[used] for column in drawn))
         if used < k:
             bits.advance(-(k - used) * self._stride)
         if used == regular < k and self._due < (time, seq):
-            self._file_one()
+            self._file_one(time, seq)
 
     def _regular(self, words: np.ndarray, pair: int) -> int:
         """How many rows of ``words``, with the pair in column ``pair``, come
@@ -358,15 +358,21 @@ class TxWorkload:
         fees[0] = fee
         return submitters, times, weights, fees
 
-    def _file_one(self) -> None:
-        """File the held transaction, its delays drawn by numpy's own calls, and draw its successor."""
-        submitter, tx = self._held
-        delays = None
-        if self._delays is not None:
-            drawn = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
-            delays = [drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots]
-        self.file(submitter, tx, delays)
-        self._draw_one(self._held)
+    def _file_one(self, time: float, seq: float) -> None:
+        """File the held transaction, its delays and successor drawn by
+        numpy's own calls, and, while numpy's calls draw every row, each
+        successor that sorts before the event at ``(time, seq)``: one batch."""
+        rows: list[tuple] = []
+        delays: list[list[float]] = []
+        while not rows or (self._bound is None and self._due < (time, seq)):
+            submitter, tx = self._held
+            rows.append((submitter, *tx))
+            if self._delays is not None:
+                drawn = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
+                delays.append([drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots])
+            self._draw_one(self._held)
+        submitters, ids, times, weights, fees = zip(*rows)
+        self.file(ids[0], submitters, times, weights, fees, delays or None)
 
     def _draw_one(self, held: tuple) -> None:
         """Hold the transaction after ``held``: read from a row's words from
@@ -393,13 +399,7 @@ class TxWorkload:
         self._held = (int(submitter), (self.created, float(at), float(weight), float(fee)))
         self._due = (self._held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
 
-    def file(self, submitter: int, tx: tuple, delays: Sequence[float] | None = None) -> None:
-        """File ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
-        ``submitter`` created: ``file_batch`` with a batch of one."""
-        tx_id, *row = tx
-        self.file_batch(tx_id, [submitter], *([value] for value in row), None if delays is None else [delays])
-
-    def file_batch(self, first: int, submitters, times, weights, fees, delays=None) -> None:
+    def file(self, first: int, submitters, times, weights, fees, delays=None) -> None:
         """File the transactions with ids ``first``, ``first + 1``, ...: the
         i-th was created by ``submitters[i]`` at ``times[i]``, weighs
         ``weights[i]`` and pays ``fees[i]``.  Each miner holds it from its

@@ -38,19 +38,27 @@ def genesis() -> Block:
 
 def record_filing(sim) -> list:
     """Record each ``(submitter, tx, delays)`` that ``sim``'s workload files,
-    one per transaction, by hooking its batch entry point ``file_batch``;
+    one per transaction, by hooking its batch entry point ``file``;
     ``delays`` is the row of miner delays given, or None."""
     filed = []
-    workload, file_batch = sim.workload, type(sim.workload).file_batch
+    workload, file = sim.workload, type(sim.workload).file
 
     def recording(first, submitters, times, weights, fees, delays=None):
         columns = (np.asarray(column).tolist() for column in (submitters, times, weights, fees))
         for i, (submitter, *row) in enumerate(zip(*columns)):
             filed.append((submitter, (first + i, *row), None if delays is None else tuple(delays[i])))
-        file_batch(workload, first, submitters, times, weights, fees, delays)
+        file(workload, first, submitters, times, weights, fees, delays)
 
-    workload.file_batch = recording
+    workload.file = recording
     return filed
+
+
+def file_one(workload, submitter, tx, delays=None) -> None:
+    """File ``tx``, the tuple ``(id, timestamp, weight, fee)`` that
+    ``submitter`` created, as a batch of one; ``delays``, if given, holds
+    each miner's delay in slot order."""
+    tx_id, *row = tx
+    workload.file(tx_id, [submitter], *([value] for value in row), None if delays is None else [delays])
 
 
 def pending_arrivals(workload) -> dict[int, tuple[float, ...]]:

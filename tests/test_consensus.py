@@ -11,7 +11,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.workload import TxWorkload
 
-from conftest import SKEWED_MINERS, make_config
+from conftest import SKEWED_MINERS, file_one, make_config
 
 
 def make_engine(
@@ -192,7 +192,7 @@ class TestOnBlockCreate:
         engine, world, queue = make_engine(1, (1.0,), full=True, capacity=0.8, tx_rate=1e-6)
         engine.workload.start()
         for tid, fee in ((1, 5.0), (2, 3.0), (3, 9.0)):
-            engine.workload.file(0, (tid, 0.0, 0.4, fee))
+            file_one(engine.workload, 0, (tid, 0.0, 0.4, fee))
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)

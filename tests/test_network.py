@@ -10,7 +10,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
 
-from conftest import genesis, make_config, pending_arrivals, read_rows, strip_wall_clock
+from conftest import file_one, genesis, make_config, pending_arrivals, read_rows, strip_wall_clock
 
 
 def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
@@ -183,7 +183,7 @@ class TestBroadcastTx:
         params.update(overrides)
         sim = Simulation(make_config(**params), 0)
         sim.workload.start()
-        sim.workload.file(submitter, some_tx(1000, ts=at))
+        file_one(sim.workload, submitter, some_tx(1000, ts=at))
         return dict(zip(sim.world.miner_ids, pending_arrivals(sim.workload)[1000]))
 
     def test_constant_delay_fanout(self):

@@ -31,6 +31,7 @@ from chainsim.workload import SharedPool
 
 from conftest import (
     adopted_ids,
+    file_one,
     make_config,
     pending_arrivals,
     read_rows,
@@ -429,9 +430,9 @@ class TestFullMode:
     def test_ids_past_the_cap_stop_the_run(self):
         sim = self._sim(block_target=5)
         sim.workload.start()
-        sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS, 0.5, 0.001))
+        file_one(sim.workload, 0, tx(MAX_FULL_MODE_TRANSACTIONS, 0.5, 0.001))
         with pytest.raises(RunCapError, match="more than 1,000,000 transactions"):
-            sim.workload.file(0, tx(MAX_FULL_MODE_TRANSACTIONS + 1, 0.5, 0.001))
+            file_one(sim.workload, 0, tx(MAX_FULL_MODE_TRANSACTIONS + 1, 0.5, 0.001))
         assert list(pending_arrivals(sim.workload)) == [MAX_FULL_MODE_TRANSACTIONS]
 
     @pytest.mark.parametrize("offset, filed", [(-1, False), (1, True)])
@@ -455,7 +456,7 @@ class TestFullMode:
         own = tx(1000, 0.5, 0.001, ts=100.0)
         relayed = tx(1001, 0.5, 0.001, ts=100.0)
         for submitter, t in ((0, own), (1, relayed)):
-            sim.workload.file(submitter, t)
+            file_one(sim.workload, submitter, t)
         miner = sim.world.nodes[0]
         early = sim.consensus.on_block_create(0, 104.0, miner.tip)
         assert early.transactions == (own,)
@@ -715,12 +716,12 @@ class TestBatchFiling:
                 delays = None if delay == "constant" else rng.exponential(2.0, (k, 3))
                 passed = first + k - 1 > MAX_FULL_MODE_TRANSACTIONS
                 with pytest.raises(RunCapError) if passed else nullcontext():
-                    batched.workload.file_batch(first, submitters, times, weights, fees, delays)
+                    batched.workload.file(first, submitters, times, weights, fees, delays)
                 with pytest.raises(RunCapError) if passed else nullcontext():
                     for i in range(k):
                         row = None if delays is None else delays[i].tolist()
                         tx = (first + i, *(float(c[i]) for c in (times, weights, fees)))
-                        single.workload.file(int(submitters[i]), tx, row)
+                        file_one(single.workload, int(submitters[i]), tx, row)
                 assert pending_keys(batched.workload) == pending_keys(single.workload)
                 if passed:  # filed up to the cap, and no further
                     assert max(pending_arrivals(batched.workload)) == MAX_FULL_MODE_TRANSACTIONS
