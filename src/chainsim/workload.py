@@ -443,12 +443,14 @@ class TxWorkload:
         weights = self._weights[order].tolist()
         chunks, lasts, minima = self.pending, self._lasts, self._minima
         inner = bisect.bisect_left(keys, lasts[-1]) if lasts else 0
+        find, insort, most = bisect.bisect_left, bisect.insort, 2 * PENDING_CHUNK
         for key, weight in zip(keys[:inner], weights):
-            c = bisect.bisect_left(lasts, key)
-            bisect.insort(chunks[c], key)
+            c = find(lasts, key)
+            chunk = chunks[c]
+            insort(chunk, key)
             if weight < minima[c]:
                 minima[c] = weight
-            if len(chunks[c]) > 2 * PENDING_CHUNK:
+            if len(chunk) > most:
                 self._split(c)
         if inner < k:
             if not chunks:
@@ -458,7 +460,7 @@ class TxWorkload:
             chunks[-1] += keys[inner:]
             lasts[-1] = keys[-1]
             minima[-1] = min(minima[-1], *weights[inner:])
-            if len(chunks[-1]) > 2 * PENDING_CHUNK:
+            if len(chunks[-1]) > most:
                 self._split(len(chunks) - 1)
 
     def _split(self, c: int) -> None:
