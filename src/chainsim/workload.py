@@ -1,15 +1,15 @@
 """Transaction workload in two techniques.
 
 Full: a Poisson stream of transactions, each tracked (enables latency
-metrics) and filed at creation with the delay after which each miner holds
-it: none for its submitter, one propagation delay for the rest.  One run-wide
-pending list serves all miners: a miner's pool at time t is every pending
-transaction it holds by t whose id its chain has not adopted.  The list is
-kept in fee order as short sorted chunks, each with its least weight: a new
-transaction is filed in one chunk, whatever the list's length, and packing
-reads only the chunks in which something can still fit.  Transactions are
-not events: before each event, the ones created before it are filed, drawn
-in batches from the stretch of the random stream they alone read.
+metrics) and filed in columns indexed by id, with the time at which each
+miner holds it: at creation for its submitter, one propagation delay later
+for the rest.  One run-wide pending list serves all miners: a miner's pool
+at time t is every pending transaction it holds by t whose id its chain has
+not adopted.  The list holds ids in fee order as short sorted chunks, each
+with its least weight: a stretch is sorted once and filed in as few chunks
+as it reaches, and packing reads only the chunks in which something can
+still fit.  Transactions are not events: before each event, the ones created
+before it are filed, drawn in batches from the stretch they alone read.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -38,8 +38,8 @@ from .engine import EventQueue, rejects_only_zero, sample_exponentials
 from .model import Block, NodeState, World
 
 
-# Full mode keeps pending transactions in sorted chunks; a chunk splits in
-# two once it holds more than twice this many entries.
+# Full mode keeps pending transactions in sorted chunks; a chunk is cut into
+# chunks of this many once it holds more than twice as many.
 PENDING_CHUNK = 64
 # Full mode reads up to this many bytes of raw words in one batch of rows.
 TX_BATCH_BYTES = 1 << 20
@@ -210,29 +210,20 @@ class TxWorkload:
     ``(time, seq)`` its creation sorts at among the events, the seq taken
     from the queue's counter.  ``advance`` files each transaction created
     before an event and draws its successor, in the order one event per
-    transaction would.  It reads rows of raw PCG64 words, one per
-    transaction filed: its delays to the other ``N_n - 1`` nodes under
-    exponential ``T_delay``, then its successor's gap, a word for the
-    submitter and the unmodelled recipient, and the size and the unit price
-    unless constant.  ``random()`` is a word's top 53 bits over 2**53, and
-    ``integers(n)`` runs Lemire's method on its low, then its high half.  A
-    row with a rejected half or a zero word is given back for numpy's own
-    calls to draw, as is every row when numpy would not read the pair from
-    one word (``N_n`` outside [2, 2**32), or a half buffered), or when an
-    exponential mean is so small that a nonzero uniform gives 0 too.
-
-    Filed transactions live in columns indexed by id: time, weight, fee,
-    the arrival at each miner's slot, and a flag per slot set once that
-    miner's chain adopts it.  Adoption is never undone, as a reorg returns
-    no transaction to the pool.
+    transaction would, into columns indexed by id.  It reads rows of raw
+    PCG64 words, one per transaction filed: its delays to the other
+    ``N_n - 1`` nodes under exponential ``T_delay``, then its successor's
+    gap, a word for the submitter and the unmodelled recipient, and the size
+    and the unit price unless constant; ``integers(n)`` runs Lemire's method
+    on a word's low, then its high half.  A row with a rejected half or a
+    zero word is given back for numpy's own calls to draw, as is every row
+    when numpy would not read the pair from one word (``N_n`` outside
+    [2, 2**32), or a half buffered), or when an exponential mean is so small
+    that a nonzero uniform gives 0 too.
     """
 
     def __init__(
-        self,
-        world: World,
-        queue: EventQueue,
-        rng: np.random.Generator,
-        config: SimConfig,
+        self, world: World, queue: EventQueue, rng: np.random.Generator, config: SimConfig
     ) -> None:
         self.world = world
         self.queue = queue
@@ -248,9 +239,8 @@ class TxWorkload:
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
-        # Full mode: the pending ids in packing order, as sorted chunks of
-        # (-fee, id) keys, with each chunk's last key and least weight
-        # alongside.  Comparisons stop at the unique id.
+        # Full mode: the pending ids in packing order, as sorted chunks of (-fee, id) keys, each
+        # with a key between its last and the next chunk's first, and a weight at most its least.
         self.pending: list[list[tuple[float, int]]] = []
         self._lasts: list[tuple[float, int]] = []
         self._minima: list[float] = []
@@ -259,18 +249,14 @@ class TxWorkload:
         self.created = 0  # full-mode transactions drawn; the last one's id
 
     def start(self) -> Callable[[float, float], None] | None:
-        """Set up the full-mode columns, draw the first transaction and
-        return ``advance``, for ``run_loop`` to call before each event; None
-        without a transaction stream.  The generator's state is read here,
-        once, to choose how transactions are drawn."""
-        if not self.full_mode:
+        """Draw the first transaction (full mode) and return ``advance``, for
+        ``run_loop`` to call before each event; None without a transaction
+        stream.  The generator's state is read here, once, to choose how."""
+        if not self.full_mode or self.tx_rate <= 0:
             return None
+        slots = len(self._slots)
         self._times, self._weights, self._fees = np.zeros(0), np.zeros(0), np.zeros(0)
-        self._arrivals = np.zeros((0, len(self._slots)))
-        self._adopted = np.zeros((0, len(self._slots)), dtype=bool)
-        self._miners = np.array(self.world.miner_ids)
-        if self.tx_rate <= 0:
-            return None
+        self._arrivals, self._adopted = np.zeros((0, slots)), np.zeros((0, slots), bool)
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
         self._delays = ExponentialSampler(self.tx_delay) if self.exponential else None
@@ -282,7 +268,7 @@ class TxWorkload:
         raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
         raw = raw and all(rejects_only_zero(s.mean()) for s in samplers if isinstance(s, ExponentialSampler))
         self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
-        self._n = np.uint64(n)
+        self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
         self._draw_one((0, (0, 0.0, 0.0, 0.0)))
         return self.advance
 
@@ -290,19 +276,16 @@ class TxWorkload:
         """File, in creation order, every transaction whose creation sorts
         before the event at ``(time, seq)``, and hold the first that does not."""
         while self._due < (time, seq):
-            if self._bound is None:
+            if self._bound is None or not self._file_rows(time, seq):
                 self._file_one(time, seq)
-            else:
-                self._file_rows(time, seq)
 
-    def _file_rows(self, time: float, seq: float) -> None:
+    def _file_rows(self, time: float, seq: float) -> int:
         """File, in one batch, the held transaction and those after it that
         sort before the event at ``(time, seq)``, drawn from a batch of rows
-        up to the first irregular one, which numpy's own calls read if it is
-        due.  The batch covers the expected count and a margin, within
-        ``TX_BATCH_BYTES``; the rows not used are given back."""
-        submitter, tx = self._held
-        expected = self.tx_rate * (time - tx[1])
+        up to the first irregular one, and return how many.  The batch covers
+        the expected count and a margin, within ``TX_BATCH_BYTES``; the rows
+        not used are given back."""
+        expected = self.tx_rate * (time - self._due[0])
         k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
         bits, pair = self.rng.bit_generator, self._pair
         words = bits.random_raw(k * self._stride).reshape(k, -1)
@@ -314,19 +297,16 @@ class TxWorkload:
         side = "left" if seq < math.inf else "right"
         used = min(int(drawn[1][1:].searchsorted(time, side)) + 1, regular)
         if used:
-            submitters = drawn[0][:used]
             delays = None
             if self._delays is not None:
                 # Node n's delay, for n past the submitter, is word n - 1.
                 miners = self._miners
-                picked = words[np.arange(used)[:, None], miners - (miners > submitters[:, None])]
+                picked = words[np.arange(used)[:, None], miners - (miners > drawn[0][:used, None])]
                 delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
-            self.file(tx[0], *(column[:used] for column in drawn), delays)
+            self.file(self.created, *(column[:used] for column in drawn), delays)
             self._hold(used, *(column[used] for column in drawn))
-        if used < k:
-            bits.advance(-(k - used) * self._stride)
-        if used == regular < k and self._due < (time, seq):
-            self._file_one(time, seq)
+        bits.advance(-(k - used) * self._stride)
+        return used
 
     def _regular(self, words: np.ndarray, pair: int) -> int:
         """How many rows of ``words``, with the pair in column ``pair``, come
@@ -339,31 +319,23 @@ class TxWorkload:
         return int(bad.argmax()) if bad.any() else len(words)
 
     def _drawn(self, tail: np.ndarray, held: tuple) -> tuple[np.ndarray, ...]:
-        """The columns (submitters, times, weights, fees) of ``held``, then
-        of the transactions that the regular rows ``tail``, from the gap on,
-        draw after it; ids follow the held one's."""
+        """The columns (submitters, times, weights, fees) of ``held``, then of the
+        transactions that the regular rows ``tail``, from the gap on, draw after it."""
         submitter, (_, at, weight, fee) = held
-        times = np.array([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])
-        np.add.accumulate(times, out=times)  # in order, as a running sum in Python
-        submitters = np.empty(len(times), dtype=np.int64)
-        submitters[0], submitters[1:] = submitter, (tail[:, 1] & _LOW) * self._n >> _HALF
         columns = iter(tail.T[2:])  # one for each sampler that is not constant
         weights, prices = (
-            np.full(len(times), s.value) if isinstance(s, ConstantSampler)
-            else np.array([0.0, *s.from_uniforms(_uniforms(next(columns)))])
+            np.full(len(tail), s.value) if isinstance(s, ConstantSampler)
+            else s.from_uniforms(_uniforms(next(columns)))
             for s in (self.size_sampler, self.price_sampler)
         )
-        weights[0] = weight
-        fees = weights * prices
-        fees[0] = fee
-        return submitters, times, weights, fees
+        submitters = np.r_[submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64)]
+        times = np.add.accumulate([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])  # a running sum
+        return submitters, times, np.r_[weight, weights], np.r_[fee, np.multiply(weights, prices)]
 
     def _file_one(self, time: float, seq: float) -> None:
-        """File the held transaction, its delays and successor drawn by
-        numpy's own calls, and, while numpy's calls draw every row, each
-        successor that sorts before the event at ``(time, seq)``: one batch."""
-        rows: list[tuple] = []
-        delays: list[list[float]] = []
+        """File the held transaction, its delays and successor drawn by numpy's own calls,
+        and, while those draw every row, each successor due before ``(time, seq)``, as one batch."""
+        rows, delays = [], []
         while not rows or (self._bound is None and self._due < (time, seq)):
             submitter, tx = self._held
             rows.append((submitter, *tx))
@@ -400,20 +372,20 @@ class TxWorkload:
         self._due = (self._held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
 
     def file(self, first: int, submitters, times, weights, fees, delays=None) -> None:
-        """File the transactions with ids ``first``, ``first + 1``, ...: the
-        i-th was created by ``submitters[i]`` at ``times[i]``, weighs
-        ``weights[i]`` and pays ``fees[i]``.  Each miner holds it from its
-        creation plus a delay: none for the submitter, ``T_delay`` for the
-        others, or, given ``delays``, each one's own, row i in slot order.
-
-        Raises ``RunCapError`` once the ids pass ``MAX_FULL_MODE_TRANSACTIONS``,
-        after filing those up to it.
-        """
+        """File the transactions with ids ``first``, ``first + 1``, ...: the i-th was made by
+        ``submitters[i]`` at ``times[i]``, weighs ``weights[i]`` and pays ``fees[i]``, and
+        reaches each miner at once if it is the submitter, else ``T_delay`` later or, given
+        ``delays``, after that miner's delay in row i, in slot order.  Raises ``RunCapError``
+        once the ids pass ``MAX_FULL_MODE_TRANSACTIONS``, after filing those up to it."""
         k = min(len(times), MAX_FULL_MODE_TRANSACTIONS + 1 - first)
         if k > 0:
             rows = slice(first, first + k)
-            if rows.stop > len(self._times):
-                self._grow(rows.stop)
+            if rows.stop > len(self._times):  # grow every column, at least doubling it
+                size = max(rows.stop, 2 * len(self._times))
+                for name in ("_times", "_weights", "_fees", "_arrivals", "_adopted"):
+                    old = getattr(self, name)
+                    setattr(self, name, np.zeros((size, *old.shape[1:]), dtype=old.dtype))
+                    getattr(self, name)[: len(old)] = old
             self._times[rows], self._weights[rows], self._fees[rows] = times[:k], weights[:k], fees[:k]
             at, arrivals = self._times[rows, None], self._arrivals[rows]
             np.add(at, self.tx_delay if delays is None else np.asarray(delays)[:k], out=arrivals)
@@ -425,139 +397,88 @@ class TxWorkload:
                 "lower T_n or the horizon"
             )
 
-    def _grow(self, top: int) -> None:
-        """Make room in every column for the ids below ``top``, at least doubling it."""
-        size = max(top, 2 * len(self._times))
-        for name in ("_times", "_weights", "_fees", "_arrivals", "_adopted"):
-            old = getattr(self, name)
-            grown = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-
     def _order(self, first: int, k: int) -> None:
-        """Put the ``k`` ids from ``first`` in the fee order.  Their keys are
-        sorted once; those past every pending key are appended to the last
-        chunk, the rest are insorted one at a time."""
+        """Put the ``k`` ids from ``first`` in the fee order, their keys sorted once: those past
+        every pending key are appended to the last chunk, the rest insorted one at a time."""
         order = np.argsort(-self._fees[first : first + k], kind="stable") + first
         keys = list(zip((-self._fees[order]).tolist(), order.tolist()))
         weights = self._weights[order].tolist()
         chunks, lasts, minima = self.pending, self._lasts, self._minima
         inner = bisect.bisect_left(keys, lasts[-1]) if lasts else 0
-        find, insort, most = bisect.bisect_left, bisect.insort, 2 * PENDING_CHUNK
         for key, weight in zip(keys[:inner], weights):
-            c = find(lasts, key)
-            chunk = chunks[c]
-            insort(chunk, key)
-            if weight < minima[c]:
-                minima[c] = weight
-            if len(chunk) > most:
+            c = bisect.bisect_left(lasts, key)
+            bisect.insort(chunks[c], key)
+            minima[c] = min(minima[c], weight)
+            if len(chunks[c]) > 2 * PENDING_CHUNK:
                 self._split(c)
         if inner < k:
             if not chunks:
-                chunks.append([])
-                lasts.append(keys[-1])
-                minima.append(math.inf)
+                chunks.append([]), lasts.append(keys[-1]), minima.append(math.inf)
             chunks[-1] += keys[inner:]
-            lasts[-1] = keys[-1]
-            minima[-1] = min(minima[-1], *weights[inner:])
-            if len(chunks[-1]) > most:
+            lasts[-1], minima[-1] = keys[-1], min(minima[-1], *weights[inner:])
+            if len(chunks[-1]) > 2 * PENDING_CHUNK:
                 self._split(len(chunks) - 1)
 
     def _split(self, c: int) -> None:
-        """Cut chunk ``c`` into chunks of ``PENDING_CHUNK`` keys, the last of
-        which takes the remainder."""
+        """Cut chunk ``c`` into chunks of ``PENDING_CHUNK`` keys, the last taking the rest."""
         chunk = self.pending[c]
         starts = range(0, len(chunk) - PENDING_CHUNK, PENDING_CHUNK)
         pieces = [chunk[s : s + PENDING_CHUNK] for s in starts[:-1]] + [chunk[starts[-1] :]]
         self.pending[c : c + 1] = pieces
-        self._lasts[c : c + 1] = [piece[-1] for piece in pieces]
-        weights = self._weights[[tx_id for _, tx_id in chunk]]
-        self._minima[c : c + 1] = np.minimum.reduceat(weights, starts).tolist()
+        self._lasts[c : c + 1] = [piece[-1] for piece in pieces[:-1]] + self._lasts[c : c + 1]
+        self._minima[c : c + 1] = np.minimum.reduceat(self._weights[[i for _, i in chunk]], starts).tolist()
 
     def adopt(self, miner_id: int, block: Block) -> None:
-        """Flag the transactions in ``block`` as adopted by the chain of
-        ``miner_id``, which therefore never packs them again."""
+        """Flag ``block``'s transactions adopted by ``miner_id``'s chain: it never packs them again."""
         self._adopted[[tx_id for tx_id, _, _, _ in block.transactions], self._slots[miner_id]] = True
 
     def take_block(self, miner: NodeState, now: float, block: Block) -> None:
-        """Fill ``block``, mined by ``miner`` at ``now``, in place.
+        """Fill ``block``, mined by ``miner`` at ``now``, in place; light mode hands it to the
+        shared pool, which may fill it later.
 
-        Light mode hands it to the shared pool, which may fill it later.
-
-        Full mode packs the miner's pool greedily in fee order (ties to the
-        lower id), skipping what does not fit.  A chunk of ``pending`` whose
-        least weight cannot fit is passed over whole, as nothing in it fits
-        and the running weight cannot change across it.  From each chunk
-        visited, the ids every miner's chain has adopted are dropped, and a
-        chunk left empty is deleted.  Weights and fees are summed in the
-        order taken, so the totals have the bits of a running sum.
-        """
-        if self.shared_pool is not None:
-            self.shared_pool.take_block(block)
+        Full mode packs the miner's pool greedily in fee order (ties to the lower id), skipping
+        what does not fit, and sums weights and fees in that order; it passes over whole a chunk
+        whose least weight cannot fit, and drops from each chunk it visits, deleting it if left
+        empty, the ids every miner's chain has adopted."""
+        if not self.pending:  # always so in light mode
+            if self.shared_pool is not None:
+                self.shared_pool.take_block(block)
             return
-        if not self.full_mode:
-            return
-        slot = self._slots[miner.id]
-        capacity = self.block_capacity
-        chunks, lasts, minima = self.pending, self._lasts, self._minima
-        arrivals, adopted = self._arrivals[:, slot], self._adopted
-        taken: list[np.ndarray] = []
-        used = 0.0
-        emptied: list[int] = []
-        # The chunks ahead in which something can still fit, found again each time ``used`` grows.
-        lower = np.array(minima)
+        slot, capacity, chunks = self._slots[miner.id], self.block_capacity, self.pending
+        taken, emptied, used = [np.empty(0, np.intp)], [], 0.0
+        # The chunks ahead in which something can still fit, found again whenever ``used`` grows.
+        lower = np.array(self._minima)
         ahead, i = np.flatnonzero(lower <= capacity), 0
         while i < len(ahead):
             c, i = int(ahead[i]), i + 1
-            chunk, least, before = chunks[c], minima[c], used
-            ids = np.fromiter([tx_id for _, tx_id in chunk], np.intp, len(chunk))
-            mine = adopted[ids, slot]
-            ready = ids[(arrivals[ids] <= now) & ~mine]
-            if len(ready):
-                used = self._fill(ready, used, least, taken)
-            if mine.any():
-                gone = adopted[ids].all(axis=1)
-                if gone.all():
+            ids = np.fromiter([tx_id for _, tx_id in chunks[c]], np.intp, len(chunks[c]))
+            mine = self._adopted[ids, slot]
+            ready = ids[(self._arrivals[ids, slot] <= now) & ~mine]
+            if len(ready) and (grown := self._fill(ready, used, lower[c], taken)) != used:
+                used, ahead, i = grown, np.flatnonzero(grown + lower[c + 1 :] <= capacity) + (c + 1), 0
+            gone = self._adopted[ids].all(axis=1)  # dropping these leaves the chunk's bounds true
+            if gone.any():
+                chunks[c] = [key for key, out in zip(chunks[c], gone.tolist()) if not out]
+                if not chunks[c]:
                     emptied.append(c)
-                elif gone.any():
-                    chunk[:] = [key for key, out in zip(chunk, gone.tolist()) if not out]
-                    lasts[c] = chunk[-1]
-                    minima[c] = float(self._weights[ids[~gone]].min())
-            if used != before:
-                ahead, i = np.flatnonzero(used + lower[c + 1 :] <= capacity) + (c + 1), 0
         for c in reversed(emptied):
-            del chunks[c], lasts[c], minima[c]
-        if taken:
-            picked = np.concatenate(taken)
-            weights, fees = self._weights[picked], self._fees[picked]
-            block.transactions = tuple(
-                zip(picked.tolist(), self._times[picked].tolist(), weights.tolist(), fees.tolist())
-            )
-            block.tx_count, block.weight = len(picked), used
-            block.tx_fee_total = float(np.add.accumulate(fees)[-1]) if len(picked) else 0.0
+            del chunks[c], self._lasts[c], self._minima[c]
+        columns = (ids := np.concatenate(taken), self._times[ids], self._weights[ids], self._fees[ids])
+        block.transactions = tuple(zip(*(column.tolist() for column in columns)))
+        block.tx_count, block.weight = len(ids), used
+        block.tx_fee_total = float(np.add.accumulate(np.r_[0.0, columns[3]])[-1])
 
     def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:
-        """Take, in order, each id of ``ready`` that fits beside ``used``,
-        appending them to ``taken``, and return the weight used.  The prefix
-        that fits comes from one running sum started at ``used``; after it,
-        each later fit from an elementwise test, until less than ``least``
-        is left."""
-        capacity = self.block_capacity
-        weights = self._weights[ready]
-        run = weights.copy()
-        run[0] += used
-        np.add.accumulate(run, out=run)
-        fit = int(run.searchsorted(capacity, "right"))  # weights are not negative, so ``run`` is sorted
+        """Append to ``taken`` each id of ``ready``, in order, that fits beside ``used``, and
+        return the weight then used: the prefix that fits from one running sum started at
+        ``used``, each later fit from an elementwise test, while ``least`` can still fit."""
+        capacity, weights = self.block_capacity, self._weights[ready]
+        run = np.add.accumulate(np.r_[used, weights])
+        fit = int(run.searchsorted(capacity, "right")) - 1  # weights are not negative: ``run`` is sorted
         taken.append(ready[:fit])
-        if fit:
-            used = float(run[fit - 1])
-        ready, weights = ready[fit + 1 :], weights[fit + 1 :]
-        while len(weights) and used + least <= capacity:
-            fits = np.flatnonzero(used + weights <= capacity)
-            if not len(fits):
-                break
-            j = fits[0]
+        used, ready, weights = float(run[fit]), ready[fit + 1 :], weights[fit + 1 :]
+        while used + least <= capacity and len(fits := np.flatnonzero(used + weights <= capacity)):
+            j = int(fits[0])
             taken.append(ready[j : j + 1])
-            used += float(weights[j])
-            ready, weights = ready[j + 1 :], weights[j + 1 :]
+            used, ready, weights = used + float(weights[j]), ready[j + 1 :], weights[j + 1 :]
         return used
