@@ -225,9 +225,7 @@ class TxWorkload:
     def __init__(
         self, world: World, queue: EventQueue, rng: np.random.Generator, config: SimConfig
     ) -> None:
-        self.world = world
-        self.queue = queue
-        self.rng = rng
+        self.world, self.queue, self.rng = world, queue, rng
         self.n_nodes = config.n_n  # submitters and exponential delays are drawn over all N_n
         self.full_mode = config.has_trans and config.t_technique == "full"
         self.tx_rate = config.t_n
@@ -328,9 +326,9 @@ class TxWorkload:
             else s.from_uniforms(_uniforms(next(columns)))
             for s in (self.size_sampler, self.price_sampler)
         )
-        submitters = np.r_[submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64)]
+        submitters = np.append(submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64))
         times = np.add.accumulate([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])  # a running sum
-        return submitters, times, np.r_[weight, weights], np.r_[fee, np.multiply(weights, prices)]
+        return submitters, times, np.append(weight, weights), np.append(fee, np.multiply(weights, prices))
 
     def _file_one(self, time: float, seq: float) -> None:
         """File the held transaction, its delays and successor drawn by numpy's own calls,
@@ -408,7 +406,8 @@ class TxWorkload:
         for key, weight in zip(keys[:inner], weights):
             c = bisect.bisect_left(lasts, key)
             bisect.insort(chunks[c], key)
-            minima[c] = min(minima[c], weight)
+            if weight < minima[c]:
+                minima[c] = weight
             if len(chunks[c]) > 2 * PENDING_CHUNK:
                 self._split(c)
         if inner < k:
@@ -466,14 +465,14 @@ class TxWorkload:
         columns = (ids := np.concatenate(taken), self._times[ids], self._weights[ids], self._fees[ids])
         block.transactions = tuple(zip(*(column.tolist() for column in columns)))
         block.tx_count, block.weight = len(ids), used
-        block.tx_fee_total = float(np.add.accumulate(np.r_[0.0, columns[3]])[-1])
+        block.tx_fee_total = float(np.add.accumulate(np.concatenate(([0.0], columns[3])))[-1])
 
     def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:
         """Append to ``taken`` each id of ``ready``, in order, that fits beside ``used``, and
         return the weight then used: the prefix that fits from one running sum started at
         ``used``, each later fit from an elementwise test, while ``least`` can still fit."""
         capacity, weights = self.block_capacity, self._weights[ready]
-        run = np.add.accumulate(np.r_[used, weights])
+        run = np.add.accumulate(np.concatenate(([used], weights)))
         fit = int(run.searchsorted(capacity, "right")) - 1  # weights are not negative: ``run`` is sorted
         taken.append(ready[:fit])
         used, ready, weights = float(run[fit]), ready[fit + 1 :], weights[fit + 1 :]
