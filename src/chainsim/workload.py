@@ -278,11 +278,10 @@ class TxWorkload:
                 self._file_one(time, seq)
 
     def _file_rows(self, time: float, seq: float) -> int:
-        """File, in one batch, the held transaction and those after it that
-        sort before the event at ``(time, seq)``, drawn from a batch of rows
-        up to the first irregular one, and return how many.  The batch covers
-        the expected count and a margin, within ``TX_BATCH_BYTES``; the rows
-        not used are given back."""
+        """File, in one batch, the held transaction and those after it that sort before the
+        event at ``(time, seq)``, drawn from a batch of rows up to the first irregular one, and
+        return how many.  The batch covers the expected count and a margin, within
+        ``TX_BATCH_BYTES``; the rows not used are given back."""
         expected = self.tx_rate * (time - self._due[0])
         k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
         bits, pair = self.rng.bit_generator, self._pair
@@ -412,7 +411,9 @@ class TxWorkload:
                 self._split(c)
         if inner < k:
             if not chunks:
-                chunks.append([]), lasts.append(keys[-1]), minima.append(math.inf)
+                chunks.append([])
+                lasts.append(keys[-1])
+                minima.append(math.inf)
             chunks[-1] += keys[inner:]
             lasts[-1], minima[-1] = keys[-1], min(minima[-1], *weights[inner:])
             if len(chunks[-1]) > 2 * PENDING_CHUNK:
@@ -436,9 +437,9 @@ class TxWorkload:
         shared pool, which may fill it later.
 
         Full mode packs the miner's pool greedily in fee order (ties to the lower id), skipping
-        what does not fit, and sums weights and fees in that order; it passes over whole a chunk
-        whose least weight cannot fit, and drops from each chunk it visits, deleting it if left
-        empty, the ids every miner's chain has adopted."""
+        what does not fit, and sums weights and fees in that order.  It passes over whole a chunk
+        whose least weight cannot fit, and from each chunk it visits drops the ids every miner's
+        chain has adopted, deleting a chunk left empty."""
         if not self.pending:  # always so in light mode
             if self.shared_pool is not None:
                 self.shared_pool.take_block(block)
@@ -451,8 +452,7 @@ class TxWorkload:
         while i < len(ahead):
             c, i = int(ahead[i]), i + 1
             ids = np.fromiter([tx_id for _, tx_id in chunks[c]], np.intp, len(chunks[c]))
-            mine = self._adopted[ids, slot]
-            ready = ids[(self._arrivals[ids, slot] <= now) & ~mine]
+            ready = ids[(self._arrivals[ids, slot] <= now) & ~self._adopted[ids, slot]]
             if len(ready) and (grown := self._fill(ready, used, lower[c], taken)) != used:
                 used, ahead, i = grown, np.flatnonzero(grown + lower[c + 1 :] <= capacity) + (c + 1), 0
             gone = self._adopted[ids].all(axis=1)  # dropping these leaves the chunk's bounds true
