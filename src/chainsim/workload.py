@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class TxWorkload:
     def start(self) -> Callable[[float, float], None] | None:
         """Draw the first transaction (full mode) and return ``advance``, for
         ``run_loop`` to call before each event; None without a transaction
-        stream.  The generator's state is read here, once, to choose how."""
+        stream.  The generator's state is read here, once, to choose how they are drawn."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
         slots = len(self._slots)
@@ -267,7 +267,7 @@ class TxWorkload:
         raw = raw and all(rejects_only_zero(s.mean()) for s in samplers if isinstance(s, ExponentialSampler))
         self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
         self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
-        self._draw_one((0, (0, 0.0, 0.0, 0.0)))
+        self._draw_one((0, (0, 0.0, 0.0, 0.0)))  # the one after a stand-in made at time 0
         return self.advance
 
     def advance(self, time: float, seq: float) -> None:
