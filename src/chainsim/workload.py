@@ -241,7 +241,6 @@ class TxWorkload:
         # with a key between its last and the next chunk's first, and a weight at most its least.
         self.pending: list[list[tuple[float, int]]] = []
         self._lasts: list[tuple[float, int]] = []
-        self._minima: list[float] = []
         # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
         self.created = 0  # full-mode transactions drawn; the last one's id
@@ -252,7 +251,7 @@ class TxWorkload:
         stream.  The generator's state is read here, once, to choose how they are drawn."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
-        slots = len(self._slots)
+        slots, self._minima = len(self._slots), np.zeros(0)  # the least weights, one per chunk
         self._times, self._weights, self._fees = np.zeros(0), np.zeros(0), np.zeros(0)
         self._arrivals, self._adopted = np.zeros((0, slots)), np.zeros((0, slots), bool)
         n, bits = self.n_nodes, self.rng.bit_generator
@@ -400,22 +399,22 @@ class TxWorkload:
         order = np.argsort(-self._fees[first : first + k], kind="stable") + first
         keys = list(zip((-self._fees[order]).tolist(), order.tolist()))
         weights = self._weights[order].tolist()
-        chunks, lasts, minima = self.pending, self._lasts, self._minima
+        chunks, lasts = self.pending, self._lasts
         inner = bisect.bisect_left(keys, lasts[-1]) if lasts else 0
         for key, weight in zip(keys[:inner], weights):
             c = bisect.bisect_left(lasts, key)
             bisect.insort(chunks[c], key)
-            if weight < minima[c]:
-                minima[c] = weight
+            if weight < self._minima[c]:
+                self._minima[c] = weight
             if len(chunks[c]) > 2 * PENDING_CHUNK:
                 self._split(c)
         if inner < k:
             if not chunks:
                 chunks.append([])
                 lasts.append(keys[-1])
-                minima.append(math.inf)
+                self._minima = np.array([math.inf])
             chunks[-1] += keys[inner:]
-            lasts[-1], minima[-1] = keys[-1], min(minima[-1], *weights[inner:])
+            lasts[-1], self._minima[-1] = keys[-1], min(self._minima[-1], *weights[inner:])
             if len(chunks[-1]) > 2 * PENDING_CHUNK:
                 self._split(len(chunks) - 1)
 
@@ -426,7 +425,8 @@ class TxWorkload:
         pieces = [chunk[s : s + PENDING_CHUNK] for s in starts[:-1]] + [chunk[starts[-1] :]]
         self.pending[c : c + 1] = pieces
         self._lasts[c : c + 1] = [piece[-1] for piece in pieces[:-1]] + self._lasts[c : c + 1]
-        self._minima[c : c + 1] = np.minimum.reduceat(self._weights[[i for _, i in chunk]], starts).tolist()
+        least = np.minimum.reduceat(self._weights[[i for _, i in chunk]], starts)
+        self._minima = np.concatenate((self._minima[:c], least, self._minima[c + 1 :]))
 
     def adopt(self, miner_id: int, block: Block) -> None:
         """Flag ``block``'s transactions adopted by ``miner_id``'s chain: it never packs them again."""
@@ -447,7 +447,7 @@ class TxWorkload:
         slot, capacity, chunks = self._slots[miner.id], self.block_capacity, self.pending
         taken, emptied, used = [np.empty(0, np.intp)], [], 0.0
         # The chunks ahead in which something can still fit, found again whenever ``used`` grows.
-        lower = np.array(self._minima)
+        lower = self._minima
         ahead, i = np.flatnonzero(lower <= capacity), 0
         while i < len(ahead):
             c, i = int(ahead[i]), i + 1
@@ -461,7 +461,8 @@ class TxWorkload:
                 if not chunks[c]:
                     emptied.append(c)
         for c in reversed(emptied):
-            del chunks[c], self._lasts[c], self._minima[c]
+            del chunks[c], self._lasts[c]
+        self._minima = np.delete(self._minima, emptied)
         columns = (ids := np.concatenate(taken), self._times[ids], self._weights[ids], self._fees[ids])
         block.transactions = tuple(zip(*(column.tolist() for column in columns)))
         block.tx_count, block.weight = len(ids), used
