@@ -237,8 +237,8 @@ class TxWorkload:
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
-        # Full mode: the pending ids in packing order, as sorted chunks of (-fee, id) keys, each
-        # with a key between its last and the next chunk's first, and a weight at most its least.
+        # Full mode: the pending ids in packing order, as sorted chunks of (-fee, id) keys, each with
+        # a key between its last and the next chunk's first (and a weight in ``_minima``).
         self.pending: list[list[tuple[float, int]]] = []
         self._lasts: list[tuple[float, int]] = []
         # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
@@ -251,7 +251,7 @@ class TxWorkload:
         stream.  The generator's state is read here, once, to choose how they are drawn."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
-        slots, self._minima = len(self._slots), np.zeros(0)  # the least weights, one per chunk
+        slots, self._minima = len(self._slots), np.zeros(0)  # at most each chunk's least weight
         self._times, self._weights, self._fees = np.zeros(0), np.zeros(0), np.zeros(0)
         self._arrivals, self._adopted = np.zeros((0, slots)), np.zeros((0, slots), bool)
         n, bits = self.n_nodes, self.rng.bit_generator
