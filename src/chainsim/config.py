@@ -33,8 +33,8 @@ from .engine import sample_exponential
 FRACTION_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
 # Most transactions one full-mode run may expect (T_n x horizon).  On a
-# 2-vCPU host each costs 1-10 microseconds and about 200 bytes while
-# pending, so a run at the cap takes up to about 10 s and 300 MB;
+# 2-vCPU host each costs 0.5-8 microseconds and, with five miners, about
+# 100 bytes at peak, so a run at the cap takes up to about 8 s and 200 MB;
 # far above it, a run would not end.  ``validate`` bounds the expected
 # count, and a run that makes more than this many stops with ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000

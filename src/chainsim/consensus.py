@@ -223,7 +223,7 @@ class ConsensusEngine:
         chain; only nodes that create blocks read it, so only they keep it."""
         if self.weights[node.id] <= 0:
             return
-        if block.transactions:
+        if len(block.transactions):
             self.workload.adopt(node.id, block)
         if self.uncles_enabled:
             node.uncle_chain.pop(block.id, None)

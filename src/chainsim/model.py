@@ -7,16 +7,18 @@ from functools import reduce
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from .config import SimConfig
 
 
 @dataclass(slots=True)
 class Block:
-    """One block.  In full workload mode ``transactions`` holds each packed
-    transaction as the plain tuple ``(id, timestamp, weight, fee)``, weight
-    in MB or gas units; light mode holds none and tracks the per-block
-    count/fee/weight aggregates instead, filled in when its batch is packed
-    (by the end of the run)."""
+    """One block.  In full workload mode ``transactions`` holds the ids it
+    packed, in order, as one int64 array: the workload's columns hold their
+    times, weights (MB or gas units) and fees.  Light mode holds none and
+    tracks the per-block count/fee/weight aggregates instead, filled in when
+    its batch is packed (by the end of the run)."""
 
     id: int
     depth: int
@@ -24,7 +26,7 @@ class Block:
     timestamp: float
     miner_id: int
     weight: float = 0.0  # total transaction MB, or gas
-    transactions: tuple[tuple[int, float, float, float], ...] = ()
+    transactions: np.ndarray | tuple[()] = ()  # empty but in full mode
     tx_count: int = 0
     tx_fee_total: float = 0.0
     uncles: tuple[int, ...] = ()

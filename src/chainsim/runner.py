@@ -11,11 +11,12 @@ import os
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import TYPE_CHECKING
 
 import numpy as np
+import numpy.random  # loaded here, before a worker pool forks, not on first use in each worker
 
 from .config import SimConfig
 from .consensus import ConsensusEngine, main_chain
@@ -25,6 +26,9 @@ from .model import World, creation_weights
 from .network import Network
 from .stats import RunReport, summarize_run
 from .workload import TxWorkload
+
+if TYPE_CHECKING:  # the process pool is imported only when one opens
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 
 class Simulation:
@@ -72,6 +76,7 @@ class Simulation:
             run_index=self.run_index,
             seed=self.seed,
             wall_clock=time.perf_counter() - started,
+            tx_times=self.workload.times,
         )
 
 
@@ -126,6 +131,7 @@ def worker_pool(
     if shared is not None or workers <= 1:
         yield shared.executor if shared is not None else None
         return
+    from concurrent.futures import ProcessPoolExecutor
     shared = _SharedPool(ProcessPoolExecutor(max_workers=workers), grid)
     token = _open_pool.set(shared)
     try:

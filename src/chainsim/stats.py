@@ -6,6 +6,8 @@ import functools
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .incentives import RewardLedger
 from .model import Block, World
 
@@ -98,6 +100,7 @@ def summarize_run(
     run_index: int,
     seed: int,
     wall_clock: float,
+    tx_times: np.ndarray,  # each full-mode transaction's creation time, by id
 ) -> RunReport:
     """Fold a finished world into one RunReport (and validate the chain)."""
     check_main_chain(world.registry, chain_ids)
@@ -107,19 +110,20 @@ def summarize_run(
     stale_rate = (created - included) / created if created else 0.0
 
     tx_total = 0
-    tracked = 0  # transactions held as tuples: full mode only
-    latency_sum = 0.0
+    latencies = [np.zeros(1)]  # each included transaction's, after a 0.0: full mode only
     block_counts = {miner_id: 0 for miner_id in miner_ids}
     for block_id in chain_ids[1:]:
         block = registry[block_id]
         tx_total += block.tx_count
         block_counts[block.miner_id] += 1
-        tracked += len(block.transactions)
-        for _, stamp, _, _ in block.transactions:
-            latency_sum += block.timestamp - stamp
+        if len(block.transactions):
+            latencies.append(block.timestamp - tx_times[block.transactions])
+    latencies = np.concatenate(latencies)
+    tracked = len(latencies) - 1
 
     throughput = tx_total / elapsed if elapsed > 0 else 0.0
-    mean_latency = latency_sum / tracked if tracked else None
+    # One running sum in chain and block order, from 0.0, as a loop adds them.
+    mean_latency = float(np.add.accumulate(latencies)[-1]) / tracked if tracked else None
 
     miner_shares = {m: block_counts[m] / included if included else 0.0 for m in miner_ids}
     total_reward = ledger.grand_total()

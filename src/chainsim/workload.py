@@ -5,11 +5,12 @@ metrics) and filed in columns indexed by id, with the time at which each
 miner holds it: at creation for its submitter, one propagation delay later
 for the rest.  One run-wide pending list serves all miners: a miner's pool
 at time t is every pending transaction it holds by t whose id its chain has
-not adopted.  The list holds ids in fee order as short sorted chunks, each
-with its least weight: a stretch is sorted once and filed in as few chunks
-as it reaches, and packing reads only the chunks in which something can
-still fit.  Transactions are not events: before each event, the ones created
-before it are filed, drawn in batches from the stretch they alone read.
+not adopted.  The list holds ids in fee order as short chunks of flat id and
+negated-fee arrays, each with its least weight: a stretch is sorted once and
+filed in as few chunks as it reaches, and packing reads only the chunks in
+which something can still fit.  A block holds its packed ids as one array,
+so no transaction is a Python object.  Transactions are not events: before
+each event, the ones created before it are filed, drawn in batches.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -210,16 +212,17 @@ class TxWorkload:
     ``(time, seq)`` its creation sorts at among the events, the seq taken
     from the queue's counter.  ``advance`` files each transaction created
     before an event and draws its successor, in the order one event per
-    transaction would, into columns indexed by id.  It reads rows of raw
-    PCG64 words, one per transaction filed: its delays to the other
-    ``N_n - 1`` nodes under exponential ``T_delay``, then its successor's
-    gap, a word for the submitter and the unmodelled recipient, and the size
-    and the unit price unless constant; ``integers(n)`` runs Lemire's method
-    on a word's low, then its high half.  A row with a rejected half or a
-    zero word is given back for numpy's own calls to draw, as is every row
-    when numpy would not read the pair from one word (``N_n`` outside
-    [2, 2**32), or a half buffered), or when an exponential mean is so small
-    that a nonzero uniform gives 0 too.
+    transaction would, into columns indexed by id (``times``, the creation
+    times, gives the run's latency).  It reads rows of raw PCG64 words, one
+    per transaction filed: its delays to the other ``N_n - 1`` nodes under
+    exponential ``T_delay``, then its successor's gap, a word for the
+    submitter and the unmodelled recipient, and the size and the unit price
+    unless constant; ``integers(n)`` runs Lemire's method on a word's low,
+    then its high half.  A row with a rejected half or a zero word is given
+    back for numpy's own calls to draw, as is every row when numpy would not
+    read the pair from one word (``N_n`` outside [2, 2**32), or a half
+    buffered), or when an exponential mean is so small that a nonzero
+    uniform gives 0 too.
     """
 
     def __init__(
@@ -237,12 +240,16 @@ class TxWorkload:
         self.shared_pool: SharedPool | None = None
         if config.has_trans and not self.full_mode:
             self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
-        # Full mode: the pending ids in packing order, as sorted chunks of (-fee, id) keys, each with
-        # a key between its last and the next chunk's first (and a weight in ``_minima``).
-        self.pending: list[list[tuple[float, int]]] = []
-        self._lasts: list[tuple[float, int]] = []
+        # Full mode: the pending ids in (-fee, id) order, as chunks of ids beside their negated fees
+        # (``_keys``), each with a negated fee from its last to the next chunk's first (``_lasts``).
+        self.pending: list[array] = []
+        self._keys: list[array] = []
+        self._lasts: list[float] = []
         # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
+        # Columns indexed by id, grown by ``file``, and each chunk's least weight or less.
+        self.times, self._weights, self._fees, self._minima = (np.zeros(0) for _ in range(4))
+        self._arrivals, self._adopted = np.zeros((0, len(self._slots))), np.zeros((0, len(self._slots)), bool)
         self.created = 0  # full-mode transactions drawn; the last one's id
 
     def start(self) -> Callable[[float, float], None] | None:
@@ -251,9 +258,6 @@ class TxWorkload:
         stream.  The generator's state is read here, once, to choose how they are drawn."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
-        slots, self._minima = len(self._slots), np.zeros(0)  # at most each chunk's least weight
-        self._times, self._weights, self._fees = np.zeros(0), np.zeros(0), np.zeros(0)
-        self._arrivals, self._adopted = np.zeros((0, slots)), np.zeros((0, slots), bool)
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
         self._delays = ExponentialSampler(self.tx_delay) if self.exponential else None
@@ -376,14 +380,14 @@ class TxWorkload:
         k = min(len(times), MAX_FULL_MODE_TRANSACTIONS + 1 - first)
         if k > 0:
             rows = slice(first, first + k)
-            if rows.stop > len(self._times):  # grow every column, at least doubling it
-                size = max(rows.stop, 2 * len(self._times))
-                for name in ("_times", "_weights", "_fees", "_arrivals", "_adopted"):
+            if rows.stop > len(self.times):  # grow every column, at least doubling it
+                size = max(rows.stop, 2 * len(self.times))
+                for name in ("times", "_weights", "_fees", "_arrivals", "_adopted"):
                     old = getattr(self, name)
                     setattr(self, name, np.zeros((size, *old.shape[1:]), dtype=old.dtype))
                     getattr(self, name)[: len(old)] = old
-            self._times[rows], self._weights[rows], self._fees[rows] = times[:k], weights[:k], fees[:k]
-            at, arrivals = self._times[rows, None], self._arrivals[rows]
+            self.times[rows], self._weights[rows], self._fees[rows] = times[:k], weights[:k], fees[:k]
+            at, arrivals = self.times[rows, None], self._arrivals[rows]
             np.add(at, self.tx_delay if delays is None else np.asarray(delays)[:k], out=arrivals)
             np.copyto(arrivals, at, where=np.equal.outer(submitters[:k], self._miners))
             self._order(first, k)
@@ -394,79 +398,85 @@ class TxWorkload:
             )
 
     def _order(self, first: int, k: int) -> None:
-        """Put the ``k`` ids from ``first`` in the fee order, their keys sorted once: those past
-        every pending key are appended to the last chunk, the rest insorted one at a time."""
+        """Put the ``k`` ids from ``first`` in the fee order, sorted once: those past every pending
+        one are appended to the last chunk, the rest inserted one at a time.  Every pending id is
+        lower, so each goes after every pending one of its fee: its negated fee finds its place."""
         order = np.argsort(-self._fees[first : first + k], kind="stable") + first
-        keys = list(zip((-self._fees[order]).tolist(), order.tolist()))
-        weights = self._weights[order].tolist()
+        keys, weights = -self._fees[order], self._weights[order]
         chunks, lasts = self.pending, self._lasts
-        inner = bisect.bisect_left(keys, lasts[-1]) if lasts else 0
-        for key, weight in zip(keys[:inner], weights):
-            c = bisect.bisect_left(lasts, key)
-            bisect.insort(chunks[c], key)
+        inner = int(keys.searchsorted(lasts[-1])) if lasts else 0
+        for tx_id, key, weight in zip(*(column[:inner].tolist() for column in (order, keys, weights))):
+            c = bisect.bisect_right(lasts, key)
+            at = bisect.bisect_right(self._keys[c], key)
+            chunks[c].insert(at, tx_id)
+            self._keys[c].insert(at, key)
             if weight < self._minima[c]:
                 self._minima[c] = weight
             if len(chunks[c]) > 2 * PENDING_CHUNK:
                 self._split(c)
         if inner < k:
             if not chunks:
-                chunks.append([])
-                lasts.append(keys[-1])
+                chunks.append(array("q"))
+                self._keys.append(array("d"))
+                lasts.append(0.0)
                 self._minima = np.array([math.inf])
-            chunks[-1] += keys[inner:]
-            lasts[-1], self._minima[-1] = keys[-1], min(self._minima[-1], *weights[inner:])
+            chunks[-1].frombytes(order[inner:].tobytes())
+            self._keys[-1].frombytes(keys[inner:].tobytes())
+            lasts[-1], self._minima[-1] = float(keys[-1]), min(self._minima[-1], weights[inner:].min())
             if len(chunks[-1]) > 2 * PENDING_CHUNK:
                 self._split(len(chunks) - 1)
 
     def _split(self, c: int) -> None:
-        """Cut chunk ``c`` into chunks of ``PENDING_CHUNK`` keys, the last taking the rest."""
-        chunk = self.pending[c]
-        starts = range(0, len(chunk) - PENDING_CHUNK, PENDING_CHUNK)
-        pieces = [chunk[s : s + PENDING_CHUNK] for s in starts[:-1]] + [chunk[starts[-1] :]]
-        self.pending[c : c + 1] = pieces
-        self._lasts[c : c + 1] = [piece[-1] for piece in pieces[:-1]] + self._lasts[c : c + 1]
-        least = np.minimum.reduceat(self._weights[[i for _, i in chunk]], starts)
+        """Cut chunk ``c`` into chunks of ``PENDING_CHUNK`` ids, the last taking the rest."""
+        ids, keys = self.pending[c], self._keys[c]
+        starts = range(0, len(ids) - PENDING_CHUNK, PENDING_CHUNK)
+        ends = [*starts[1:], None]
+        self.pending[c : c + 1] = [ids[s:e] for s, e in zip(starts, ends)]
+        self._keys[c : c + 1] = [keys[s:e] for s, e in zip(starts, ends)]
+        self._lasts[c : c + 1] = [keys[s - 1] for s in starts[1:]] + self._lasts[c : c + 1]
+        least = np.minimum.reduceat(self._weights[np.frombuffer(ids, np.int64)], starts)
         self._minima = np.concatenate((self._minima[:c], least, self._minima[c + 1 :]))
 
     def adopt(self, miner_id: int, block: Block) -> None:
         """Flag ``block``'s transactions adopted by ``miner_id``'s chain: it never packs them again."""
-        self._adopted[[tx_id for tx_id, _, _, _ in block.transactions], self._slots[miner_id]] = True
+        self._adopted[block.transactions, self._slots[miner_id]] = True
 
     def take_block(self, miner: NodeState, now: float, block: Block) -> None:
         """Fill ``block``, mined by ``miner`` at ``now``, in place; light mode hands it to the
         shared pool, which may fill it later.
 
         Full mode packs the miner's pool greedily in fee order (ties to the lower id), skipping
-        what does not fit, and sums weights and fees in that order.  It passes over whole a chunk
-        whose least weight cannot fit, and from each chunk it visits drops the ids every miner's
-        chain has adopted, deleting a chunk left empty."""
+        what does not fit, and sums weights and fees in that order; ``block`` holds the ids.  It
+        passes over whole a chunk whose least weight cannot fit, and from each chunk it visits
+        drops the ids every miner's chain has adopted, deleting a chunk left empty."""
         if not self.pending:  # always so in light mode
             if self.shared_pool is not None:
                 self.shared_pool.take_block(block)
             return
         slot, capacity, chunks = self._slots[miner.id], self.block_capacity, self.pending
-        taken, emptied, used = [np.empty(0, np.intp)], [], 0.0
+        taken, emptied, used = [np.empty(0, np.int64)], [], 0.0
         # The chunks ahead in which something can still fit, found again whenever ``used`` grows.
         lower = self._minima
         ahead, i = np.flatnonzero(lower <= capacity), 0
         while i < len(ahead):
             c, i = int(ahead[i]), i + 1
-            ids = np.fromiter([tx_id for _, tx_id in chunks[c]], np.intp, len(chunks[c]))
+            ids = np.frombuffer(chunks[c], np.int64)  # a view: chunk ``c`` cannot be resized while it lives
             ready = ids[(self._arrivals[ids, slot] <= now) & ~self._adopted[ids, slot]]
             if len(ready) and (grown := self._fill(ready, used, lower[c], taken)) != used:
                 used, ahead, i = grown, np.flatnonzero(grown + lower[c + 1 :] <= capacity) + (c + 1), 0
             gone = self._adopted[ids].all(axis=1)  # dropping these leaves the chunk's bounds true
-            if gone.any():
-                chunks[c] = [key for key, out in zip(chunks[c], gone.tolist()) if not out]
-                if not chunks[c]:
-                    emptied.append(c)
+            if gone.all():
+                emptied.append(c)
+            elif gone.any():
+                kept = ~gone
+                chunks[c] = array("q", ids[kept].tobytes())
+                self._keys[c] = array("d", np.frombuffer(self._keys[c])[kept].tobytes())
         for c in reversed(emptied):
-            del chunks[c], self._lasts[c]
+            del chunks[c], self._keys[c], self._lasts[c]
         self._minima = np.delete(self._minima, emptied)
-        columns = (ids := np.concatenate(taken), self._times[ids], self._weights[ids], self._fees[ids])
-        block.transactions = tuple(zip(*(column.tolist() for column in columns)))
+        block.transactions = ids = np.concatenate(taken)
         block.tx_count, block.weight = len(ids), used
-        block.tx_fee_total = float(np.add.accumulate(np.concatenate(([0.0], columns[3])))[-1])
+        block.tx_fee_total = float(np.add.accumulate(np.concatenate(([0.0], self._fees[ids])))[-1])
 
     def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:
         """Append to ``taken`` each id of ``ready``, in order, that fits beside ``used``, and

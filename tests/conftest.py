@@ -61,10 +61,27 @@ def file_one(workload, submitter, tx, delays=None) -> None:
     workload.file(tx_id, [submitter], *([value] for value in row), None if delays is None else [delays])
 
 
+def pending_order(workload) -> list[tuple[float, int]]:
+    """The pending ``(-fee, id)`` keys, in packing order, from the chunks' ids and negated fees."""
+    return [
+        (key, tx_id)
+        for ids, keys in zip(workload.pending, workload._keys, strict=True)
+        for tx_id, key in zip(ids, keys, strict=True)
+    ]
+
+
 def pending_arrivals(workload) -> dict[int, tuple[float, ...]]:
     """A copy of the pending transactions, in packing order: each id with
     its arrival at each miner, in slot order."""
-    return {tx_id: tuple(workload._arrivals[tx_id].tolist()) for chunk in workload.pending for _, tx_id in chunk}
+    return {tx_id: tuple(workload._arrivals[tx_id].tolist()) for _, tx_id in pending_order(workload)}
+
+
+def block_txs(workload, block) -> tuple[tuple[int, float, float, float], ...]:
+    """``block``'s transactions in packing order, each the tuple ``(id, timestamp, weight,
+    fee)`` rebuilt from ``workload``'s columns at the ids the block holds."""
+    ids = np.asarray(block.transactions, dtype=np.int64)
+    columns = (ids, workload.times[ids], workload._weights[ids], workload._fees[ids])
+    return tuple(zip(*(column.tolist() for column in columns)))
 
 
 def adopted_ids(workload, miner_id) -> set[int]:

@@ -1,10 +1,10 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -271,12 +271,12 @@ def pools_made(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     made = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             made.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return made
 
 
@@ -285,12 +285,12 @@ def submitted(monkeypatch, pools_made):
     """The (config, run index) of every run submitted to a counting pool."""
     runs = []
 
-    class SubmitCountingPool(runner.ProcessPoolExecutor):
+    class SubmitCountingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             runs.append(args)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SubmitCountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SubmitCountingPool)
     return runs
 
 

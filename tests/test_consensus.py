@@ -11,7 +11,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.workload import TxWorkload
 
-from conftest import SKEWED_MINERS, file_one, make_config
+from conftest import SKEWED_MINERS, block_txs, file_one, make_config
 
 
 def make_engine(
@@ -196,11 +196,11 @@ class TestOnBlockCreate:
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert [fee for _, _, _, fee in block.transactions] == [9.0, 5.0]
+        assert [fee for _, _, _, fee in block_txs(engine.workload, block)] == [9.0, 5.0]
         time, _, kind, miner_id, parent = queue.next_event()
         assert kind == EventKind.BLOCK_CREATE
         block = engine.on_block_create(miner_id, time, parent)
-        assert [fee for _, _, _, fee in block.transactions] == [3.0]  # fee-3 stayed pooled
+        assert [fee for _, _, _, fee in block_txs(engine.workload, block)] == [3.0]  # fee-3 stayed pooled
 
     def test_stale_event_discarded(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), block_delay=0.0)

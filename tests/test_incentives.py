@@ -9,7 +9,7 @@ from chainsim.incentives import RewardEntry, RewardLedger, distribute, uncle_rew
 from chainsim.model import Block
 from chainsim.runner import Simulation
 
-from conftest import genesis, make_config
+from conftest import block_txs, genesis, make_config
 
 
 def run_ledger(sim):
@@ -26,7 +26,7 @@ def full_run(**overrides):
     sim = Simulation(config, 0)
     sim.run()
     registry = sim.world.registry
-    txs = [t for bid in main_chain(sim.world)[1:] for t in registry[bid].transactions]
+    txs = [t for bid in main_chain(sim.world)[1:] for t in block_txs(sim.workload, registry[bid])]
     assert txs  # the run included transactions
     return run_ledger(sim), txs
 
@@ -210,7 +210,7 @@ class TestRunLevelInvariants:
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             expected_fees.setdefault(block.miner_id, 0.0)
-            expected_fees[block.miner_id] += math.fsum(fee for _, _, _, fee in block.transactions)
+            expected_fees[block.miner_id] += math.fsum(fee for _, _, _, fee in block_txs(sim.workload, block))
         ledger = run_ledger(sim)
         for miner_id, fees in expected_fees.items():
             assert ledger[miner_id].tx_fees == pytest.approx(fees, rel=1e-12)

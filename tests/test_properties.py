@@ -96,16 +96,20 @@ class TestNodesAboveTheLastCreator:
             assert len(Simulation(make_config(n_n=n_n, **base), 0).world.nodes) == cut
 
 
-# Runs a config in this interpreter and prints its peak resident set size.
+# Runs a config in this interpreter and prints its peak resident set size in
+# kB: its own VmHWM, not ru_maxrss, which Linux carries over from the process
+# that forked it (here pytest) across exec.
 PEAK_RSS_SCRIPT = """
-import json, resource, sys
+import json, sys
 from chainsim import cli
 code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, peak_kb]))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status, on Linux only")
 def test_ten_million_nodes_cost_no_memory(tmp_path):
     # The bitcoin preset with 9,999,995 nodes above its five miners: the
     # same CSVs as five nodes, in the memory of five nodes.
@@ -126,7 +130,7 @@ def test_ten_million_nodes_cost_no_memory(tmp_path):
     assert rows[10**7] == rows[5]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status, on Linux only")
 def test_tall_light_pool_stays_small(tmp_path):
     # Every block draws a light pool of 100,000 transactions.  Pools are
     # packed a few at a time, as many as fit the batch's byte budget, so the

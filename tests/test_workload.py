@@ -31,9 +31,11 @@ from chainsim.workload import SharedPool
 
 from conftest import (
     adopted_ids,
+    block_txs,
     file_one,
     make_config,
     pending_arrivals,
+    pending_order,
     read_rows,
     record_filing,
     strip_wall_clock,
@@ -459,9 +461,9 @@ class TestFullMode:
             file_one(sim.workload, submitter, t)
         miner = sim.world.nodes[0]
         early = sim.consensus.on_block_create(0, 104.0, miner.tip)
-        assert early.transactions == (own,)
+        assert block_txs(sim.workload, early) == (own,)
         late = sim.consensus.on_block_create(0, 105.0, miner.tip)
-        assert late.transactions == (relayed,)
+        assert block_txs(sim.workload, late) == (relayed,)
 
     def test_light_mode_has_no_tx_events(self):
         config = make_config(
@@ -489,13 +491,14 @@ class TestFullMode:
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
             assert block.weight <= 0.005 + 1e-12  # capacity respected
-            for tx_id, _, _, _ in block.transactions:
+            for tx_id, _, _, _ in block_txs(sim.workload, block):
                 assert tx_id not in seen
                 seen.add(tx_id)
         assert seen  # the run actually included transactions
 
     def test_transactions_untracked_by_the_cyclic_gc(self):
-        # A transaction is a tuple of numbers, which the collector stops tracking.
+        # A block holds its transactions as one array of ids, which the
+        # collector does not track: no transaction is an object of its own.
         config = make_config(
             has_trans=True, t_technique="full", t_n=1.0, t_delay=1.0,
             b_interval=60.0, b_size=0.01, t_size="const:0.000546", block_target=50,
@@ -503,8 +506,9 @@ class TestFullMode:
         sim = Simulation(config, 0)
         sim.run()
         gc.collect()
-        txs = [t for block in sim.world.registry for t in block.transactions]
-        assert txs and not any(gc.is_tracked(t) for t in txs)
+        held = [block.transactions for block in sim.world.registry if len(block.transactions)]
+        assert held and all(ids.dtype == np.int64 for ids in held)
+        assert not any(gc.is_tracked(ids) for ids in held)
 
     def test_full_pools_only_after_delay_invariant(self):
         # Spot-check a real run: a block holds only transactions its miner
@@ -521,7 +525,7 @@ class TestFullMode:
         relayed = 0
         for bid in range(1, len(sim.world.registry)):
             block = sim.world.registry[bid]
-            for tx_id, stamp, _, _ in block.transactions:
+            for tx_id, stamp, _, _ in block_txs(sim.workload, block):
                 if submitters[tx_id] == block.miner_id:
                     assert stamp <= block.timestamp
                 else:
@@ -537,16 +541,32 @@ def pack_against_oracle(config, chunk):
 
     A transaction reaches its submitter at creation.  Under a constant delay
     it reaches every other miner ``T_delay`` later; under exponential delays
-    each miner's own delay later, as filed.  Also checks that no transaction
-    is on the main chain twice.  Returns (blocks checked, chunk splits,
-    chunks emptied).
+    each miner's own delay later, as filed.  After every block, checks that
+    the pending order is the pending ids sorted by ``(-fee, id)`` from the
+    filed fees, and that each chunk's bound and least weight hold.  Also
+    checks that no transaction is on the main chain twice.  Returns (blocks
+    checked, chunk splits, chunks emptied, blocks after which two chunks
+    met at one fee).
     """
     sim = Simulation(config, 0)
-    pending = sim.workload.pending
+    workload = sim.workload
+    pending = workload.pending
     slots = {miner_id: slot for slot, miner_id in enumerate(sim.world.miner_ids)}
     filed = record_filing(sim)
     create_block = sim.handlers[EventKind.BLOCK_CREATE]
-    checked = emptied = 0
+    checked = emptied = tied = 0
+
+    def check_pending_order():
+        nonlocal tied
+        weights, fees = ({tx[0]: tx[i] for _, tx, _ in filed} for i in (2, 3))
+        order = pending_order(workload)
+        assert order == sorted((-fees[tx_id], tx_id) for _, tx_id in order)
+        chunks = (pending, workload._keys, workload._lasts, workload._minima)
+        firsts = [keys[0] for keys in workload._keys[1:]] + [math.inf] * bool(pending)
+        for ids, keys, bound, least, first in zip(*chunks, firsts, strict=True):
+            assert keys[-1] <= bound <= first
+            assert least <= min(weights[tx_id] for tx_id in ids)
+        tied += any(keys[-1] == first for keys, first in zip(workload._keys, firsts))
 
     def arrival(submitter, tx, delays, miner_id):
         if miner_id == submitter:
@@ -564,18 +584,19 @@ def pack_against_oracle(config, chunk):
         block = create_block(miner_id, time, parent)
         emptied += len(pending) < chunks
         if block is not None:
-            assert block.transactions == tuple(select_for_block(pool, config.b_size))
+            assert block_txs(workload, block) == tuple(select_for_block(pool, config.b_size))
+            check_pending_order()
             checked += 1
         return block
 
     sim.handlers[EventKind.BLOCK_CREATE] = on_block_create
-    split = mock.patch.object(sim.workload, "_split", wraps=sim.workload._split)
+    split = mock.patch.object(workload, "_split", wraps=workload._split)
     with mock.patch.object(workload_module, "PENDING_CHUNK", chunk), split as splits:
         report = sim.run()
     assert checked == report.blocks_created
-    on_main = [t[0] for b in main_chain(sim.world)[1:] for t in sim.world.registry[b].transactions]
+    on_main = [t[0] for b in main_chain(sim.world)[1:] for t in block_txs(workload, sim.world.registry[b])]
     assert on_main and len(on_main) == len(set(on_main))
-    return checked, splits.call_count, emptied
+    return checked, splits.call_count, emptied, tied
 
 
 @pytest.fixture(scope="module")
@@ -615,7 +636,7 @@ class TestPackingOracle:
             b_delay=b_delay, n_n=len(miners) + extra_nodes, miners=miners,
             block_target=40, seed=seed,
         )
-        checked, _, _ = pack_against_oracle(config, chunk)
+        checked, _, _, _ = pack_against_oracle(config, chunk)
         assert checked == 40
 
     def test_small_chunks_split_and_empty(self):
@@ -625,8 +646,26 @@ class TestPackingOracle:
             t_fee="exp:0.3", b_size=0.004, b_interval=20.0, b_delay=4.0, n_n=4,
             miners=(0.5, 0.0, 0.5), block_target=60, seed=3,
         )
-        checked, splits, emptied = pack_against_oracle(config, 2)
+        checked, splits, emptied, _ = pack_against_oracle(config, 2)
         assert checked == 60 and splits and emptied
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("fee", ["tied", "spread"])
+    def test_small_chunks_keep_the_fee_order(self, tmp_path, fee, chunk):
+        # A pending id goes after every pending id of its fee, placed by its
+        # fee alone.  Three unit prices on one size tie most fees, across
+        # chunk bounds too; exponential sizes and prices spread them.
+        prices = tmp_path / "prices.txt"
+        prices.write_text("200 0.5\n300 0.3\n500 0.2\n")
+        size, price = {"tied": ("const:0.0005", f"hist:{prices}"), "spread": ("exp:0.0005", "exp:300")}[fee]
+        config = make_config(
+            has_trans=True, t_technique="full", t_n=1.0, t_delay=3.0, t_size=size, t_fee=price,
+            b_size=0.004, b_interval=20.0, b_delay=4.0, n_n=4, miners=(0.5, 0.0, 0.5),
+            block_target=60, seed=3,
+        )
+        checked, splits, emptied, tied = pack_against_oracle(config, chunk)
+        assert checked == 60 and splits and emptied
+        assert bool(tied) is (fee == "tied")
 
     def test_every_block_matches_rebuilt_pool(self):
         # Forks (B_delay is 20% of B_interval), variable sizes and fees, a
@@ -655,7 +694,7 @@ class TestPackingOracle:
             block = create_block(miner_id, time, parent)
             if block is not None:
                 expected = select_for_block(pool, config.b_size)
-                assert block.transactions == tuple(expected)
+                assert block_txs(sim.workload, block) == tuple(expected)
                 checked += 1
                 in_flight += len(pool) < len(candidates)
                 over_capacity += len(expected) < len(pool)
@@ -674,7 +713,7 @@ def pending_keys(workload):
     chunks it visits."""
     done = set.intersection(*(adopted_ids(workload, m) for m in workload.world.miner_ids))
     arrivals = pending_arrivals(workload)
-    return [(key, arrivals[key[1]]) for chunk in workload.pending for key in chunk if key[1] not in done]
+    return [(key, arrivals[key[1]]) for key in pending_order(workload) if key[1] not in done]
 
 
 class TestBatchFiling:
@@ -735,38 +774,43 @@ class TestBatchFiling:
                     block = sim.consensus.on_block_create(miner_id, now, sim.world.nodes[miner_id].tip)
                     for node_id in receivers:
                         sim.consensus.on_block_receive(node_id, now, block)
-                    made.append((block.transactions, block.tx_count, block.weight, block.tx_fee_total))
+                    made.append(
+                        (block_txs(sim.workload, block), block.tx_count, block.weight, block.tx_fee_total)
+                    )
                 assert made[0] == made[1]
                 assert pending_keys(batched.workload) == pending_keys(single.workload)
 
 
 class TestTxLatency:
     def test_simple_difference(self):
-        # One main-chain block at t=160 holding a transaction created at t=100.
+        # One main-chain block at t=160 holding transaction 1, created at t=100.
         world = World([1.0])
         block = Block(id=1, depth=1, previous_id=0, timestamp=160.0,
-                      miner_id=0, transactions=(tx(1, 0.5, 0.001, ts=100.0),), tx_count=1)
+                      miner_id=0, transactions=np.array([1]), tx_count=1)
         world.registry.append(block)
-        report = summarize_run(world, [0, block.id], RewardLedger(),
-                               elapsed=200.0, run_index=0, seed=0, wall_clock=0.0)
+        report = summarize_run(world, [0, block.id], RewardLedger(), elapsed=200.0, run_index=0,
+                               seed=0, wall_clock=0.0, tx_times=np.array([0.0, 100.0]))
         assert report.mean_tx_latency_s == 60.0
 
     def test_latency_never_negative(self):
-        # No transaction reaches a block mined before it was created.
+        # No transaction reaches a block mined before it was created.  The
+        # mean is what a loop over the main chain's transactions adds from 0.0.
         config = make_config(
             has_trans=True, t_technique="full", t_n=1.0, t_delay=2.0,
             b_interval=20.0, b_delay=3.0, b_size=0.01, t_size="const:0.000546",
             block_target=200, seed=8,
         )
         sim = Simulation(config, 0)
-        sim.run()
-        included = 0
+        report = sim.run()
+        included, total = 0, 0.0
         for bid in main_chain(sim.world)[1:]:
             block = sim.world.registry[bid]
-            for _, stamp, _, _ in block.transactions:
+            for _, stamp, _, _ in block_txs(sim.workload, block):
                 assert stamp <= block.timestamp
                 included += 1
+                total += block.timestamp - stamp
         assert included
+        assert report.mean_tx_latency_s == total / included
 
     def test_mean_latency_bounds_in_unsaturated_run(self):
         config = make_config(
