@@ -28,8 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import sample_exponential
-
 FRACTION_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
 # Most transactions one full-mode run may expect (T_n x horizon).  On a
@@ -50,6 +48,9 @@ MAX_BLOCKS_PER_RUN = 1_000_000
 # 87 MB, or 0.19 s and 112 MB with B_size = 0.6, which the pool overflows.
 # Far above it, a run would take gigabytes and hours.
 MAX_LIGHT_POOL = 1_000_000
+# Most raw words ``ExponentialSampler.skip`` reads at once, 512 KB: skipping
+# the draws of ``N_n`` nodes then takes bounded memory however large ``N_n`` is.
+SKIP_CHUNK = 1 << 16
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -245,15 +246,55 @@ class ConstantSampler:
 
 
 class ExponentialSampler:
-    __slots__ = ("_mean",)
+    """Exponential draws of a positive mean, read from a generator's stream.
+
+    ``draw`` takes a uniform ``u = 1 - rng.random()`` in (0, 1] and gives
+    ``-mean * ln(u)``.  Draws are strictly positive, so a delay never lands
+    on the current instant: a draw of 0, from ``u = 1`` or, at a mean below
+    about 1e-308, from any ``u`` near it, is drawn again from the next
+    uniform.  ``draws`` and ``skip`` read the stream as that many ``draw``
+    calls would; ``draw_into`` alone uses numpy's ziggurat instead, for
+    light pools.
+    """
+
+    __slots__ = ("_mean", "rejects_only_zero")
 
     def __init__(self, mean: float) -> None:
         if mean <= 0:
             raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
         self._mean = float(mean)
+        # Whether a draw is redrawn only for a zero uniform, that is a raw
+        # PCG64 word below 2**11: true unless the mean is so small that the
+        # least nonzero uniform gives 0 too.
+        self.rejects_only_zero = -self._mean * math.log(1.0 - 2.0**-53) > 0.0
 
     def draw(self, rng: np.random.Generator) -> float:
-        return sample_exponential(rng, self._mean)
+        mean, random, log = self._mean, rng.random, math.log
+        while True:
+            x = -mean * log(1.0 - random())
+            if x > 0.0:
+                return x
+
+    def draws(self, rng: np.random.Generator, k: int) -> list[float]:
+        """``k`` values of ``draw``, from batches of uniforms: a rejected
+        uniform is replaced by a further one, so the values and the stream
+        match ``k`` single calls."""
+        values: list[float] = []
+        while len(values) < k:
+            values.extend(x for x in self.from_uniforms(rng.random(k - len(values))) if x > 0.0)
+        return values
+
+    def skip(self, rng: np.random.Generator, k: int) -> None:
+        """Advance ``rng`` as ``draws(rng, k)`` would, without computing the
+        values where ``rejects_only_zero`` allows: ``k`` raw words, then one
+        more for each word rejected, read in chunks of bounded size."""
+        if not self.rejects_only_zero:
+            self.draws(rng, k)
+            return
+        raw = rng.bit_generator.random_raw
+        while k > 0:
+            chunk = min(k, SKIP_CHUNK)
+            k += int(np.count_nonzero(raw(chunk) < 2**11)) - chunk
 
     def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out`` with the values ``rng.exponential(mean, len(out))`` gives."""
@@ -261,7 +302,7 @@ class ExponentialSampler:
         out *= self._mean
 
     def from_uniforms(self, u: np.ndarray) -> list[float]:
-        """The values ``draw`` makes from the nonzero uniforms ``u``."""
+        """The values ``draw`` makes from the uniforms ``u``, a rejected one giving 0."""
         mean, log = self._mean, math.log  # not np.log, which may differ by an ulp
         return [-mean * log(1.0 - x) for x in u.tolist()]
 

@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .config import SimConfig
-from .engine import EventQueue, sample_exponential
+from .config import ExponentialSampler, SimConfig
+from .engine import EventQueue
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
@@ -64,8 +64,8 @@ class ConsensusEngine:
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
         self.weights = world.weights
-        # Mean seconds between a miner's blocks; 0 marks a node that never mines.
-        self.means = [self.block_interval / w if w > 0 else 0.0 for w in self.weights]
+        # Each miner's race: the seconds to its next block; None for a node that never mines.
+        self.races = [ExponentialSampler(self.block_interval / w) if w > 0 else None for w in self.weights]
         self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
 
     # -- scheduling -----------------------------------------------------
@@ -80,10 +80,10 @@ class ConsensusEngine:
 
     def schedule_next_creation(self, miner: NodeState, at: float) -> float:
         """Arm the miner's race on its current tip from ``at``; return its time."""
-        mean = self.means[miner.id]
-        if mean <= 0:
+        race = self.races[miner.id]
+        if race is None:
             raise ValueError(f"node {miner.id} has zero creation weight")
-        time = at + sample_exponential(self.rng, mean)
+        time = at + race.draw(self.rng)
         self.queue.arm(time, miner.id, miner.tip)
         return time
 

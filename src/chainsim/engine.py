@@ -1,4 +1,4 @@
-"""Simulation core: time-ordered event queue, clock, and exponential draws.
+"""Simulation core: time-ordered event queue, clock, and dispatch loop.
 
 An event is a plain tuple ``(time, seq, kind, target, payload)``.  The
 queue numbers events in insertion order, so events due at the same time
@@ -22,7 +22,8 @@ a single heap holding every event but the superseded ones would give.
 
 A single run is strictly sequential and owns all its mutable state, its
 seeded ``np.random.Generator`` included: the same seed and configuration
-replay it bit for bit, and runs can execute in parallel processes.
+replay it bit for bit, and runs can execute in parallel processes.  Nothing
+here draws from it; the exponential draws are ``config.ExponentialSampler``'s.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import heapq
 import math
 from enum import IntEnum
 from typing import Callable, Mapping, TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .model import World
@@ -79,9 +78,9 @@ class EventQueue:
         self._next_seq = seq + k
         return seq
 
-    def arm(self, time: float, miner_id: int, tip: object) -> int:
+    def arm(self, time: float, miner_id: int, tip: object) -> None:
         """Set ``miner_id``'s next ``BLOCK_CREATE``, on ``tip``, replacing the
-        one armed before, if any; return its sequence number."""
+        one armed before, if any."""
         if time < self.clock:
             raise SchedulingError(f"event at t={time!r} is before the clock t={self.clock!r}")
         seq = self._next_seq
@@ -94,7 +93,6 @@ class EventQueue:
             self._first = entry
         elif replaced is first:
             self._first = min(armed.values())
-        return seq
 
     def next_event(
         self, horizon: float = math.inf
@@ -117,54 +115,6 @@ class EventQueue:
         self._first = min(armed.values()) if armed else None
         self.clock = first[0]
         return first
-
-
-def sample_exponential(rng: np.random.Generator, mean: float) -> float:
-    """Draw -mean*ln(u) with u uniform in (0, 1]; always strictly positive.
-
-    The u=1 boundary (which would map to exactly 0) is rejected so that
-    scheduled delays never collide with the current instant.
-    """
-    if mean <= 0:
-        raise ValueError(f"exponential mean must be positive, got {mean!r}")
-    while True:
-        u = 1.0 - rng.random()  # in (0, 1]
-        x = -mean * math.log(u)
-        if x > 0.0:
-            return x
-
-
-def sample_exponentials(rng: np.random.Generator, mean: float, k: int) -> list[float]:
-    """``k`` draws of ``sample_exponential(rng, mean)`` from one batch of
-    uniforms.  A rejected uniform is replaced by a further draw, so the
-    values and the random stream match ``k`` single calls."""
-    if mean <= 0:
-        raise ValueError(f"exponential mean must be positive, got {mean!r}")
-    log = math.log
-    values: list[float] = []
-    while len(values) < k:
-        batch = [-mean * log(1.0 - u) for u in rng.random(k - len(values)).tolist()]
-        values.extend(x for x in batch if x > 0.0)
-    return values
-
-
-def rejects_only_zero(mean: float) -> bool:
-    """Whether ``sample_exponential(rng, mean)`` rejects only a zero
-    uniform, that is a raw PCG64 word below 2**11: true unless ``mean`` is
-    so small that the least nonzero uniform gives 0 too."""
-    return -mean * math.log(1.0 - 2.0**-53) > 0.0
-
-
-def skip_exponentials(rng: np.random.Generator, mean: float, k: int) -> None:
-    """Advance ``rng`` as ``sample_exponentials(rng, mean, k)`` would,
-    without computing the values: ``k`` raw words, then one more for each
-    word rejected."""
-    if not rejects_only_zero(mean):
-        sample_exponentials(rng, mean, k)
-        return
-    raw = rng.bit_generator.random_raw
-    while k > 0:
-        k = int(np.count_nonzero(raw(k) < 2**11))
 
 
 def run_loop(

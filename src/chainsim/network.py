@@ -9,16 +9,17 @@ delay and gets its own entry.
 Blocks reach the ``recipients`` nodes the ``World`` builds, the ids up to
 the highest-id miner.  Exponential mode still takes a draw for each of the
 ``N_n`` nodes but the sender, in node order, so the random stream is the one
-every node would draw; the draws past the recipients are read as raw words
-and never computed.
+every node would draw.  The network holds one ``ExponentialSampler`` for
+them: ``draws`` makes the recipients' delays, and ``skip`` passes over the
+rest without computing them, in memory that does not grow with ``N_n``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import SimConfig
-from .engine import EventKind, EventQueue, sample_exponentials, skip_exponentials
+from .config import ExponentialSampler, SimConfig
+from .engine import EventKind, EventQueue
 from .model import Block
 
 
@@ -31,8 +32,10 @@ class Network:
         self.n_nodes = config.n_n
         self.recipients = recipients  # blocks reach the node ids below this
         self.block_delay = config.b_delay
-        # Exponential delays with a zero mean are all zero and draw nothing.
-        self.exponential = config.delay_mode == "exponential" and config.b_delay > 0.0
+        # The per-recipient delay draws; None for a constant delay, and for
+        # exponential delays of zero mean, which are all zero and draw nothing.
+        exponential = config.delay_mode == "exponential" and config.b_delay > 0.0
+        self._delays = ExponentialSampler(config.b_delay) if exponential else None
         self._others: dict[int, tuple[int, ...]] = {}  # sender id -> the other recipients
 
     def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
@@ -41,10 +44,10 @@ class Network:
         others = self._others.get(sender_id)
         if others is None:  # built on the sender's first block, so only senders keep one
             others = self._others[sender_id] = tuple(filter(sender_id.__ne__, range(self.recipients)))
-        if not self.exponential:
+        if self._delays is None:
             due = [(at + self.block_delay, others)] if others else []
         else:
-            delays = sample_exponentials(self.rng, self.block_delay, len(others))
-            skip_exponentials(self.rng, self.block_delay, self.n_nodes - 1 - len(others))
+            delays = self._delays.draws(self.rng, len(others))
+            self._delays.skip(self.rng, self.n_nodes - 1 - len(others))
             due = [(at + delay, (node_id,)) for node_id, delay in zip(others, delays)]
         return [self.queue.schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]

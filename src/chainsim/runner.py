@@ -109,12 +109,10 @@ _open_pool: ContextVar[_SharedPool | None] = ContextVar("worker_pool", default=N
 
 
 @contextmanager
-def worker_pool(
-    workers: int, grid: Iterable[SimConfig] = ()
-) -> Iterator[ProcessPoolExecutor | None]:
+def worker_pool(workers: int, grid: Iterable[SimConfig] = ()) -> Iterator[None]:
     """Share one pool of ``workers`` processes, at most one per CPU, among
-    the ``run_many`` calls made inside the block; yields it, or None when
-    that leaves one worker or none.
+    the ``run_many`` calls made inside the block; none opens when that
+    leaves one worker or none.
 
     ``grid`` lists the configs the block will pass to ``run_many``, in that
     order.  Nothing forks on entry: the first ``run_many`` call submits
@@ -122,20 +120,19 @@ def worker_pool(
     and each call then collects its own config's runs.  A config that is
     not the next one in ``grid`` has its runs submitted anew.
 
-    Inside an open pool this yields that pool, so nothing forks again, and
-    ``grid`` is ignored.  The outermost block shuts its workers down on
-    exit, cancelling queued runs if the block raised.
+    Inside an open pool nothing forks again, and ``grid`` is ignored.  The
+    outermost block shuts its workers down on exit, cancelling queued runs
+    if the block raised.
     """
-    shared = _open_pool.get()
     workers = min(workers, os.cpu_count() or 1)
-    if shared is not None or workers <= 1:
-        yield shared.executor if shared is not None else None
+    if _open_pool.get() is not None or workers <= 1:
+        yield
         return
     from concurrent.futures import ProcessPoolExecutor
     shared = _SharedPool(ProcessPoolExecutor(max_workers=workers), grid)
     token = _open_pool.set(shared)
     try:
-        yield shared.executor
+        yield
     finally:
         _open_pool.reset(token)
         shared.executor.shutdown(cancel_futures=True)

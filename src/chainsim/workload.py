@@ -36,7 +36,7 @@ from .config import (
     SimConfig,
     light_pool_size,
 )
-from .engine import EventQueue, rejects_only_zero, sample_exponentials
+from .engine import EventQueue
 from .model import Block, NodeState, World
 
 
@@ -267,7 +267,7 @@ class TxWorkload:
         self._stride = self._pair + 1 + sum(not isinstance(s, ConstantSampler) for s in samplers[2:])
         self._max_rows = max(TX_BATCH_BYTES // (8 * self._stride), 1)
         raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
-        raw = raw and all(rejects_only_zero(s.mean()) for s in samplers if isinstance(s, ExponentialSampler))
+        raw = raw and all(s.rejects_only_zero for s in samplers if isinstance(s, ExponentialSampler))
         self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
         self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
         self._draw_one((0, (0, 0.0, 0.0, 0.0)))  # the one after a stand-in made at time 0
@@ -340,7 +340,7 @@ class TxWorkload:
             submitter, tx = self._held
             rows.append((submitter, *tx))
             if self._delays is not None:
-                drawn = sample_exponentials(self.rng, self.tx_delay, self.n_nodes - 1)
+                drawn = self._delays.draws(self.rng, self.n_nodes - 1)
                 delays.append([drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots])
             self._draw_one(self._held)
         submitters, ids, times, weights, fees = zip(*rows)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -9,16 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainsim.engine import (
-    EventKind,
-    EventQueue,
-    SchedulingError,
-    rejects_only_zero,
-    sample_exponential,
-    sample_exponentials,
-    skip_exponentials,
-)
-from chainsim.engine import run_loop
+from chainsim.config import SKIP_CHUNK, ExponentialSampler
+from chainsim.engine import EventKind, EventQueue, SchedulingError, run_loop
 from chainsim.runner import Simulation, run_single
 
 from conftest import FixedUniform, make_config, pending_arrivals, record_filing
@@ -86,42 +79,43 @@ class TestEventQueue:
 class TestSampleExponential:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
-            sample_exponential(np.random.default_rng(1), 0.0)
+            ExponentialSampler(0.0)
         with pytest.raises(ValueError):
-            sample_exponential(np.random.default_rng(1), -3.0)
+            ExponentialSampler(-3.0)
 
     def test_strictly_positive_even_at_u_one(self):
         # random() == 0.0 maps to u == 1.0, whose draw of exactly 0 is rejected.
         source = FixedUniform([0.0, 0.5])
-        x = sample_exponential(source, 10.0)
+        x = ExponentialSampler(10.0).draw(source)
         assert x > 0.0
         assert source.calls == 2
 
     def test_linear_in_mean_for_same_u(self):
-        a = sample_exponential(FixedUniform([0.25]), 10.0)
-        b = sample_exponential(FixedUniform([0.25]), 20.0)
+        a = ExponentialSampler(10.0).draw(FixedUniform([0.25]))
+        b = ExponentialSampler(20.0).draw(FixedUniform([0.25]))
         assert b == 2.0 * a
 
     def test_matches_formula(self):
         source = FixedUniform([0.25])
-        assert sample_exponential(source, 10.0) == -10.0 * math.log(0.75)
+        assert ExponentialSampler(10.0).draw(source) == -10.0 * math.log(0.75)
 
     def test_sample_mean_within_lln_bound(self):
-        source = np.random.default_rng(99)
+        source, sampler = np.random.default_rng(99), ExponentialSampler(10.0)
         n = 100_000
-        total = sum(sample_exponential(source, 10.0) for _ in range(n))
+        total = sum(sampler.draw(source) for _ in range(n))
         assert abs(total / n - 10.0) < 0.3
 
     def test_positivity_fuzz(self):
-        source = np.random.default_rng(5)
-        assert all(sample_exponential(source, 0.001) > 0 for _ in range(10_000))
+        source, sampler = np.random.default_rng(5), ExponentialSampler(0.001)
+        assert all(sampler.draw(source) > 0 for _ in range(10_000))
 
 
 class TestSampleExponentials:
     def test_batch_equals_single_draws_and_stream(self):
         batch, single = np.random.default_rng(31), np.random.default_rng(31)
-        values = sample_exponentials(batch, 2.5, 1_000)
-        assert values == [sample_exponential(single, 2.5) for _ in range(1_000)]
+        sampler = ExponentialSampler(2.5)
+        values = sampler.draws(batch, 1_000)
+        assert values == [sampler.draw(single) for _ in range(1_000)]
         assert batch.random() == single.random()
 
     def test_rejected_uniform_is_replaced_in_order(self):
@@ -129,43 +123,92 @@ class TestSampleExponentials:
         # the next uniform takes its place, as with single draws.
         script = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125]
         batch, single = FixedUniform(script), FixedUniform(script)
-        values = sample_exponentials(batch, 10.0, 4)
-        assert values == [sample_exponential(single, 10.0) for _ in range(4)]
+        sampler = ExponentialSampler(10.0)
+        values = sampler.draws(batch, 4)
+        assert values == [sampler.draw(single) for _ in range(4)]
         assert values == [-10.0 * math.log(1.0 - u) for u in (0.25, 0.5, 0.75, 0.125)]
         assert batch.calls == single.calls == len(script)
 
     def test_zero_count_draws_nothing(self):
         source = FixedUniform([0.5])
-        assert sample_exponentials(source, 1.0, 0) == []
+        assert ExponentialSampler(1.0).draws(source, 0) == []
         assert source.calls == 0
 
     def test_rejects_nonpositive_mean(self):
+        # The mean is checked once, when the sampler is made.
         with pytest.raises(ValueError):
-            sample_exponentials(np.random.default_rng(1), 0.0, 3)
+            ExponentialSampler(0.0).draws(np.random.default_rng(1), 3)
 
 
 class TestSkipExponentials:
-    def test_leaves_the_state_sample_exponentials_leaves(self):
+    def test_leaves_the_state_draws_leaves(self):
         skipped, drawn = np.random.default_rng(8), np.random.default_rng(8)
-        skip_exponentials(skipped, 2.3, 10_000)
-        sample_exponentials(drawn, 2.3, 10_000)
+        sampler = ExponentialSampler(2.3)
+        sampler.skip(skipped, 10_000)
+        sampler.draws(drawn, 10_000)
         assert_same_generator_state(skipped, drawn)
 
     def test_zero_word_takes_one_more(self):
         skipped, drawn = np.random.default_rng(9), np.random.default_rng(9)
         for rng in (skipped, drawn):
             zero_word_in(rng, 3)
-        skip_exponentials(skipped, 1.0, 5)
-        assert len(sample_exponentials(drawn, 1.0, 5)) == 5
+        sampler = ExponentialSampler(1.0)
+        sampler.skip(skipped, 5)
+        assert len(sampler.draws(drawn, 5)) == 5
         assert_same_generator_state(skipped, drawn)
         assert skipped.bit_generator.state != zero_word_in(np.random.default_rng(9), 3)
 
     def test_tiny_mean_draws_the_values(self):
         # At this mean a nonzero uniform can give 0 too, so raw words cannot tell.
-        assert rejects_only_zero(1e-300) and not rejects_only_zero(1e-310)
-        with mock.patch("chainsim.engine.sample_exponentials") as exact:
-            skip_exponentials(np.random.default_rng(1), 1e-310, 4)
+        assert ExponentialSampler(1e-300).rejects_only_zero
+        assert not ExponentialSampler(1e-310).rejects_only_zero
+        with mock.patch.object(ExponentialSampler, "draws") as exact:
+            ExponentialSampler(1e-310).skip(np.random.default_rng(1), 4)
         exact.assert_called_once()
+
+    def test_zero_word_at_a_chunk_edge_takes_one_more(self):
+        # The last word of the first chunk is rejected, so the second chunk
+        # reads one word more than its share.
+        skipped, drawn = np.random.default_rng(10), np.random.default_rng(10)
+        for rng in (skipped, drawn):
+            zero_word_in(rng, SKIP_CHUNK)
+        sampler = ExponentialSampler(1.0)
+        sampler.skip(skipped, 2 * SKIP_CHUNK + 3)
+        sampler.draws(drawn, 2 * SKIP_CHUNK + 3)
+        assert_same_generator_state(skipped, drawn)
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # Read as one array, 5 x 10**7 raw words take 400 MB.
+        rng, sampler = np.random.default_rng(12), ExponentialSampler(0.42)
+        tracemalloc.start()
+        try:
+            sampler.skip(rng, 50_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mean=st.sampled_from([1e-310, 1e-300, 0.001, 2.5, 600.0]),
+        splits=st.lists(st.integers(0, 40), max_size=6),
+        seed=st.integers(0, 2**63 - 1),
+        zero_at=st.none() | st.integers(1, 80),
+    )
+    def test_batches_and_skips_read_the_stream_of_single_draws(self, mean, splits, seed, zero_at):
+        # However the draws are split into batches, they give the values and
+        # leave the generator as that many single draws do, and so do skips.
+        sampler = ExponentialSampler(mean)
+        single, batched, skipped = (np.random.default_rng(seed) for _ in range(3))
+        if zero_at is not None:  # a rejected uniform somewhere in the stream
+            for rng in (single, batched, skipped):
+                zero_word_in(rng, zero_at)
+        expected = [sampler.draw(single) for _ in range(sum(splits))]
+        assert [x for k in splits for x in sampler.draws(batched, k)] == expected
+        for k in splits:
+            sampler.skip(skipped, k)
+        assert_same_generator_state(batched, single)
+        assert_same_generator_state(skipped, single)
 
 
 MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -177,9 +220,9 @@ def zero_word_in(rng, j):
     which PCG64's XSL-RR output maps to 0.  Returns the state set."""
     state = rng.bit_generator.state
     inc, word = state["state"]["inc"], 0x0123456789ABCDEF
-    value = (word << 64) | word
+    value, inverse = (word << 64) | word, pow(MULTIPLIER, -1, 2**128)
     for _ in range(j):
-        value = (value - inc) * pow(MULTIPLIER, -1, 2**128) % 2**128
+        value = (value - inc) * inverse % 2**128
     state["state"]["state"] = value
     rng.bit_generator.state = state
     return state
@@ -258,7 +301,7 @@ class OneAtATime:
     def draw(self, now):
         rng, config = self.rng, self.config
         size, price = config.samplers
-        at = now + sample_exponential(rng, 1.0 / config.t_n)
+        at = now + ExponentialSampler(1.0 / config.t_n).draw(rng)
         submitter = int(rng.integers(config.n_n))
         rng.integers(config.n_n)
         weight = size.draw(rng)
@@ -268,7 +311,7 @@ class OneAtATime:
     def arrivals(self, submitter, at):
         config = self.config
         if config.delay_mode == "exponential" and config.t_delay > 0:
-            delays = sample_exponentials(self.rng, config.t_delay, config.n_n - 1)
+            delays = ExponentialSampler(config.t_delay).draws(self.rng, config.n_n - 1)
             late = {m: at + delays[m - (m > submitter)] for m in self.miner_ids if m != submitter}
         else:
             late = {m: at + config.t_delay for m in self.miner_ids}

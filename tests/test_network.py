@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chainsim import cli
-from chainsim.config import ConfigError, parse_config_text
-from chainsim.engine import EventKind, EventQueue, SchedulingError, sample_exponential
+from chainsim.config import ConfigError, ExponentialSampler, parse_config_text
+from chainsim.engine import EventKind, EventQueue, SchedulingError
 from chainsim.network import Network
 from chainsim.runner import Simulation
 from chainsim.workload import TxWorkload
@@ -157,15 +157,15 @@ seed = 21
         # Node 3 never mines and gets no event, but still takes its draw.
         config = make_config(n_n=4, miners=(0.5, 0.0, 0.5), b_delay=2.0, delay_mode="exponential")
         sim = Simulation(config, 0)
-        replay = np.random.default_rng(0)
+        replay, delay = np.random.default_rng(0), ExponentialSampler(2.0)
         replay.bit_generator.state = sim.rng.bit_generator.state
         sim.network.broadcast_block(0, genesis(), at=1.0)
         entries = sorted(drain(sim.queue), key=lambda e: e[3])
         assert [(e[3], e[0]) for e in entries] == [
-            ((1,), 1.0 + sample_exponential(replay, 2.0)),
-            ((2,), 1.0 + sample_exponential(replay, 2.0)),
+            ((1,), 1.0 + delay.draw(replay)),
+            ((2,), 1.0 + delay.draw(replay)),
         ]
-        sample_exponential(replay, 2.0)
+        delay.draw(replay)
         assert sim.rng.random() == replay.random()
 
 
@@ -219,7 +219,8 @@ class TestBroadcastTx:
         (at, _), (submitter, tx) = sim.workload._due, sim.workload._held
         advance(at, math.inf)  # files the first transaction, drawing its delays
         others = [n for n in range(6) if n != submitter]
-        expected = {n: at + sample_exponential(replay, 3.0) for n in others}
+        delay = ExponentialSampler(3.0)
+        expected = {n: at + delay.draw(replay) for n in others}
         expected[submitter] = at
         arrivals = dict(zip(sim.world.miner_ids, pending_arrivals(sim.workload)[tx[0]]))
         assert arrivals == {0: expected[0], 2: expected[2]}
