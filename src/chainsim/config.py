@@ -48,6 +48,15 @@ MAX_BLOCKS_PER_RUN = 1_000_000
 # 87 MB, or 0.19 s and 112 MB with B_size = 0.6, which the pool overflows.
 # Far above it, a run would take gigabytes and hours.
 MAX_LIGHT_POOL = 1_000_000
+# Most random words a run may expect to read for exponential delays, N_n - 1
+# per expected block under exponential B_delay and per expected full-mode
+# transaction under exponential T_delay, nearly all for nodes that are not
+# built; and most T_delay words, N_n - 1, one transaction may read as a row.
+# On a 2-vCPU host a word took 3-7 ns, so a run at the first cap spends some
+# 3-7 s on them, and a run of rows at the second peaked at 44 MB; far above
+# either, a run would not end.
+MAX_DELAY_WORDS = 1_000_000_000
+MAX_DELAY_ROW = 1_000_000
 # Most raw words ``ExponentialSampler.skip`` reads at once, 512 KB: skipping
 # the draws of ``N_n`` nodes then takes bounded memory however large ``N_n`` is.
 SKIP_CHUNK = 1 << 16
@@ -478,19 +487,34 @@ def validate(config: SimConfig) -> SimConfig:
         fail(f"seed must be non-negative, got {config.seed}")
     by_time = config.sim_time is not None
     blocks = config.sim_time / config.b_interval if by_time else config.block_target
+    horizon = config.sim_time if by_time else config.block_target * config.b_interval
     if blocks > MAX_BLOCKS_PER_RUN:
         fail(
             f"a run expects about {blocks:.3g} blocks, more than the cap of "
             f"{MAX_BLOCKS_PER_RUN:,}; "
             + ("lower Sim_time or raise B_interval" if by_time else "lower block_target")
         )
-    if config.has_trans and config.t_technique == "full":
-        horizon = config.sim_time if by_time else config.block_target * config.b_interval
-        if config.t_n * horizon > MAX_FULL_MODE_TRANSACTIONS:
+    full = config.has_trans and config.t_technique == "full"
+    if full and config.t_n * horizon > MAX_FULL_MODE_TRANSACTIONS:
+        fail(
+            f"full mode expects about {config.t_n * horizon:.3g} transactions per run "
+            f"(T_n = {config.t_n:g}/s over a {horizon:g} s horizon), more than the cap "
+            f"of {MAX_FULL_MODE_TRANSACTIONS:,}; lower T_n or "
+            + ("Sim_time" if by_time else "block_target")
+        )
+    if config.delay_mode == "exponential":
+        full_delays = full and config.t_delay * config.t_n > 0
+        if full_delays and config.n_n - 1 > MAX_DELAY_ROW:
             fail(
-                f"full mode expects about {config.t_n * horizon:.3g} transactions per run "
-                f"(T_n = {config.t_n:g}/s over a {horizon:g} s horizon), more than the cap "
-                f"of {MAX_FULL_MODE_TRANSACTIONS:,}; lower T_n or "
+                f"full mode with exponential T_delay draws N_n - 1 = {config.n_n - 1:,} delays "
+                f"per transaction, more than the cap of {MAX_DELAY_ROW:,}; lower N_n"
+            )
+        draws = (blocks if config.b_delay > 0 else 0) + (config.t_n * horizon if full_delays else 0)
+        if draws * (config.n_n - 1) > MAX_DELAY_WORDS:
+            fail(
+                f"exponential delays read about {draws * (config.n_n - 1):.3g} random words per run, "
+                f"N_n - 1 = {config.n_n - 1:,} for each of about {draws:.3g} expected blocks and "
+                f"transactions, more than the cap of {MAX_DELAY_WORDS:,}; lower N_n or "
                 + ("Sim_time" if by_time else "block_target")
             )
     # Samplers must parse now, not at run time.

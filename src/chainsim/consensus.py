@@ -12,6 +12,11 @@ propagation delay.  Re-drawing only when an armed creation fires, on a tip
 that has moved, would instead hand the previous winner a head start and
 demonstrably skews block shares away from hash shares.
 
+A broadcast is received in one pass: ``deliver_block`` applies the
+first-seen longest-chain rule at each recipient in node order, and re-arms
+a miner whose tip moved before it turns to the next recipient, so the
+draws and the queue's sequence numbers follow node order.
+
 Round robin arms one miner at a time, ``B_interval`` after the last slot,
 on that miner's tip as it stands then.  If the tip has moved by the time
 the slot fires, the slot is skipped and the next miner is armed.
@@ -25,7 +30,6 @@ nodes up to the highest-id miner and no more, so blocks reach those alone
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
 import numpy as np
 
@@ -34,13 +38,6 @@ from .engine import EventQueue
 from .model import Block, NodeState, World
 from .network import Network
 from .workload import TxWorkload
-
-
-class ChainAction(Enum):
-    APPENDED = "appended"
-    REPLACED = "replaced"
-    DISCARDED_SHORTER = "discarded_shorter"
-    STORED_AS_UNCLE = "stored_as_uncle"
 
 
 class ConsensusEngine:
@@ -63,9 +60,8 @@ class ConsensusEngine:
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
-        self.weights = world.weights
         # Each miner's race: the seconds to its next block; None for a node that never mines.
-        self.races = [ExponentialSampler(self.block_interval / w) if w > 0 else None for w in self.weights]
+        self.races = [ExponentialSampler(self.block_interval / w) if w > 0 else None for w in world.weights]
         self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
 
     # -- scheduling -----------------------------------------------------
@@ -96,7 +92,8 @@ class ConsensusEngine:
 
     def on_block_create(self, miner_id: int, now: float, intended_parent: Block) -> Block | None:
         miner = self.world.nodes[miner_id]
-        if intended_parent.id != miner.tip.id:
+        parent = miner.tip
+        if intended_parent.id != parent.id:
             # Armed on a tip the miner has since left: a round-robin slot is
             # skipped.  A proof-of-work miner re-arms on every tip change, so
             # its slot never holds such a creation.
@@ -104,23 +101,24 @@ class ConsensusEngine:
                 self._schedule_round_robin(now)
             return None
 
-        parent = miner.tip
         registry = self.world.registry
         block = Block(
             id=len(registry),
             depth=parent.depth + 1,
             previous_id=parent.id,
             timestamp=now,
-            miner_id=miner.id,
-            uncles=self._reference_uncles(miner, parent.depth + 1),
+            miner_id=miner_id,
+            uncles=self._reference_uncles(miner, parent.depth + 1) if self.uncles_enabled else (),
         )
         self.workload.take_block(miner, now, block)
         registry.append(block)
         miner.chain.append(block.id)
         miner.tip = block
-        self._absorb(miner, block)
+        # The miner's own block: its uncles left the candidates as they were chosen.
+        if len(block.transactions):
+            self.workload.adopt(miner_id, block)
 
-        self.network.broadcast_block(miner.id, block, now)
+        self.network.broadcast_block(miner_id, block, now)
         if self.round_robin:
             self._schedule_round_robin(now)
         else:
@@ -151,8 +149,6 @@ class ConsensusEngine:
         return [uncle_id for _, uncle_id in found[: self.max_uncles]]
 
     def _reference_uncles(self, miner: NodeState, next_depth: int) -> tuple[int, ...]:
-        if not self.uncles_enabled:
-            return ()
         chosen = self.eligible_uncles(miner, next_depth)
         for uncle_id in chosen:
             del miner.uncle_chain[uncle_id]
@@ -162,44 +158,36 @@ class ConsensusEngine:
     # -- block reception ------------------------------------------------
 
     def deliver_block(self, node_ids: tuple[int, ...], now: float, block: Block) -> None:
-        """Hand ``block`` to each of ``node_ids`` in turn."""
-        receive = self.on_block_receive
+        """Hand ``block`` to each of ``node_ids`` in turn.  A node appends it to
+        its tip or adopts its deeper branch, and a miner then re-arms on it;
+        else a miner may keep it as an uncle candidate, and others drop it."""
+        nodes, races, queue, rng = self.world.nodes, self.races, self.queue, self.rng
+        depth, parent_id, block_id = block.depth, block.previous_id, block.id
+        absorb = self.uncles_enabled or len(block.transactions) > 0
+        rearm = not self.round_robin
         for node_id in node_ids:
-            receive(node_id, now, block)
+            node = nodes[node_id]
+            tip = node.tip
+            race = races[node_id]  # None for a node that never mines
+            if parent_id == tip.id:
+                node.chain.append(block_id)
+                node.tip = block
+                if absorb and race is not None:
+                    self._absorb(node, block)
+            elif depth > tip.depth:
+                self._replace_chain(node, block, race is not None)
+            else:
+                # Not kept if adopted already, via a descendant, or referenced by some block.
+                if self.uncles_enabled and race is not None and node.chain[depth] != block_id:
+                    if block_id not in self.world.included_uncles:
+                        node.uncle_chain[block_id] = None
+                continue
+            if rearm and race is not None:
+                queue.arm(now + race.draw(rng), node_id, block)
 
-    def on_block_receive(self, node_id: int, now: float, block: Block) -> ChainAction:
-        node = self.world.nodes[node_id]
-        tip = node.tip
-        if block.depth <= tip.depth and node.chain[block.depth] == block.id:
-            # Already adopted earlier via a deeper descendant.
-            return ChainAction.DISCARDED_SHORTER
-
-        if block.previous_id == tip.id:
-            node.chain.append(block.id)
-            node.tip = block
-            self._absorb(node, block)
-            action = ChainAction.APPENDED
-        elif block.depth > tip.depth:
-            self._replace_chain(node, block)
-            action = ChainAction.REPLACED
-        else:
-            # Not deeper than the local tip: rejected outright, but with
-            # uncles enabled it is remembered as a referenceable uncle.
-            if (
-                self.uncles_enabled
-                and self.weights[node.id] > 0
-                and block.id not in self.world.included_uncles
-            ):
-                node.uncle_chain[block.id] = None
-                return ChainAction.STORED_AS_UNCLE
-            return ChainAction.DISCARDED_SHORTER
-
-        if self.weights[node_id] > 0 and not self.round_robin:
-            self.schedule_next_creation(node, now)
-        return action
-
-    def _replace_chain(self, node: NodeState, block: Block) -> None:
-        """Adopt the deeper branch ending at ``block``.
+    def _replace_chain(self, node: NodeState, block: Block, mines: bool) -> None:
+        """Adopt the deeper branch ending at ``block``; a node that ``mines``
+        absorbs each block it adopts.
 
         Walk back from the new head until a block already on the local
         chain is hit (the registry supplies any blocks never delivered to
@@ -215,14 +203,13 @@ class ConsensusEngine:
         del chain[parent.depth + 1 :]
         for adopted in reversed(suffix):
             chain.append(adopted.id)
-            self._absorb(node, adopted)
+            if mines:
+                self._absorb(node, adopted)
         node.tip = block
 
     def _absorb(self, node: NodeState, block: Block) -> None:
-        """Transaction and uncle bookkeeping for a block newly on the node's
-        chain; only nodes that create blocks read it, so only they keep it."""
-        if self.weights[node.id] <= 0:
-            return
+        """Transaction and uncle bookkeeping for a block newly on the chain
+        of ``node``, a miner; only nodes that create blocks read it."""
         if len(block.transactions):
             self.workload.adopt(node.id, block)
         if self.uncles_enabled:

@@ -42,6 +42,9 @@ class EventKind(IntEnum):
     BLOCK_RECEIVE = 1
 
 
+_CREATE = EventKind.BLOCK_CREATE
+
+
 class SchedulingError(RuntimeError):
     """An event was scheduled in the past; that is a scheduler logic bug."""
 
@@ -85,11 +88,11 @@ class EventQueue:
             raise SchedulingError(f"event at t={time!r} is before the clock t={self.clock!r}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = (time, seq, EventKind.BLOCK_CREATE, miner_id, tip)
+        entry = (time, seq, _CREATE, miner_id, tip)
         armed, first = self._armed, self._first
         replaced = armed.get(miner_id)
         armed[miner_id] = entry
-        if first is None or entry < first:
+        if first is None or time < first[0]:  # at equal times the earlier seq stays first
             self._first = entry
         elif replaced is first:
             self._first = min(armed.values())

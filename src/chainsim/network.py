@@ -44,10 +44,9 @@ class Network:
         others = self._others.get(sender_id)
         if others is None:  # built on the sender's first block, so only senders keep one
             others = self._others[sender_id] = tuple(filter(sender_id.__ne__, range(self.recipients)))
-        if self._delays is None:
-            due = [(at + self.block_delay, others)] if others else []
-        else:
-            delays = self._delays.draws(self.rng, len(others))
-            self._delays.skip(self.rng, self.n_nodes - 1 - len(others))
-            due = [(at + delay, (node_id,)) for node_id, delay in zip(others, delays)]
-        return [self.queue.schedule(time, EventKind.BLOCK_RECEIVE, to, block) for time, to in due]
+        schedule, receive = self.queue.schedule, EventKind.BLOCK_RECEIVE
+        if self._delays is None:  # one entry for every recipient
+            return [schedule(at + self.block_delay, receive, others, block)] if others else []
+        delays = self._delays.draws(self.rng, len(others))
+        self._delays.skip(self.rng, self.n_nodes - 1 - len(others))
+        return [schedule(at + delay, receive, (node_id,), block) for node_id, delay in zip(others, delays)]

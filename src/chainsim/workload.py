@@ -89,6 +89,10 @@ class SharedPool:
         self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
             price_sampler, ConstantSampler
         )
+        if self._uniform:  # every block gets the same (tx_count, weight, tx_fee_total)
+            size = size_sampler.value
+            k = min(self.block_budget, int(self.capacity / size), self.refill_size)
+            self._filled = (k, k * size, k * (size * price_sampler.value))
         self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
         self.blocks: list[Block] = []  # waiting for ``pack``
         if self.refill_size and not self._uniform:
@@ -116,10 +120,7 @@ class SharedPool:
         if self.refill_size == 0:
             return
         if self._uniform:
-            size = self.size_sampler.value
-            k = min(self.block_budget, int(self.capacity / size), self.refill_size)
-            block.tx_count, block.weight = k, k * size
-            block.tx_fee_total = k * (size * self.price_sampler.value)
+            block.tx_count, block.weight, block.tx_fee_total = self._filled
             return
         self.blocks.append(block)
         if len(self.blocks) == self.width:

@@ -9,6 +9,8 @@ from chainsim.config import (
     _KEY_TABLE,
     CHOICES,
     MAX_BLOCKS_PER_RUN,
+    MAX_DELAY_ROW,
+    MAX_DELAY_WORDS,
     MAX_FULL_MODE_TRANSACTIONS,
     ConfigError,
     ConstantSampler,
@@ -221,6 +223,43 @@ class TestParseConfig:
                 with pytest.raises(ConfigError, match="cap"):
                     parse_config_text(text)
 
+    @pytest.mark.parametrize("fraction, ok", [(0.99, True), (1.01, False)])
+    def test_exponential_delay_words_cap_boundary(self, fraction, ok):
+        # N_n - 1 words per expected block, and per expected full-mode transaction.
+        n_n = round(fraction * MAX_DELAY_WORDS / 1000) + 1
+        for horizon, key in (("block_target = 1000", "block_target"), ("Sim_time = 600000", "Sim_time")):
+            text = f"delay_mode = exponential\nN_n = {n_n}\n{horizon}\n"
+            if ok:
+                parse_config_text(text)
+            else:
+                with pytest.raises(ConfigError, match=rf"N_n - 1 = .*lower N_n or {key}$"):
+                    parse_config_text(text)
+        n_n = round(fraction * MAX_DELAY_WORDS / 2000) + 1  # 2,000 transactions, no block delays
+        full = f"T_technique = full\nT_n = 2\nB_interval = 1000\nB_delay = 0\nblock_target = 1\nN_n = {n_n}\n"
+        if ok:
+            parse_config_text(f"delay_mode = exponential\n{full}")
+        else:
+            with pytest.raises(ConfigError, match="cap of 1,000,000,000"):
+                parse_config_text(f"delay_mode = exponential\n{full}")
+        # Constant and zero-mean delays draw nothing.
+        parse_config_text(f"N_n = {10 * n_n}\nblock_target = 1000\n")
+        parse_config_text(f"delay_mode = exponential\nB_delay = 0\nN_n = {10 * n_n}\nblock_target = 1000\n")
+
+    @pytest.mark.parametrize("extra, ok", [(1, True), (2, False)])
+    def test_full_mode_delay_row_cap_boundary(self, extra, ok):
+        # One full-mode transaction reads N_n - 1 exponential T_delay words as one row.
+        def text(t_n=0.001, t_delay=1.0, mode="exponential"):
+            return (f"T_technique = full\nT_n = {t_n}\nT_delay = {t_delay}\ndelay_mode = {mode}\n"
+                    f"N_n = {MAX_DELAY_ROW + extra}\nblock_target = 1\n")
+        if ok:
+            parse_config_text(text())
+        else:
+            with pytest.raises(ConfigError, match="per transaction.*lower N_n$"):
+                parse_config_text(text())
+        # Constant delays, zero-mean ones and a run without transactions read no row.
+        for quiet in (text(mode="constant"), text(t_delay=0), text(t_n=0)):
+            parse_config_text(quiet)
+
     def test_nonpositive_histogram_size_rejected(self, tmp_path):
         # The mean, 0.001, is positive, but half the draws would be negative.
         (tmp_path / "sizes.txt").write_text("-0.001 0.5\n0.003 0.5\n")
@@ -356,7 +395,7 @@ ERROR_MESSAGES = [
     ("block_target = 0", "block_target must be at least 1"),
     ("Runs = 0\nblock_target = 10", "Runs must be at least 1"),
     ("seed = -1\nblock_target = 10", "seed must be non-negative, got -1"),
-    # the three caps
+    # the caps
     (
         "block_target = 1000000000",
         "a run expects about 1e+09 blocks, more than the cap of 1,000,000; lower block_target",
@@ -368,6 +407,14 @@ ERROR_MESSAGES = [
     (
         "T_n = 100000\nB_interval = 600\nT_size = exp:1e-7\nblock_target = 3",
         "light mode draws a pool of 20,000,000 transactions per block, the lesser of 2 x T_n x B_interval = 2 x 100000/s x 600 s and 2 x B_size / T_size = 2 x 1 / 1e-07 (the mean size), more than the cap of 1,000,000; lower T_n, B_interval or B_size, or raise T_size",
+    ),
+    (
+        "preset = bitcoin\ndelay_mode = exponential\nN_n = 100000000000\nblock_target = 5",
+        "exponential delays read about 5e+11 random words per run, N_n - 1 = 99,999,999,999 for each of about 5 expected blocks and transactions, more than the cap of 1,000,000,000; lower N_n or block_target",
+    ),
+    (
+        "T_technique = full\ndelay_mode = exponential\nN_n = 2000000\nSim_time = 10",
+        "full mode with exponential T_delay draws N_n - 1 = 1,999,999 delays per transaction, more than the cap of 1,000,000; lower N_n",
     ),
     # both sampler-sign rules
     ("T_size = const:0\nblock_target = 10", "T_size must yield positive sizes"),

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim import model
-from chainsim.consensus import ChainAction, ConsensusEngine, main_chain
+from chainsim.consensus import ConsensusEngine, main_chain
 from chainsim.engine import EventKind, EventQueue, run_loop
 from chainsim.model import Block, World, creation_weights
 from chainsim.network import Network
@@ -123,8 +125,8 @@ class TestScheduleNextCreation:
         powers = (0.7, 0.2, 0.1)
         assert (0.7 + 0.2) + 0.1 != math.fsum(powers)
         monkeypatch.setattr(model, "sum", math.fsum, raising=False)
-        engine, _, _ = make_engine(n_nodes=3, hash_powers=powers)
-        assert engine.weights == [w / ((0.7 + 0.2) + 0.1) for w in powers]
+        _, world, _ = make_engine(n_nodes=3, hash_powers=powers)
+        assert world.weights == [w / ((0.7 + 0.2) + 0.1) for w in powers]
 
     def test_zero_weight_miner_rejected(self):
         engine, world, _ = make_engine(2, (0.0, 1.0))
@@ -226,13 +228,26 @@ class TestOnBlockCreate:
         assert block.timestamp == time
 
 
+def armed(queue, node_id):
+    """``node_id``'s armed creation as ``(time, seq, tip)``, or None."""
+    entry = queue._armed.get(node_id)
+    return None if entry is None else (entry[0], entry[1], entry[4])
+
+
+def receive(engine, node_id, now, block):
+    """Deliver ``block`` to ``node_id`` alone."""
+    engine.deliver_block((node_id,), now, block)
+
+
 class TestOnBlockReceive:
     def test_appended(self):
         engine, world, queue = make_engine(2, (0.5, 0.5))
         block = append_block(engine, world, 0)
-        action = engine.on_block_receive(1, 2.0, block)
-        assert action is ChainAction.APPENDED
+        receive(engine, 1, 2.0, block)
         assert world.nodes[1].tip is block
+        assert world.nodes[1].chain == [0, block.id]
+        time, _, tip = armed(queue, 1)
+        assert tip is block and time > 2.0  # the miner re-armed on the block it appended
 
     def test_replace_adopts_deeper_branch_exactly(self):
         engine, world, queue = make_engine(3, (0.4, 0.4, 0.2))
@@ -242,85 +257,98 @@ class TestOnBlockReceive:
         a2 = append_block(engine, world, 0)
         a3 = append_block(engine, world, 0)
         for b in (a1, a2, a3):
-            engine.on_block_receive(2, b.timestamp + 0.1, b)
+            receive(engine, 2, b.timestamp + 0.1, b)
         assert node2.tip is a3
         # Branch B (miner 1): depths 1..5, never delivered to node2 until the head.
         b_head = None
         for _ in range(5):
             b_head = append_block(engine, world, 1, ts=(b_head.timestamp + 1 if b_head else 10.0))
-        action = engine.on_block_receive(2, 20.0, b_head)
-        assert action is ChainAction.REPLACED
+        before = armed(queue, 2)
+        receive(engine, 2, 20.0, b_head)
+        assert node2.tip is b_head
+        time, seq, tip = armed(queue, 2)
+        assert tip is b_head and time > 20.0 and seq > before[1]  # re-armed on the new head
         # Oracle: the full walk back through the registry.
         assert node2.chain == ancestry(world.registry, b_head)
         assert not (set(node2.chain) & {a1.id, a2.id, a3.id})
         assert [world.registry[bid].depth for bid in node2.chain] == list(range(6))
 
     def test_shorter_discarded_bitcoin(self):
-        engine, world, _ = make_engine(2, (0.5, 0.5))
+        engine, world, queue = make_engine(2, (0.5, 0.5))
         fork_parent = world.registry[0]
         deep = None
         for _ in range(5):
             deep = append_block(engine, world, 0)
         node1 = world.nodes[1]
-        engine.on_block_receive(1, 50.0, deep)
+        receive(engine, 1, 50.0, deep)
+        chain, slot = list(node1.chain), armed(queue, 1)
         shorter = register(world, depth=1, previous_id=fork_parent.id, timestamp=1.0, miner_id=0)
-        action = engine.on_block_receive(1, 51.0, shorter)
-        assert action is ChainAction.DISCARDED_SHORTER
+        receive(engine, 1, 51.0, shorter)
         assert node1.tip is deep
+        assert node1.chain == chain
+        assert armed(queue, 1) == slot  # no re-arm
         assert not node1.uncle_chain
 
     def test_shorter_stored_as_uncle_when_enabled(self):
-        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
+        engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         deep = None
         for _ in range(3):
             deep = append_block(engine, world, 0)
-        engine.on_block_receive(1, 30.0, deep)
+        receive(engine, 1, 30.0, deep)
+        chain, slot = list(world.nodes[1].chain), armed(queue, 1)
         sibling = register(
             world, depth=3, previous_id=deep.previous_id, timestamp=3.5, miner_id=0
         )
-        action = engine.on_block_receive(1, 31.0, sibling)
-        assert action is ChainAction.STORED_AS_UNCLE
-        assert sibling.id in world.nodes[1].uncle_chain
+        receive(engine, 1, 31.0, sibling)
+        assert list(world.nodes[1].uncle_chain) == [sibling.id]
+        assert world.nodes[1].tip is deep and world.nodes[1].chain == chain
+        assert armed(queue, 1) == slot  # no re-arm
 
     def test_non_miner_keeps_no_uncle_candidates(self):
         # Only block creation reads or prunes candidates, so a node that
         # never creates a block stores none.
-        engine, world, _ = make_engine(3, (0.0, 0.5, 0.5), uncles=True)
+        engine, world, queue = make_engine(3, (0.0, 0.5, 0.5), uncles=True)
         deep = None
         for _ in range(3):
             deep = append_block(engine, world, 1)
         node0 = world.nodes[0]
-        engine.on_block_receive(0, 30.0, deep)
+        receive(engine, 0, 30.0, deep)
+        chain = list(node0.chain)
         sibling = register(
             world, depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=2, uncles=(deep.previous_id,),
         )
-        action = engine.on_block_receive(0, 31.0, sibling)
-        assert action is ChainAction.DISCARDED_SHORTER
+        receive(engine, 0, 31.0, sibling)
+        assert node0.tip is deep and node0.chain == chain
         assert not node0.uncle_chain
+        assert armed(queue, 0) is None  # a node that never mines is never armed
 
     def test_ancestor_redelivery_not_stored_as_uncle(self):
-        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
+        engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         first = append_block(engine, world, 0)
         second = append_block(engine, world, 0)
         node1 = world.nodes[1]
         # Deep head arrives first; the registry supplies the ancestor.
-        engine.on_block_receive(1, 5.0, second)
+        receive(engine, 1, 5.0, second)
         assert node1.tip is second
-        action = engine.on_block_receive(1, 6.0, first)
-        assert action is ChainAction.DISCARDED_SHORTER
+        slot = armed(queue, 1)
+        receive(engine, 1, 6.0, first)
+        assert node1.tip is second and node1.chain == [0, first.id, second.id]
+        assert armed(queue, 1) == slot  # no re-arm
         assert first.id not in node1.uncle_chain
 
     def test_equal_depth_first_seen_wins(self):
-        engine, world, _ = make_engine(3, (0.5, 0.25, 0.25))
+        engine, world, queue = make_engine(3, (0.5, 0.25, 0.25))
         left = append_block(engine, world, 0)
         right = append_block(engine, world, 1, ts=1.5)
         node2 = world.nodes[2]
         assert left.depth == right.depth == 1
-        engine.on_block_receive(2, 2.0, left)
-        action = engine.on_block_receive(2, 2.1, right)
-        assert node2.tip is left
-        assert action is ChainAction.DISCARDED_SHORTER
+        receive(engine, 2, 2.0, left)
+        slot = armed(queue, 2)
+        receive(engine, 2, 2.1, right)
+        assert node2.tip is left and node2.chain == [0, left.id]
+        assert armed(queue, 2) == slot  # no re-arm
+        assert not node2.uncle_chain
 
     def test_batched_delivery_in_node_order(self):
         # One entry reaches nodes 1 and 2; each adopts the block and re-arms
@@ -341,7 +369,7 @@ class TestOnBlockReceive:
         engine, world, queue = make_engine(2, (0.5, 0.5))
         engine.start()
         block = append_block(engine, world, 0)
-        engine.on_block_receive(1, 2.0, block)
+        receive(engine, 1, 2.0, block)
         entries = [queue.next_event() for _ in range(len(queue))]
         assert queue.next_event() is None
         armed = {target: (time, seq, payload) for time, seq, _, target, payload in entries}
@@ -386,6 +414,98 @@ class TestOnBlockReceive:
         sim.handlers[EventKind.BLOCK_CREATE] = lambda *event: made.append(create(*event))
         sim.run()
         assert made[1::2] == [None] * 119 and None not in made[::2]
+
+
+def reference_receive(engine, node_id, now, block):
+    """The first-seen longest-chain rule at one node, kept apart from
+    ``deliver_block`` as the reference it is checked against: drop a block
+    already on the chain; append one that extends the tip, or adopt the
+    deeper branch it heads, walking back to the chain through the registry;
+    else keep it as an uncle candidate if the node mines, uncles are on and
+    no block has referenced it.  A miner flags the transactions of each block
+    it adopts, drops each as a candidate with the uncles it references, and
+    re-arms its race on the new tip."""
+    world = engine.world
+    node, mines = world.nodes[node_id], world.weights[node_id] > 0
+    tip = node.tip
+    if block.depth <= tip.depth and node.chain[block.depth] == block.id:
+        return
+    branch = [block]
+    if block.previous_id != tip.id:
+        if block.depth <= tip.depth:
+            if engine.uncles_enabled and mines and block.id not in world.included_uncles:
+                node.uncle_chain[block.id] = None
+            return
+        parent = world.registry[block.previous_id]
+        while parent.depth >= len(node.chain) or node.chain[parent.depth] != parent.id:
+            branch.append(parent)
+            parent = world.registry[parent.previous_id]
+    del node.chain[branch[-1].depth :]
+    for adopted in reversed(branch):
+        node.chain.append(adopted.id)
+        if mines:
+            if len(adopted.transactions):
+                engine.workload.adopt(node_id, adopted)
+            if engine.uncles_enabled:
+                for gone in (adopted.id, *adopted.uncles):
+                    node.uncle_chain.pop(gone, None)
+    node.tip = block
+    if mines and not engine.round_robin:
+        engine.schedule_next_creation(node, now)
+
+
+def run_traced(sim):
+    """Run ``sim`` and return a snapshot of its consensus state after each event:
+    each node's chain, tip and uncle candidates, the referenced uncles, the
+    adopted flags, each armed creation as ``(time, seq, tip id)``, and the generator's state."""
+    world, queue, workload = sim.world, sim.queue, sim.workload
+    snapshots = []
+
+    def snapshot():
+        snapshots.append((
+            [list(node.chain) for node in world.nodes],
+            [node.tip.id for node in world.nodes],
+            [list(node.uncle_chain) for node in world.nodes],
+            sorted(world.included_uncles),
+            workload._adopted.tolist(),
+            {m: (time, seq, tip.id) for m, (time, seq, _, _, tip) in queue._armed.items()},
+            sim.rng.bit_generator.state,
+        ))
+
+    for kind, handler in list(sim.handlers.items()):
+        sim.handlers[kind] = lambda *event, handler=handler: (handler(*event), snapshot())
+    sim.run()
+    return snapshots
+
+
+class TestDeliverBlockMatchesThePerNodeRule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2, max_size=5).filter(any),
+        extra_nodes=st.integers(0, 2),
+        uncles=st.booleans(),
+        full=st.booleans(),
+        exponential=st.booleans(),
+        b_delay=st.sampled_from([0.0, 3.0, 8.0, 20.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_state_after_every_event(self, weights, extra_nodes, uncles, full, exponential, b_delay, seed):
+        # Delays near the block interval fork the race often, so nodes reorganize, keep
+        # uncles and receive ancestors late; a zero weight below a miner is a built non-miner.
+        total = sum(weights)
+        config = make_config(
+            miners=tuple(w / total for w in weights), n_n=len(weights) + extra_nodes,
+            b_interval=10.0, b_delay=b_delay, delay_mode="exponential" if exponential else "constant",
+            uncles_enabled=uncles, has_trans=full, t_technique="full" if full else "light",
+            t_n=0.5, t_delay=2.0, b_size=0.002, t_size="exp:0.001", t_fee="exp:1.0",
+            block_target=40, seed=seed,
+        )
+        one_pass = Simulation(config, 0)
+        per_node = Simulation(config, 0)
+        per_node.handlers[EventKind.BLOCK_RECEIVE] = lambda node_ids, now, block: [
+            reference_receive(per_node.consensus, node_id, now, block) for node_id in node_ids
+        ]
+        assert run_traced(one_pass) == run_traced(per_node)
 
 
 class TestEligibleUncles:
@@ -439,16 +559,19 @@ class TestEligibleUncles:
         assert uncle.id not in miner.uncle_chain
 
     def test_receiving_block_removes_included_uncles(self):
-        engine, world, _ = make_engine(2, (0.5, 0.5), uncles=True)
+        engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
         uncle = register(world, depth=1, previous_id=0, timestamp=0.4, miner_id=0)
         node1.uncle_chain[uncle.id] = None
         block = append_block(engine, world, 0, uncles=(uncle.id,))
-        engine.on_block_receive(1, 3.0, block)
+        receive(engine, 1, 3.0, block)
         assert uncle.id not in node1.uncle_chain
         assert uncle.id in world.included_uncles
         # A referenced uncle delivered again is not a candidate any more.
-        assert engine.on_block_receive(1, 4.0, uncle) is ChainAction.DISCARDED_SHORTER
+        slot = armed(queue, 1)
+        receive(engine, 1, 4.0, uncle)
+        assert node1.tip is block and node1.chain == [0, block.id]
+        assert armed(queue, 1) == slot  # no re-arm
         assert uncle.id not in node1.uncle_chain
 
 

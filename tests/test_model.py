@@ -1,6 +1,5 @@
 import pytest
 
-from chainsim.consensus import ChainAction
 from chainsim.model import Block, World
 from chainsim.runner import Simulation
 
@@ -32,7 +31,7 @@ def adopt(blocks, head):
     for b in blocks:
         assert b.id == len(sim.world.registry)  # ids index the registry
         sim.world.registry.append(b)
-    sim.consensus.on_block_receive(0, 50.0, head)
+    sim.consensus.deliver_block((0,), 50.0, head)
     return observer.chain
 
 
@@ -49,7 +48,7 @@ class TestTip:
         for bid in (1, 2):
             head = blk(bid, bid, bid - 1)
             sim.world.registry.append(head)
-        sim.consensus.on_block_receive(0, 5.0, head)
+        sim.consensus.deliver_block((0,), 5.0, head)
         assert observer.tip.id == observer.chain[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
@@ -67,9 +66,10 @@ class TestTip:
 class TestRebuildChain:
     def test_head_genesis(self):
         sim, observer = observer_sim()
-        action = sim.consensus.on_block_receive(0, 1.0, sim.world.registry[0])
-        assert action is ChainAction.DISCARDED_SHORTER
+        sim.consensus.deliver_block((0,), 1.0, sim.world.registry[0])
         assert observer.chain == [sim.world.registry[0].id]
+        assert observer.tip is sim.world.registry[0] and not observer.uncle_chain
+        assert len(sim.queue) == 0  # no re-arm
 
     def test_linear_chain(self):
         blocks = [blk(i, i, i - 1) for i in range(1, 5)]

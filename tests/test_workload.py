@@ -772,8 +772,7 @@ class TestBatchFiling:
                 made = []
                 for sim in (batched, single):
                     block = sim.consensus.on_block_create(miner_id, now, sim.world.nodes[miner_id].tip)
-                    for node_id in receivers:
-                        sim.consensus.on_block_receive(node_id, now, block)
+                    sim.consensus.deliver_block(tuple(receivers), now, block)
                     made.append(
                         (block_txs(sim.workload, block), block.tx_count, block.weight, block.tx_fee_total)
                     )
