@@ -37,9 +37,9 @@ PROBABILITY_TOLERANCE = 1e-9
 # count, and a run that makes more than this many stops with ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
-# Every block is kept until the run ends, about 650 bytes each, and a bare
-# run makes some 45,000 a second on the same host, so a run at the cap takes
-# about 20 s and 700 MB; far above it, a run would not end.
+# Every block is kept until the run ends, about 280 bytes each, and a bare
+# run makes some 47,000 a second on the same host, so a run at the cap takes
+# about 21 s and 315 MB; far above it, a run would not end.
 MAX_BLOCKS_PER_RUN = 1_000_000
 # Most entries a light-mode pool may hold.  Each costs 16 bytes in a pool
 # (a size and a unit price) and some 80 more while it is packed, and every
@@ -294,16 +294,18 @@ class ExponentialSampler:
         return values
 
     def skip(self, rng: np.random.Generator, k: int) -> None:
-        """Advance ``rng`` as ``draws(rng, k)`` would, without computing the
-        values where ``rejects_only_zero`` allows: ``k`` raw words, then one
-        more for each word rejected, read in chunks of bounded size."""
-        if not self.rejects_only_zero:
-            self.draws(rng, k)
-            return
+        """Advance ``rng`` as ``draws(rng, k)`` would, in chunks of bounded
+        size, without computing the values where ``rejects_only_zero``
+        allows: ``k`` raw words, then one more for each word rejected.  Else
+        each chunk is drawn, and ends at its last accepted uniform."""
         raw = rng.bit_generator.random_raw
         while k > 0:
             chunk = min(k, SKIP_CHUNK)
-            k += int(np.count_nonzero(raw(chunk) < 2**11)) - chunk
+            if self.rejects_only_zero:
+                k += int(np.count_nonzero(raw(chunk) < 2**11)) - chunk
+            else:
+                self.draws(rng, chunk)
+                k -= chunk
 
     def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out`` with the values ``rng.exponential(mean, len(out))`` gives."""

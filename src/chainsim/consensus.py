@@ -17,6 +17,11 @@ first-seen longest-chain rule at each recipient in node order, and re-arms
 a miner whose tip moved before it turns to the next recipient, so the
 draws and the queue's sequence numbers follow node order.
 
+A node's chain is its tip and the tip's ancestors in the world's registry,
+read by walking back from the tip; no node keeps a list of its own.  A
+miner keeps an uncle candidate only while a block on its tip could still
+reference it, so checking that it is off the chain is a short walk.
+
 Round robin arms one miner at a time, ``B_interval`` after the last slot,
 on that miner's tip as it stands then.  If the tip has moved by the time
 the slot fires, the slot is skipped and the next miner is armed.
@@ -112,7 +117,6 @@ class ConsensusEngine:
         )
         self.workload.take_block(miner, now, block)
         registry.append(block)
-        miner.chain.append(block.id)
         miner.tip = block
         # The miner's own block: its uncles left the candidates as they were chosen.
         if len(block.transactions):
@@ -128,23 +132,20 @@ class ConsensusEngine:
     def eligible_uncles(self, node: NodeState, next_depth: int) -> list[int]:
         """Candidate uncles for a block at ``next_depth``, oldest first.
 
-        Eligible means: inside the depth window, not on the node's current
-        chain, and not referenced by any block of the run, as recorded in
-        ``World.included_uncles``.  Entries fallen out of the window are pruned.
+        Eligible means: inside the depth window and not referenced by any
+        block of the run, as recorded in ``World.included_uncles``.  No
+        candidate is on the node's chain: it is dropped as it joins the chain
+        (see ``_absorb``).  Entries fallen out of the window are pruned.
         """
         low = next_depth - self.uncle_window
-        registry = self.world.registry
+        registry, included = self.world.registry, self.world.included_uncles
         found: list[tuple[int, int]] = []
         for uncle_id in list(node.uncle_chain):
             depth = registry[uncle_id].depth
             if depth < low:
                 del node.uncle_chain[uncle_id]  # can never re-enter the window
-                continue
-            if depth >= next_depth:
-                continue
-            if node.chain[depth] == uncle_id or uncle_id in self.world.included_uncles:
-                continue
-            found.append((depth, uncle_id))
+            elif depth < next_depth and uncle_id not in included:
+                found.append((depth, uncle_id))
         found.sort()
         return [uncle_id for _, uncle_id in found[: self.max_uncles]]
 
@@ -158,54 +159,34 @@ class ConsensusEngine:
     # -- block reception ------------------------------------------------
 
     def deliver_block(self, node_ids: tuple[int, ...], now: float, block: Block) -> None:
-        """Hand ``block`` to each of ``node_ids`` in turn.  A node appends it to
-        its tip or adopts its deeper branch, and a miner then re-arms on it;
-        else a miner may keep it as an uncle candidate, and others drop it."""
+        """Hand ``block`` to each of ``node_ids`` in turn.  A block deeper
+        than a node's tip becomes its tip, and a miner absorbs every block
+        that joined its chain and re-arms on it; else a miner may keep it as
+        an uncle candidate if it is not on its chain, and others drop it."""
         nodes, races, queue, rng = self.world.nodes, self.races, self.queue, self.rng
-        depth, parent_id, block_id = block.depth, block.previous_id, block.id
-        absorb = self.uncles_enabled or len(block.transactions) > 0
-        rearm = not self.round_robin
+        registry, depth, parent_id, block_id = self.world.registry, block.depth, block.previous_id, block.id
+        absorbs, rearm = self.uncles_enabled or self.workload.full_mode, not self.round_robin
+        uncle = self.uncles_enabled and block_id not in self.world.included_uncles
+        lowest_tip = depth + self.uncle_window  # a tip this deep prunes it unread, and tips only deepen
         for node_id in node_ids:
             node = nodes[node_id]
             tip = node.tip
             race = races[node_id]  # None for a node that never mines
-            if parent_id == tip.id:
-                node.chain.append(block_id)
+            if depth > tip.depth:
                 node.tip = block
-                if absorb and race is not None:
-                    self._absorb(node, block)
-            elif depth > tip.depth:
-                self._replace_chain(node, block, race is not None)
-            else:
-                # Not kept if adopted already, via a descendant, or referenced by some block.
-                if self.uncles_enabled and race is not None and node.chain[depth] != block_id:
-                    if block_id not in self.world.included_uncles:
-                        node.uncle_chain[block_id] = None
-                continue
-            if rearm and race is not None:
-                queue.arm(now + race.draw(rng), node_id, block)
-
-    def _replace_chain(self, node: NodeState, block: Block, mines: bool) -> None:
-        """Adopt the deeper branch ending at ``block``; a node that ``mines``
-        absorbs each block it adopts.
-
-        Walk back from the new head until a block already on the local
-        chain is hit (the registry supplies any blocks never delivered to
-        this node), then splice past the fork point.
-        """
-        registry = self.world.registry
-        chain = node.chain
-        suffix = [block]
-        parent = registry[block.previous_id]
-        while parent.depth >= len(chain) or chain[parent.depth] != parent.id:
-            suffix.append(parent)
-            parent = registry[parent.previous_id]
-        del chain[parent.depth + 1 :]
-        for adopted in reversed(suffix):
-            chain.append(adopted.id)
-            if mines:
-                self._absorb(node, adopted)
-        node.tip = block
+                if race is not None:
+                    if absorbs and parent_id == tip.id:
+                        self._absorb(node, block)
+                    elif absorbs:
+                        for joined in branch(registry, block, tip):
+                            self._absorb(node, joined)
+                    if rearm:
+                        queue.arm(now + race.draw(rng), node_id, block)
+            elif uncle and race is not None and tip.depth < lowest_tip:
+                while tip.depth > depth:
+                    tip = registry[tip.previous_id]
+                if tip.id != block_id:
+                    node.uncle_chain[block_id] = None
 
     def _absorb(self, node: NodeState, block: Block) -> None:
         """Transaction and uncle bookkeeping for a block newly on the chain
@@ -218,6 +199,22 @@ class ConsensusEngine:
                 node.uncle_chain.pop(uncle_id, None)
 
 
+def branch(registry: list[Block], head: Block, base: Block) -> list[Block]:
+    """The blocks on the chain ending at ``head`` and not on the one ending at
+    ``base``, oldest first: walk back from ``head`` to the depth of ``base``,
+    then from both at once until they meet."""
+    joined = []
+    while head.depth > base.depth:
+        joined.append(head)
+        head = registry[head.previous_id]
+    while head.id != base.id:
+        joined.append(head)
+        head, base = registry[head.previous_id], registry[base.previous_id]
+    return joined[::-1]
+
+
 def main_chain(world: World) -> list[int]:
-    """The deepest local chain at end of run; ties go to the lowest node id."""
-    return list(max(world.nodes, key=lambda node: node.tip.depth).chain)
+    """The deepest local chain at end of run, as block ids from genesis,
+    walked back once from its tip; ties go to the lowest node id."""
+    genesis, tip = world.registry[0], max(world.nodes, key=lambda node: node.tip.depth).tip
+    return [block.id for block in (genesis, *branch(world.registry, tip, genesis))]

@@ -36,13 +36,12 @@ class Block:
 class NodeState:
     """Per-node local chain view and uncle candidates.
 
-    The local chain is a list of block ids indexed by depth: ``chain[d]`` is
-    the block at depth ``d``, genesis at 0, so a reorganization only touches
-    the blocks past the fork point.  ``tip`` caches the Block for chain[-1].
+    The local chain is ``tip`` and its ancestors, reached by following
+    ``previous_id`` through ``World.registry`` back to genesis at depth 0:
+    the run's one block tree holds every chain, and a node holds its head.
     """
 
     id: int
-    chain: list[int]
     tip: Block
     # Uncle candidates, kept for nodes that create blocks.
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
@@ -67,9 +66,9 @@ class World:
     the lower id.  A zero-weight node below some miner can win that tie.
 
     ``registry`` holds every block created in the run, indexed by id: ids
-    are dense from genesis's 0, so a new block's id is ``len(registry)``.  A
-    node that receives a block from a branch it has never seen rebuilds the
-    path from it at once instead of modelling any fetch round-trips.
+    are dense from genesis's 0, so a new block's id is ``len(registry)``.
+    With ``previous_id`` it is the one block tree all chains are read from:
+    a node has the ancestors of a block at once, with no fetch round-trips.
     ``included_uncles`` holds every uncle any block has referenced; it is
     filled as the referencing block is created, before any node receives it.
     """
@@ -85,5 +84,5 @@ class World:
         # Genesis, which no node mined, starts every chain.
         genesis = Block(id=0, depth=0, previous_id=None, timestamp=0.0, miner_id=-1)
         self.registry: list[Block] = [genesis]
-        self.nodes = [NodeState(i, [genesis.id], genesis) for i in range(cut)]
+        self.nodes = [NodeState(i, genesis) for i in range(cut)]
         self.included_uncles: set[int] = set()

@@ -36,6 +36,22 @@ def genesis() -> Block:
     return World([1.0]).registry[0]
 
 
+def ancestry(registry, head) -> list[int]:
+    """Genesis-to-head ids, found by following previous_id links."""
+    path = []
+    block = head
+    while block is not None:
+        path.append(block.id)
+        block = registry[block.previous_id] if block.previous_id is not None else None
+    return path[::-1]
+
+
+def chain_of(world, node) -> list[int]:
+    """``node``'s local chain as block ids indexed by depth: its tip and the
+    tip's ancestors in ``world``'s registry."""
+    return ancestry(world.registry, node.tip)
+
+
 def record_filing(sim) -> list:
     """Record each ``(submitter, tx, delays)`` that ``sim``'s workload files,
     one per transaction, by hooking its batch entry point ``file``;

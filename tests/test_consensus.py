@@ -13,7 +13,7 @@ from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.workload import TxWorkload
 
-from conftest import SKEWED_MINERS, block_txs, file_one, make_config
+from conftest import SKEWED_MINERS, ancestry, block_txs, chain_of, file_one, make_config
 
 
 def make_engine(
@@ -49,16 +49,6 @@ def make_engine(
     return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
 
 
-def ancestry(registry, head):
-    """Genesis-to-head ids, found by following previous_id links."""
-    path = []
-    block = head
-    while block is not None:
-        path.append(block.id)
-        block = registry[block.previous_id] if block.previous_id is not None else None
-    return path[::-1]
-
-
 def register(world, **fields):
     """Add a block with the next free id to the registry and return it."""
     block = Block(id=len(world.registry), **fields)
@@ -82,7 +72,6 @@ def append_block(engine, world, miner_id, *, uncles=(), ts=None):
         uncles=tuple(uncles),
     )
     world.included_uncles.update(uncles)
-    miner.chain.append(block.id)
     miner.tip = block
     return block
 
@@ -228,6 +217,16 @@ class TestOnBlockCreate:
         assert block.timestamp == time
 
 
+class CountingRegistry(list):
+    """A block registry that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 def armed(queue, node_id):
     """``node_id``'s armed creation as ``(time, seq, tip)``, or None."""
     entry = queue._armed.get(node_id)
@@ -245,7 +244,7 @@ class TestOnBlockReceive:
         block = append_block(engine, world, 0)
         receive(engine, 1, 2.0, block)
         assert world.nodes[1].tip is block
-        assert world.nodes[1].chain == [0, block.id]
+        assert chain_of(world, world.nodes[1]) == [0, block.id]
         time, _, tip = armed(queue, 1)
         assert tip is block and time > 2.0  # the miner re-armed on the block it appended
 
@@ -260,18 +259,19 @@ class TestOnBlockReceive:
             receive(engine, 2, b.timestamp + 0.1, b)
         assert node2.tip is a3
         # Branch B (miner 1): depths 1..5, never delivered to node2 until the head.
-        b_head = None
+        branch_b = []
         for _ in range(5):
-            b_head = append_block(engine, world, 1, ts=(b_head.timestamp + 1 if b_head else 10.0))
+            branch_b.append(append_block(engine, world, 1, ts=(branch_b[-1].timestamp + 1 if branch_b else 10.0)))
+        b_head = branch_b[-1]
         before = armed(queue, 2)
         receive(engine, 2, 20.0, b_head)
         assert node2.tip is b_head
         time, seq, tip = armed(queue, 2)
         assert tip is b_head and time > 20.0 and seq > before[1]  # re-armed on the new head
-        # Oracle: the full walk back through the registry.
-        assert node2.chain == ancestry(world.registry, b_head)
-        assert not (set(node2.chain) & {a1.id, a2.id, a3.id})
-        assert [world.registry[bid].depth for bid in node2.chain] == list(range(6))
+        # Oracles: the full walk back through the registry, and branch B as built.
+        assert chain_of(world, node2) == ancestry(world.registry, b_head) == [0, *(b.id for b in branch_b)]
+        assert not (set(chain_of(world, node2)) & {a1.id, a2.id, a3.id})
+        assert [world.registry[bid].depth for bid in chain_of(world, node2)] == list(range(6))
 
     def test_shorter_discarded_bitcoin(self):
         engine, world, queue = make_engine(2, (0.5, 0.5))
@@ -281,11 +281,11 @@ class TestOnBlockReceive:
             deep = append_block(engine, world, 0)
         node1 = world.nodes[1]
         receive(engine, 1, 50.0, deep)
-        chain, slot = list(node1.chain), armed(queue, 1)
+        chain, slot = chain_of(world, node1), armed(queue, 1)
         shorter = register(world, depth=1, previous_id=fork_parent.id, timestamp=1.0, miner_id=0)
         receive(engine, 1, 51.0, shorter)
         assert node1.tip is deep
-        assert node1.chain == chain
+        assert chain_of(world, node1) == chain
         assert armed(queue, 1) == slot  # no re-arm
         assert not node1.uncle_chain
 
@@ -295,13 +295,13 @@ class TestOnBlockReceive:
         for _ in range(3):
             deep = append_block(engine, world, 0)
         receive(engine, 1, 30.0, deep)
-        chain, slot = list(world.nodes[1].chain), armed(queue, 1)
+        chain, slot = chain_of(world, world.nodes[1]), armed(queue, 1)
         sibling = register(
             world, depth=3, previous_id=deep.previous_id, timestamp=3.5, miner_id=0
         )
         receive(engine, 1, 31.0, sibling)
         assert list(world.nodes[1].uncle_chain) == [sibling.id]
-        assert world.nodes[1].tip is deep and world.nodes[1].chain == chain
+        assert world.nodes[1].tip is deep and chain_of(world, world.nodes[1]) == chain
         assert armed(queue, 1) == slot  # no re-arm
 
     def test_non_miner_keeps_no_uncle_candidates(self):
@@ -313,15 +313,36 @@ class TestOnBlockReceive:
             deep = append_block(engine, world, 1)
         node0 = world.nodes[0]
         receive(engine, 0, 30.0, deep)
-        chain = list(node0.chain)
+        chain = chain_of(world, node0)
         sibling = register(
             world, depth=3, previous_id=deep.previous_id,
             timestamp=3.5, miner_id=2, uncles=(deep.previous_id,),
         )
         receive(engine, 0, 31.0, sibling)
-        assert node0.tip is deep and node0.chain == chain
+        assert node0.tip is deep and chain_of(world, node0) == chain
         assert not node0.uncle_chain
         assert armed(queue, 0) is None  # a node that never mines is never armed
+
+    def test_block_below_the_uncle_window_is_not_kept(self):
+        # A block an uncle window or more below the tip would be pruned
+        # before any creation read it, so it is not kept; whether one inside
+        # the window is on the chain is a walk of at most G_uncle + 1 reads.
+        engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
+        window = engine.uncle_window
+        deep = None
+        for _ in range(window + 3):
+            deep = append_block(engine, world, 0)
+        node1 = world.nodes[1]
+        receive(engine, 1, 50.0, deep)
+        chain = chain_of(world, node1)
+        world.registry = registry = CountingRegistry(world.registry)
+        for depth, kept in ((1, False), (deep.depth - window, False), (deep.depth - window + 1, True)):
+            sibling = register(world, depth=depth, previous_id=chain[depth - 1], timestamp=0.5, miner_id=0)
+            registry.reads = 0
+            receive(engine, 1, 51.0, sibling)
+            assert (sibling.id in node1.uncle_chain) is kept
+            assert registry.reads <= window + 1
+        assert node1.tip is deep and list(node1.uncle_chain) == [sibling.id]
 
     def test_ancestor_redelivery_not_stored_as_uncle(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
@@ -333,7 +354,7 @@ class TestOnBlockReceive:
         assert node1.tip is second
         slot = armed(queue, 1)
         receive(engine, 1, 6.0, first)
-        assert node1.tip is second and node1.chain == [0, first.id, second.id]
+        assert node1.tip is second and chain_of(world, node1) == [0, first.id, second.id]
         assert armed(queue, 1) == slot  # no re-arm
         assert first.id not in node1.uncle_chain
 
@@ -346,7 +367,7 @@ class TestOnBlockReceive:
         receive(engine, 2, 2.0, left)
         slot = armed(queue, 2)
         receive(engine, 2, 2.1, right)
-        assert node2.tip is left and node2.chain == [0, left.id]
+        assert node2.tip is left and chain_of(world, node2) == [0, left.id]
         assert armed(queue, 2) == slot  # no re-arm
         assert not node2.uncle_chain
 
@@ -416,19 +437,20 @@ class TestOnBlockReceive:
         assert made[1::2] == [None] * 119 and None not in made[::2]
 
 
-def reference_receive(engine, node_id, now, block):
+def reference_receive(engine, chains, node_id, now, block):
     """The first-seen longest-chain rule at one node, kept apart from
-    ``deliver_block`` as the reference it is checked against: drop a block
-    already on the chain; append one that extends the tip, or adopt the
-    deeper branch it heads, walking back to the chain through the registry;
-    else keep it as an uncle candidate if the node mines, uncles are on and
-    no block has referenced it.  A miner flags the transactions of each block
-    it adopts, drops each as a candidate with the uncles it references, and
-    re-arms its race on the new tip."""
+    ``deliver_block`` as the reference it is checked against.  ``chains``
+    holds each node's chain as its own list of block ids indexed by depth.
+    Drop a block already on the chain; append one that extends the tip, or
+    adopt the deeper branch it heads, walking back to the chain through the
+    registry; else keep it as an uncle candidate if the node mines, uncles
+    are on and no block has referenced it.  A miner flags the transactions
+    of each block it adopts, drops each as a candidate with the uncles it
+    references, and re-arms its race on the new tip."""
     world = engine.world
-    node, mines = world.nodes[node_id], world.weights[node_id] > 0
+    node, chain, mines = world.nodes[node_id], chains[node_id], world.weights[node_id] > 0
     tip = node.tip
-    if block.depth <= tip.depth and node.chain[block.depth] == block.id:
+    if block.depth <= tip.depth and chain[block.depth] == block.id:
         return
     branch = [block]
     if block.previous_id != tip.id:
@@ -437,12 +459,12 @@ def reference_receive(engine, node_id, now, block):
                 node.uncle_chain[block.id] = None
             return
         parent = world.registry[block.previous_id]
-        while parent.depth >= len(node.chain) or node.chain[parent.depth] != parent.id:
+        while parent.depth >= len(chain) or chain[parent.depth] != parent.id:
             branch.append(parent)
             parent = world.registry[parent.previous_id]
-    del node.chain[branch[-1].depth :]
+    del chain[branch[-1].depth :]
     for adopted in reversed(branch):
-        node.chain.append(adopted.id)
+        chain.append(adopted.id)
         if mines:
             if len(adopted.transactions):
                 engine.workload.adopt(node_id, adopted)
@@ -454,18 +476,27 @@ def reference_receive(engine, node_id, now, block):
         engine.schedule_next_creation(node, now)
 
 
-def run_traced(sim):
+def run_traced(sim, chains=None):
     """Run ``sim`` and return a snapshot of its consensus state after each event:
     each node's chain, tip and uncle candidates, the referenced uncles, the
-    adopted flags, each armed creation as ``(time, seq, tip id)``, and the generator's state."""
+    adopted flags, each armed creation as ``(time, seq, tip id)``, and the generator's state.
+
+    Chains are read from the tips; ``chains``, if given, must equal them
+    after every event.  No candidate may be on its node's chain.  Candidates
+    an uncle window or more below the tip are left out: no creation reads
+    them before they are pruned, and ``deliver_block`` does not keep them."""
     world, queue, workload = sim.world, sim.queue, sim.workload
+    window = sim.consensus.uncle_window
     snapshots = []
 
     def snapshot():
+        derived = [chain_of(world, node) for node in world.nodes]
+        assert chains is None or chains == derived
+        assert not any(set(node.uncle_chain) & set(chain) for node, chain in zip(world.nodes, derived))
         snapshots.append((
-            [list(node.chain) for node in world.nodes],
+            derived,
             [node.tip.id for node in world.nodes],
-            [list(node.uncle_chain) for node in world.nodes],
+            [[u for u in node.uncle_chain if world.registry[u].depth + window > node.tip.depth] for node in world.nodes],
             sorted(world.included_uncles),
             workload._adopted.tolist(),
             {m: (time, seq, tip.id) for m, (time, seq, _, _, tip) in queue._armed.items()},
@@ -502,10 +533,18 @@ class TestDeliverBlockMatchesThePerNodeRule:
         )
         one_pass = Simulation(config, 0)
         per_node = Simulation(config, 0)
+        chains = [[0] for _ in per_node.world.nodes]  # the reference's own chain lists
+        create = per_node.handlers[EventKind.BLOCK_CREATE]
+
+        def create_and_extend(miner_id, now, parent):
+            if (block := create(miner_id, now, parent)) is not None:
+                chains[miner_id].append(block.id)
+
+        per_node.handlers[EventKind.BLOCK_CREATE] = create_and_extend
         per_node.handlers[EventKind.BLOCK_RECEIVE] = lambda node_ids, now, block: [
-            reference_receive(per_node.consensus, node_id, now, block) for node_id in node_ids
+            reference_receive(per_node.consensus, chains, node_id, now, block) for node_id in node_ids
         ]
-        assert run_traced(one_pass) == run_traced(per_node)
+        assert run_traced(one_pass) == run_traced(per_node, chains)
 
 
 class TestEligibleUncles:
@@ -570,7 +609,7 @@ class TestEligibleUncles:
         # A referenced uncle delivered again is not a candidate any more.
         slot = armed(queue, 1)
         receive(engine, 1, 4.0, uncle)
-        assert node1.tip is block and node1.chain == [0, block.id]
+        assert node1.tip is block and chain_of(world, node1) == [0, block.id]
         assert armed(queue, 1) == slot  # no re-arm
         assert uncle.id not in node1.uncle_chain
 
@@ -579,7 +618,7 @@ class TestMainChain:
     def test_zero_delay_all_nodes_identical(self):
         sim = Simulation(make_config(sim_time=50_000.0), 0)
         sim.run()
-        chains = [tuple(n.chain) for n in sim.world.nodes]
+        chains = [tuple(chain_of(sim.world, n)) for n in sim.world.nodes]
         assert len(set(chains)) == 1
         assert main_chain(sim.world) == list(chains[0])
 
@@ -588,7 +627,7 @@ class TestMainChain:
         b0 = append_block(engine, world, 0)
         b1 = append_block(engine, world, 1, ts=1.5)
         assert world.nodes[0].tip.depth == world.nodes[1].tip.depth
-        assert main_chain(world) == world.nodes[0].chain
+        assert main_chain(world) == chain_of(world, world.nodes[0])
 
     def test_low_id_non_miner_decides_depth_tie(self):
         # Node 0 never mines.  Miner 2 mines X at 9.9 s and miner 1 mines Y

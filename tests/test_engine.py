@@ -14,7 +14,7 @@ from chainsim.config import SKIP_CHUNK, ExponentialSampler
 from chainsim.engine import EventKind, EventQueue, SchedulingError, run_loop
 from chainsim.runner import Simulation, run_single
 
-from conftest import FixedUniform, make_config, pending_arrivals, record_filing
+from conftest import FixedUniform, chain_of, make_config, pending_arrivals, record_filing
 
 
 def ev(q, t, node=0, kind=EventKind.BLOCK_CREATE, payload=None):
@@ -187,6 +187,24 @@ class TestSkipExponentials:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_tiny_mean_memory_does_not_grow_with_the_count(self):
+        # Drawn as one list, 10**6 values peak at some 69 MB; in chunks, 4.5 MB.
+        rng, sampler = np.random.default_rng(13), ExponentialSampler(1e-310)
+        tracemalloc.start()
+        try:
+            sampler.skip(rng, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_tiny_mean_skip_in_chunks_reads_the_stream_of_draws(self):
+        skipped, drawn = np.random.default_rng(14), np.random.default_rng(14)
+        sampler = ExponentialSampler(1e-310)
+        sampler.skip(skipped, 2 * SKIP_CHUNK + 3)
+        sampler.draws(drawn, 2 * SKIP_CHUNK + 3)
+        assert_same_generator_state(skipped, drawn)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -493,11 +511,11 @@ class TestRunLoop:
     def test_genesis_installed_on_every_node(self):
         sim = Simulation(make_config(block_target=5), 0)
         for node in sim.world.nodes:
-            assert node.chain == [sim.world.registry[0].id]
+            assert chain_of(sim.world, node) == [sim.world.registry[0].id]
             assert node.tip.depth == 0
         sim.run()
         for node in sim.world.nodes:
-            assert node.chain[0] == sim.world.registry[0].id
+            assert chain_of(sim.world, node)[0] == sim.world.registry[0].id
 
     def test_dispatch_times_nondecreasing_and_clock_consistent(self):
         sim = Simulation(make_config(b_delay=1.5, block_target=200), 0)

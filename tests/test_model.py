@@ -3,7 +3,7 @@ import pytest
 from chainsim.model import Block, World
 from chainsim.runner import Simulation
 
-from conftest import genesis, make_config, record_filing
+from conftest import chain_of, genesis, make_config, record_filing
 
 
 def blk(bid, depth, prev, miner=0, ts=None):
@@ -25,14 +25,15 @@ def observer_sim():
 def adopt(blocks, head):
     """Register ``blocks``, deliver only ``head`` to a fresh node, return its chain.
 
-    The registry is what lets the node fill in the ancestors it never received.
+    The registry is what lets the node fill in the ancestors it never received;
+    a broken link fails as the chain is walked.
     """
     sim, observer = observer_sim()
     for b in blocks:
         assert b.id == len(sim.world.registry)  # ids index the registry
         sim.world.registry.append(b)
     sim.consensus.deliver_block((0,), 50.0, head)
-    return observer.chain
+    return chain_of(sim.world, observer)
 
 
 class TestTip:
@@ -49,7 +50,7 @@ class TestTip:
             head = blk(bid, bid, bid - 1)
             sim.world.registry.append(head)
         sim.consensus.deliver_block((0,), 5.0, head)
-        assert observer.tip.id == observer.chain[-1] == 2
+        assert observer.tip.id == chain_of(sim.world, observer)[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
         # Zero delay and a time horizon: the observer has adopted everything.
@@ -60,14 +61,14 @@ class TestTip:
         observer, miner = sim.world.nodes
         assert miner.tip.depth >= 1
         assert observer.tip.depth == miner.tip.depth
-        assert observer.chain == miner.chain
+        assert chain_of(sim.world, observer) == chain_of(sim.world, miner)
 
 
 class TestRebuildChain:
     def test_head_genesis(self):
         sim, observer = observer_sim()
         sim.consensus.deliver_block((0,), 1.0, sim.world.registry[0])
-        assert observer.chain == [sim.world.registry[0].id]
+        assert chain_of(sim.world, observer) == [sim.world.registry[0].id]
         assert observer.tip is sim.world.registry[0] and not observer.uncle_chain
         assert len(sim.queue) == 0  # no re-arm
 
@@ -140,6 +141,6 @@ class TestWorld:
         sim = Simulation(make_config(b_delay=3.0, block_target=250), 0)
         sim.run()
         for node in sim.world.nodes:
-            for depth, bid in enumerate(node.chain):
+            for depth, bid in enumerate(chain_of(sim.world, node)):
                 block = sim.world.registry[bid]
                 assert (block.id, block.depth) == (bid, depth)

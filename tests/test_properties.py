@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,22 @@ def test_tall_light_pool_stays_small(tmp_path):
     code, peak_kb = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert peak_kb < 100 * 1024
+
+
+def test_memory_per_block_does_not_grow_with_the_miners():
+    # Each block is held once, in the registry, and each node holds only its
+    # tip: 64 equal miners cost what 5 do a block.  With a chain list per
+    # node it was about 740 against 240 bytes a block.
+    per_block = {}
+    for n in (5, 64):
+        sim = Simulation(make_config(n_n=n, miners=(1 / n,) * n, block_target=4_000), 0)
+        tracemalloc.start()
+        try:
+            sim.run()
+            per_block[n] = tracemalloc.get_traced_memory()[0] / (len(sim.world.registry) - 1)
+        finally:
+            tracemalloc.stop()
+    assert abs(per_block[64] - per_block[5]) <= 0.25 * per_block[5], per_block
 
 
 def expected_grand_total(blocks_included, chain, registry, config):
