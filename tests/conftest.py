@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chainsim.config import SimConfig
 from chainsim.model import Block, World
@@ -29,6 +30,26 @@ def make_config(**overrides) -> SimConfig:
     if "sim_time" in overrides and "block_target" not in overrides:
         overrides.setdefault("block_target", None)
     return dataclasses.replace(base, **overrides)
+
+
+def fractions(counts):
+    """``counts`` over their total: a valid miners or stakes list."""
+    total = sum(counts)
+    return tuple(c / total for c in counts)
+
+
+@st.composite
+def selections(draw):
+    """``(selector, miners, stakes, cut)``: 1-5 creators' weights with zeros
+    anywhere but last, and ``cut`` the last creator's id + 1."""
+    selector = draw(st.sampled_from(["pow", "stake", "roundrobin"]))
+    weights = draw(st.lists(st.integers(0, 3), max_size=4)) + [draw(st.integers(1, 3))]
+    if selector != "stake":
+        return selector, fractions(weights), None, len(weights)
+    power = draw(
+        st.lists(st.integers(0, 3), min_size=len(weights), max_size=len(weights)).filter(any)
+    )
+    return selector, fractions(power), fractions(weights), len(weights)
 
 
 def genesis() -> Block:

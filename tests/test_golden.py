@@ -274,6 +274,79 @@ seed = 4
 }
 
 
+# Draw paths that no case above covers.  Each is (config, the files written
+# beside it, digests); a hist: path resolves against the config's directory.
+SIZES_FILE = "0.0002 0.3\n0.0005 0.4\n0.0011 0.2\n0.005 0.1\n"
+DRAW_PATH_CASES = {
+    # Histogram sizes and prices read from full-mode rows of raw words.
+    "full-hist": (
+        """
+B_interval = 30
+B_delay = 4
+B_size = 0.01
+hasTrans = true
+T_technique = full
+T_n = 1
+T_delay = 2
+T_size = hist:sizes.txt
+T_fee = hist:prices.txt
+N_n = 7
+block_target = 120
+Runs = 2
+seed = 37
+""",
+        {"sizes.txt": SIZES_FILE, "prices.txt": "0.1 0.25\n0.3 0.5\n0.7 0.25\n"},
+        {
+            "runs.csv": "ceee9529026b7242c4f100a23bd37fb511bd13509cfe6a5d55440fb90e4f59cb",
+            "aggregate.csv": "35c8f72d311c072aaa9ce10dd00347adccf15b5220c8bc2d94a4bbc76989162c",
+            "stdout": "35cd1f56c326853a74af491e2b905ede469dadbb5bbe807cd3a0273a332dfad7",
+        },
+    ),
+    # Histogram sizes drawn into light pools.
+    "light-hist": (
+        """
+B_interval = 30
+B_delay = 4
+B_size = 0.01
+hasTrans = true
+T_technique = light
+T_n = 1
+T_size = hist:sizes.txt
+T_fee = exp:0.3
+block_target = 200
+Runs = 2
+seed = 41
+""",
+        {"sizes.txt": SIZES_FILE},
+        {
+            "runs.csv": "6b7110eb4251d4b9b025a8cfd38462a1856277f727a135c529ed9dc3aaf07bc6",
+            "aggregate.csv": "7719c037017de1d2c991baa33bd3a3ab4ec9a69d7c2e979b5ece143dbf5f5d03",
+            "stdout": "e1db9a2014100f390c2643ae0fde622b0f7cf93e120bcd4b5fa9a0976011f8c4",
+        },
+    ),
+    # A block delay mean so small that a nonzero uniform gives 0 too: the
+    # draws for the 1,995 nodes that are not built are computed, not counted.
+    "tiny-mean-skip": (
+        """
+B_interval = 30
+B_delay = 1e-310
+hasTrans = false
+N_n = 2000
+delay_mode = exponential
+block_target = 200
+Runs = 1
+seed = 43
+""",
+        {},
+        {
+            "runs.csv": "562ba3284ab5d94d26b035d8def6a24764bedcd796eadb72c68b26d6d4fb03fa",
+            "aggregate.csv": "d7bda9997ec313e0991b37327f250d41308d61f1538e2bf6236594a586505b94",
+            "stdout": "a49f03769d8e5ded52beac29c05bf1c6bac5187fe3fe9adb302dfffdaf423ea9",
+        },
+    ),
+}
+
+
 # A 2x2 full-mode sweep with runs spread over two workers.
 SWEEP_CASE = (
     """
@@ -360,3 +433,11 @@ def test_parallel_sweep_digests(tmp_path, capsys):
         "sweep.csv": csv_digest(out / "sweep.csv"),
         "stdout": stdout_digest(capsys.readouterr().out),
     } == digests
+
+
+@pytest.mark.parametrize("name", list(DRAW_PATH_CASES))
+def test_draw_path_digests(tmp_path, capsys, name):
+    text, files, digests = DRAW_PATH_CASES[name]
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_text(content)
+    assert run_digests(tmp_path, capsys, text) == digests

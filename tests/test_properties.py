@@ -19,27 +19,7 @@ from chainsim.incentives import distribute
 from chainsim.runner import Simulation, run_many
 from chainsim.stats import aggregate
 
-from conftest import make_config, read_rows, strip_wall_clock
-
-
-def fractions(counts):
-    """``counts`` over their total: a valid miners or stakes list."""
-    total = sum(counts)
-    return tuple(c / total for c in counts)
-
-
-@st.composite
-def selections(draw):
-    """``(selector, miners, stakes, cut)``: 1-5 creators' weights with zeros
-    anywhere but last, and ``cut`` the last creator's id + 1."""
-    selector = draw(st.sampled_from(["pow", "stake", "roundrobin"]))
-    weights = draw(st.lists(st.integers(0, 3), max_size=4)) + [draw(st.integers(1, 3))]
-    if selector != "stake":
-        return selector, fractions(weights), None, len(weights)
-    power = draw(
-        st.lists(st.integers(0, 3), min_size=len(weights), max_size=len(weights)).filter(any)
-    )
-    return selector, fractions(power), fractions(weights), len(weights)
+from conftest import make_config, read_rows, selections, strip_wall_clock
 
 
 LIGHT_OR_BARE = st.one_of(
