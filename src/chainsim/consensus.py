@@ -1,7 +1,8 @@
 """Miner selection, block production, and longest-chain reception handling.
 
 Proof of work is modelled as a per-miner exponential race: every miner
-always has one armed creation, drawn with mean block_interval/weight.
+always has one armed creation, drawn in ``streams`` with mean
+block_interval/weight.
 Whenever a miner's tip moves (its own block, or an adopted incoming block)
 it arms a fresh creation on the new tip, which replaces the one armed
 before in the miner's slot of the event queue (see ``EventQueue.arm``), so
@@ -24,7 +25,12 @@ reference it, so checking that it is off the chain is a short walk.
 
 Round robin arms one miner at a time, ``B_interval`` after the last slot,
 on that miner's tip as it stands then.  If the tip has moved by the time
-the slot fires, the slot is skipped and the next miner is armed.
+the slot fires, the slot is skipped and the next miner is armed.  That is a
+defect: the next miner is armed before the block just made reaches it, even
+at ``B_delay = 0``, so every other slot is skipped.  Two miners at
+``B_interval = 30`` make 1,441.8 blocks a day over 400 blocks, not 2,880,
+and with an even number of miners only every other one creates.  The strict
+xfail ``test_round_robin_fills_every_slot`` pins it; ROADMAP item 2 fixes it.
 
 Who mines is decided once, when the ``World`` is built: the engine reads
 each node's creation weight and the miner ids from it.  The world holds the
@@ -36,37 +42,27 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from .config import ExponentialSampler, SimConfig
+from .config import SimConfig
 from .engine import EventQueue
 from .model import Block, NodeState, World
 from .network import Network
+from .streams import Streams
 from .workload import TxWorkload
 
 
 class ConsensusEngine:
     def __init__(
-        self,
-        world: World,
-        queue: EventQueue,
-        rng: np.random.Generator,
-        config: SimConfig,
-        network: Network,
-        workload: TxWorkload,
+        self, world: World, queue: EventQueue, streams: Streams, config: SimConfig,
+        network: Network, workload: TxWorkload,
     ) -> None:
-        self.world = world
-        self.queue = queue
-        self.rng = rng
-        self.network = network
-        self.workload = workload
+        self.world, self.queue, self.network, self.workload = world, queue, network, workload
         self.block_interval = config.b_interval
         self.round_robin = config.selector == "roundrobin"
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
-        # Each miner's race: the seconds to its next block; None for a node that never mines.
-        self.races = [ExponentialSampler(self.block_interval / w) if w > 0 else None for w in world.weights]
+        # Each node's race: a call that draws the seconds to its next block; None for a node that never mines.
+        self.races = streams.races(world.weights)
         self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
 
     # -- scheduling -----------------------------------------------------
@@ -84,7 +80,7 @@ class ConsensusEngine:
         race = self.races[miner.id]
         if race is None:
             raise ValueError(f"node {miner.id} has zero creation weight")
-        time = at + race.draw(self.rng)
+        time = at + race()
         self.queue.arm(time, miner.id, miner.tip)
         return time
 
@@ -163,7 +159,7 @@ class ConsensusEngine:
         than a node's tip becomes its tip, and a miner absorbs every block
         that joined its chain and re-arms on it; else a miner may keep it as
         an uncle candidate if it is not on its chain, and others drop it."""
-        nodes, races, queue, rng = self.world.nodes, self.races, self.queue, self.rng
+        nodes, races, queue = self.world.nodes, self.races, self.queue
         registry, depth, parent_id, block_id = self.world.registry, block.depth, block.previous_id, block.id
         absorbs, rearm = self.uncles_enabled or self.workload.full_mode, not self.round_robin
         uncle = self.uncles_enabled and block_id not in self.world.included_uncles
@@ -181,7 +177,7 @@ class ConsensusEngine:
                         for joined in branch(registry, block, tip):
                             self._absorb(node, joined)
                     if rearm:
-                        queue.arm(now + race.draw(rng), node_id, block)
+                        queue.arm(now + race(), node_id, block)
             elif uncle and race is not None and tip.depth < lowest_tip:
                 while tip.depth > depth:
                     tip = registry[tip.previous_id]

@@ -21,9 +21,9 @@ counter and are merged by ``(time, seq)``, so the dispatch order is the one
 a single heap holding every event but the superseded ones would give.
 
 A single run is strictly sequential and owns all its mutable state, its
-seeded ``np.random.Generator`` included: the same seed and configuration
-replay it bit for bit, and runs can execute in parallel processes.  Nothing
-here draws from it; the exponential draws are ``config.ExponentialSampler``'s.
+seeded random stream included: the same seed and configuration replay it
+bit for bit, and runs can execute in parallel processes.  Nothing here
+draws from it; every draw is made in ``streams``.
 """
 
 from __future__ import annotations

@@ -3,39 +3,25 @@ a configurable propagation delay.
 
 No topology is modelled; the delay is the only network parameter.  A
 constant delay reaches every recipient at once, so one queue entry carries
-them all.  In exponential mode each recipient draws its own independent
-delay and gets its own entry.
-
-Blocks reach the ``recipients`` nodes the ``World`` builds, the ids up to
-the highest-id miner.  Exponential mode still takes a draw for each of the
-``N_n`` nodes but the sender, in node order, so the random stream is the one
-every node would draw.  The network holds one ``ExponentialSampler`` for
-them: ``draws`` makes the recipients' delays, and ``skip`` passes over the
-rest without computing them, in memory that does not grow with ``N_n``.
+them all.  In exponential mode each recipient gets its own delay, drawn in
+``streams``, and its own entry.  Blocks reach the ``recipients`` nodes the
+``World`` builds, the ids up to the highest-id miner.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .config import ExponentialSampler, SimConfig
+from .config import SimConfig
 from .engine import EventKind, EventQueue
 from .model import Block
+from .streams import Streams
 
 
 class Network:
-    def __init__(
-        self, queue: EventQueue, rng: np.random.Generator, config: SimConfig, recipients: int
-    ) -> None:
+    def __init__(self, queue: EventQueue, streams: Streams, config: SimConfig, recipients: int) -> None:
         self.queue = queue
-        self.rng = rng
-        self.n_nodes = config.n_n
         self.recipients = recipients  # blocks reach the node ids below this
         self.block_delay = config.b_delay
-        # The per-recipient delay draws; None for a constant delay, and for
-        # exponential delays of zero mean, which are all zero and draw nothing.
-        exponential = config.delay_mode == "exponential" and config.b_delay > 0.0
-        self._delays = ExponentialSampler(config.b_delay) if exponential else None
+        self._delays = streams.block_delays  # None for a constant delay
         self._others: dict[int, tuple[int, ...]] = {}  # sender id -> the other recipients
 
     def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
@@ -47,6 +33,5 @@ class Network:
         schedule, receive = self.queue.schedule, EventKind.BLOCK_RECEIVE
         if self._delays is None:  # one entry for every recipient
             return [schedule(at + self.block_delay, receive, others, block)] if others else []
-        delays = self._delays.draws(self.rng, len(others))
-        self._delays.skip(self.rng, self.n_nodes - 1 - len(others))
-        return [schedule(at + delay, receive, (node_id,), block) for node_id, delay in zip(others, delays)]
+        delays = zip(others, self._delays(len(others)))
+        return [schedule(at + delay, receive, (node_id,), block) for node_id, delay in delays]

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
-import numpy as np
 import numpy.random  # loaded here, before a worker pool forks, not on first use in each worker
 
 from .config import SimConfig
@@ -25,6 +24,7 @@ from .incentives import distribute
 from .model import World, creation_weights
 from .network import Network
 from .stats import RunReport, summarize_run
+from .streams import Streams
 from .workload import TxWorkload
 
 if TYPE_CHECKING:  # the process pool is imported only when one opens
@@ -38,14 +38,14 @@ class Simulation:
         self.config = config
         self.run_index = run_index
         self.seed = config.seed + run_index
-        self.rng = np.random.default_rng(int(self.seed))
+        self.streams = Streams(config, self.seed)
 
         self.world = World(creation_weights(config))
         self.queue = EventQueue()
-        self.network = Network(self.queue, self.rng, config, len(self.world.nodes))
-        self.workload = TxWorkload(self.world, self.queue, self.rng, config)
+        self.network = Network(self.queue, self.streams, config, len(self.world.nodes))
+        self.workload = TxWorkload(self.world, self.queue, self.streams, config)
         self.consensus = ConsensusEngine(
-            self.world, self.queue, self.rng, config, self.network, self.workload
+            self.world, self.queue, self.streams, config, self.network, self.workload
         )
         self.handlers = {
             EventKind.BLOCK_CREATE: self.consensus.on_block_create,

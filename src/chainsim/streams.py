@@ -1,0 +1,179 @@
+"""The run's random stream: the one module that holds and reads its generator.
+
+A run seeds one ``np.random.Generator`` (PCG64), and each layer draws from it
+here, each quantity as the run reaches it: a miner's race gap whenever its
+tip moves (``races``); a block's delays under exponential ``B_delay``, to
+each recipient in node order, then those of the nodes not built, skipped
+(``block_delays``); per full-mode transaction, its delays to the other
+``N_n - 1`` nodes under exponential ``T_delay``, then its successor's gap,
+submitter, unmodelled recipient, size and unit price (``transactions``); and
+each light pool's sizes, then unit prices (``light_pool``).
+
+A full-mode transaction is read from a row of raw PCG64 words, as numpy's
+own calls read them: ``integers(n)`` runs Lemire's method on a word's low,
+then its high half.  A row with a rejected half or a zero word is given back
+for numpy's own calls to draw, as is every row when numpy would not read the
+pair from one word (``N_n`` outside [2, 2**32), or a half buffered), or when
+an exponential mean is so small that a nonzero uniform gives 0 too.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+
+import numpy as np
+
+from .config import ConstantSampler, ExponentialSampler, SimConfig
+
+# Full mode reads up to this many bytes of raw words in one batch of rows.
+TX_BATCH_BYTES = 1 << 20
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)  # a raw word's 32-bit halves
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """What ``Generator.random()`` makes of each raw word: its top 53 bits over 2**53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+class Streams:
+    """A run's draws, from the samplers of ``config`` and a generator seeded with ``seed``."""
+
+    def __init__(self, config: SimConfig, seed: int) -> None:
+        self.rng = np.random.default_rng(int(seed))
+        self.n_nodes, self.block_interval, self.tx_rate = config.n_n, config.b_interval, config.t_n
+        self.size_sampler, self.price_sampler = config.samplers
+        # Block and transaction delays; None if constant, or of zero mean: all zero, drawn from nothing.
+        self._block_delay, self._delays = (
+            ExponentialSampler(mean) if config.delay_mode == "exponential" and mean > 0.0 else None
+            for mean in (config.b_delay, config.t_delay)
+        )
+        self.block_delays = None if self._block_delay is None else self._block_delays  # k recipients' delays
+        self.created = 0  # full-mode transactions drawn; the last one's id
+
+    def races(self, weights: list[float]) -> list:
+        """Each node's race: a call drawing the seconds to its next block; None if it never mines."""
+        draw, rng, interval = ExponentialSampler.draw, self.rng, self.block_interval
+        return [partial(draw, ExponentialSampler(interval / w), rng) if w > 0 else None for w in weights]
+
+    def _block_delays(self, k: int) -> list[float]:
+        delays = self._block_delay.draws(self.rng, k)
+        self._block_delay.skip(self.rng, self.n_nodes - 1 - k)
+        return delays
+
+    def light_pool(self, samplers: tuple, pools: np.ndarray, j: int) -> None:
+        """Fill pool ``j``'s sizes, then unit prices, in place; a constant leaves its row as it is."""
+        samplers[0].draw_into(self.rng, pools[0, j])
+        samplers[1].draw_into(self.rng, pools[1, j])
+
+    def start_transactions(self, miner_ids: list[int]) -> None:
+        """Hold the first full-mode transaction; delays are drawn for ``miner_ids``.  The
+        generator's state is read here, once, to choose how transactions are drawn."""
+        n, bits = self.n_nodes, self.rng.bit_generator
+        self._gaps = ExponentialSampler(1.0 / self.tx_rate)
+        samplers = (self._gaps, self._delays, self.size_sampler, self.price_sampler)
+        # A row: the delays, the gap, the pair, then the size and price unless constant.
+        self._pair = n if self._delays is not None else 1
+        self._stride = self._pair + 1 + sum(not isinstance(s, ConstantSampler) for s in samplers[2:])
+        self._max_rows = max(TX_BATCH_BYTES // (8 * self._stride), 1)
+        raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
+        raw = raw and all(s.rejects_only_zero for s in samplers if isinstance(s, ExponentialSampler))
+        self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
+        self._n, self._miners, self._miner_ids = np.uint64(n), np.array(miner_ids), miner_ids
+        self._draw_one((0, (0, 0.0, 0.0, 0.0)))  # the one after a stand-in made at time 0
+
+    def transactions(self, until: float, inclusive: bool) -> tuple:
+        """The held transaction and each after it created before ``until``, or at it too if
+        ``inclusive``, as ``TxWorkload.file`` takes them: the first id, then the submitters,
+        times, weights, fees, and delays to the miners or None.  Holds the first not returned."""
+        if self._bound is not None and (rows := self._rows(until, inclusive)):
+            return rows
+        return self._one_by_one(until, inclusive)
+
+    def _rows(self, until: float, inclusive: bool) -> tuple | None:
+        """``transactions`` drawn from a batch of rows up to the first irregular one, or None
+        if that is the first.  The batch covers the expected count and a margin, within
+        ``TX_BATCH_BYTES``; the rows not used are given back."""
+        expected = self.tx_rate * (until - self.held[1][1])
+        k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
+        bits, pair = self.rng.bit_generator, self._pair
+        words = bits.random_raw(k * self._stride).reshape(k, -1)
+        regular = self._regular(words, pair)
+        drawn = self._drawn(words[:regular, pair - 1 :], self.held)
+        side = "right" if inclusive else "left"
+        used = min(int(drawn[1][1:].searchsorted(until, side)) + 1, regular)
+        bits.advance(-(k - used) * self._stride)
+        if not used:
+            return None
+        delays = None
+        if self._delays is not None:
+            # Node n's delay, for n past the submitter, is word n - 1.
+            miners = self._miners
+            picked = words[np.arange(used)[:, None], miners - (miners > drawn[0][:used, None])]
+            delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
+        first = self.created
+        self._hold(used, *(column[used] for column in drawn))
+        return (first, *(column[:used] for column in drawn), delays)
+
+    def _regular(self, words: np.ndarray, pair: int) -> int:
+        """How many rows of ``words``, with the pair in column ``pair``, come
+        before the first irregular one.  Any word below 2**11 makes a row
+        irregular: where an exponential reads it, it is a zero uniform."""
+        n, bound = self._n, self._bound
+        bad = (words < 2**11).any(axis=1)
+        bad |= (words[:, pair] & _LOW) * n & _LOW < bound
+        bad |= (words[:, pair] >> _HALF) * n & _LOW < bound
+        return int(bad.argmax()) if bad.any() else len(words)
+
+    def _drawn(self, tail: np.ndarray, held: tuple) -> tuple[np.ndarray, ...]:
+        """The columns (submitters, times, weights, fees) of ``held``, then of the
+        transactions that the regular rows ``tail``, from the gap on, draw after it."""
+        submitter, (_, at, weight, fee) = held
+        columns = iter(tail.T[2:])  # one for each sampler that is not constant
+        weights, prices = (
+            np.full(len(tail), s.value) if isinstance(s, ConstantSampler)
+            else s.from_uniforms(_uniforms(next(columns)))
+            for s in (self.size_sampler, self.price_sampler)
+        )
+        submitters = np.append(submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64))
+        times = np.add.accumulate([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])  # a running sum
+        return submitters, times, np.append(weight, weights), np.append(fee, np.multiply(weights, prices))
+
+    def _one_by_one(self, until: float, inclusive: bool) -> tuple:
+        """``transactions`` for the held one, its delays and successor drawn by numpy's own calls,
+        and, while those draw every row, for each successor due before ``until``."""
+        rows, delays, miners = [], [], self._miner_ids
+        # Pairs sort as ``(time, seq)`` do: ``inclusive`` puts ``until`` after a transaction at its time.
+        while not rows or (self._bound is None and (self.held[1][1], False) < (until, inclusive)):
+            submitter, tx = self.held
+            rows.append((submitter, *tx))
+            if self._delays is not None:
+                drawn = self._delays.draws(self.rng, self.n_nodes - 1)
+                delays.append([drawn[m - (m > submitter)] if m != submitter else 0.0 for m in miners])
+            self._draw_one(self.held)
+        submitters, ids, times, weights, fees = zip(*rows)
+        return ids[0], submitters, times, weights, fees, delays or None
+
+    def _draw_one(self, held: tuple) -> None:
+        """Hold the transaction after ``held``: read from a row's words from
+        the gap on if they are regular, else drawn by numpy's own calls
+        (gap, submitter, unmodelled recipient, size and unit price)."""
+        rng, n, bits = self.rng, self.n_nodes, self.rng.bit_generator
+        if self._bound is not None:
+            tail = bits.random_raw(self._stride - self._pair + 1).reshape(1, -1)
+            if self._regular(tail, 1):
+                self._hold(1, *(column[1] for column in self._drawn(tail, held)))
+                return
+            bits.advance(-tail.size)
+        at = held[1][1] + self._gaps.draw(rng)
+        submitter = int(rng.integers(n))
+        rng.integers(n)
+        weight = self.size_sampler.draw(rng)
+        self._hold(1, submitter, at, weight, weight * self.price_sampler.draw(rng))
+        if self._bound is not None and bits.state["has_uint32"]:
+            self._bound = None  # numpy reads the buffered half first from now on
+
+    def _hold(self, drawn: int, submitter, at, weight, fee) -> None:
+        """Hold the last of the ``drawn`` transactions just drawn."""
+        self.created += drawn
+        self.held = (int(submitter), (self.created, float(at), float(weight), float(fee)))

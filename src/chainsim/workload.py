@@ -10,7 +10,8 @@ negated-fee arrays, each with its least weight: a stretch is sorted once and
 filed in as few chunks as it reaches, and packing reads only the chunks in
 which something can still fit.  A block holds its packed ids as one array,
 so no transaction is a Python object.  Transactions are not events: before
-each event, the ones created before it are filed, drawn in batches.
+each event, those ``streams`` draws before it are filed in one call, and the
+next waits with the seq its event would take from the queue's counter.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -28,24 +29,15 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (
-    MAX_FULL_MODE_TRANSACTIONS,
-    ConstantSampler,
-    ExponentialSampler,
-    RunCapError,
-    SimConfig,
-    light_pool_size,
-)
+from .config import MAX_FULL_MODE_TRANSACTIONS, ConstantSampler, RunCapError, SimConfig, light_pool_size
 from .engine import EventQueue
 from .model import Block, NodeState, World
+from .streams import Streams
 
 
 # Full mode keeps pending transactions in sorted chunks; a chunk is cut into
 # chunks of this many once it holds more than twice as many.
 PENDING_CHUNK = 64
-# Full mode reads up to this many bytes of raw words in one batch of rows.
-TX_BATCH_BYTES = 1 << 20
-_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)  # a raw word's 32-bit halves
 # Light mode queues up to this many blocks and packs them in one pass ...
 PACK_BATCH = 128
 # ... as long as their pools, 16 bytes an entry, fit in this many bytes.
@@ -54,11 +46,6 @@ BATCH_BYTES = 8 << 20
 # overflows; after this many steps, and each doubling of them, the scan
 # checks whether it can stop.
 SCAN_CHECK = 16
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """What ``Generator.random()`` makes of each raw word: its top 53 bits over 2**53."""
-    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class SharedPool:
@@ -74,21 +61,16 @@ class SharedPool:
     or fewer where that many pools would pass ``BATCH_BYTES``.
     """
 
-    def __init__(
-        self, rng: np.random.Generator, config: SimConfig, size_sampler, price_sampler
-    ) -> None:
-        self.rng = rng
-        self.size_sampler = size_sampler  # MB or gas units
-        self.price_sampler = price_sampler  # currency per MB, or per gas unit
+    def __init__(self, streams: Streams, config: SimConfig, size_sampler, price_sampler) -> None:
+        self.streams = streams
+        self.samplers = (size_sampler, price_sampler)  # MB or gas units; currency per MB or gas unit
         self.capacity = config.b_size
         self.refill_size = light_pool_size(config, size_sampler.mean())
         arrivals = config.t_n * config.b_interval
         self.block_budget = max(1, math.ceil(arrivals)) if config.t_n > 0 else 0
         # With constant size and price the pool contents are interchangeable,
         # so selection reduces to "take k" and no arrays are needed.
-        self._uniform = isinstance(size_sampler, ConstantSampler) and isinstance(
-            price_sampler, ConstantSampler
-        )
+        self._uniform = all(isinstance(s, ConstantSampler) for s in self.samplers)
         if self._uniform:  # every block gets the same (tx_count, weight, tx_fee_total)
             size = size_sampler.value
             k = min(self.block_budget, int(self.capacity / size), self.refill_size)
@@ -99,24 +81,15 @@ class SharedPool:
             # Sizes and unit prices.  A constant sampler draws nothing, so
             # every row starts at the sampler's mean, which is a constant's value.
             self._rows = np.empty((2, self.width, self.refill_size))
-            self._rows[0].fill(size_sampler.mean())
-            self._rows[1].fill(price_sampler.mean())
-        self.refill()
+            self._rows[:] = [[[s.mean()]] for s in self.samplers]
+            streams.light_pool(self.samplers, self._rows, 0)  # the first block's pool
 
     def __len__(self) -> int:
         return self.refill_size
 
-    def refill(self) -> None:
-        """Discard the pool and fill it with fresh transactions."""
-        if self.refill_size == 0 or self._uniform:
-            return
-        j = len(self.blocks)
-        self.size_sampler.draw_into(self.rng, self._rows[0, j])
-        self.price_sampler.draw_into(self.rng, self._rows[1, j])
-
     def take_block(self, block: Block) -> None:
-        """Give ``block`` the pool, then reset and refill it: a constant
-        pool fills ``block`` at once, any other queues it for ``pack``."""
+        """Give ``block`` the pool, then draw a fresh one: a constant pool
+        fills ``block`` at once, any other queues it for ``pack``."""
         if self.refill_size == 0:
             return
         if self._uniform:
@@ -125,7 +98,7 @@ class SharedPool:
         self.blocks.append(block)
         if len(self.blocks) == self.width:
             self.pack()
-        self.refill()
+        self.streams.light_pool(self.samplers, self._rows, len(self.blocks))
 
     def pack(self) -> None:
         """Fill every queued block from its pool and empty the queue.
@@ -207,40 +180,16 @@ class SharedPool:
 
 
 class TxWorkload:
-    """The transaction stream, and the miners' source of block bodies.
+    """The transaction stream, and the miners' source of block bodies."""
 
-    Full mode holds the next transaction, drawn but not filed, and the
-    ``(time, seq)`` its creation sorts at among the events, the seq taken
-    from the queue's counter.  ``advance`` files each transaction created
-    before an event and draws its successor, in the order one event per
-    transaction would, into columns indexed by id (``times``, the creation
-    times, gives the run's latency).  It reads rows of raw PCG64 words, one
-    per transaction filed: its delays to the other ``N_n - 1`` nodes under
-    exponential ``T_delay``, then its successor's gap, a word for the
-    submitter and the unmodelled recipient, and the size and the unit price
-    unless constant; ``integers(n)`` runs Lemire's method on a word's low,
-    then its high half.  A row with a rejected half or a zero word is given
-    back for numpy's own calls to draw, as is every row when numpy would not
-    read the pair from one word (``N_n`` outside [2, 2**32), or a half
-    buffered), or when an exponential mean is so small that a nonzero
-    uniform gives 0 too.
-    """
-
-    def __init__(
-        self, world: World, queue: EventQueue, rng: np.random.Generator, config: SimConfig
-    ) -> None:
-        self.world, self.queue, self.rng = world, queue, rng
-        self.n_nodes = config.n_n  # submitters and exponential delays are drawn over all N_n
+    def __init__(self, world: World, queue: EventQueue, streams: Streams, config: SimConfig) -> None:
+        self.world, self.queue, self.streams = world, queue, streams
         self.full_mode = config.has_trans and config.t_technique == "full"
         self.tx_rate = config.t_n
         self.tx_delay = config.t_delay
-        # Exponential delays with a zero mean are all zero and draw nothing.
-        self.exponential = config.delay_mode == "exponential" and config.t_delay > 0.0
         self.block_capacity = config.b_size
-        self.size_sampler, self.price_sampler = config.samplers
-        self.shared_pool: SharedPool | None = None
-        if config.has_trans and not self.full_mode:
-            self.shared_pool = SharedPool(rng, config, self.size_sampler, self.price_sampler)
+        light = config.has_trans and not self.full_mode
+        self.shared_pool = SharedPool(streams, config, *config.samplers) if light else None
         # Full mode: the pending ids in (-fee, id) order, as chunks of ids beside their negated fees
         # (``_keys``), each with a negated fee from its last to the next chunk's first (``_lasts``).
         self.pending: list[array] = []
@@ -248,129 +197,30 @@ class TxWorkload:
         self._lasts: list[float] = []
         # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
+        self._miners = np.array(world.miner_ids)
         # Columns indexed by id, grown by ``file``, and each chunk's least weight or less.
         self.times, self._weights, self._fees, self._minima = (np.zeros(0) for _ in range(4))
         self._arrivals, self._adopted = np.zeros((0, len(self._slots))), np.zeros((0, len(self._slots)), bool)
-        self.created = 0  # full-mode transactions drawn; the last one's id
 
     def start(self) -> Callable[[float, float], None] | None:
-        """Draw the first transaction (full mode) and return ``advance``, for
-        ``run_loop`` to call before each event; None without a transaction
-        stream.  The generator's state is read here, once, to choose how they are drawn."""
+        """Hold the first transaction (full mode) and return ``advance``, for
+        ``run_loop`` to call before each event; None without a transaction stream."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
-        n, bits = self.n_nodes, self.rng.bit_generator
-        self._gaps = ExponentialSampler(1.0 / self.tx_rate)
-        self._delays = ExponentialSampler(self.tx_delay) if self.exponential else None
-        samplers = (self._gaps, self._delays, self.size_sampler, self.price_sampler)
-        # A row: the delays, the gap, the pair, then the size and price unless constant.
-        self._pair = n if self.exponential else 1
-        self._stride = self._pair + 1 + sum(not isinstance(s, ConstantSampler) for s in samplers[2:])
-        self._max_rows = max(TX_BATCH_BYTES // (8 * self._stride), 1)
-        raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
-        raw = raw and all(s.rejects_only_zero for s in samplers if isinstance(s, ExponentialSampler))
-        self._bound = np.uint64(2**32 % n) if raw else None  # Lemire's rejection bound
-        self._n, self._miners = np.uint64(n), np.array(self.world.miner_ids)
-        self._draw_one((0, (0, 0.0, 0.0, 0.0)))  # the one after a stand-in made at time 0
+        self.streams.start_transactions(self.world.miner_ids)
+        self._due = (self.streams.held[1][1], self.queue.take_seqs(1))
         return self.advance
 
     def advance(self, time: float, seq: float) -> None:
         """File, in creation order, every transaction whose creation sorts
         before the event at ``(time, seq)``, and hold the first that does not."""
         while self._due < (time, seq):
-            if self._bound is None or not self._file_rows(time, seq):
-                self._file_one(time, seq)
-
-    def _file_rows(self, time: float, seq: float) -> int:
-        """File, in one batch, the held transaction and those after it that sort before the
-        event at ``(time, seq)``, drawn from a batch of rows up to the first irregular one, and
-        return how many.  The batch covers the expected count and a margin, within
-        ``TX_BATCH_BYTES``; the rows not used are given back."""
-        expected = self.tx_rate * (time - self._due[0])
-        k = min(int(expected + 3.0 * math.sqrt(expected)) + 4, self._max_rows)
-        bits, pair = self.rng.bit_generator, self._pair
-        words = bits.random_raw(k * self._stride).reshape(k, -1)
-        regular = self._regular(words, pair)
-        drawn = self._drawn(words[:regular, pair - 1 :], self._held)
-        # Transactions drawn here take seqs past every queued event's, so they
-        # sort before one by time alone; ``math.inf`` marks the horizon, which
-        # takes those at its own time too.
-        side = "left" if seq < math.inf else "right"
-        used = min(int(drawn[1][1:].searchsorted(time, side)) + 1, regular)
-        if used:
-            delays = None
-            if self._delays is not None:
-                # Node n's delay, for n past the submitter, is word n - 1.
-                miners = self._miners
-                picked = words[np.arange(used)[:, None], miners - (miners > drawn[0][:used, None])]
-                delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
-            self.file(self.created, *(column[:used] for column in drawn), delays)
-            self._hold(used, *(column[used] for column in drawn))
-        bits.advance(-(k - used) * self._stride)
-        return used
-
-    def _regular(self, words: np.ndarray, pair: int) -> int:
-        """How many rows of ``words``, with the pair in column ``pair``, come
-        before the first irregular one.  Any word below 2**11 makes a row
-        irregular: where an exponential reads it, it is a zero uniform."""
-        n, bound = self._n, self._bound
-        bad = (words < 2**11).any(axis=1)
-        bad |= (words[:, pair] & _LOW) * n & _LOW < bound
-        bad |= (words[:, pair] >> _HALF) * n & _LOW < bound
-        return int(bad.argmax()) if bad.any() else len(words)
-
-    def _drawn(self, tail: np.ndarray, held: tuple) -> tuple[np.ndarray, ...]:
-        """The columns (submitters, times, weights, fees) of ``held``, then of the
-        transactions that the regular rows ``tail``, from the gap on, draw after it."""
-        submitter, (_, at, weight, fee) = held
-        columns = iter(tail.T[2:])  # one for each sampler that is not constant
-        weights, prices = (
-            np.full(len(tail), s.value) if isinstance(s, ConstantSampler)
-            else s.from_uniforms(_uniforms(next(columns)))
-            for s in (self.size_sampler, self.price_sampler)
-        )
-        submitters = np.append(submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64))
-        times = np.add.accumulate([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])  # a running sum
-        return submitters, times, np.append(weight, weights), np.append(fee, np.multiply(weights, prices))
-
-    def _file_one(self, time: float, seq: float) -> None:
-        """File the held transaction, its delays and successor drawn by numpy's own calls,
-        and, while those draw every row, each successor due before ``(time, seq)``, as one batch."""
-        rows, delays = [], []
-        while not rows or (self._bound is None and self._due < (time, seq)):
-            submitter, tx = self._held
-            rows.append((submitter, *tx))
-            if self._delays is not None:
-                drawn = self._delays.draws(self.rng, self.n_nodes - 1)
-                delays.append([drawn[m - (m > submitter)] if m != submitter else 0.0 for m in self._slots])
-            self._draw_one(self._held)
-        submitters, ids, times, weights, fees = zip(*rows)
-        self.file(ids[0], submitters, times, weights, fees, delays or None)
-
-    def _draw_one(self, held: tuple) -> None:
-        """Hold the transaction after ``held``: read from a row's words from
-        the gap on if they are regular, else drawn by numpy's own calls
-        (gap, submitter, unmodelled recipient, size and unit price)."""
-        rng, n, bits = self.rng, self.n_nodes, self.rng.bit_generator
-        if self._bound is not None:
-            tail = bits.random_raw(self._stride - self._pair + 1).reshape(1, -1)
-            if self._regular(tail, 1):
-                self._hold(1, *(column[1] for column in self._drawn(tail, held)))
-                return
-            bits.advance(-tail.size)
-        at = held[1][1] + self._gaps.draw(rng)
-        submitter = int(rng.integers(n))
-        rng.integers(n)
-        weight = self.size_sampler.draw(rng)
-        self._hold(1, submitter, at, weight, weight * self.price_sampler.draw(rng))
-        if self._bound is not None and bits.state["has_uint32"]:
-            self._bound = None  # numpy reads the buffered half first from now on
-
-    def _hold(self, drawn: int, submitter, at, weight, fee) -> None:
-        """Hold the last of the ``drawn`` transactions just drawn, taking a seq for each."""
-        self.created += drawn
-        self._held = (int(submitter), (self.created, float(at), float(weight), float(fee)))
-        self._due = (self._held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
+            # Transactions drawn here take seqs past every queued event's, so they sort before one
+            # by time alone; ``math.inf`` marks the horizon, which takes those at its time too.
+            first, *columns = self.streams.transactions(time, seq == math.inf)
+            self.file(first, *columns)
+            drawn = len(columns[1])  # each takes a seq: the held one, the last
+            self._due = (self.streams.held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
 
     def file(self, first: int, submitters, times, weights, fees, delays=None) -> None:
         """File the transactions with ids ``first``, ``first + 1``, ...: the i-th was made by

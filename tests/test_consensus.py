@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +10,7 @@ from chainsim.engine import EventKind, EventQueue, run_loop
 from chainsim.model import Block, World, creation_weights
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
+from chainsim.streams import Streams
 from chainsim.workload import TxWorkload
 
 from conftest import SKEWED_MINERS, ancestry, block_txs, chain_of, file_one, make_config
@@ -43,10 +43,10 @@ def make_engine(
     )
     world = World(creation_weights(config))
     queue = EventQueue()
-    rng = np.random.default_rng(seed)
-    network = Network(queue, rng, config, len(world.nodes))
-    workload = TxWorkload(world, queue, rng, config)
-    return ConsensusEngine(world, queue, rng, config, network, workload), world, queue
+    streams = Streams(config, seed)
+    network = Network(queue, streams, config, len(world.nodes))
+    workload = TxWorkload(world, queue, streams, config)
+    return ConsensusEngine(world, queue, streams, config, network, workload), world, queue
 
 
 def register(world, **fields):
@@ -500,7 +500,7 @@ def run_traced(sim, chains=None):
             sorted(world.included_uncles),
             workload._adopted.tolist(),
             {m: (time, seq, tip.id) for m, (time, seq, _, _, tip) in queue._armed.items()},
-            sim.rng.bit_generator.state,
+            sim.streams.rng.bit_generator.state,
         ))
 
     for kind, handler in list(sim.handlers.items()):

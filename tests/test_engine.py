@@ -349,8 +349,8 @@ def start_both(sim, twin):
     advance = sim.workload.start()
     reference = OneAtATime(twin, sim.config, sim.world.miner_ids)
     held = reference.draw(0.0)
-    assert sim.workload._held == held
-    assert_same_generator_state(sim.workload.rng, twin)
+    assert sim.streams.held == held
+    assert_same_generator_state(sim.streams.rng, twin)
     return advance, reference, held
 
 
@@ -366,10 +366,10 @@ def check_against_one_at_a_time(sim, advance, reference, held, steps):
             expected.append((submitter, tx, reference.arrivals(submitter, tx[1])))
             held = reference.draw(tx[1])
         advance(held[1][1], -1)  # an event just after the last of them
-        assert_same_generator_state(sim.workload.rng, twin)
+        assert_same_generator_state(sim.streams.rng, twin)
         stamps = pending_arrivals(sim.workload)
         assert [(s, tx, stamps[tx[0]]) for s, tx, _ in filed] == expected
-        assert sim.workload._held == held
+        assert sim.streams.held == held
 
 
 @pytest.fixture(scope="module")
@@ -414,11 +414,11 @@ class TestExponentialAndPair:
         # gap, half or size, which makes its row irregular.
         config = stream_config(5, delay_mode=delay, t_size="exp:0.0005", seed=4)
         sim = Simulation(config, 0)
-        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(4))
+        rng = sim.streams.rng = CountingGenerator(np.random.PCG64(4))
         twin = np.random.default_rng(4)
         advance, reference, held = start_both(sim, twin)
         twin.bit_generator.state = zero_word_in(rng, j)
-        with mock.patch.object(sim.workload, "_file_one", wraps=sim.workload._file_one) as spy:
+        with mock.patch.object(sim.streams, "_one_by_one", wraps=sim.streams._one_by_one) as spy:
             check_against_one_at_a_time(sim, advance, reference, held, [5, 20])
         assert spy.call_count == 1  # the one irregular row
         # numpy's calls draw the pair unless the zero is one of the row's four
@@ -428,10 +428,10 @@ class TestExponentialAndPair:
     def test_default_nodes_read_raw_words_only(self):
         config = stream_config(5, n_n=5, miners=(0.4, 0.3, 0.15, 0.1, 0.05), seed=11)
         sim = Simulation(config, 0)
-        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(11))
+        rng = sim.streams.rng = CountingGenerator(np.random.PCG64(11))
         advance = sim.workload.start()
         advance(10_000.0, -1)
-        assert rng.calls == 0 and sim.workload.created > 9_000
+        assert rng.calls == 0 and sim.streams.created > 9_000
 
     def test_rejected_word_is_given_back_then_a_buffered_half_keeps_numpy(self):
         # Seed 30 at n = 2**31 + 1: three pairs from raw words, three
@@ -439,7 +439,7 @@ class TestExponentialAndPair:
         # that does, after which every pair is two integers calls.
         n = 2**31 + 1
         sim = Simulation(stream_config(n, seed=30), 0)
-        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(30))
+        rng = sim.streams.rng = CountingGenerator(np.random.PCG64(30))
         reference = OneAtATime(np.random.default_rng(30), sim.config, sim.world.miner_ids)
         steps = []
         advance = sim.workload.start()
@@ -450,7 +450,7 @@ class TestExponentialAndPair:
             reference.arrivals(held[0], held[1][1])
             held = reference.draw(held[1][1])
             advance(held[1][1], -1)
-            assert sim.workload._held == held
+            assert sim.streams.held == held
             assert_same_generator_state(rng, reference.rng)
             steps.append((rng.calls - before, rng.bit_generator.state["has_uint32"]))
         assert steps[:7] == [(0, 0)] * 3 + [(2, 0)] * 3 + [(2, 1)]
@@ -458,7 +458,7 @@ class TestExponentialAndPair:
 
     def test_buffered_half_at_the_start_keeps_numpy(self):
         sim = Simulation(stream_config(5, seed=3), 0)
-        rng = sim.workload.rng = CountingGenerator(np.random.PCG64(3))
+        rng = sim.streams.rng = CountingGenerator(np.random.PCG64(3))
         twin = np.random.default_rng(3)
         assert rng.integers(5) == twin.integers(5)  # leaves the high half buffered
         check_against_one_at_a_time(sim, *start_both(sim, twin), [1] * 10 + [40])
@@ -473,7 +473,7 @@ class TestExponentialAndPair:
             made.append(CountingGenerator(np.random.PCG64(seed)))
             return made[-1]
 
-        with mock.patch("chainsim.runner.np.random.default_rng", counting_rng):
+        with mock.patch("chainsim.streams.np.random.default_rng", counting_rng):
             report = run_single(config)
         assert made[0].calls == 0
         assert dataclasses.replace(report, wall_clock_s=0.0) == dataclasses.replace(

@@ -8,17 +8,20 @@ from chainsim.config import ConfigError, ExponentialSampler, parse_config_text
 from chainsim.engine import EventKind, EventQueue, SchedulingError
 from chainsim.network import Network
 from chainsim.runner import Simulation
+from chainsim.streams import Streams
 from chainsim.workload import TxWorkload
 
 from conftest import file_one, genesis, make_config, pending_arrivals, read_rows, strip_wall_clock
 
 
-def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1):
+def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1, streams=None):
+    """A queue and a network to ``n_nodes`` recipients, drawing from ``streams``
+    or from streams of its own."""
     queue = EventQueue()
     config = make_config(
         n_n=n_nodes, miners=(1.0,), b_delay=block_delay, delay_mode=mode
     )
-    return queue, Network(queue, np.random.default_rng(seed), config, n_nodes)
+    return queue, Network(queue, streams or Streams(config, seed), config, n_nodes)
 
 
 def drain(queue):
@@ -89,11 +92,12 @@ class TestBroadcastBlock:
         assert len({e[0] for e in entries}) == 3  # independent draws
 
     def test_zero_mean_exponential_is_one_constant_entry(self):
-        queue, net = make_network(3, block_delay=0.0, mode="exponential")
-        state = net.rng.bit_generator.state
+        streams = Streams(make_config(n_n=3, miners=(1.0,), b_delay=0.0, delay_mode="exponential"), 1)
+        queue, net = make_network(3, block_delay=0.0, mode="exponential", streams=streams)
+        state = streams.rng.bit_generator.state
         net.broadcast_block(1, genesis(), at=4.0)
         assert [(e[0], e[3]) for e in drain(queue)] == [(4.0, (0, 2))]
-        assert net.rng.bit_generator.state == state  # nothing drawn
+        assert streams.rng.bit_generator.state == state  # nothing drawn
 
 
 class TestRecipients:
@@ -158,7 +162,7 @@ seed = 21
         config = make_config(n_n=4, miners=(0.5, 0.0, 0.5), b_delay=2.0, delay_mode="exponential")
         sim = Simulation(config, 0)
         replay, delay = np.random.default_rng(0), ExponentialSampler(2.0)
-        replay.bit_generator.state = sim.rng.bit_generator.state
+        replay.bit_generator.state = sim.streams.rng.bit_generator.state
         sim.network.broadcast_block(0, genesis(), at=1.0)
         entries = sorted(drain(sim.queue), key=lambda e: e[3])
         assert [(e[3], e[0]) for e in entries] == [
@@ -166,7 +170,7 @@ seed = 21
             ((2,), 1.0 + delay.draw(replay)),
         ]
         delay.draw(replay)
-        assert sim.rng.random() == replay.random()
+        assert sim.streams.rng.random() == replay.random()
 
 
 class TestBroadcastTx:
@@ -215,8 +219,8 @@ class TestBroadcastTx:
         sim = Simulation(make_config(**params), 0)
         advance = sim.workload.start()
         replay = np.random.default_rng(0)
-        replay.bit_generator.state = sim.rng.bit_generator.state
-        (at, _), (submitter, tx) = sim.workload._due, sim.workload._held
+        replay.bit_generator.state = sim.streams.rng.bit_generator.state
+        (at, _), (submitter, tx) = sim.workload._due, sim.streams.held
         advance(at, math.inf)  # files the first transaction, drawing its delays
         others = [n for n in range(6) if n != submitter]
         delay = ExponentialSampler(3.0)

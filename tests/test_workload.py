@@ -27,6 +27,7 @@ from chainsim.model import Block, World
 from chainsim.runner import Simulation, run_single
 from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
+from chainsim.streams import Streams
 from chainsim.workload import SharedPool
 
 from conftest import (
@@ -62,8 +63,8 @@ def light_config(**overrides):
     return make_config(**params)
 
 
-def make_pool(rng, config):
-    return SharedPool(rng, config, parse_sampler(config.t_size), parse_sampler(config.t_fee))
+def make_pool(seed, config):
+    return SharedPool(Streams(config, seed), config, parse_sampler(config.t_size), parse_sampler(config.t_fee))
 
 
 def reference_pack(pool, sizes, fees):
@@ -117,7 +118,7 @@ def check_against_oracle(config, size, price, count, seed):
     draws and compare each, exactly, with ``reference_pack`` of the pool it
     was given: both add left to right (Python 3.12's sum() compensates)."""
     sizes, prices = Recording(size), Recording(price)
-    pool = SharedPool(np.random.default_rng(seed), config, sizes, prices)
+    pool = SharedPool(Streams(config, seed), config, sizes, prices)
     blocks = take_blocks(pool, count)
     for block, drawn, unit in zip(blocks, sizes.batches, prices.batches):
         expected = reference_pack(pool, drawn, drawn * unit)
@@ -252,7 +253,7 @@ class TestSelectForBlock:
         # T_n * B_interval = 4 arrivals per block: the light pool packs 4
         # transactions although 1,000 would fit.
         config = light_config(t_n=4 / 600.0)
-        pool = make_pool(np.random.default_rng(5), config)
+        pool = make_pool(5, config)
         assert pool.block_budget == 4
         (block,) = take_blocks(pool, 1)
         assert block.tx_count == 4
@@ -266,7 +267,7 @@ class TestSharedPool:
             t_size=f"const:{size}",
             b_interval=interval,
         )
-        return make_pool(np.random.default_rng(5), config)
+        return make_pool(5, config)
 
     def test_refill_covers_two_blocks_when_saturated(self):
         # capacity 1000 tx/block, high demand: N is two full blocks.
@@ -299,7 +300,7 @@ class TestSharedPool:
         )
         size = Recording(parse_sampler(config.t_size))
         price = Recording(parse_sampler(config.t_fee))
-        pool = SharedPool(np.random.default_rng(17), config, size, price)
+        pool = SharedPool(Streams(config, 17), config, size, price)
         (block,) = take_blocks(pool, 1)
         expected = reference_pack(pool, size.batches[0], size.batches[0] * price.batches[0])
         assert block.tx_count == len(expected)
@@ -444,10 +445,10 @@ class TestFullMode:
         sim = self._sim(block_target=5)
         advance = sim.workload.start()
         record = record_filing(sim)
-        held, (at, seq) = sim.workload._held, sim.workload._due
+        held, (at, seq) = sim.streams.held, sim.workload._due
         advance(at, seq + offset)
         assert record == ([(*held, None)] if filed else [])
-        assert (sim.workload._held == held) is not filed
+        assert (sim.streams.held == held) is not filed
 
     def test_propagation_delay_gates_pool_entry(self):
         # Node 0 is the only miner.  Its own transaction is packable at once;
@@ -739,7 +740,7 @@ class TestBatchFiling:
         for sim in (batched, single):
             sim.workload.start()
         rng = np.random.default_rng(seed)
-        first, now = batched.workload.created + 1, 0.0
+        first, now = batched.streams.created + 1, 0.0
         with mock.patch.object(workload_module, "PENDING_CHUNK", chunk):
             for n, k in enumerate(stretches, start=1):
                 if capped and n == len(stretches):
