@@ -2,16 +2,16 @@
 
 Proof of work is modelled as a per-miner exponential race: every miner
 always has one armed creation, drawn in ``streams`` with mean
-block_interval/weight.
-Whenever a miner's tip moves (its own block, or an adopted incoming block)
-it arms a fresh creation on the new tip, which replaces the one armed
-before in the miner's slot of the event queue (see ``EventQueue.arm``), so
-each creation that fires builds a block.  By memorylessness each miner's
-creations form a Poisson process at rate weight/block_interval, which
-reproduces both hash-share proportionality and fork formation under
-propagation delay.  Re-drawing only when an armed creation fires, on a tip
-that has moved, would instead hand the previous winner a head start and
-demonstrably skews block shares away from hash shares.
+block_interval/weight.  Whenever a miner's tip moves (its own block, or an
+adopted incoming block) it arms a fresh creation on the new tip, which
+replaces the one armed before in the miner's slot of the event queue (see
+``EventQueue.arm``), so each creation that fires builds a block.  By
+memorylessness each miner's creations form a Poisson process at rate
+weight/block_interval, which reproduces both hash-share proportionality
+and fork formation under propagation delay.  Re-drawing only when an armed
+creation fires, on a tip that has moved, would instead hand the previous
+winner a head start and demonstrably skews block shares away from hash
+shares.
 
 A broadcast is received in one pass: ``deliver_block`` applies the
 first-seen longest-chain rule at each recipient in node order, and re-arms
