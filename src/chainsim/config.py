@@ -37,9 +37,9 @@ PROBABILITY_TOLERANCE = 1e-9
 # count, and a run that makes more than this many stops with ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
-# Every block is kept until the run ends, about 280 bytes each, and a bare
-# run makes some 47,000 a second on the same host, so a run at the cap takes
-# about 21 s and 315 MB; far above it, a run would not end.
+# Every block is kept until the run ends, a row of about 60 bytes, and a bare
+# run at the cap took 9 s and 167 MB of peak memory on the same host (12.6 s
+# and 314 MB with one object per block); far above it, a run would not end.
 MAX_BLOCKS_PER_RUN = 1_000_000
 # Most entries a light-mode pool may hold.  Each costs 16 bytes in a pool
 # (a size and a unit price) and some 80 more while it is packed, and every

@@ -18,8 +18,8 @@ first-seen longest-chain rule at each recipient in node order, and re-arms
 a miner whose tip moved before it turns to the next recipient, so the
 draws and the queue's sequence numbers follow node order.
 
-A node's chain is its tip and the tip's ancestors in the world's registry,
-read by walking back from the tip; no node keeps a list of its own.  A
+Handlers, events and broadcasts pass block ids.  A node's chain is its tip
+and the tip's ancestors, read by walking the world's parent column back.  A
 miner keeps an uncle candidate only while a block on its tip could still
 reference it, so checking that it is off the chain is a short walk.
 
@@ -44,7 +44,7 @@ import itertools
 
 from .config import SimConfig
 from .engine import EventQueue
-from .model import Block, NodeState, World
+from .model import NodeState, World
 from .network import Network
 from .streams import Streams
 from .workload import TxWorkload
@@ -91,10 +91,10 @@ class ConsensusEngine:
 
     # -- block creation -------------------------------------------------
 
-    def on_block_create(self, miner_id: int, now: float, intended_parent: Block) -> Block | None:
+    def on_block_create(self, miner_id: int, now: float, intended_parent: int) -> int | None:
         miner = self.world.nodes[miner_id]
         parent = miner.tip
-        if intended_parent.id != parent.id:
+        if intended_parent != parent:
             # Armed on a tip the miner has since left: a round-robin slot is
             # skipped.  A proof-of-work miner re-arms on every tip change, so
             # its slot never holds such a creation.
@@ -102,20 +102,12 @@ class ConsensusEngine:
                 self._schedule_round_robin(now)
             return None
 
-        registry = self.world.registry
-        block = Block(
-            id=len(registry),
-            depth=parent.depth + 1,
-            previous_id=parent.id,
-            timestamp=now,
-            miner_id=miner_id,
-            uncles=self._reference_uncles(miner, parent.depth + 1) if self.uncles_enabled else (),
-        )
+        uncles = self._reference_uncles(miner, self.world.depth[parent] + 1) if self.uncles_enabled else ()
+        block = self.world.add_block(parent, now, miner_id, uncles)
         self.workload.take_block(miner, now, block)
-        registry.append(block)
         miner.tip = block
         # The miner's own block: its uncles left the candidates as they were chosen.
-        if len(block.transactions):
+        if block in self.world.transactions:
             self.workload.adopt(miner_id, block)
 
         self.network.broadcast_block(miner_id, block, now)
@@ -134,10 +126,10 @@ class ConsensusEngine:
         (see ``_absorb``).  Entries fallen out of the window are pruned.
         """
         low = next_depth - self.uncle_window
-        registry, included = self.world.registry, self.world.included_uncles
+        depths, included = self.world.depth, self.world.included_uncles
         found: list[tuple[int, int]] = []
         for uncle_id in list(node.uncle_chain):
-            depth = registry[uncle_id].depth
+            depth = depths[uncle_id]
             if depth < low:
                 del node.uncle_chain[uncle_id]  # can never re-enter the window
             elif depth < next_depth and uncle_id not in included:
@@ -154,63 +146,65 @@ class ConsensusEngine:
 
     # -- block reception ------------------------------------------------
 
-    def deliver_block(self, node_ids: tuple[int, ...], now: float, block: Block) -> None:
+    def deliver_block(self, node_ids: tuple[int, ...], now: float, block: int) -> None:
         """Hand ``block`` to each of ``node_ids`` in turn.  A block deeper
         than a node's tip becomes its tip, and a miner absorbs every block
         that joined its chain and re-arms on it; else a miner may keep it as
         an uncle candidate if it is not on its chain, and others drop it."""
-        nodes, races, queue = self.world.nodes, self.races, self.queue
-        registry, depth, parent_id, block_id = self.world.registry, block.depth, block.previous_id, block.id
+        world, races, queue = self.world, self.races, self.queue
+        nodes, depths, parents = world.nodes, world.depth, world.parent
+        depth, parent = depths[block], parents[block]
         absorbs, rearm = self.uncles_enabled or self.workload.full_mode, not self.round_robin
-        uncle = self.uncles_enabled and block_id not in self.world.included_uncles
+        uncle = self.uncles_enabled and block not in world.included_uncles
         lowest_tip = depth + self.uncle_window  # a tip this deep prunes it unread, and tips only deepen
         for node_id in node_ids:
             node = nodes[node_id]
             tip = node.tip
             race = races[node_id]  # None for a node that never mines
-            if depth > tip.depth:
+            if depth > depths[tip]:
                 node.tip = block
                 if race is not None:
-                    if absorbs and parent_id == tip.id:
+                    if absorbs and parent == tip:
                         self._absorb(node, block)
                     elif absorbs:
-                        for joined in branch(registry, block, tip):
+                        for joined in branch(world, block, tip):
                             self._absorb(node, joined)
                     if rearm:
                         queue.arm(now + race(), node_id, block)
-            elif uncle and race is not None and tip.depth < lowest_tip:
-                while tip.depth > depth:
-                    tip = registry[tip.previous_id]
-                if tip.id != block_id:
-                    node.uncle_chain[block_id] = None
+            elif uncle and race is not None and depths[tip] < lowest_tip:
+                while depths[tip] > depth:
+                    tip = parents[tip]
+                if tip != block:
+                    node.uncle_chain[block] = None
 
-    def _absorb(self, node: NodeState, block: Block) -> None:
+    def _absorb(self, node: NodeState, block: int) -> None:
         """Transaction and uncle bookkeeping for a block newly on the chain
         of ``node``, a miner; only nodes that create blocks read it."""
-        if len(block.transactions):
+        if block in self.world.transactions:
             self.workload.adopt(node.id, block)
         if self.uncles_enabled:
-            node.uncle_chain.pop(block.id, None)
-            for uncle_id in block.uncles:
+            node.uncle_chain.pop(block, None)
+            for uncle_id in self.world.uncles.get(block, ()):
                 node.uncle_chain.pop(uncle_id, None)
 
 
-def branch(registry: list[Block], head: Block, base: Block) -> list[Block]:
+def branch(world: World, head: int, base: int) -> list[int]:
     """The blocks on the chain ending at ``head`` and not on the one ending at
     ``base``, oldest first: walk back from ``head`` to the depth of ``base``,
     then from both at once until they meet."""
+    depth, parent = world.depth, world.parent
     joined = []
-    while head.depth > base.depth:
+    while depth[head] > depth[base]:
         joined.append(head)
-        head = registry[head.previous_id]
-    while head.id != base.id:
+        head = parent[head]
+    while head != base:
         joined.append(head)
-        head, base = registry[head.previous_id], registry[base.previous_id]
+        head, base = parent[head], parent[base]
     return joined[::-1]
 
 
 def main_chain(world: World) -> list[int]:
     """The deepest local chain at end of run, as block ids from genesis,
     walked back once from its tip; ties go to the lowest node id."""
-    genesis, tip = world.registry[0], max(world.nodes, key=lambda node: node.tip.depth).tip
-    return [block.id for block in (genesis, *branch(world.registry, tip, genesis))]
+    tip = max(world.nodes, key=lambda node: world.depth[node.tip]).tip
+    return [0, *branch(world, tip, 0)]

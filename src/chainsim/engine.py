@@ -81,7 +81,7 @@ class EventQueue:
         self._next_seq = seq + k
         return seq
 
-    def arm(self, time: float, miner_id: int, tip: object) -> None:
+    def arm(self, time: float, miner_id: int, tip: int) -> None:
         """Set ``miner_id``'s next ``BLOCK_CREATE``, on ``tip``, replacing the
         one armed before, if any."""
         if time < self.clock:
@@ -151,7 +151,7 @@ def run_loop(
         if advance is not None:
             advance(time, seq)
         table[kind](target, time, payload)
-        if len(world.registry) > target_blocks:
+        if len(world.depth) > target_blocks:
             break
     else:
         if advance is not None and sim_time is not None:

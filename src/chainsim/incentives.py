@@ -3,49 +3,23 @@ uncle/inclusion rewards for configurations that reference uncle blocks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
+import numpy as np
+
 from .config import SimConfig
-from .model import Block
+from .model import World, view
 
 
-@dataclass(slots=True)
-class RewardEntry:
-    block_rewards: float = 0.0
-    tx_fees: float = 0.0
-    uncle_rewards: float = 0.0
-    inclusion_rewards: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.block_rewards + self.tx_fees + self.uncle_rewards + self.inclusion_rewards
-
-
-class RewardLedger(dict):
-    """minerId -> RewardEntry."""
-
-    def entry(self, miner_id: int) -> RewardEntry:
-        entry = self.get(miner_id)
-        if entry is None:
-            entry = RewardEntry()
-            self[miner_id] = entry
-        return entry
-
-    def grand_total(self) -> float:
-        # Left to right, whatever sum() does: Python 3.12's compensates.
-        return reduce(add, (entry.total for entry in self.values()), 0.0)
-
-
-def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> float:
+def uncle_reward(d_uncle, g_uncle: int, d_block, r_block: float):
     """Reward to an uncle's miner when referenced by a block at ``d_block``.
 
     The reward shrinks linearly the later the uncle is referenced; outside
     the eligibility window the call is rejected (the consensus layer must
-    never reference such an uncle).
+    never reference such an uncle).  Depths may be arrays, elementwise.
     """
-    if not d_block - g_uncle <= d_uncle < d_block:
+    if not np.all((d_block - g_uncle <= d_uncle) & (d_uncle < d_block)):
         raise ValueError(
             f"uncle depth {d_uncle} not referenceable from block depth {d_block} "
             f"(window {g_uncle})"
@@ -53,26 +27,43 @@ def uncle_reward(d_uncle: int, g_uncle: int, d_block: int, r_block: float) -> fl
     return (d_uncle + (g_uncle + 1) - d_block) * r_block / (g_uncle + 1)
 
 
-def distribute(
-    main_chain_ids: list[int], registry: list[Block], config: SimConfig
-) -> RewardLedger:
-    """Pay every miner for its main-chain blocks, fees, and referenced uncles.
+def _running_sum(owners: np.ndarray, values, miner: int) -> float:
+    """The ``values`` (an array, or one for every entry; none negative) owned by ``miner``,
+    added in order from 0.0: another miner's entry adds 0.0, which leaves the sum as it was."""
+    return float(np.add.accumulate(np.concatenate(([0.0], (owners == miner) * values)))[-1])
+
+
+def distribute(main_chain_ids: list[int], world: World, config: SimConfig) -> dict[int, float]:
+    """Each paid miner's reward: its main-chain blocks, their fees, its
+    referenced uncles and its inclusion bonuses, each summed in chain order.
 
     Runs once at end of run.  Uncles referenced by a block that itself fell
     off the main chain earn nothing, and transactions inside uncle blocks
-    are never rewarded.
+    are never rewarded.  Miners come in the order they first earn, walking
+    the chain: a block's miner, then the miners of the uncles it references.
     """
-    reward = config.b_reward
-    ledger = RewardLedger()
-    for block_id in main_chain_ids[1:]:  # skip genesis
-        block: Block = registry[block_id]
-        entry = ledger.entry(block.miner_id)
-        entry.block_rewards += reward
-        entry.tx_fees += block.tx_fee_total
-        for uncle_id in block.uncles:
-            uncle = registry[uncle_id]
-            ledger.entry(uncle.miner_id).uncle_rewards += uncle_reward(
-                uncle.depth, config.g_uncle, block.depth, reward
-            )
-            entry.inclusion_rewards += config.inclusion_reward_fraction * reward
-    return ledger
+    reward, depth, miner = config.b_reward, view(world.depth), view(world.miner)
+    blocks = np.asarray(main_chain_ids, dtype=np.int64)[1:]  # genesis earns nothing
+    on_chain = np.zeros(len(depth), dtype=bool)
+    on_chain[blocks] = True
+    # Each uncle reference of a main-chain block, in chain order: ids grow along the chain.
+    refs = [(b, u) for b, uncles in world.uncles.items() if on_chain[b] for u in uncles]
+    includers, uncles = np.array(refs, dtype=np.int64).reshape(-1, 2).T
+    block_miners, includer_miners, uncle_miners = miner[blocks], miner[includers], miner[uncles]
+    fees = view(world.tx_fee_total)[blocks]
+    # Each uncle's miner right after its includer's, the block at blocks[depth - 1].
+    earners = dict.fromkeys(np.insert(block_miners, depth[includers], uncle_miners).tolist())
+    uncle_rewards = uncle_reward(depth[uncles], config.g_uncle, depth[includers], reward)
+    return {
+        m: _running_sum(block_miners, reward, m)
+        + _running_sum(block_miners, fees, m)
+        + _running_sum(uncle_miners, uncle_rewards, m)
+        + _running_sum(includer_miners, config.inclusion_reward_fraction * reward, m)
+        for m in earners
+    }
+
+
+def grand_total(rewards: dict[int, float]) -> float:
+    """All miners' rewards, added left to right in ``rewards``'s order."""
+    # Left to right, whatever sum() does: Python 3.12's compensates.
+    return reduce(add, rewards.values(), 0.0)

@@ -1,7 +1,8 @@
-"""Domain records: blocks, per-node state, and the run's world."""
+"""Domain records: per-node state, and the run's world with its blocks as columns."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -13,36 +14,16 @@ from .config import SimConfig
 
 
 @dataclass(slots=True)
-class Block:
-    """One block.  In full workload mode ``transactions`` holds the ids it
-    packed, in order, as one int64 array: the workload's columns hold their
-    times, weights (MB or gas units) and fees.  Light mode holds none and
-    tracks the per-block count/fee/weight aggregates instead, filled in when
-    its batch is packed (by the end of the run)."""
-
-    id: int
-    depth: int
-    previous_id: int | None  # None marks genesis
-    timestamp: float
-    miner_id: int
-    weight: float = 0.0  # total transaction MB, or gas
-    transactions: np.ndarray | tuple[()] = ()  # empty but in full mode
-    tx_count: int = 0
-    tx_fee_total: float = 0.0
-    uncles: tuple[int, ...] = ()
-
-
-@dataclass(slots=True)
 class NodeState:
     """Per-node local chain view and uncle candidates.
 
-    The local chain is ``tip`` and its ancestors, reached by following
-    ``previous_id`` through ``World.registry`` back to genesis at depth 0:
-    the run's one block tree holds every chain, and a node holds its head.
+    The local chain is ``tip``, a block id, and its ancestors, reached by
+    following ``World.parent`` back to genesis at depth 0: the run's one
+    block tree holds every chain, and a node holds its head.
     """
 
     id: int
-    tip: Block
+    tip: int
     # Uncle candidates, kept for nodes that create blocks.
     uncle_chain: dict[int, None] = field(default_factory=dict)  # candidate uncle ids, insertion-ordered
 
@@ -65,15 +46,18 @@ class World:
     depth the chain of the miner it came from, a tie ``main_chain`` gives to
     the lower id.  A zero-weight node below some miner can win that tie.
 
-    ``registry`` holds every block created in the run, indexed by id: ids
-    are dense from genesis's 0, so a new block's id is ``len(registry)``.
-    With ``previous_id`` it is the one block tree all chains are read from:
-    a node has the ancestors of a block at once, with no fetch round-trips.
-    ``included_uncles`` holds every uncle any block has referenced; it is
-    filled as the referencing block is created, before any node receives it.
+    Each block of the run is one row of the block columns, ``array``s
+    indexed by block id from genesis's 0: ``depth``, ``parent`` (-1 for
+    genesis), ``timestamp``, ``miner``, and the ``tx_count``, ``weight`` (MB
+    or gas) and ``tx_fee_total`` that packing fills in by the end of the
+    run.  ``uncles`` maps a referencing block to its uncle ids, and
+    ``transactions`` a full-mode block to its packed ids, in order.
+    ``included_uncles`` holds every uncle any block has referenced, from the
+    moment the referencing block is created.
     """
 
-    __slots__ = ("weights", "miner_ids", "nodes", "registry", "included_uncles")
+    __slots__ = ("weights", "miner_ids", "nodes", "included_uncles", "uncles", "transactions",
+                 "depth", "parent", "timestamp", "miner", "tx_count", "weight", "tx_fee_total")
 
     def __init__(self, weights: Sequence[float]) -> None:
         self.miner_ids = [i for i, w in enumerate(weights) if w > 0]
@@ -81,8 +65,35 @@ class World:
             raise ValueError("a run needs a node with a positive creation weight")
         cut = self.miner_ids[-1] + 1
         self.weights = list(weights[:cut])
-        # Genesis, which no node mined, starts every chain.
-        genesis = Block(id=0, depth=0, previous_id=None, timestamp=0.0, miner_id=-1)
-        self.registry: list[Block] = [genesis]
-        self.nodes = [NodeState(i, genesis) for i in range(cut)]
+        # Row 0 is genesis, which no node mined and which starts every chain.
+        self.depth = array("q", [0])
+        self.parent = array("q", [-1])
+        self.timestamp = array("d", [0.0])
+        self.miner = array("q", [-1])
+        self.tx_count = array("q", [0])
+        self.weight = array("d", [0.0])
+        self.tx_fee_total = array("d", [0.0])
+        self.uncles: dict[int, tuple[int, ...]] = {}
+        self.transactions: dict[int, np.ndarray] = {}
+        self.nodes = [NodeState(i, 0) for i in range(cut)]
         self.included_uncles: set[int] = set()
+
+    def add_block(self, parent: int, timestamp: float, miner: int, uncles: tuple[int, ...] = ()) -> int:
+        """Add a block on ``parent``, with no transactions yet; return its id."""
+        block = len(self.depth)
+        self.depth.append(self.depth[parent] + 1)
+        self.parent.append(parent)
+        self.timestamp.append(timestamp)
+        self.miner.append(miner)
+        self.tx_count.append(0)
+        self.weight.append(0.0)
+        self.tx_fee_total.append(0.0)
+        if uncles:
+            self.uncles[block] = uncles
+        return block
+
+
+def view(column: array) -> np.ndarray:
+    """A writable numpy view of a block column.  An ``array`` cannot grow
+    while a view of it lives: drop the view before the next block is added."""
+    return np.frombuffer(column, np.int64 if column.typecode == "q" else np.float64)

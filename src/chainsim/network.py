@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .config import SimConfig
 from .engine import EventKind, EventQueue
-from .model import Block
 from .streams import Streams
 
 
@@ -24,7 +23,7 @@ class Network:
         self._delays = streams.block_delays  # None for a constant delay
         self._others: dict[int, tuple[int, ...]] = {}  # sender id -> the other recipients
 
-    def broadcast_block(self, sender_id: int, block: Block, at: float) -> list[int]:
+    def broadcast_block(self, sender_id: int, block: int, at: float) -> list[int]:
         """Queue the block's delivery to every recipient but the sender;
         returns the sequence numbers of the entries pushed."""
         others = self._others.get(sender_id)

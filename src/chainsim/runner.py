@@ -67,11 +67,10 @@ class Simulation:
         if self.workload.shared_pool is not None:
             self.workload.shared_pool.pack()  # the light blocks still queued
         chain = main_chain(self.world)
-        ledger = distribute(chain, self.world.registry, self.config)
         return summarize_run(
             self.world,
             chain,
-            ledger,
+            distribute(chain, self.world, self.config),
             elapsed=elapsed,
             run_index=self.run_index,
             seed=self.seed,

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .incentives import RewardLedger
-from .model import Block, World
+from .incentives import grand_total
+from .model import World, view
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -18,27 +18,30 @@ class InvariantViolation(RuntimeError):
     """The finished run's main chain is structurally inconsistent."""
 
 
-def check_main_chain(registry: list[Block], chain_ids: list[int]) -> None:
-    """Validate depth, linkage, and timestamp monotonicity of the main chain."""
+def check_main_chain(world: World, chain_ids: list[int]) -> None:
+    """Validate depth, linkage, and timestamp monotonicity of the main chain;
+    the first block that fails is reported with the first check it fails."""
     if not chain_ids:
         raise InvariantViolation("main chain is empty")
-    genesis = registry[chain_ids[0]]
-    if genesis.depth != 0 or genesis.previous_id is not None:
+    if world.depth[chain_ids[0]] != 0 or world.parent[chain_ids[0]] != -1:
         raise InvariantViolation("main chain does not start at genesis")
+    ids = np.asarray(chain_ids, dtype=np.int64)
+    depth, timestamp = view(world.depth)[ids], view(world.timestamp)[ids]
+    unlinked = view(world.parent)[ids[1:]] != ids[:-1]
+    skipped = depth[1:] != depth[:-1] + 1
+    stalled = timestamp[1:] <= timestamp[:-1]
+    failed = unlinked | skipped | stalled
+    if not failed.any():
+        return  # depths that rise by one are distinct, and so are their blocks
     if len(set(chain_ids)) != len(chain_ids):
         raise InvariantViolation("main chain repeats a block id")
-    previous = genesis
-    for block_id in chain_ids[1:]:
-        block = registry[block_id]
-        if block.previous_id != previous.id:
-            raise InvariantViolation(
-                f"block {block.id} does not link to its predecessor {previous.id}"
-            )
-        if block.depth != previous.depth + 1:
-            raise InvariantViolation(f"block {block.id} has non-consecutive depth")
-        if block.timestamp <= previous.timestamp:
-            raise InvariantViolation(f"block {block.id} does not advance the clock")
-        previous = block
+    at = int(failed.argmax())
+    block, previous = int(ids[at + 1]), int(ids[at])
+    if unlinked[at]:
+        raise InvariantViolation(f"block {block} does not link to its predecessor {previous}")
+    if skipped[at]:
+        raise InvariantViolation(f"block {block} has non-consecutive depth")
+    raise InvariantViolation(f"block {block} does not advance the clock")
 
 
 def _metric(*tables: str, per_miner: str = "", last: bool = False, **kwargs):
@@ -94,7 +97,7 @@ _COLUMNS = {
 def summarize_run(
     world: World,
     chain_ids: list[int],
-    ledger: RewardLedger,
+    rewards: dict[int, float],
     *,
     elapsed: float,
     run_index: int,
@@ -102,34 +105,31 @@ def summarize_run(
     wall_clock: float,
     tx_times: np.ndarray,  # each full-mode transaction's creation time, by id
 ) -> RunReport:
-    """Fold a finished world into one RunReport (and validate the chain)."""
-    check_main_chain(world.registry, chain_ids)
-    registry, miner_ids = world.registry, world.miner_ids
+    """Fold a finished world and its rewards into one RunReport (and validate the chain)."""
+    check_main_chain(world, chain_ids)
     included = len(chain_ids) - 1
-    created = len(registry) - 1  # genesis is not created
+    created = len(world.depth) - 1  # genesis is not created
     stale_rate = (created - included) / created if created else 0.0
 
-    tx_total = 0
-    latencies = [np.zeros(1)]  # each included transaction's, after a 0.0: full mode only
-    block_counts = {miner_id: 0 for miner_id in miner_ids}
-    for block_id in chain_ids[1:]:
-        block = registry[block_id]
-        tx_total += block.tx_count
-        block_counts[block.miner_id] += 1
-        if len(block.transactions):
-            latencies.append(block.timestamp - tx_times[block.transactions])
-    latencies = np.concatenate(latencies)
+    chain = np.asarray(chain_ids, dtype=np.int64)[1:]
+    tx_total = int(view(world.tx_count)[chain].sum())
+    block_counts = np.bincount(view(world.miner)[chain], minlength=len(world.weights)).tolist()
+    transactions = world.transactions  # full mode only
+    latencies = np.concatenate([
+        np.zeros(1),  # then each included transaction's latency
+        *(world.timestamp[b] - tx_times[transactions[b]] for b in chain_ids[1:] if b in transactions),
+    ])
     tracked = len(latencies) - 1
 
     throughput = tx_total / elapsed if elapsed > 0 else 0.0
     # One running sum in chain and block order, from 0.0, as a loop adds them.
     mean_latency = float(np.add.accumulate(latencies)[-1]) / tracked if tracked else None
 
-    miner_shares = {m: block_counts[m] / included if included else 0.0 for m in miner_ids}
-    total_reward = ledger.grand_total()
+    miner_shares = {m: block_counts[m] / included if included else 0.0 for m in world.miner_ids}
+    total_reward = grand_total(rewards)
     reward_shares = {
-        m: ledger[m].total / total_reward if total_reward > 0 and m in ledger else 0.0
-        for m in miner_ids
+        m: rewards[m] / total_reward if total_reward > 0 and m in rewards else 0.0
+        for m in world.miner_ids
     }
 
     return RunReport(

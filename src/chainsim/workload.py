@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import MAX_FULL_MODE_TRANSACTIONS, ConstantSampler, RunCapError, SimConfig, light_pool_size
 from .engine import EventQueue
-from .model import Block, NodeState, World
+from .model import NodeState, World, view
 from .streams import Streams
 
 
@@ -61,8 +61,10 @@ class SharedPool:
     or fewer where that many pools would pass ``BATCH_BYTES``.
     """
 
-    def __init__(self, streams: Streams, config: SimConfig, size_sampler, price_sampler) -> None:
-        self.streams = streams
+    def __init__(
+        self, world: World, streams: Streams, config: SimConfig, size_sampler, price_sampler
+    ) -> None:
+        self.world, self.streams = world, streams
         self.samplers = (size_sampler, price_sampler)  # MB or gas units; currency per MB or gas unit
         self.capacity = config.b_size
         self.refill_size = light_pool_size(config, size_sampler.mean())
@@ -76,7 +78,7 @@ class SharedPool:
             k = min(self.block_budget, int(self.capacity / size), self.refill_size)
             self._filled = (k, k * size, k * (size * price_sampler.value))
         self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
-        self.blocks: list[Block] = []  # waiting for ``pack``
+        self.blocks: list[int] = []  # ids waiting for ``pack``
         if self.refill_size and not self._uniform:
             # Sizes and unit prices.  A constant sampler draws nothing, so
             # every row starts at the sampler's mean, which is a constant's value.
@@ -87,13 +89,14 @@ class SharedPool:
     def __len__(self) -> int:
         return self.refill_size
 
-    def take_block(self, block: Block) -> None:
+    def take_block(self, block: int) -> None:
         """Give ``block`` the pool, then draw a fresh one: a constant pool
         fills ``block`` at once, any other queues it for ``pack``."""
         if self.refill_size == 0:
             return
         if self._uniform:
-            block.tx_count, block.weight, block.tx_fee_total = self._filled
+            world = self.world
+            world.tx_count[block], world.weight[block], world.tx_fee_total[block] = self._filled
             return
         self.blocks.append(block)
         if len(self.blocks) == self.width:
@@ -143,8 +146,9 @@ class SharedPool:
             used[over] = np.add.accumulate(w[:, over] * taken[:, over], axis=0)[-1]
         f *= taken
         fee_totals = np.add.accumulate(f, axis=0, out=f)[-1]
-        for block, *filled in zip(self.blocks, counts.tolist(), fee_totals.tolist(), used.tolist()):
-            block.tx_count, block.tx_fee_total, block.weight = filled
+        view(self.world.tx_count)[self.blocks] = counts
+        view(self.world.weight)[self.blocks] = used
+        view(self.world.tx_fee_total)[self.blocks] = fee_totals
         self.blocks.clear()
 
     def _fitting_prefix(self, w: np.ndarray, limit: int) -> tuple[int, np.ndarray]:
@@ -189,7 +193,7 @@ class TxWorkload:
         self.tx_delay = config.t_delay
         self.block_capacity = config.b_size
         light = config.has_trans and not self.full_mode
-        self.shared_pool = SharedPool(streams, config, *config.samplers) if light else None
+        self.shared_pool = SharedPool(world, streams, config, *config.samplers) if light else None
         # Full mode: the pending ids in (-fee, id) order, as chunks of ids beside their negated fees
         # (``_keys``), each with a negated fee from its last to the next chunk's first (``_lasts``).
         self.pending: list[array] = []
@@ -288,18 +292,18 @@ class TxWorkload:
         least = np.minimum.reduceat(self._weights[np.frombuffer(ids, np.int64)], starts)
         self._minima = np.concatenate((self._minima[:c], least, self._minima[c + 1 :]))
 
-    def adopt(self, miner_id: int, block: Block) -> None:
+    def adopt(self, miner_id: int, block: int) -> None:
         """Flag ``block``'s transactions adopted by ``miner_id``'s chain: it never packs them again."""
-        self._adopted[block.transactions, self._slots[miner_id]] = True
+        self._adopted[self.world.transactions[block], self._slots[miner_id]] = True
 
-    def take_block(self, miner: NodeState, now: float, block: Block) -> None:
-        """Fill ``block``, mined by ``miner`` at ``now``, in place; light mode hands it to the
-        shared pool, which may fill it later.
+    def take_block(self, miner: NodeState, now: float, block: int) -> None:
+        """Fill ``block``'s row, mined by ``miner`` at ``now``; light mode hands it to the shared
+        pool, which may fill it later.
 
         Full mode packs the miner's pool greedily in fee order (ties to the lower id), skipping
-        what does not fit, and sums weights and fees in that order; ``block`` holds the ids.  It
-        passes over whole a chunk whose least weight cannot fit, and from each chunk it visits
-        drops the ids every miner's chain has adopted, deleting a chunk left empty."""
+        what does not fit, and sums weights and fees in that order; ``World.transactions`` gets
+        the ids.  It passes over whole a chunk whose least weight cannot fit, and from each chunk
+        it visits drops the ids every miner's chain has adopted, deleting a chunk left empty."""
         if not self.pending:  # always so in light mode
             if self.shared_pool is not None:
                 self.shared_pool.take_block(block)
@@ -325,9 +329,10 @@ class TxWorkload:
         for c in reversed(emptied):
             del chunks[c], self._keys[c], self._lasts[c]
         self._minima = np.delete(self._minima, emptied)
-        block.transactions = ids = np.concatenate(taken)
-        block.tx_count, block.weight = len(ids), used
-        block.tx_fee_total = float(np.add.accumulate(np.concatenate(([0.0], self._fees[ids])))[-1])
+        world = self.world
+        world.transactions[block] = ids = np.concatenate(taken)
+        world.tx_count[block], world.weight[block] = len(ids), used
+        world.tx_fee_total[block] = float(np.add.accumulate(np.concatenate(([0.0], self._fees[ids])))[-1])
 
     def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:
         """Append to ``taken`` each id of ``ready``, in order, that fits beside ``used``, and

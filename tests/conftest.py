@@ -6,7 +6,6 @@ import pytest
 from hypothesis import strategies as st
 
 from chainsim.config import SimConfig
-from chainsim.model import Block, World
 
 SKEWED_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 
@@ -52,25 +51,34 @@ def selections(draw):
     return selector, fractions(power), fractions(weights), len(weights)
 
 
-def genesis() -> Block:
-    """The genesis block every ``World`` starts its chains from."""
-    return World([1.0]).registry[0]
+def put_block(world, depth, parent, timestamp, miner, *, uncles=(), tx_count=0, weight=0.0, tx_fee_total=0.0):
+    """Append a row to ``world``'s block columns as given, whether or not it
+    fits the tree, and return its id; ``uncles`` join no referenced set."""
+    block = len(world.depth)
+    for column, value in (
+        (world.depth, depth), (world.parent, parent), (world.timestamp, timestamp), (world.miner, miner),
+        (world.tx_count, tx_count), (world.weight, weight), (world.tx_fee_total, tx_fee_total),
+    ):
+        column.append(value)
+    if uncles:
+        world.uncles[block] = tuple(uncles)
+    return block
 
 
-def ancestry(registry, head) -> list[int]:
-    """Genesis-to-head ids, found by following previous_id links."""
+def ancestry(world, head) -> list[int]:
+    """Genesis-to-head ids, found by following the parent column."""
     path = []
     block = head
-    while block is not None:
-        path.append(block.id)
-        block = registry[block.previous_id] if block.previous_id is not None else None
+    while block != -1:
+        path.append(block)
+        block = world.parent[block]
     return path[::-1]
 
 
 def chain_of(world, node) -> list[int]:
     """``node``'s local chain as block ids indexed by depth: its tip and the
-    tip's ancestors in ``world``'s registry."""
-    return ancestry(world.registry, node.tip)
+    tip's ancestors in ``world``'s block columns."""
+    return ancestry(world, node.tip)
 
 
 def record_filing(sim) -> list:
@@ -114,9 +122,9 @@ def pending_arrivals(workload) -> dict[int, tuple[float, ...]]:
 
 
 def block_txs(workload, block) -> tuple[tuple[int, float, float, float], ...]:
-    """``block``'s transactions in packing order, each the tuple ``(id, timestamp, weight,
+    """Block ``block``'s transactions in packing order, each the tuple ``(id, timestamp, weight,
     fee)`` rebuilt from ``workload``'s columns at the ids the block holds."""
-    ids = np.asarray(block.transactions, dtype=np.int64)
+    ids = workload.world.transactions.get(block, np.empty(0, np.int64))
     columns = (ids, workload.times[ids], workload._weights[ids], workload._fees[ids])
     return tuple(zip(*(column.tolist() for column in columns)))
 

@@ -337,16 +337,15 @@ def test_criterion_8b_reward_conservation():
     for config in configs:
         sim = Simulation(config, 0)
         report = sim.run()
-        registry = sim.world.registry
-        chain = main_chain(sim.world)
-        fee_sum = math.fsum(registry[b].tx_fee_total for b in chain[1:])
+        world = sim.world
+        chain = main_chain(world)
+        fee_sum = math.fsum(world.tx_fee_total[b] for b in chain[1:])
         uncle_sum = 0.0
         uncle_count = 0
         for bid in chain[1:]:
-            block = registry[bid]
-            for uid in block.uncles:
+            for uid in world.uncles.get(bid, ()):
                 uncle_sum += uncle_reward(
-                    registry[uid].depth, config.g_uncle, block.depth, config.b_reward
+                    world.depth[uid], config.g_uncle, world.depth[bid], config.b_reward
                 )
                 uncle_count += 1
         expected = (
@@ -355,10 +354,9 @@ def test_criterion_8b_reward_conservation():
             + uncle_sum
             + uncle_count * config.inclusion_reward_fraction * config.b_reward
         )
-        ledger = distribute(chain, registry, config)
-        total = math.fsum(e.total for e in ledger.values())
+        total = math.fsum(distribute(chain, world, config).values())
         assert abs(total - expected) <= 1e-9 * max(1.0, abs(expected))
-    print("  PASS ledger totals match the identity on both runs")
+    print("  PASS reward totals match the identity on both runs")
 
 
 def test_criterion_8c_event_queue_fuzz():
@@ -402,17 +400,16 @@ def test_criterion_8e_main_chain_validity_and_uncle_audit():
     sim = Simulation(config, 0)
     sim.run()
     chain = main_chain(sim.world)
-    check_main_chain(sim.world.registry, chain)
+    check_main_chain(sim.world, chain)
     chain_set = set(chain)
     seen_uncles = set()
     referenced = 0
+    depth = sim.world.depth
     for bid in chain[1:]:
-        block = sim.world.registry[bid]
-        for uid in block.uncles:
+        for uid in sim.world.uncles.get(bid, ()):
             assert uid not in seen_uncles  # never referenced twice
             assert uid not in chain_set  # never also a main-chain block
-            uncle = sim.world.registry[uid]
-            assert block.depth - config.g_uncle <= uncle.depth < block.depth
+            assert depth[bid] - config.g_uncle <= depth[uid] < depth[bid]
             seen_uncles.add(uid)
             referenced += 1
     assert referenced > 0

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 from chainsim import model
 from chainsim.consensus import ConsensusEngine, main_chain
 from chainsim.engine import EventKind, EventQueue, run_loop
-from chainsim.model import Block, World, creation_weights
+from chainsim.model import World, creation_weights
 from chainsim.network import Network
 from chainsim.runner import Simulation, run_single
 from chainsim.streams import Streams
 from chainsim.workload import TxWorkload
 
-from conftest import SKEWED_MINERS, ancestry, block_txs, chain_of, file_one, make_config
+from conftest import SKEWED_MINERS, ancestry, block_txs, chain_of, file_one, make_config, put_block
 
 
 def make_engine(
@@ -49,11 +50,11 @@ def make_engine(
     return ConsensusEngine(world, queue, streams, config, network, workload), world, queue
 
 
-def register(world, **fields):
-    """Add a block with the next free id to the registry and return it."""
-    block = Block(id=len(world.registry), **fields)
-    world.registry.append(block)
-    return block
+def register(world, *, depth, previous_id, timestamp, miner_id, uncles=()):
+    """Add a block with the next free id to the block columns and return its id;
+    ``previous_id`` None gives it no parent."""
+    parent = -1 if previous_id is None else previous_id
+    return put_block(world, depth, parent, timestamp, miner_id, uncles=uncles)
 
 
 def append_block(engine, world, miner_id, *, uncles=(), ts=None):
@@ -65,9 +66,9 @@ def append_block(engine, world, miner_id, *, uncles=(), ts=None):
     parent = miner.tip
     block = register(
         world,
-        depth=parent.depth + 1,
-        previous_id=parent.id,
-        timestamp=parent.timestamp + 1.0 if ts is None else ts,
+        depth=world.depth[parent] + 1,
+        previous_id=parent,
+        timestamp=world.timestamp[parent] + 1.0 if ts is None else ts,
         miner_id=miner_id,
         uncles=tuple(uncles),
     )
@@ -104,7 +105,7 @@ class TestScheduleNextCreation:
         engine, world, queue = make_engine(1, (1.0,))
         at = engine.schedule_next_creation(world.nodes[0], 0.0)
         time, _, kind, target, payload = queue.next_event()
-        assert payload is world.nodes[0].tip
+        assert payload == world.nodes[0].tip
         assert (time, kind, target) == (at, EventKind.BLOCK_CREATE, 0)
 
     def test_weights_normalised_by_left_to_right_sum(self, monkeypatch):
@@ -173,10 +174,9 @@ class TestOnBlockCreate:
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert block is not None
-        assert block.tx_count == 0
-        assert block.depth == 1
-        assert world.registry[1:] == [block]
+        assert block == 1 == len(world.depth) - 1
+        assert world.tx_count[block] == 0
+        assert world.depth[block] == 1
 
     def test_fee_sorted_greedy_packing(self):
         # The next arrival is ~1e6 s away, so only these three are pending.
@@ -200,12 +200,12 @@ class TestOnBlockCreate:
         armed_on = miner0.tip
         at = engine.schedule_next_creation(miner0, 0.0)
         append_block(engine, world, 0)  # tip advances depth 4 -> 5 analog
-        assert armed_on.id != miner0.tip.id
+        assert armed_on != miner0.tip
         before = len(queue)
-        registered = len(world.registry)
+        registered = len(world.depth)
         result = engine.on_block_create(0, at, armed_on)
         assert result is None
-        assert len(world.registry) == registered
+        assert len(world.depth) == registered
         # no fresh event scheduled here: the adoption path already rearmed
         assert len(queue) == before
 
@@ -214,11 +214,11 @@ class TestOnBlockCreate:
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert block.timestamp == time
+        assert world.timestamp[block] == time
 
 
-class CountingRegistry(list):
-    """A block registry that counts the entries read from it."""
+class CountingColumn(array):
+    """A block column that counts the entries read from it."""
 
     reads = 0
 
@@ -243,10 +243,10 @@ class TestOnBlockReceive:
         engine, world, queue = make_engine(2, (0.5, 0.5))
         block = append_block(engine, world, 0)
         receive(engine, 1, 2.0, block)
-        assert world.nodes[1].tip is block
-        assert chain_of(world, world.nodes[1]) == [0, block.id]
+        assert world.nodes[1].tip == block
+        assert chain_of(world, world.nodes[1]) == [0, block]
         time, _, tip = armed(queue, 1)
-        assert tip is block and time > 2.0  # the miner re-armed on the block it appended
+        assert tip == block and time > 2.0  # the miner re-armed on the block it appended
 
     def test_replace_adopts_deeper_branch_exactly(self):
         engine, world, queue = make_engine(3, (0.4, 0.4, 0.2))
@@ -256,35 +256,36 @@ class TestOnBlockReceive:
         a2 = append_block(engine, world, 0)
         a3 = append_block(engine, world, 0)
         for b in (a1, a2, a3):
-            receive(engine, 2, b.timestamp + 0.1, b)
-        assert node2.tip is a3
+            receive(engine, 2, world.timestamp[b] + 0.1, b)
+        assert node2.tip == a3
         # Branch B (miner 1): depths 1..5, never delivered to node2 until the head.
         branch_b = []
         for _ in range(5):
-            branch_b.append(append_block(engine, world, 1, ts=(branch_b[-1].timestamp + 1 if branch_b else 10.0)))
+            ts = world.timestamp[branch_b[-1]] + 1 if branch_b else 10.0
+            branch_b.append(append_block(engine, world, 1, ts=ts))
         b_head = branch_b[-1]
         before = armed(queue, 2)
         receive(engine, 2, 20.0, b_head)
-        assert node2.tip is b_head
+        assert node2.tip == b_head
         time, seq, tip = armed(queue, 2)
-        assert tip is b_head and time > 20.0 and seq > before[1]  # re-armed on the new head
-        # Oracles: the full walk back through the registry, and branch B as built.
-        assert chain_of(world, node2) == ancestry(world.registry, b_head) == [0, *(b.id for b in branch_b)]
-        assert not (set(chain_of(world, node2)) & {a1.id, a2.id, a3.id})
-        assert [world.registry[bid].depth for bid in chain_of(world, node2)] == list(range(6))
+        assert tip == b_head and time > 20.0 and seq > before[1]  # re-armed on the new head
+        # Oracles: the full walk back through the parent column, and branch B as built.
+        assert chain_of(world, node2) == ancestry(world, b_head) == [0, *branch_b]
+        assert not (set(chain_of(world, node2)) & {a1, a2, a3})
+        assert [world.depth[bid] for bid in chain_of(world, node2)] == list(range(6))
 
     def test_shorter_discarded_bitcoin(self):
         engine, world, queue = make_engine(2, (0.5, 0.5))
-        fork_parent = world.registry[0]
+        fork_parent = 0
         deep = None
         for _ in range(5):
             deep = append_block(engine, world, 0)
         node1 = world.nodes[1]
         receive(engine, 1, 50.0, deep)
         chain, slot = chain_of(world, node1), armed(queue, 1)
-        shorter = register(world, depth=1, previous_id=fork_parent.id, timestamp=1.0, miner_id=0)
+        shorter = register(world, depth=1, previous_id=fork_parent, timestamp=1.0, miner_id=0)
         receive(engine, 1, 51.0, shorter)
-        assert node1.tip is deep
+        assert node1.tip == deep
         assert chain_of(world, node1) == chain
         assert armed(queue, 1) == slot  # no re-arm
         assert not node1.uncle_chain
@@ -297,11 +298,11 @@ class TestOnBlockReceive:
         receive(engine, 1, 30.0, deep)
         chain, slot = chain_of(world, world.nodes[1]), armed(queue, 1)
         sibling = register(
-            world, depth=3, previous_id=deep.previous_id, timestamp=3.5, miner_id=0
+            world, depth=3, previous_id=world.parent[deep], timestamp=3.5, miner_id=0
         )
         receive(engine, 1, 31.0, sibling)
-        assert list(world.nodes[1].uncle_chain) == [sibling.id]
-        assert world.nodes[1].tip is deep and chain_of(world, world.nodes[1]) == chain
+        assert list(world.nodes[1].uncle_chain) == [sibling]
+        assert world.nodes[1].tip == deep and chain_of(world, world.nodes[1]) == chain
         assert armed(queue, 1) == slot  # no re-arm
 
     def test_non_miner_keeps_no_uncle_candidates(self):
@@ -315,18 +316,18 @@ class TestOnBlockReceive:
         receive(engine, 0, 30.0, deep)
         chain = chain_of(world, node0)
         sibling = register(
-            world, depth=3, previous_id=deep.previous_id,
-            timestamp=3.5, miner_id=2, uncles=(deep.previous_id,),
+            world, depth=3, previous_id=world.parent[deep],
+            timestamp=3.5, miner_id=2, uncles=(world.parent[deep],),
         )
         receive(engine, 0, 31.0, sibling)
-        assert node0.tip is deep and chain_of(world, node0) == chain
+        assert node0.tip == deep and chain_of(world, node0) == chain
         assert not node0.uncle_chain
         assert armed(queue, 0) is None  # a node that never mines is never armed
 
     def test_block_below_the_uncle_window_is_not_kept(self):
         # A block an uncle window or more below the tip would be pruned
         # before any creation read it, so it is not kept; whether one inside
-        # the window is on the chain is a walk of at most G_uncle + 1 reads.
+        # the window is on the chain is a walk of at most G_uncle + 1 steps.
         engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         window = engine.uncle_window
         deep = None
@@ -335,39 +336,40 @@ class TestOnBlockReceive:
         node1 = world.nodes[1]
         receive(engine, 1, 50.0, deep)
         chain = chain_of(world, node1)
-        world.registry = registry = CountingRegistry(world.registry)
-        for depth, kept in ((1, False), (deep.depth - window, False), (deep.depth - window + 1, True)):
+        world.parent = parents = CountingColumn("q", world.parent)
+        top = world.depth[deep]
+        for depth, kept in ((1, False), (top - window, False), (top - window + 1, True)):
             sibling = register(world, depth=depth, previous_id=chain[depth - 1], timestamp=0.5, miner_id=0)
-            registry.reads = 0
+            parents.reads = 0
             receive(engine, 1, 51.0, sibling)
-            assert (sibling.id in node1.uncle_chain) is kept
-            assert registry.reads <= window + 1
-        assert node1.tip is deep and list(node1.uncle_chain) == [sibling.id]
+            assert (sibling in node1.uncle_chain) is kept
+            assert parents.reads <= window + 1
+        assert node1.tip == deep and list(node1.uncle_chain) == [sibling]
 
     def test_ancestor_redelivery_not_stored_as_uncle(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         first = append_block(engine, world, 0)
         second = append_block(engine, world, 0)
         node1 = world.nodes[1]
-        # Deep head arrives first; the registry supplies the ancestor.
+        # Deep head arrives first; the block columns supply the ancestor.
         receive(engine, 1, 5.0, second)
-        assert node1.tip is second
+        assert node1.tip == second
         slot = armed(queue, 1)
         receive(engine, 1, 6.0, first)
-        assert node1.tip is second and chain_of(world, node1) == [0, first.id, second.id]
+        assert node1.tip == second and chain_of(world, node1) == [0, first, second]
         assert armed(queue, 1) == slot  # no re-arm
-        assert first.id not in node1.uncle_chain
+        assert first not in node1.uncle_chain
 
     def test_equal_depth_first_seen_wins(self):
         engine, world, queue = make_engine(3, (0.5, 0.25, 0.25))
         left = append_block(engine, world, 0)
         right = append_block(engine, world, 1, ts=1.5)
         node2 = world.nodes[2]
-        assert left.depth == right.depth == 1
+        assert world.depth[left] == world.depth[right] == 1
         receive(engine, 2, 2.0, left)
         slot = armed(queue, 2)
         receive(engine, 2, 2.1, right)
-        assert node2.tip is left and chain_of(world, node2) == [0, left.id]
+        assert node2.tip == left and chain_of(world, node2) == [0, left]
         assert armed(queue, 2) == slot  # no re-arm
         assert not node2.uncle_chain
 
@@ -395,8 +397,7 @@ class TestOnBlockReceive:
         assert queue.next_event() is None
         armed = {target: (time, seq, payload) for time, seq, _, target, payload in entries}
         assert len(entries) == len(armed) == 2
-        genesis = world.registry[0]
-        assert armed[0][1:] == (0, genesis)  # miner 0's creation from start()
+        assert armed[0][1:] == (0, 0)  # miner 0's creation from start(), on genesis
         assert armed[1][1:] == (2, block) and armed[1][0] > 2.0  # seq 1 was replaced
 
     @pytest.mark.parametrize(
@@ -443,33 +444,34 @@ def reference_receive(engine, chains, node_id, now, block):
     holds each node's chain as its own list of block ids indexed by depth.
     Drop a block already on the chain; append one that extends the tip, or
     adopt the deeper branch it heads, walking back to the chain through the
-    registry; else keep it as an uncle candidate if the node mines, uncles
+    parent column; else keep it as an uncle candidate if the node mines, uncles
     are on and no block has referenced it.  A miner flags the transactions
     of each block it adopts, drops each as a candidate with the uncles it
     references, and re-arms its race on the new tip."""
     world = engine.world
+    depth, parent = world.depth, world.parent
     node, chain, mines = world.nodes[node_id], chains[node_id], world.weights[node_id] > 0
     tip = node.tip
-    if block.depth <= tip.depth and chain[block.depth] == block.id:
+    if depth[block] <= depth[tip] and chain[depth[block]] == block:
         return
     branch = [block]
-    if block.previous_id != tip.id:
-        if block.depth <= tip.depth:
-            if engine.uncles_enabled and mines and block.id not in world.included_uncles:
-                node.uncle_chain[block.id] = None
+    if parent[block] != tip:
+        if depth[block] <= depth[tip]:
+            if engine.uncles_enabled and mines and block not in world.included_uncles:
+                node.uncle_chain[block] = None
             return
-        parent = world.registry[block.previous_id]
-        while parent.depth >= len(chain) or chain[parent.depth] != parent.id:
-            branch.append(parent)
-            parent = world.registry[parent.previous_id]
-    del chain[branch[-1].depth :]
+        ancestor = parent[block]
+        while depth[ancestor] >= len(chain) or chain[depth[ancestor]] != ancestor:
+            branch.append(ancestor)
+            ancestor = parent[ancestor]
+    del chain[depth[branch[-1]] :]
     for adopted in reversed(branch):
-        chain.append(adopted.id)
+        chain.append(adopted)
         if mines:
-            if len(adopted.transactions):
+            if adopted in world.transactions:
                 engine.workload.adopt(node_id, adopted)
             if engine.uncles_enabled:
-                for gone in (adopted.id, *adopted.uncles):
+                for gone in (adopted, *world.uncles.get(adopted, ())):
                     node.uncle_chain.pop(gone, None)
     node.tip = block
     if mines and not engine.round_robin:
@@ -495,11 +497,11 @@ def run_traced(sim, chains=None):
         assert not any(set(node.uncle_chain) & set(chain) for node, chain in zip(world.nodes, derived))
         snapshots.append((
             derived,
-            [node.tip.id for node in world.nodes],
-            [[u for u in node.uncle_chain if world.registry[u].depth + window > node.tip.depth] for node in world.nodes],
+            [node.tip for node in world.nodes],
+            [[u for u in node.uncle_chain if world.depth[u] + window > world.depth[node.tip]] for node in world.nodes],
             sorted(world.included_uncles),
             workload._adopted.tolist(),
-            {m: (time, seq, tip.id) for m, (time, seq, _, _, tip) in queue._armed.items()},
+            {m: (time, seq, tip) for m, (time, seq, _, _, tip) in queue._armed.items()},
             sim.streams.rng.bit_generator.state,
         ))
 
@@ -538,7 +540,7 @@ class TestDeliverBlockMatchesThePerNodeRule:
 
         def create_and_extend(miner_id, now, parent):
             if (block := create(miner_id, now, parent)) is not None:
-                chains[miner_id].append(block.id)
+                chains[miner_id].append(block)
 
         per_node.handlers[EventKind.BLOCK_CREATE] = create_and_extend
         per_node.handlers[EventKind.BLOCK_RECEIVE] = lambda node_ids, now, block: [
@@ -551,15 +553,15 @@ class TestEligibleUncles:
     def _engine_with_uncles(self, uncle_depths, next_depth):
         engine, world, _ = make_engine(2, (1.0, 0.0), uncles=True)
         miner = world.nodes[0]
-        while miner.tip.depth < next_depth - 1:
+        while world.depth[miner.tip] < next_depth - 1:
             append_block(engine, world, 0)
         uncle_ids = []
         for depth in uncle_depths:
             uncle = register(
                 world, depth=depth, previous_id=None, timestamp=float(depth), miner_id=1
             )
-            miner.uncle_chain[uncle.id] = None
-            uncle_ids.append(uncle.id)
+            miner.uncle_chain[uncle] = None
+            uncle_ids.append(uncle)
         return engine, world, miner, uncle_ids
 
     def test_depth_window_inclusive_boundary(self):
@@ -576,7 +578,7 @@ class TestEligibleUncles:
         engine, world, miner, _ = self._engine_with_uncles([5, 3, 4], next_depth=8)
         chosen = engine.eligible_uncles(miner, 8)
         assert len(chosen) == 2
-        depths = [world.registry[u].depth for u in chosen]
+        depths = [world.depth[u] for u in chosen]
         assert depths == [3, 4]
 
     def test_globally_included_uncle_not_reused(self):
@@ -589,29 +591,29 @@ class TestEligibleUncles:
         miner = world.nodes[0]
         append_block(engine, world, 0)
         uncle = register(world, depth=1, previous_id=0, timestamp=0.5, miner_id=1)
-        miner.uncle_chain[uncle.id] = None
+        miner.uncle_chain[uncle] = None
         engine.start()
         time, _, _, miner_id, parent = queue.next_event()
         block = engine.on_block_create(miner_id, time, parent)
-        assert block.uncles == (uncle.id,)
-        assert uncle.id in world.included_uncles
-        assert uncle.id not in miner.uncle_chain
+        assert world.uncles[block] == (uncle,)
+        assert uncle in world.included_uncles
+        assert uncle not in miner.uncle_chain
 
     def test_receiving_block_removes_included_uncles(self):
         engine, world, queue = make_engine(2, (0.5, 0.5), uncles=True)
         node1 = world.nodes[1]
         uncle = register(world, depth=1, previous_id=0, timestamp=0.4, miner_id=0)
-        node1.uncle_chain[uncle.id] = None
-        block = append_block(engine, world, 0, uncles=(uncle.id,))
+        node1.uncle_chain[uncle] = None
+        block = append_block(engine, world, 0, uncles=(uncle,))
         receive(engine, 1, 3.0, block)
-        assert uncle.id not in node1.uncle_chain
-        assert uncle.id in world.included_uncles
+        assert uncle not in node1.uncle_chain
+        assert uncle in world.included_uncles
         # A referenced uncle delivered again is not a candidate any more.
         slot = armed(queue, 1)
         receive(engine, 1, 4.0, uncle)
-        assert node1.tip is block and chain_of(world, node1) == [0, block.id]
+        assert node1.tip == block and chain_of(world, node1) == [0, block]
         assert armed(queue, 1) == slot  # no re-arm
-        assert uncle.id not in node1.uncle_chain
+        assert uncle not in node1.uncle_chain
 
 
 class TestMainChain:
@@ -626,7 +628,7 @@ class TestMainChain:
         engine, world, _ = make_engine(3, (0.4, 0.4, 0.2))
         b0 = append_block(engine, world, 0)
         b1 = append_block(engine, world, 1, ts=1.5)
-        assert world.nodes[0].tip.depth == world.nodes[1].tip.depth
+        assert world.depth[world.nodes[0].tip] == world.depth[world.nodes[1].tip]
         assert main_chain(world) == chain_of(world, world.nodes[0])
 
     def test_low_id_non_miner_decides_depth_tie(self):
@@ -634,14 +636,14 @@ class TestMainChain:
         # at 10 s; at 10.95 s node 0 and miner 2 hold X and miner 1 holds Y.
         # The depth tie goes to node 0, so X wins; without node 0 it is Y.
         sim = Simulation(make_config(n_n=3, miners=(0.0, 0.5, 0.5), b_delay=1.0), 0)
-        genesis = sim.world.registry[0]
+        genesis = 0
         sim.queue.schedule(9.9, EventKind.BLOCK_CREATE, 2, genesis)
         sim.queue.schedule(10.0, EventKind.BLOCK_CREATE, 1, genesis)
         run_loop(sim.queue, sim.handlers, sim.world, sim_time=10.95)
-        x, y = sim.world.registry[1], sim.world.registry[2]
-        assert (x.miner_id, y.miner_id, len(sim.world.registry)) == (2, 1, 3)
+        x, y = 1, 2
+        assert (sim.world.miner[x], sim.world.miner[y], len(sim.world.depth)) == (2, 1, 3)
         assert [node.tip for node in sim.world.nodes] == [x, y, x]
-        assert main_chain(sim.world) == [genesis.id, x.id]
+        assert main_chain(sim.world) == [genesis, x]
 
     def test_single_miner_no_stale(self):
         report = run_single(make_config(miners=(1.0,), n_n=3, block_target=400, b_delay=5.0), 0)

@@ -511,11 +511,11 @@ class TestRunLoop:
     def test_genesis_installed_on_every_node(self):
         sim = Simulation(make_config(block_target=5), 0)
         for node in sim.world.nodes:
-            assert chain_of(sim.world, node) == [sim.world.registry[0].id]
-            assert node.tip.depth == 0
+            assert chain_of(sim.world, node) == [0]
+            assert node.tip == 0 and sim.world.depth[0] == 0
         sim.run()
         for node in sim.world.nodes:
-            assert chain_of(sim.world, node)[0] == sim.world.registry[0].id
+            assert chain_of(sim.world, node)[0] == 0
 
     def test_dispatch_times_nondecreasing_and_clock_consistent(self):
         sim = Simulation(make_config(b_delay=1.5, block_target=200), 0)

@@ -1,19 +1,14 @@
 import pytest
 
-from chainsim.model import Block, World
+from chainsim.model import World
 from chainsim.runner import Simulation
 
-from conftest import chain_of, genesis, make_config, record_filing
+from conftest import chain_of, make_config, put_block, record_filing
 
 
 def blk(bid, depth, prev, miner=0, ts=None):
-    return Block(
-        id=bid,
-        depth=depth,
-        previous_id=prev,
-        timestamp=float(depth) if ts is None else ts,
-        miner_id=miner,
-    )
+    """Block ``bid``'s row, as ``(id, depth, parent, timestamp, miner)``."""
+    return (bid, depth, prev, float(depth) if ts is None else ts, miner)
 
 
 def observer_sim():
@@ -23,34 +18,33 @@ def observer_sim():
 
 
 def adopt(blocks, head):
-    """Register ``blocks``, deliver only ``head`` to a fresh node, return its chain.
+    """Add the rows ``blocks``, deliver only ``head`` to a fresh node, return its chain.
 
-    The registry is what lets the node fill in the ancestors it never received;
-    a broken link fails as the chain is walked.
+    The block columns are what let the node fill in the ancestors it never
+    received; a broken link fails as the chain is walked.
     """
     sim, observer = observer_sim()
-    for b in blocks:
-        assert b.id == len(sim.world.registry)  # ids index the registry
-        sim.world.registry.append(b)
-    sim.consensus.deliver_block((0,), 50.0, head)
+    for bid, *row in blocks:
+        assert put_block(sim.world, *row) == bid  # ids index the columns
+    sim.consensus.deliver_block((0,), 50.0, head[0])
     return chain_of(sim.world, observer)
 
 
 class TestTip:
     def test_fresh_node_tip_is_genesis(self):
         world = World([0.5, 0.5])
-        assert world.nodes[0].tip.depth == 0
-        assert world.nodes[1].tip is world.registry[0]
+        assert world.depth[world.nodes[0].tip] == 0
+        assert world.nodes[1].tip == 0
+        assert (world.parent[0], world.miner[0], world.timestamp[0]) == (-1, -1, 0.0)
 
     def test_tip_tracks_chain_tail(self):
         # A node that adopts a three-block chain ends with the head as its tip.
         sim, observer = observer_sim()
         head = None
         for bid in (1, 2):
-            head = blk(bid, bid, bid - 1)
-            sim.world.registry.append(head)
+            head = put_block(sim.world, *blk(bid, bid, bid - 1)[1:])
         sim.consensus.deliver_block((0,), 5.0, head)
-        assert observer.tip.id == chain_of(sim.world, observer)[-1] == 2
+        assert observer.tip == chain_of(sim.world, observer)[-1] == 2
 
     def test_tip_depth_after_adopting_longer_chain(self):
         # Zero delay and a time horizon: the observer has adopted everything.
@@ -59,50 +53,49 @@ class TestTip:
         sim = Simulation(config, 0)
         sim.run()
         observer, miner = sim.world.nodes
-        assert miner.tip.depth >= 1
-        assert observer.tip.depth == miner.tip.depth
+        assert sim.world.depth[miner.tip] >= 1
+        assert sim.world.depth[observer.tip] == sim.world.depth[miner.tip]
         assert chain_of(sim.world, observer) == chain_of(sim.world, miner)
 
 
 class TestRebuildChain:
     def test_head_genesis(self):
         sim, observer = observer_sim()
-        sim.consensus.deliver_block((0,), 1.0, sim.world.registry[0])
-        assert chain_of(sim.world, observer) == [sim.world.registry[0].id]
-        assert observer.tip is sim.world.registry[0] and not observer.uncle_chain
+        sim.consensus.deliver_block((0,), 1.0, 0)
+        assert chain_of(sim.world, observer) == [0]
+        assert observer.tip == 0 and not observer.uncle_chain
         assert len(sim.queue) == 0  # no re-arm
 
     def test_linear_chain(self):
         blocks = [blk(i, i, i - 1) for i in range(1, 5)]
         path = adopt(blocks, blocks[-1])
         assert path == [0, 1, 2, 3, 4]
-        assert len(path) == blocks[-1].depth + 1
+        assert len(path) == blocks[-1][1] + 1
 
     def test_forked_registry_follows_single_branch(self):
         # Hand-built 6-block fork: two children of genesis, one branch deeper.
-        g = genesis()
-        a1 = blk(1, 1, g.id)
-        a2 = blk(2, 2, a1.id)
-        b1 = blk(3, 1, g.id)
-        b2 = blk(4, 2, b1.id)
-        b3 = blk(5, 3, b2.id)
+        a1 = blk(1, 1, 0)
+        a2 = blk(2, 2, 1)
+        b1 = blk(3, 1, 0)
+        b2 = blk(4, 2, 3)
+        b3 = blk(5, 3, 4)
         blocks = (a1, a2, b1, b2, b3)
 
         # Oracle: enumerate all root-to-node paths by brute force.
         children = {}
-        for b in blocks:
-            children.setdefault(b.previous_id, []).append(b)
+        for bid, _, parent, _, _ in blocks:
+            children.setdefault(parent, []).append(bid)
 
         def paths(node, prefix):
-            prefix = prefix + [node.id]
-            yield node.id, list(prefix)
-            for child in children.get(node.id, []):
+            prefix = prefix + [node]
+            yield node, list(prefix)
+            for child in children.get(node, []):
                 yield from paths(child, prefix)
 
-        expected = dict(paths(g, []))
+        expected = dict(paths(0, []))
         for head in blocks:
-            assert adopt(blocks, head) == expected[head.id]
-        assert set(adopt(blocks, b3)) & {a1.id, a2.id} == set()
+            assert adopt(blocks, head) == expected[head[0]]
+        assert set(adopt(blocks, b3)) & {1, 2} == set()
 
     def test_broken_ancestry_is_fatal(self):
         orphan = blk(1, 3, 8)  # parent 8 never registered
@@ -119,14 +112,18 @@ class TestWorld:
             config = make_config(miners=(0.7, 0.3), stakes=(1.0, 3.0), n_n=4, selector=selector)
             sim = Simulation(config, 0)
             assert sim.world.weights == weights
-            assert all(n.tip is sim.world.registry[0] for n in sim.world.nodes)
+            assert all(n.tip == 0 for n in sim.world.nodes)
 
     def test_ids_increment(self):
-        # Block ids index the registry; the first transaction's id is 1.
+        # Block ids index the block columns; the first transaction's id is 1.
         config = make_config(has_trans=True, t_technique="full", t_n=0.01, block_target=20)
         sim = Simulation(config, 0)
         sim.run()
-        assert [b.id for b in sim.world.registry] == list(range(21))
+        world = sim.world
+        columns = (world.depth, world.parent, world.timestamp, world.miner, world.tx_count,
+                   world.weight, world.tx_fee_total)
+        assert {len(column) for column in columns} == {21}
+        assert all(0 <= world.parent[b] < b for b in range(1, 21))  # a parent is made first
         fresh = Simulation(config, 0)
         filed = record_filing(fresh)
         fresh.run()
@@ -142,5 +139,4 @@ class TestWorld:
         sim.run()
         for node in sim.world.nodes:
             for depth, bid in enumerate(chain_of(sim.world, node)):
-                block = sim.world.registry[bid]
-                assert (block.id, block.depth) == (bid, depth)
+                assert sim.world.depth[bid] == depth

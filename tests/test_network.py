@@ -11,7 +11,7 @@ from chainsim.runner import Simulation
 from chainsim.streams import Streams
 from chainsim.workload import TxWorkload
 
-from conftest import file_one, genesis, make_config, pending_arrivals, read_rows, strip_wall_clock
+from conftest import file_one, make_config, pending_arrivals, read_rows, strip_wall_clock
 
 
 def make_network(n_nodes, block_delay=2.0, mode="constant", seed=1, streams=None):
@@ -48,19 +48,19 @@ class TestBroadcastBlock:
     def test_constant_delay_fanout(self):
         # One entry carries every recipient but the sender, in node order.
         queue, net = make_network(3)
-        block = genesis()
+        block = 0  # genesis's id
         seqs = net.broadcast_block(0, block, at=10.0)
         assert len(queue) == 1
         assert drain(queue) == [(12.0, seqs[0], EventKind.BLOCK_RECEIVE, (1, 2), block)]
 
     def test_single_node_no_events(self):
         queue, net = make_network(1)
-        assert net.broadcast_block(0, genesis(), at=0.0) == []
+        assert net.broadcast_block(0, 0, at=0.0) == []
         assert len(queue) == 0
 
     def test_fanout_is_always_n_minus_one(self):
         queue, net = make_network(7)
-        net.broadcast_block(3, genesis(), at=1.0)
+        net.broadcast_block(3, 0, at=1.0)
         ((*_, targets, _),) = drain(queue)
         assert targets == (0, 1, 2, 4, 5, 6)
 
@@ -70,14 +70,14 @@ class TestBroadcastBlock:
             queue.schedule(5.0, EventKind.BLOCK_CREATE, 0, None)
             queue.next_event()
             with pytest.raises(SchedulingError):
-                net.broadcast_block(0, genesis(), at=1.0)
+                net.broadcast_block(0, 0, at=1.0)
 
     def test_exponential_mean_empirical(self):
         # 10,000 deliveries, mean 2: 3 sigma bound on the sample mean is 0.06.
         queue, net = make_network(2, block_delay=2.0, mode="exponential")
         n = 10_000
         for _ in range(n):
-            assert len(net.broadcast_block(0, genesis(), at=0.0)) == 1
+            assert len(net.broadcast_block(0, 0, at=0.0)) == 1
         entries = drain(queue)
         assert len(entries) == n
         assert all(targets == (1,) for *_, targets, _ in entries)
@@ -86,7 +86,7 @@ class TestBroadcastBlock:
     def test_exponential_mode_draws_per_recipient(self):
         # One single-recipient entry per node, each with its own delay.
         queue, net = make_network(4, block_delay=3.0, mode="exponential")
-        assert len(net.broadcast_block(0, genesis(), at=0.0)) == 3
+        assert len(net.broadcast_block(0, 0, at=0.0)) == 3
         entries = drain(queue)
         assert sorted(e[3] for e in entries) == [(1,), (2,), (3,)]
         assert len({e[0] for e in entries}) == 3  # independent draws
@@ -95,7 +95,7 @@ class TestBroadcastBlock:
         streams = Streams(make_config(n_n=3, miners=(1.0,), b_delay=0.0, delay_mode="exponential"), 1)
         queue, net = make_network(3, block_delay=0.0, mode="exponential", streams=streams)
         state = streams.rng.bit_generator.state
-        net.broadcast_block(1, genesis(), at=4.0)
+        net.broadcast_block(1, 0, at=4.0)
         assert [(e[0], e[3]) for e in drain(queue)] == [(4.0, (0, 2))]
         assert streams.rng.bit_generator.state == state  # nothing drawn
 
@@ -140,8 +140,8 @@ seed = 21
 
             sim.handlers[EventKind.BLOCK_RECEIVE] = counting
             sim.run()
-            registry = sim.world.registry
-            landed = sum(registry[i].timestamp + 4.0 <= 3000.0 for i in range(1, len(registry)))
+            made = sim.world.timestamp
+            landed = sum(made[i] + 4.0 <= 3000.0 for i in range(1, len(made)))
             assert landed > 50
             assert len(receivers) == landed * 3
             assert set(receivers) == {0, 1, 2, 3}
@@ -154,7 +154,7 @@ seed = 21
         assert sim.network.recipients == 3
         assert sim.network._others == {}
         sim.run()
-        assert len(sim.world.registry) > 1
+        assert len(sim.world.depth) > 1
         assert sim.network._others == {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
     def test_exponential_draws_for_nodes_past_the_recipients(self):
@@ -163,7 +163,7 @@ seed = 21
         sim = Simulation(config, 0)
         replay, delay = np.random.default_rng(0), ExponentialSampler(2.0)
         replay.bit_generator.state = sim.streams.rng.bit_generator.state
-        sim.network.broadcast_block(0, genesis(), at=1.0)
+        sim.network.broadcast_block(0, 0, at=1.0)
         entries = sorted(drain(sim.queue), key=lambda e: e[3])
         assert [(e[3], e[0]) for e in entries] == [
             ((1,), 1.0 + delay.draw(replay)),

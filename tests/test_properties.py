@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chainsim.cli import write_aggregate_csv, write_run_csv
 from chainsim.consensus import main_chain
-from chainsim.incentives import distribute
+from chainsim.incentives import distribute, grand_total
 from chainsim.runner import Simulation, run_many
 from chainsim.stats import aggregate
 
@@ -132,32 +132,33 @@ def test_tall_light_pool_stays_small(tmp_path):
 
 
 def test_memory_per_block_does_not_grow_with_the_miners():
-    # Each block is held once, in the registry, and each node holds only its
-    # tip: 64 equal miners cost what 5 do a block.  With a chain list per
-    # node it was about 740 against 240 bytes a block.
+    # Each block is one row of the world's typed columns, and each node holds
+    # only its tip: 64 equal miners cost what 5 do a block, at most 100 bytes.
+    # With a chain list per node it was about 740 against 240 bytes a block,
+    # and with one object per block about 205 bytes.
     per_block = {}
     for n in (5, 64):
         sim = Simulation(make_config(n_n=n, miners=(1 / n,) * n, block_target=4_000), 0)
         tracemalloc.start()
         try:
             sim.run()
-            per_block[n] = tracemalloc.get_traced_memory()[0] / (len(sim.world.registry) - 1)
+            per_block[n] = tracemalloc.get_traced_memory()[0] / (len(sim.world.depth) - 1)
         finally:
             tracemalloc.stop()
     assert abs(per_block[64] - per_block[5]) <= 0.25 * per_block[5], per_block
+    assert max(per_block.values()) <= 100, per_block
 
 
-def expected_grand_total(blocks_included, chain, registry, config):
+def expected_grand_total(blocks_included, chain, world, config):
     """``blocks_included`` block rewards plus the main chain's fees, uncle
     rewards and inclusion rewards, with the uncle reward's linear decay
     written out."""
     reward, window = config.b_reward, config.g_uncle
     fees, uncle_rewards, inclusion_rewards = [], [], []
     for block_id in chain[1:]:
-        block = registry[block_id]
-        fees.append(block.tx_fee_total)
-        for uncle_id in block.uncles:
-            age = block.depth - registry[uncle_id].depth
+        fees.append(world.tx_fee_total[block_id])
+        for uncle_id in world.uncles.get(block_id, ()):
+            age = world.depth[block_id] - world.depth[uncle_id]
             assert 1 <= age <= window
             uncle_rewards.append((window + 1 - age) * reward / (window + 1))
             inclusion_rewards.append(config.inclusion_reward_fraction * reward)
@@ -211,6 +212,6 @@ class TestRewardsAreConserved:
             assert math.fsum(report.miner_shares.values()) == pytest.approx(1.0, abs=1e-12)
             assert math.fsum(report.reward_shares.values()) == pytest.approx(1.0, abs=1e-12)
         chain = main_chain(sim.world)
-        ledger = distribute(chain, sim.world.registry, config)
-        expected = expected_grand_total(report.blocks_included, chain, sim.world.registry, config)
-        assert ledger.grand_total() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        rewards = distribute(chain, sim.world, config)
+        expected = expected_grand_total(report.blocks_included, chain, sim.world, config)
+        assert grand_total(rewards) == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chainsim.model import Block
+from chainsim.model import World
 from chainsim.runner import run_many, run_single
 from chainsim.stats import (
     InvariantViolation,
@@ -17,7 +17,7 @@ from chainsim.stats import (
     t_quantile,
 )
 
-from conftest import genesis, make_config
+from conftest import make_config, put_block
 
 
 def make_report(**overrides):
@@ -64,34 +64,66 @@ class TestRunReport:
 
 class TestCheckMainChain:
     def _chain(self):
-        first = genesis()
-        registry = {first.id: first}
-        b1 = Block(id=1, depth=1, previous_id=0, timestamp=5.0, miner_id=0)
-        b2 = Block(id=2, depth=2, previous_id=1, timestamp=9.0, miner_id=1)
-        for b in (b1, b2):
-            registry[b.id] = b
-        return registry, [0, 1, 2]
+        """Genesis, block 1 at 5 s and block 2 at 9 s, each on the one before."""
+        world = World([1.0])
+        put_block(world, 1, 0, 5.0, 0)
+        put_block(world, 2, 1, 9.0, 1)
+        return world, [0, 1, 2]
 
     def test_valid_chain_passes(self):
-        registry, chain = self._chain()
-        check_main_chain(registry, chain)
+        world, chain = self._chain()
+        check_main_chain(world, chain)
 
-    def test_bad_linkage_raises(self):
-        registry, chain = self._chain()
-        registry[3] = Block(id=3, depth=2, previous_id=0, timestamp=10.0, miner_id=0)
-        with pytest.raises(InvariantViolation):
-            check_main_chain(registry, [0, 1, 3])
-
-    def test_non_monotone_timestamp_raises(self):
-        registry, chain = self._chain()
-        registry[4] = Block(id=4, depth=3, previous_id=2, timestamp=9.0, miner_id=0)
-        with pytest.raises(InvariantViolation):
-            check_main_chain(registry, [0, 1, 2, 4])
+    def test_empty_chain_raises(self):
+        world, _ = self._chain()
+        with pytest.raises(InvariantViolation, match="^main chain is empty$"):
+            check_main_chain(world, [])
 
     def test_wrong_root_raises(self):
-        registry, chain = self._chain()
-        with pytest.raises(InvariantViolation):
-            check_main_chain(registry, [1, 2])
+        world, _ = self._chain()
+        with pytest.raises(InvariantViolation, match="^main chain does not start at genesis$"):
+            check_main_chain(world, [1, 2])
+        # A depth-0 root with a parent is not genesis either.
+        root = put_block(world, 0, 0, 1.0, 0)
+        with pytest.raises(InvariantViolation, match="^main chain does not start at genesis$"):
+            check_main_chain(world, [root])
+
+    def test_repeated_id_raises(self):
+        world, _ = self._chain()
+        with pytest.raises(InvariantViolation, match="^main chain repeats a block id$"):
+            check_main_chain(world, [0, 1, 2, 1])
+
+    def test_bad_linkage_raises(self):
+        world, _ = self._chain()
+        block = put_block(world, 2, 0, 10.0, 0)  # id 3, on genesis
+        with pytest.raises(InvariantViolation, match="^block 3 does not link to its predecessor 1$"):
+            check_main_chain(world, [0, 1, block])
+
+    def test_non_consecutive_depth_raises(self):
+        world, _ = self._chain()
+        block = put_block(world, 4, 2, 10.0, 0)  # id 3, two generations below block 2
+        with pytest.raises(InvariantViolation, match="^block 3 has non-consecutive depth$"):
+            check_main_chain(world, [0, 1, 2, block])
+
+    def test_non_monotone_timestamp_raises(self):
+        world, _ = self._chain()
+        put_block(world, 3, 2, 11.0, 0)  # id 3, a valid block
+        block = put_block(world, 4, 3, 11.0, 0)  # id 4, at its parent's time
+        with pytest.raises(InvariantViolation, match="^block 4 does not advance the clock$"):
+            check_main_chain(world, [0, 1, 2, 3, block])
+
+    def test_first_failing_block_is_reported_by_its_first_failed_check(self):
+        # Block 3 links to genesis, skips a depth and goes back in time;
+        # block 4 after it fails too.  Only block 3's link is reported.
+        world, _ = self._chain()
+        put_block(world, 5, 0, 1.0, 0)
+        put_block(world, 9, 0, 0.5, 0)
+        with pytest.raises(InvariantViolation, match="^block 3 does not link to its predecessor 2$"):
+            check_main_chain(world, [0, 1, 2, 3, 4])
+        # Linked but too deep and too early: the depth is reported.
+        block = put_block(world, 4, 2, 1.0, 0)
+        with pytest.raises(InvariantViolation, match=f"^block {block} has non-consecutive depth$"):
+            check_main_chain(world, [0, 1, 2, block])
 
 
 class TestAggregate:

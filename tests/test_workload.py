@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import namedtuple
 from contextlib import nullcontext
 from functools import reduce
 from operator import add
@@ -23,9 +24,8 @@ from chainsim.config import (
 )
 from chainsim.consensus import main_chain
 from chainsim.engine import EventKind
-from chainsim.model import Block, World
+from chainsim.model import World
 from chainsim.runner import Simulation, run_single
-from chainsim.incentives import RewardLedger
 from chainsim.stats import summarize_run
 from chainsim.streams import Streams
 from chainsim.workload import SharedPool
@@ -37,6 +37,7 @@ from conftest import (
     make_config,
     pending_arrivals,
     pending_order,
+    put_block,
     read_rows,
     record_filing,
     strip_wall_clock,
@@ -64,7 +65,9 @@ def light_config(**overrides):
 
 
 def make_pool(seed, config):
-    return SharedPool(Streams(config, seed), config, parse_sampler(config.t_size), parse_sampler(config.t_fee))
+    return SharedPool(
+        World([1.0]), Streams(config, seed), config, parse_sampler(config.t_size), parse_sampler(config.t_fee)
+    )
 
 
 def reference_pack(pool, sizes, fees):
@@ -101,16 +104,18 @@ class Recording:
         self.batches.append(out.copy())
 
 
+Packed = namedtuple("Packed", "tx_count weight tx_fee_total")
+
+
 def take_blocks(pool, count):
     """Hand ``count`` new blocks to ``pool``, then pack what is still queued,
-    as the end of a run does."""
-    blocks = [
-        Block(id=i, depth=i, previous_id=None, timestamp=0.0, miner_id=0) for i in range(count)
-    ]
+    as the end of a run does; return each block's filled row."""
+    world = pool.world
+    blocks = [world.add_block(0, 0.0, 0) for _ in range(count)]
     for block in blocks:
         pool.take_block(block)
     pool.pack()
-    return blocks
+    return [Packed(world.tx_count[b], world.weight[b], world.tx_fee_total[b]) for b in blocks]
 
 
 def check_against_oracle(config, size, price, count, seed):
@@ -118,7 +123,7 @@ def check_against_oracle(config, size, price, count, seed):
     draws and compare each, exactly, with ``reference_pack`` of the pool it
     was given: both add left to right (Python 3.12's sum() compensates)."""
     sizes, prices = Recording(size), Recording(price)
-    pool = SharedPool(Streams(config, seed), config, sizes, prices)
+    pool = SharedPool(World([1.0]), Streams(config, seed), config, sizes, prices)
     blocks = take_blocks(pool, count)
     for block, drawn, unit in zip(blocks, sizes.batches, prices.batches):
         expected = reference_pack(pool, drawn, drawn * unit)
@@ -300,7 +305,7 @@ class TestSharedPool:
         )
         size = Recording(parse_sampler(config.t_size))
         price = Recording(parse_sampler(config.t_fee))
-        pool = SharedPool(Streams(config, 17), config, size, price)
+        pool = SharedPool(World([1.0]), Streams(config, 17), config, size, price)
         (block,) = take_blocks(pool, 1)
         expected = reference_pack(pool, size.batches[0], size.batches[0] * price.batches[0])
         assert block.tx_count == len(expected)
@@ -490,9 +495,8 @@ class TestFullMode:
 
         seen = set()
         for bid in main_chain(sim.world)[1:]:
-            block = sim.world.registry[bid]
-            assert block.weight <= 0.005 + 1e-12  # capacity respected
-            for tx_id, _, _, _ in block_txs(sim.workload, block):
+            assert sim.world.weight[bid] <= 0.005 + 1e-12  # capacity respected
+            for tx_id, _, _, _ in block_txs(sim.workload, bid):
                 assert tx_id not in seen
                 seen.add(tx_id)
         assert seen  # the run actually included transactions
@@ -507,7 +511,7 @@ class TestFullMode:
         sim = Simulation(config, 0)
         sim.run()
         gc.collect()
-        held = [block.transactions for block in sim.world.registry if len(block.transactions)]
+        held = [ids for ids in sim.world.transactions.values() if len(ids)]
         assert held and all(ids.dtype == np.int64 for ids in held)
         assert not any(gc.is_tracked(ids) for ids in held)
 
@@ -524,13 +528,13 @@ class TestFullMode:
         sim.run()
         submitters = {tx[0]: submitter for submitter, tx, _ in filed}  # transaction id -> submitter
         relayed = 0
-        for bid in range(1, len(sim.world.registry)):
-            block = sim.world.registry[bid]
-            for tx_id, stamp, _, _ in block_txs(sim.workload, block):
-                if submitters[tx_id] == block.miner_id:
-                    assert stamp <= block.timestamp
+        for bid in range(1, len(sim.world.depth)):
+            made = sim.world.timestamp[bid]
+            for tx_id, stamp, _, _ in block_txs(sim.workload, bid):
+                if submitters[tx_id] == sim.world.miner[bid]:
+                    assert stamp <= made
                 else:
-                    assert stamp + 4.0 <= block.timestamp
+                    assert stamp + 4.0 <= made
                     relayed += 1
         assert relayed
 
@@ -595,7 +599,7 @@ def pack_against_oracle(config, chunk):
     with mock.patch.object(workload_module, "PENDING_CHUNK", chunk), split as splits:
         report = sim.run()
     assert checked == report.blocks_created
-    on_main = [t[0] for b in main_chain(sim.world)[1:] for t in block_txs(workload, sim.world.registry[b])]
+    on_main = [t[0] for b in main_chain(sim.world)[1:] for t in block_txs(workload, b)]
     assert on_main and len(on_main) == len(set(on_main))
     return checked, splits.call_count, emptied, tied
 
@@ -774,8 +778,10 @@ class TestBatchFiling:
                 for sim in (batched, single):
                     block = sim.consensus.on_block_create(miner_id, now, sim.world.nodes[miner_id].tip)
                     sim.consensus.deliver_block(tuple(receivers), now, block)
+                    world = sim.world
                     made.append(
-                        (block_txs(sim.workload, block), block.tx_count, block.weight, block.tx_fee_total)
+                        (block_txs(sim.workload, block), world.tx_count[block], world.weight[block],
+                         world.tx_fee_total[block])
                     )
                 assert made[0] == made[1]
                 assert pending_keys(batched.workload) == pending_keys(single.workload)
@@ -785,10 +791,9 @@ class TestTxLatency:
     def test_simple_difference(self):
         # One main-chain block at t=160 holding transaction 1, created at t=100.
         world = World([1.0])
-        block = Block(id=1, depth=1, previous_id=0, timestamp=160.0,
-                      miner_id=0, transactions=np.array([1]), tx_count=1)
-        world.registry.append(block)
-        report = summarize_run(world, [0, block.id], RewardLedger(), elapsed=200.0, run_index=0,
+        block = put_block(world, 1, 0, 160.0, 0, tx_count=1)
+        world.transactions[block] = np.array([1])
+        report = summarize_run(world, [0, block], {0: 2.0}, elapsed=200.0, run_index=0,
                                seed=0, wall_clock=0.0, tx_times=np.array([0.0, 100.0]))
         assert report.mean_tx_latency_s == 60.0
 
@@ -804,11 +809,11 @@ class TestTxLatency:
         report = sim.run()
         included, total = 0, 0.0
         for bid in main_chain(sim.world)[1:]:
-            block = sim.world.registry[bid]
-            for _, stamp, _, _ in block_txs(sim.workload, block):
-                assert stamp <= block.timestamp
+            made = sim.world.timestamp[bid]
+            for _, stamp, _, _ in block_txs(sim.workload, bid):
+                assert stamp <= made
                 included += 1
-                total += block.timestamp - stamp
+                total += made - stamp
         assert included
         assert report.mean_tx_latency_s == total / included
 
