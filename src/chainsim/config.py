@@ -7,7 +7,8 @@ allowed values or its own parser where it has them.  The file parser's
 are derived from those declarations in field order; every other rule is code
 in ``validate``.  A field's parser follows its annotation.
 
-``#`` starts a comment.  Sampler values use a mini-syntax:
+``#`` starts a comment.  Sampler values use a mini-syntax, which
+``parse_sampler`` turns into the sampler classes of ``streams``:
 
     const:X     fixed value X
     exp:MEAN    exponential with the given mean
@@ -24,12 +25,10 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-import numpy as np
+from .streams import ConstantSampler, ExponentialSampler, HistogramSampler
 
 FRACTION_TOLERANCE = 1e-9
-PROBABILITY_TOLERANCE = 1e-9
 # Most transactions one full-mode run may expect (T_n x horizon).  On a
 # 2-vCPU host each costs 0.5-8 microseconds and, with five miners, about
 # 100 bytes at peak, so a run at the cap takes up to about 8 s and 200 MB;
@@ -37,9 +36,9 @@ PROBABILITY_TOLERANCE = 1e-9
 # count, and a run that makes more than this many stops with ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
-# Every block is kept until the run ends, a row of about 60 bytes, and a bare
-# run at the cap took 9 s and 167 MB of peak memory on the same host (12.6 s
-# and 314 MB with one object per block); far above it, a run would not end.
+# Every block is kept until the run ends, a row of about 60 bytes; a bare run at
+# the cap took 8.5 s and 122 MB of peak memory on the same host; far above it, a
+# run would not end.
 MAX_BLOCKS_PER_RUN = 1_000_000
 # Most entries a light-mode pool may hold.  Each costs 16 bytes in a pool
 # (a size and a unit price) and some 80 more while it is packed, and every
@@ -57,9 +56,6 @@ MAX_LIGHT_POOL = 1_000_000
 # either, a run would not end.
 MAX_DELAY_WORDS = 1_000_000_000
 MAX_DELAY_ROW = 1_000_000
-# Most raw words ``ExponentialSampler.skip`` reads at once, 512 KB: skipping
-# the draws of ``N_n`` nodes then takes bounded memory however large ``N_n`` is.
-SKIP_CHUNK = 1 << 16
 
 # Five-miner study profile used throughout the decentralization experiments.
 DEFAULT_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
@@ -236,126 +232,6 @@ PRESETS: dict[str, dict] = {
         runs=10,
     ),
 }
-
-
-class ConstantSampler:
-    __slots__ = ("value",)
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw nothing and leave ``out`` as it is: a row kept for a constant holds its value."""
-
-    def mean(self) -> float:
-        return self.value
-
-
-class ExponentialSampler:
-    """Exponential draws of a positive mean, read from a generator's stream.
-
-    ``draw`` takes a uniform ``u = 1 - rng.random()`` in (0, 1] and gives
-    ``-mean * ln(u)``.  Draws are strictly positive, so a delay never lands
-    on the current instant: a draw of 0, from ``u = 1`` or, at a mean below
-    about 1e-308, from any ``u`` near it, is drawn again from the next
-    uniform.  ``draws`` and ``skip`` read the stream as that many ``draw``
-    calls would; ``draw_into`` alone uses numpy's ziggurat instead, for
-    light pools.
-    """
-
-    __slots__ = ("_mean", "rejects_only_zero")
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
-        self._mean = float(mean)
-        # Whether a draw is redrawn only for a zero uniform, that is a raw
-        # PCG64 word below 2**11: true unless the mean is so small that the
-        # least nonzero uniform gives 0 too.
-        self.rejects_only_zero = -self._mean * math.log(1.0 - 2.0**-53) > 0.0
-
-    def draw(self, rng: np.random.Generator) -> float:
-        mean, random, log = self._mean, rng.random, math.log
-        while True:
-            x = -mean * log(1.0 - random())
-            if x > 0.0:
-                return x
-
-    def draws(self, rng: np.random.Generator, k: int) -> list[float]:
-        """``k`` values of ``draw``, from batches of uniforms: a rejected
-        uniform is replaced by a further one, so the values and the stream
-        match ``k`` single calls."""
-        values: list[float] = []
-        while len(values) < k:
-            values.extend(x for x in self.from_uniforms(rng.random(k - len(values))) if x > 0.0)
-        return values
-
-    def skip(self, rng: np.random.Generator, k: int) -> None:
-        """Advance ``rng`` as ``draws(rng, k)`` would, in chunks of bounded
-        size, without computing the values where ``rejects_only_zero``
-        allows: ``k`` raw words, then one more for each word rejected.  Else
-        each chunk is drawn, and ends at its last accepted uniform."""
-        raw = rng.bit_generator.random_raw
-        while k > 0:
-            chunk = min(k, SKIP_CHUNK)
-            if self.rejects_only_zero:
-                k += int(np.count_nonzero(raw(chunk) < 2**11)) - chunk
-            else:
-                self.draws(rng, chunk)
-                k -= chunk
-
-    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with the values ``rng.exponential(mean, len(out))`` gives."""
-        rng.standard_exponential(out=out)
-        out *= self._mean
-
-    def from_uniforms(self, u: np.ndarray) -> list[float]:
-        """The values ``draw`` makes from the uniforms ``u``, a rejected one giving 0."""
-        mean, log = self._mean, math.log  # not np.log, which may differ by an ulp
-        return [-mean * log(1.0 - x) for x in u.tolist()]
-
-    def mean(self) -> float:
-        return self._mean
-
-
-class HistogramSampler:
-    """Empirical distribution given as (value, probability) pairs.  A draw
-    maps a uniform through the cumulative sum, as ``Generator.choice`` does."""
-
-    __slots__ = ("values", "probabilities", "_cdf")
-
-    def __init__(self, values: Sequence[float], probabilities: Sequence[float]) -> None:
-        if len(values) != len(probabilities) or not values:
-            raise ValueError("histogram needs one probability per value")
-        if not all(math.isfinite(x) for x in (*values, *probabilities)):
-            raise ValueError("histogram values and probabilities must be finite")
-        if any(p < 0 for p in probabilities):
-            raise ValueError("histogram probabilities must be non-negative")
-        total = math.fsum(probabilities)
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise ValueError(f"histogram probabilities sum to {total!r}, expected 1")
-        self.values = np.asarray(values, dtype=float)
-        self.probabilities = np.asarray(probabilities, dtype=float)
-        self._cdf = self.probabilities.cumsum()
-        self._cdf /= self._cdf[-1]
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(self.values[self._cdf.searchsorted(rng.random(), side="right")])
-
-    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with ``len(out)`` draws, as ``draw`` makes them one by one."""
-        rng.random(out=out)
-        self.values.take(self._cdf.searchsorted(out, side="right"), out=out)
-
-    def from_uniforms(self, u: np.ndarray) -> list[float]:
-        """The values ``draw`` makes from the uniforms ``u``."""
-        return self.values.take(self._cdf.searchsorted(u, side="right")).tolist()
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probabilities))
 
 
 def load_histogram(path) -> HistogramSampler:

@@ -41,10 +41,13 @@ nodes up to the highest-id miner and no more, so blocks reach those alone
 from __future__ import annotations
 
 import itertools
+from array import array
+
+import numpy as np
 
 from .config import SimConfig
 from .engine import EventQueue
-from .model import NodeState, World
+from .model import NodeState, World, view
 from .network import Network
 from .streams import Streams
 from .workload import TxWorkload
@@ -203,8 +206,13 @@ def branch(world: World, head: int, base: int) -> list[int]:
     return joined[::-1]
 
 
-def main_chain(world: World) -> list[int]:
-    """The deepest local chain at end of run, as block ids from genesis,
-    walked back once from its tip; ties go to the lowest node id."""
-    tip = max(world.nodes, key=lambda node: world.depth[node.tip]).tip
-    return [0, *branch(world, tip, 0)]
+def main_chain(world: World) -> np.ndarray:
+    """The deepest local chain at end of run, as int64 block ids from genesis,
+    filled by one walk down the parent column from its tip; ties go to the
+    lowest node id."""
+    depth, parent = world.depth, world.parent
+    block = max(world.nodes, key=lambda node: depth[node.tip]).tip
+    chain = array("q", [0]) * (depth[block] + 1)
+    for at in range(len(chain) - 1, 0, -1):
+        chain[at], block = block, parent[block]
+    return view(chain)

@@ -3,6 +3,7 @@ uncle/inclusion rewards for configurations that reference uncle blocks."""
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import add
 
@@ -27,23 +28,27 @@ def uncle_reward(d_uncle, g_uncle: int, d_block, r_block: float):
     return (d_uncle + (g_uncle + 1) - d_block) * r_block / (g_uncle + 1)
 
 
-def _running_sum(owners: np.ndarray, values, miner: int) -> float:
+def _running_sum(buffer: np.ndarray, owners: np.ndarray, values, miner: int) -> float:
     """The ``values`` (an array, or one for every entry; none negative) owned by ``miner``,
-    added in order from 0.0: another miner's entry adds 0.0, which leaves the sum as it was."""
-    return float(np.add.accumulate(np.concatenate(([0.0], (owners == miner) * values)))[-1])
+    added in order from 0.0 in ``buffer``, which starts with 0.0 and is longer than ``owners``:
+    another miner's entry adds 0.0, which leaves the sum as it was."""
+    out = buffer[: len(owners) + 1]
+    np.multiply(owners == miner, values, out=out[1:])
+    return float(np.add.accumulate(out, out=out)[-1])
 
 
-def distribute(main_chain_ids: list[int], world: World, config: SimConfig) -> dict[int, float]:
+def distribute(chain: np.ndarray, world: World, config: SimConfig) -> dict[int, float]:
     """Each paid miner's reward: its main-chain blocks, their fees, its
     referenced uncles and its inclusion bonuses, each summed in chain order.
 
-    Runs once at end of run.  Uncles referenced by a block that itself fell
-    off the main chain earn nothing, and transactions inside uncle blocks
-    are never rewarded.  Miners come in the order they first earn, walking
-    the chain: a block's miner, then the miners of the uncles it references.
+    Runs once at end of run, on the main chain's int64 ids.  Uncles
+    referenced by a block that itself fell off the main chain earn nothing,
+    and transactions inside uncle blocks are never rewarded.  Miners come in
+    the order they first earn, walking the chain: a block's miner, then the
+    miners of the uncles it references.
     """
     reward, depth, miner = config.b_reward, view(world.depth), view(world.miner)
-    blocks = np.asarray(main_chain_ids, dtype=np.int64)[1:]  # genesis earns nothing
+    blocks = chain[1:]  # genesis earns nothing
     on_chain = np.zeros(len(depth), dtype=bool)
     on_chain[blocks] = True
     # Each uncle reference of a main-chain block, in chain order: ids grow along the chain.
@@ -51,16 +56,26 @@ def distribute(main_chain_ids: list[int], world: World, config: SimConfig) -> di
     includers, uncles = np.array(refs, dtype=np.int64).reshape(-1, 2).T
     block_miners, includer_miners, uncle_miners = miner[blocks], miner[includers], miner[uncles]
     fees = view(world.tx_fee_total)[blocks]
-    # Each uncle's miner right after its includer's, the block at blocks[depth - 1].
-    earners = dict.fromkeys(np.insert(block_miners, depth[includers], uncle_miners).tolist())
     uncle_rewards = uncle_reward(depth[uncles], config.g_uncle, depth[includers], reward)
+    # Where each earner first earns: (chain index, 0) at its first block, or
+    # (includer's chain index, 1, reference index) at its first uncle.
+    first = {m: (int((block_miners == m).argmax()), 0) for m in _owners(block_miners)}
+    for m in _owners(uncle_miners):
+        at = int((uncle_miners == m).argmax())
+        first[m] = min(first.get(m, (math.inf,)), (int(depth[includers[at]]) - 1, 1, at))
+    buffer = np.zeros(max(len(blocks), len(refs)) + 1)  # reused by every running sum
     return {
-        m: _running_sum(block_miners, reward, m)
-        + _running_sum(block_miners, fees, m)
-        + _running_sum(uncle_miners, uncle_rewards, m)
-        + _running_sum(includer_miners, config.inclusion_reward_fraction * reward, m)
-        for m in earners
+        m: _running_sum(buffer, block_miners, reward, m)
+        + _running_sum(buffer, block_miners, fees, m)
+        + _running_sum(buffer, uncle_miners, uncle_rewards, m)
+        + _running_sum(buffer, includer_miners, config.inclusion_reward_fraction * reward, m)
+        for m in sorted(first, key=first.get)
     }
+
+
+def _owners(miners: np.ndarray) -> list[int]:
+    """The distinct ids in ``miners``, in id order."""
+    return np.flatnonzero(np.bincount(miners)).tolist()
 
 
 def grand_total(rewards: dict[int, float]) -> float:

@@ -18,25 +18,24 @@ class InvariantViolation(RuntimeError):
     """The finished run's main chain is structurally inconsistent."""
 
 
-def check_main_chain(world: World, chain_ids: list[int]) -> None:
-    """Validate depth, linkage, and timestamp monotonicity of the main chain;
-    the first block that fails is reported with the first check it fails."""
-    if not chain_ids:
+def check_main_chain(world: World, chain: np.ndarray) -> None:
+    """Validate depth, linkage, and timestamp monotonicity of the main chain, an
+    int64 id array; the first block that fails is reported with the first check it fails."""
+    if not len(chain):
         raise InvariantViolation("main chain is empty")
-    if world.depth[chain_ids[0]] != 0 or world.parent[chain_ids[0]] != -1:
+    if world.depth[chain[0]] != 0 or world.parent[chain[0]] != -1:
         raise InvariantViolation("main chain does not start at genesis")
-    ids = np.asarray(chain_ids, dtype=np.int64)
-    depth, timestamp = view(world.depth)[ids], view(world.timestamp)[ids]
-    unlinked = view(world.parent)[ids[1:]] != ids[:-1]
+    depth, timestamp = view(world.depth)[chain], view(world.timestamp)[chain]
+    unlinked = view(world.parent)[chain[1:]] != chain[:-1]
     skipped = depth[1:] != depth[:-1] + 1
     stalled = timestamp[1:] <= timestamp[:-1]
     failed = unlinked | skipped | stalled
     if not failed.any():
         return  # depths that rise by one are distinct, and so are their blocks
-    if len(set(chain_ids)) != len(chain_ids):
+    if len(set(chain.tolist())) != len(chain):
         raise InvariantViolation("main chain repeats a block id")
     at = int(failed.argmax())
-    block, previous = int(ids[at + 1]), int(ids[at])
+    block, previous = int(chain[at + 1]), int(chain[at])
     if unlinked[at]:
         raise InvariantViolation(f"block {block} does not link to its predecessor {previous}")
     if skipped[at]:
@@ -96,7 +95,7 @@ _COLUMNS = {
 
 def summarize_run(
     world: World,
-    chain_ids: list[int],
+    chain: np.ndarray,  # the main chain's int64 ids
     rewards: dict[int, float],
     *,
     elapsed: float,
@@ -106,18 +105,20 @@ def summarize_run(
     tx_times: np.ndarray,  # each full-mode transaction's creation time, by id
 ) -> RunReport:
     """Fold a finished world and its rewards into one RunReport (and validate the chain)."""
-    check_main_chain(world, chain_ids)
-    included = len(chain_ids) - 1
+    check_main_chain(world, chain)
+    included = len(chain) - 1
     created = len(world.depth) - 1  # genesis is not created
     stale_rate = (created - included) / created if created else 0.0
 
-    chain = np.asarray(chain_ids, dtype=np.int64)[1:]
-    tx_total = int(view(world.tx_count)[chain].sum())
-    block_counts = np.bincount(view(world.miner)[chain], minlength=len(world.weights)).tolist()
-    transactions = world.transactions  # full mode only
+    tx_total = int(view(world.tx_count)[chain[1:]].sum())
+    block_counts = np.bincount(view(world.miner)[chain[1:]], minlength=len(world.weights)).tolist()
+    on_chain = np.zeros(len(world.depth), dtype=bool)
+    on_chain[chain] = True
+    # Full mode only: filled as blocks are made, so in id order, which is chain order.
+    transactions = world.transactions
     latencies = np.concatenate([
         np.zeros(1),  # then each included transaction's latency
-        *(world.timestamp[b] - tx_times[transactions[b]] for b in chain_ids[1:] if b in transactions),
+        *(world.timestamp[b] - tx_times[ids] for b, ids in transactions.items() if on_chain[b]),
     ])
     tracked = len(latencies) - 1
 

@@ -7,7 +7,8 @@ each recipient in node order, then those of the nodes not built, skipped
 (``block_delays``); per full-mode transaction, its delays to the other
 ``N_n - 1`` nodes under exponential ``T_delay``, then its successor's gap,
 submitter, unmodelled recipient, size and unit price (``transactions``); and
-each light pool's sizes, then unit prices (``light_pool``).
+each light pool's sizes, then unit prices (``light_pool``).  The samplers
+that ``config`` builds from ``const:``, ``exp:`` and ``hist:`` specs are here.
 
 A full-mode transaction is read from a row of raw PCG64 words, as numpy's
 own calls read them: ``integers(n)`` runs Lemire's method on a word's low,
@@ -21,19 +22,145 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .config import ConstantSampler, ExponentialSampler, SimConfig
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 # Full mode reads up to this many bytes of raw words in one batch of rows.
 TX_BATCH_BYTES = 1 << 20
+# Most raw words ``ExponentialSampler.skip`` reads at once, 512 KB: skipping
+# the draws of ``N_n`` nodes then takes bounded memory however large ``N_n`` is.
+SKIP_CHUNK = 1 << 16
+PROBABILITY_TOLERANCE = 1e-9
 _LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)  # a raw word's 32-bit halves
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """What ``Generator.random()`` makes of each raw word: its top 53 bits over 2**53."""
     return (words >> np.uint64(11)) * 2.0**-53
+
+
+class ConstantSampler:
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        self.value = float(value)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return self.value
+
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Draw nothing and leave ``out`` as it is: a row kept for a constant holds its value."""
+
+    def mean(self) -> float:
+        return self.value
+
+
+class ExponentialSampler:
+    """Exponential draws of a positive mean, read from a generator's stream.
+
+    ``draw`` takes a uniform ``u = 1 - rng.random()`` in (0, 1] and gives
+    ``-mean * ln(u)``.  Draws are strictly positive, so a delay never lands
+    on the current instant: a draw of 0, from ``u = 1`` or, at a mean below
+    about 1e-308, from any ``u`` near it, is drawn again from the next
+    uniform.  ``draws`` and ``skip`` read the stream as that many ``draw``
+    calls would; ``draw_into`` alone uses numpy's ziggurat instead, for
+    light pools.
+    """
+
+    __slots__ = ("_mean", "rejects_only_zero")
+
+    def __init__(self, mean: float) -> None:
+        if mean <= 0:
+            raise ValueError(f"exponential sampler mean must be positive, got {mean!r}")
+        self._mean = float(mean)
+        # Whether a draw is redrawn only for a zero uniform, that is a raw
+        # PCG64 word below 2**11: true unless the mean is so small that the
+        # least nonzero uniform gives 0 too.
+        self.rejects_only_zero = -self._mean * math.log(1.0 - 2.0**-53) > 0.0
+
+    def draw(self, rng: np.random.Generator) -> float:
+        mean, random, log = self._mean, rng.random, math.log
+        while True:
+            x = -mean * log(1.0 - random())
+            if x > 0.0:
+                return x
+
+    def draws(self, rng: np.random.Generator, k: int) -> list[float]:
+        """``k`` values of ``draw``, from batches of uniforms: a rejected
+        uniform is replaced by a further one, so the values and the stream
+        match ``k`` single calls."""
+        values: list[float] = []
+        while len(values) < k:
+            values.extend(x for x in self.from_uniforms(rng.random(k - len(values))) if x > 0.0)
+        return values
+
+    def skip(self, rng: np.random.Generator, k: int) -> None:
+        """Advance ``rng`` as ``draws(rng, k)`` would, in chunks of bounded
+        size, without computing the values where ``rejects_only_zero``
+        allows: ``k`` raw words, then one more for each word rejected.  Else
+        each chunk is drawn, and ends at its last accepted uniform."""
+        raw = rng.bit_generator.random_raw
+        while k > 0:
+            chunk = min(k, SKIP_CHUNK)
+            if self.rejects_only_zero:
+                k += int(np.count_nonzero(raw(chunk) < 2**11)) - chunk
+            else:
+                self.draws(rng, chunk)
+                k -= chunk
+
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with the values ``rng.exponential(mean, len(out))`` gives."""
+        rng.standard_exponential(out=out)
+        out *= self._mean
+
+    def from_uniforms(self, u: np.ndarray) -> list[float]:
+        """The values ``draw`` makes from the uniforms ``u``, a rejected one giving 0."""
+        mean, log = self._mean, math.log  # not np.log, which may differ by an ulp
+        return [-mean * log(1.0 - x) for x in u.tolist()]
+
+    def mean(self) -> float:
+        return self._mean
+
+
+class HistogramSampler:
+    """Empirical distribution given as (value, probability) pairs.  A draw
+    maps a uniform through the cumulative sum, as ``Generator.choice`` does."""
+
+    __slots__ = ("values", "probabilities", "_cdf")
+
+    def __init__(self, values: Sequence[float], probabilities: Sequence[float]) -> None:
+        if len(values) != len(probabilities) or not values:
+            raise ValueError("histogram needs one probability per value")
+        if not all(math.isfinite(x) for x in (*values, *probabilities)):
+            raise ValueError("histogram values and probabilities must be finite")
+        if any(p < 0 for p in probabilities):
+            raise ValueError("histogram probabilities must be non-negative")
+        total = math.fsum(probabilities)
+        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
+            raise ValueError(f"histogram probabilities sum to {total!r}, expected 1")
+        self.values = np.asarray(values, dtype=float)
+        self.probabilities = np.asarray(probabilities, dtype=float)
+        self._cdf = self.probabilities.cumsum()
+        self._cdf /= self._cdf[-1]
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(self.values[self._cdf.searchsorted(rng.random(), side="right")])
+
+    def draw_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with ``len(out)`` draws, as ``draw`` makes them one by one."""
+        rng.random(out=out)
+        self.values.take(self._cdf.searchsorted(out, side="right"), out=out)
+
+    def from_uniforms(self, u: np.ndarray) -> list[float]:
+        """The values ``draw`` makes from the uniforms ``u``."""
+        return self.values.take(self._cdf.searchsorted(u, side="right")).tolist()
+
+    def mean(self) -> float:
+        return float(np.dot(self.values, self.probabilities))
 
 
 class Streams:
@@ -61,10 +188,10 @@ class Streams:
         self._block_delay.skip(self.rng, self.n_nodes - 1 - k)
         return delays
 
-    def light_pool(self, samplers: tuple, pools: np.ndarray, j: int) -> None:
+    def light_pool(self, pools: np.ndarray, j: int) -> None:
         """Fill pool ``j``'s sizes, then unit prices, in place; a constant leaves its row as it is."""
-        samplers[0].draw_into(self.rng, pools[0, j])
-        samplers[1].draw_into(self.rng, pools[1, j])
+        self.size_sampler.draw_into(self.rng, pools[0, j])
+        self.price_sampler.draw_into(self.rng, pools[1, j])
 
     def start_transactions(self, miner_ids: list[int]) -> None:
         """Hold the first full-mode transaction; delays are drawn for ``miner_ids``.  The

@@ -29,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MAX_FULL_MODE_TRANSACTIONS, ConstantSampler, RunCapError, SimConfig, light_pool_size
+from .config import MAX_FULL_MODE_TRANSACTIONS, RunCapError, SimConfig, light_pool_size
 from .engine import EventQueue
 from .model import NodeState, World, view
-from .streams import Streams
+from .streams import ConstantSampler, Streams
 
 
 # Full mode keeps pending transactions in sorted chunks; a chunk is cut into
@@ -61,30 +61,27 @@ class SharedPool:
     or fewer where that many pools would pass ``BATCH_BYTES``.
     """
 
-    def __init__(
-        self, world: World, streams: Streams, config: SimConfig, size_sampler, price_sampler
-    ) -> None:
+    def __init__(self, world: World, streams: Streams, config: SimConfig) -> None:
         self.world, self.streams = world, streams
-        self.samplers = (size_sampler, price_sampler)  # MB or gas units; currency per MB or gas unit
+        samplers = size, price = streams.size_sampler, streams.price_sampler  # MB or gas units; per unit
         self.capacity = config.b_size
-        self.refill_size = light_pool_size(config, size_sampler.mean())
+        self.refill_size = light_pool_size(config, size.mean())
         arrivals = config.t_n * config.b_interval
         self.block_budget = max(1, math.ceil(arrivals)) if config.t_n > 0 else 0
         # With constant size and price the pool contents are interchangeable,
         # so selection reduces to "take k" and no arrays are needed.
-        self._uniform = all(isinstance(s, ConstantSampler) for s in self.samplers)
+        self._uniform = all(isinstance(s, ConstantSampler) for s in samplers)
         if self._uniform:  # every block gets the same (tx_count, weight, tx_fee_total)
-            size = size_sampler.value
-            k = min(self.block_budget, int(self.capacity / size), self.refill_size)
-            self._filled = (k, k * size, k * (size * price_sampler.value))
+            k = min(self.block_budget, int(self.capacity / size.value), self.refill_size)
+            self._filled = (k, k * size.value, k * (size.value * price.value))
         self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
         self.blocks: list[int] = []  # ids waiting for ``pack``
         if self.refill_size and not self._uniform:
             # Sizes and unit prices.  A constant sampler draws nothing, so
             # every row starts at the sampler's mean, which is a constant's value.
             self._rows = np.empty((2, self.width, self.refill_size))
-            self._rows[:] = [[[s.mean()]] for s in self.samplers]
-            streams.light_pool(self.samplers, self._rows, 0)  # the first block's pool
+            self._rows[:] = [[[s.mean()]] for s in samplers]
+            streams.light_pool(self._rows, 0)  # the first block's pool
 
     def __len__(self) -> int:
         return self.refill_size
@@ -101,7 +98,7 @@ class SharedPool:
         self.blocks.append(block)
         if len(self.blocks) == self.width:
             self.pack()
-        self.streams.light_pool(self.samplers, self._rows, len(self.blocks))
+        self.streams.light_pool(self._rows, len(self.blocks))
 
     def pack(self) -> None:
         """Fill every queued block from its pool and empty the queue.
@@ -193,7 +190,7 @@ class TxWorkload:
         self.tx_delay = config.t_delay
         self.block_capacity = config.b_size
         light = config.has_trans and not self.full_mode
-        self.shared_pool = SharedPool(world, streams, config, *config.samplers) if light else None
+        self.shared_pool = SharedPool(world, streams, config) if light else None
         # Full mode: the pending ids in (-fee, id) order, as chunks of ids beside their negated fees
         # (``_keys``), each with a negated fee from its last to the next chunk's first (``_lasts``).
         self.pending: list[array] = []

@@ -161,8 +161,11 @@ class FixedUniform:
         self.values = list(values)
         self.calls = 0
 
-    def random(self, size=None):
-        """One scripted value, or an array of the next ``size`` of them."""
+    def random(self, size=None, out=None):
+        """One scripted value, or an array of the next ``size`` of them, or ``out`` filled with them."""
+        if out is not None:
+            out[:] = self.random(len(out))
+            return out
         if size is not None:
             return np.array([self.random() for _ in range(size)])
         value = self.values[self.calls % len(self.values)]

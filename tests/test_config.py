@@ -13,9 +13,6 @@ from chainsim.config import (
     MAX_DELAY_WORDS,
     MAX_FULL_MODE_TRANSACTIONS,
     ConfigError,
-    ConstantSampler,
-    ExponentialSampler,
-    HistogramSampler,
     SimConfig,
     SweepSpec,
     parse_config,
@@ -24,6 +21,7 @@ from chainsim.config import (
     validate,
 )
 from chainsim.runner import run_single
+from chainsim.streams import ConstantSampler, ExponentialSampler, HistogramSampler
 
 from conftest import make_config
 

@@ -622,14 +622,14 @@ class TestMainChain:
         sim.run()
         chains = [tuple(chain_of(sim.world, n)) for n in sim.world.nodes]
         assert len(set(chains)) == 1
-        assert main_chain(sim.world) == list(chains[0])
+        assert main_chain(sim.world).tolist() == list(chains[0])
 
     def test_tie_broken_by_lowest_node_id(self):
         engine, world, _ = make_engine(3, (0.4, 0.4, 0.2))
         b0 = append_block(engine, world, 0)
         b1 = append_block(engine, world, 1, ts=1.5)
         assert world.depth[world.nodes[0].tip] == world.depth[world.nodes[1].tip]
-        assert main_chain(world) == chain_of(world, world.nodes[0])
+        assert main_chain(world).tolist() == chain_of(world, world.nodes[0])
 
     def test_low_id_non_miner_decides_depth_tie(self):
         # Node 0 never mines.  Miner 2 mines X at 9.9 s and miner 1 mines Y
@@ -643,7 +643,7 @@ class TestMainChain:
         x, y = 1, 2
         assert (sim.world.miner[x], sim.world.miner[y], len(sim.world.depth)) == (2, 1, 3)
         assert [node.tip for node in sim.world.nodes] == [x, y, x]
-        assert main_chain(sim.world) == [genesis, x]
+        assert main_chain(sim.world).tolist() == [genesis, x]
 
     def test_single_miner_no_stale(self):
         report = run_single(make_config(miners=(1.0,), n_n=3, block_target=400, b_delay=5.0), 0)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainsim.config import SKIP_CHUNK, ExponentialSampler
 from chainsim.engine import EventKind, EventQueue, SchedulingError, run_loop
 from chainsim.runner import Simulation, run_single
+from chainsim.streams import SKIP_CHUNK, ExponentialSampler
 
 from conftest import FixedUniform, chain_of, make_config, pending_arrivals, record_filing
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chainsim import incentives
@@ -101,7 +102,7 @@ def world_with_chain(*rows):
     chain = [0]
     for row in rows:
         chain.append(put_block(world, len(chain), chain[-1], float(len(chain)), **row))
-    return world, chain
+    return world, np.array(chain)
 
 
 class TestDistribute:
@@ -117,7 +118,7 @@ class TestDistribute:
         b1 = put_block(world, 1, 0, 1.0, 0)
         b2 = put_block(world, 2, b1, 2.0, 0, uncles=(uncle_a, uncle_b), tx_fee_total=0.5)
         params = make_config(b_reward=2.0, uncles_enabled=True, g_uncle=7)
-        rewards = distribute([0, b1, b2], world, params)
+        rewards = distribute(np.array([0, b1, b2]), world, params)
         # includer: two block rewards + fees + 2 * (2/32)
         assert rewards[0] == pytest.approx(4.0 + 0.5 + 2 * (2.0 / 32.0))
         # uncle miners: depth-1 uncles in a depth-2 block earn 7/8 of R each
@@ -138,7 +139,7 @@ class TestDistribute:
         b1 = put_block(world, 1, 0, 1.0, 1, tx_fee_total=0.1)
         b2 = put_block(world, 2, b1, 2.0, 1, uncles=(uncle,), tx_fee_total=0.2)
         config = make_config(b_reward=0.3, uncles_enabled=True, g_uncle=7)
-        rewards = distribute([0, b1, b2], world, config)
+        rewards = distribute(np.array([0, b1, b2]), world, config)
         block_rewards, fees = 0.3 + 0.3, 0.1 + 0.2
         uncles, inclusion = uncle_reward(1, 7, 2, 0.3), config.inclusion_reward_fraction * 0.3
         assert rewards == {1: block_rewards + fees + uncles + inclusion}
@@ -151,7 +152,7 @@ class TestDistribute:
         b1 = put_block(world, 1, 0, 1.0, 0)
         b2 = put_block(world, 2, b1, 2.0, 1, uncles=(uncle,))
         b3 = put_block(world, 3, b2, 3.0, 2)
-        rewards = distribute([0, b1, b2, b3], world, make_config(uncles_enabled=True))
+        rewards = distribute(np.array([0, b1, b2, b3]), world, make_config(uncles_enabled=True))
         assert list(rewards) == [0, 1, 2]
 
     def test_uncles_of_blocks_off_the_main_chain_earn_nothing(self):
@@ -159,7 +160,7 @@ class TestDistribute:
         uncle = put_block(world, 1, 0, 0.5, 2)
         b1 = put_block(world, 1, 0, 1.0, 0)
         put_block(world, 2, b1, 2.0, 1, uncles=(uncle,))  # a stale block
-        rewards = distribute([0, b1], world, make_config(b_reward=2.0, uncles_enabled=True))
+        rewards = distribute(np.array([0, b1]), world, make_config(b_reward=2.0, uncles_enabled=True))
         assert rewards == {0: 2.0}
 
     def test_grand_total_adds_left_to_right(self, monkeypatch):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from chainsim import cli
-from chainsim.config import ConfigError, ExponentialSampler, parse_config_text
+from chainsim.config import ConfigError, parse_config_text
 from chainsim.engine import EventKind, EventQueue, SchedulingError
 from chainsim.network import Network
 from chainsim.runner import Simulation
-from chainsim.streams import Streams
+from chainsim.streams import ExponentialSampler, Streams
 from chainsim.workload import TxWorkload
 
 from conftest import file_one, make_config, pending_arrivals, read_rows, strip_wall_clock

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chainsim.model import World
@@ -68,7 +69,7 @@ class TestCheckMainChain:
         world = World([1.0])
         put_block(world, 1, 0, 5.0, 0)
         put_block(world, 2, 1, 9.0, 1)
-        return world, [0, 1, 2]
+        return world, np.array([0, 1, 2])
 
     def test_valid_chain_passes(self):
         world, chain = self._chain()
@@ -77,40 +78,40 @@ class TestCheckMainChain:
     def test_empty_chain_raises(self):
         world, _ = self._chain()
         with pytest.raises(InvariantViolation, match="^main chain is empty$"):
-            check_main_chain(world, [])
+            check_main_chain(world, np.array([], dtype=np.int64))
 
     def test_wrong_root_raises(self):
         world, _ = self._chain()
         with pytest.raises(InvariantViolation, match="^main chain does not start at genesis$"):
-            check_main_chain(world, [1, 2])
+            check_main_chain(world, np.array([1, 2]))
         # A depth-0 root with a parent is not genesis either.
         root = put_block(world, 0, 0, 1.0, 0)
         with pytest.raises(InvariantViolation, match="^main chain does not start at genesis$"):
-            check_main_chain(world, [root])
+            check_main_chain(world, np.array([root]))
 
     def test_repeated_id_raises(self):
         world, _ = self._chain()
         with pytest.raises(InvariantViolation, match="^main chain repeats a block id$"):
-            check_main_chain(world, [0, 1, 2, 1])
+            check_main_chain(world, np.array([0, 1, 2, 1]))
 
     def test_bad_linkage_raises(self):
         world, _ = self._chain()
         block = put_block(world, 2, 0, 10.0, 0)  # id 3, on genesis
         with pytest.raises(InvariantViolation, match="^block 3 does not link to its predecessor 1$"):
-            check_main_chain(world, [0, 1, block])
+            check_main_chain(world, np.array([0, 1, block]))
 
     def test_non_consecutive_depth_raises(self):
         world, _ = self._chain()
         block = put_block(world, 4, 2, 10.0, 0)  # id 3, two generations below block 2
         with pytest.raises(InvariantViolation, match="^block 3 has non-consecutive depth$"):
-            check_main_chain(world, [0, 1, 2, block])
+            check_main_chain(world, np.array([0, 1, 2, block]))
 
     def test_non_monotone_timestamp_raises(self):
         world, _ = self._chain()
         put_block(world, 3, 2, 11.0, 0)  # id 3, a valid block
         block = put_block(world, 4, 3, 11.0, 0)  # id 4, at its parent's time
         with pytest.raises(InvariantViolation, match="^block 4 does not advance the clock$"):
-            check_main_chain(world, [0, 1, 2, 3, block])
+            check_main_chain(world, np.array([0, 1, 2, 3, block]))
 
     def test_first_failing_block_is_reported_by_its_first_failed_check(self):
         # Block 3 links to genesis, skips a depth and goes back in time;
@@ -119,11 +120,11 @@ class TestCheckMainChain:
         put_block(world, 5, 0, 1.0, 0)
         put_block(world, 9, 0, 0.5, 0)
         with pytest.raises(InvariantViolation, match="^block 3 does not link to its predecessor 2$"):
-            check_main_chain(world, [0, 1, 2, 3, 4])
+            check_main_chain(world, np.array([0, 1, 2, 3, 4]))
         # Linked but too deep and too early: the depth is reported.
         block = put_block(world, 4, 2, 1.0, 0)
         with pytest.raises(InvariantViolation, match=f"^block {block} has non-consecutive depth$"):
-            check_main_chain(world, [0, 1, 2, block])
+            check_main_chain(world, np.array([0, 1, 2, block]))
 
 
 class TestAggregate:

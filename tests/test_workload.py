@@ -15,9 +15,6 @@ from chainsim import cli
 from chainsim import workload as workload_module
 from chainsim.config import (
     MAX_FULL_MODE_TRANSACTIONS,
-    ConstantSampler,
-    ExponentialSampler,
-    HistogramSampler,
     RunCapError,
     load_histogram,
     parse_sampler,
@@ -27,7 +24,7 @@ from chainsim.engine import EventKind
 from chainsim.model import World
 from chainsim.runner import Simulation, run_single
 from chainsim.stats import summarize_run
-from chainsim.streams import Streams
+from chainsim.streams import ConstantSampler, ExponentialSampler, HistogramSampler, Streams
 from chainsim.workload import SharedPool
 
 from conftest import (
@@ -64,10 +61,13 @@ def light_config(**overrides):
     return make_config(**params)
 
 
-def make_pool(seed, config):
-    return SharedPool(
-        World([1.0]), Streams(config, seed), config, parse_sampler(config.t_size), parse_sampler(config.t_fee)
-    )
+def make_pool(seed, config, size=None, price=None):
+    """A light pool of ``config`` whose stream draws sizes from ``size`` and unit
+    prices from ``price`` if they are given, else from the samplers of ``config``."""
+    streams = Streams(config, seed)
+    if size is not None:
+        streams.size_sampler, streams.price_sampler = size, price
+    return SharedPool(World([1.0]), streams, config)
 
 
 def reference_pack(pool, sizes, fees):
@@ -123,7 +123,7 @@ def check_against_oracle(config, size, price, count, seed):
     draws and compare each, exactly, with ``reference_pack`` of the pool it
     was given: both add left to right (Python 3.12's sum() compensates)."""
     sizes, prices = Recording(size), Recording(price)
-    pool = SharedPool(World([1.0]), Streams(config, seed), config, sizes, prices)
+    pool = make_pool(seed, config, sizes, prices)
     blocks = take_blocks(pool, count)
     for block, drawn, unit in zip(blocks, sizes.batches, prices.batches):
         expected = reference_pack(pool, drawn, drawn * unit)
@@ -305,7 +305,7 @@ class TestSharedPool:
         )
         size = Recording(parse_sampler(config.t_size))
         price = Recording(parse_sampler(config.t_fee))
-        pool = SharedPool(World([1.0]), Streams(config, 17), config, size, price)
+        pool = make_pool(17, config, size, price)
         (block,) = take_blocks(pool, 1)
         expected = reference_pack(pool, size.batches[0], size.batches[0] * price.batches[0])
         assert block.tx_count == len(expected)
@@ -793,7 +793,7 @@ class TestTxLatency:
         world = World([1.0])
         block = put_block(world, 1, 0, 160.0, 0, tx_count=1)
         world.transactions[block] = np.array([1])
-        report = summarize_run(world, [0, block], {0: 2.0}, elapsed=200.0, run_index=0,
+        report = summarize_run(world, np.array([0, block]), {0: 2.0}, elapsed=200.0, run_index=0,
                                seed=0, wall_clock=0.0, tx_times=np.array([0.0, 100.0]))
         assert report.mean_tx_latency_s == 60.0
 
