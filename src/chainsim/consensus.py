@@ -1,17 +1,19 @@
 """Miner selection, block production, and longest-chain reception handling.
 
 Proof of work is modelled as a per-miner exponential race: every miner
-always has one armed creation, drawn in ``streams`` with mean
-block_interval/weight.  Whenever a miner's tip moves (its own block, or an
-adopted incoming block) it arms a fresh creation on the new tip, which
-replaces the one armed before in the miner's slot of the event queue (see
-``EventQueue.arm``), so each creation that fires builds a block.  By
-memorylessness each miner's creations form a Poisson process at rate
-weight/block_interval, which reproduces both hash-share proportionality
-and fork formation under propagation delay.  Re-drawing only when an armed
-creation fires, on a tip that has moved, would instead hand the previous
-winner a head start and demonstrably skews block shares away from hash
-shares.
+always has one armed creation, its gap exponential with mean
+block_interval/weight.  Each miner's race is a call from ``Streams.races``
+that draws the next gap; how it reads the generator is the stream's
+concern, and the gaps are those of one draw at a time.  Whenever a miner's
+tip moves (its own block, or an adopted incoming block) it arms a fresh
+creation on the new tip, which replaces the one armed before in the
+miner's slot of the event queue (see ``EventQueue.arm``), so each creation
+that fires builds a block.  By memorylessness each miner's creations form
+a Poisson process at rate weight/block_interval, which reproduces both
+hash-share proportionality and fork formation under propagation delay.
+Re-drawing only when an armed creation fires, on a tip that has moved,
+would instead hand the previous winner a head start and demonstrably skews
+block shares away from hash shares.
 
 A broadcast is received in one pass: ``deliver_block`` applies the
 first-seen longest-chain rule at each recipient in node order, and re-arms
@@ -64,6 +66,7 @@ class ConsensusEngine:
         self.uncles_enabled = config.uncles_enabled
         self.max_uncles = config.u_max  # per block
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
+        self.packs_each_block = workload.packs_each_block
         # Each node's race: a call that draws the seconds to its next block; None for a node that never mines.
         self.races = streams.races(world.weights)
         self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
@@ -107,7 +110,8 @@ class ConsensusEngine:
 
         uncles = self._reference_uncles(miner, self.world.depth[parent] + 1) if self.uncles_enabled else ()
         block = self.world.add_block(parent, now, miner_id, uncles)
-        self.workload.take_block(miner, now, block)
+        if self.packs_each_block:
+            self.workload.take_block(miner, now, block)
         miner.tip = block
         # The miner's own block: its uncles left the candidates as they were chosen.
         if block in self.world.transactions:

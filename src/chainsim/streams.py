@@ -10,6 +10,17 @@ submitter, unmodelled recipient, size and unit price (``transactions``); and
 each light pool's sizes, then unit prices (``light_pool``).  The samplers
 that ``config`` builds from ``const:``, ``exp:`` and ``hist:`` specs are here.
 
+While the race is the only quantity that has drawn, it reads its uniforms
+``RACE_CHUNK`` at a time, by one ``random(n)`` call, which reads the words
+that ``n`` scalar ``random()`` calls read, and pops them in order.  Before
+any other quantity's first draw, the uniforms not yet read are given back to
+the generator, once (``advance`` back by their count), and from then on the
+race reads one ``random()`` at a time: every value and the generator's
+state are those of one draw at a time.  No ``integers()`` call comes before
+that give-back, so it never clears a buffered 32-bit half.  Runs in which
+nothing else draws (bare runs, constant light pools, constant delays) read
+ahead to their end.
+
 A full-mode transaction is read from a row of raw PCG64 words, as numpy's
 own calls read them: ``integers(n)`` runs Lemire's method on a word's low,
 then its high half.  A row with a rejected half or a zero word is given back
@@ -21,14 +32,16 @@ an exponential mean is so small that a nonzero uniform gives 0 too.
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .config import SimConfig
 
+# The race reads this many uniforms at a time while nothing else has drawn:
+# 4 KB of doubles, and some 16 KB as a list of Python floats.
+RACE_CHUNK = 512
 # Full mode reads up to this many bytes of raw words in one batch of rows.
 TX_BATCH_BYTES = 1 << 20
 # Most raw words ``ExponentialSampler.skip`` reads at once, 512 KB: skipping
@@ -88,6 +101,19 @@ class ExponentialSampler:
             x = -mean * log(1.0 - random())
             if x > 0.0:
                 return x
+
+    def reader(self, ahead: list[float], more: Callable[[], float]) -> Callable[[], float]:
+        """A call that draws as ``draw`` does, each uniform popped from the
+        end of ``ahead`` while it holds any, else taken from ``more()``."""
+        mean, log, pop = self._mean, math.log, ahead.pop
+
+        def draw() -> float:
+            while True:
+                x = -mean * log(1.0 - (pop() if ahead else more()))
+                if x > 0.0:
+                    return x
+
+        return draw
 
     def draws(self, rng: np.random.Generator, k: int) -> list[float]:
         """``k`` values of ``draw``, from batches of uniforms: a rejected
@@ -177,25 +203,54 @@ class Streams:
         )
         self.block_delays = None if self._block_delay is None else self._block_delays  # k recipients' delays
         self.created = 0  # full-mode transactions drawn; the last one's id
+        # The race's uniforms read ahead and not yet used, the next one last,
+        # while the race is the only quantity that has drawn.
+        self._ahead: list[float] = []
+        self._reading_ahead = True
 
     def races(self, weights: list[float]) -> list:
-        """Each node's race: a call drawing the seconds to its next block; None if it never mines."""
-        draw, rng, interval = ExponentialSampler.draw, self.rng, self.block_interval
-        return [partial(draw, ExponentialSampler(interval / w), rng) if w > 0 else None for w in weights]
+        """Each node's race: a call drawing the seconds to its next block; None if it never mines.
+
+        A draw is ``ExponentialSampler.draw`` of mean ``B_interval / weight``, its uniforms
+        popped from one list that every race shares, refilled ``RACE_CHUNK`` at a time by one
+        ``random(n)`` call until another quantity first draws, then one ``random()`` at a time.
+        ``random(n)`` reads the words of ``n`` scalar calls, and ``_give_back`` returns the
+        unread ones before that other draw, so every value is that of one draw at a time."""
+        ahead, more, interval = self._ahead, self._race_uniform, self.block_interval
+        return [ExponentialSampler(interval / w).reader(ahead, more) if w > 0 else None for w in weights]
+
+    def _race_uniform(self) -> float:
+        """The race's next uniform once ``_ahead`` is empty: the first of a new chunk,
+        reversed to be popped in order, or one ``random()`` once reading ahead has stopped."""
+        if not self._reading_ahead:
+            return self.rng.random()
+        self._ahead[:] = self.rng.random(RACE_CHUNK)[::-1].tolist()
+        return self._ahead.pop()
+
+    def _give_back(self) -> None:
+        """Stop reading ahead, giving the race's unread uniforms back to the generator:
+        called before every draw of another quantity, it gives back at the first."""
+        self._reading_ahead = False
+        if self._ahead:
+            self.rng.bit_generator.advance(-len(self._ahead))  # before any integers(): no half is buffered
+            self._ahead.clear()
 
     def _block_delays(self, k: int) -> list[float]:
+        self._give_back()
         delays = self._block_delay.draws(self.rng, k)
         self._block_delay.skip(self.rng, self.n_nodes - 1 - k)
         return delays
 
     def light_pool(self, pools: np.ndarray, j: int) -> None:
         """Fill pool ``j``'s sizes, then unit prices, in place; a constant leaves its row as it is."""
+        self._give_back()
         self.size_sampler.draw_into(self.rng, pools[0, j])
         self.price_sampler.draw_into(self.rng, pools[1, j])
 
     def start_transactions(self, miner_ids: list[int]) -> None:
         """Hold the first full-mode transaction; delays are drawn for ``miner_ids``.  The
         generator's state is read here, once, to choose how transactions are drawn."""
+        self._give_back()
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
         samplers = (self._gaps, self._delays, self.size_sampler, self.price_sampler)

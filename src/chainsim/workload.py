@@ -17,7 +17,9 @@ Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
 which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
 Nothing reads those before the run ends, so blocks are packed in batches:
-once a batch is full, and at the end of the run.
+once a batch is full, and at the end of the run.  A pool of constant size
+and price gives every block the same aggregates, so it takes no block as it
+is made and fills every row at the end of the run.
 """
 
 from __future__ import annotations
@@ -54,11 +56,13 @@ class SharedPool:
     N covers roughly two blocks of intake.  The per-block intake itself is
     capped both by the block capacity and by the expected number of
     arrivals per block interval, so a light run cannot process more
-    transactions than the configured demand generates.  A block is queued
-    beside its pool until ``pack`` fills the queue's blocks at once: the
-    j-th queued block's pool is row j of a ``(width, N)`` array of sizes and
-    one of unit prices, each row contiguous.  The width is ``PACK_BATCH``,
-    or fewer where that many pools would pass ``BATCH_BYTES``.
+    transactions than the configured demand generates.  A pool that
+    ``draws`` queues a block beside its pool until ``pack`` fills the
+    queue's blocks at once: the j-th queued block's pool is row j of a
+    ``(width, N)`` array of sizes and one of unit prices, each row
+    contiguous.  The width is ``PACK_BATCH``, or fewer where that many pools
+    would pass ``BATCH_BYTES``.  A pool of constant size and price draws
+    nothing: ``pack`` fills every block alike at the end of the run.
     """
 
     def __init__(self, world: World, streams: Streams, config: SimConfig) -> None:
@@ -74,9 +78,10 @@ class SharedPool:
         if self._uniform:  # every block gets the same (tx_count, weight, tx_fee_total)
             k = min(self.block_budget, int(self.capacity / size.value), self.refill_size)
             self._filled = (k, k * size.value, k * (size.value * price.value))
+        self.draws = bool(self.refill_size) and not self._uniform  # a fresh pool for every block
         self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
         self.blocks: list[int] = []  # ids waiting for ``pack``
-        if self.refill_size and not self._uniform:
+        if self.draws:
             # Sizes and unit prices.  A constant sampler draws nothing, so
             # every row starts at the sampler's mean, which is a constant's value.
             self._rows = np.empty((2, self.width, self.refill_size))
@@ -87,13 +92,9 @@ class SharedPool:
         return self.refill_size
 
     def take_block(self, block: int) -> None:
-        """Give ``block`` the pool, then draw a fresh one: a constant pool
-        fills ``block`` at once, any other queues it for ``pack``."""
-        if self.refill_size == 0:
-            return
-        if self._uniform:
-            world = self.world
-            world.tx_count[block], world.weight[block], world.tx_fee_total[block] = self._filled
+        """Queue ``block`` beside its pool for ``pack``, then draw a fresh
+        pool; a pool that ``draws`` nothing leaves ``block`` to ``pack``."""
+        if not self.draws:
             return
         self.blocks.append(block)
         if len(self.blocks) == self.width:
@@ -112,6 +113,12 @@ class SharedPool:
         that every pool takes all, and from there the scan advances every
         pool one entry a step.
         """
+        if not self.draws:
+            if self.refill_size:  # constant: every block but genesis gets the same row
+                world = self.world
+                for column, value in zip((world.tx_count, world.weight, world.tx_fee_total), self._filled):
+                    view(column)[1:] = value
+            return
         k = len(self.blocks)
         if k == 0:
             return
@@ -191,6 +198,8 @@ class TxWorkload:
         self.block_capacity = config.b_size
         light = config.has_trans and not self.full_mode
         self.shared_pool = SharedPool(world, streams, config) if light else None
+        # Whether ``take_block`` fills or queues anything: else a block's row waits for the run's end.
+        self.packs_each_block = self.full_mode or (light and self.shared_pool.draws)
         # Full mode: the pending ids in (-fee, id) order, as chunks of ids beside their negated fees
         # (``_keys``), each with a negated fee from its last to the next chunk's first (``_lasts``).
         self.pending: list[array] = []

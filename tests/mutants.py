@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 CONSENSUS, NETWORK, WORKLOAD = "src/chainsim/consensus.py", "src/chainsim/network.py", "src/chainsim/workload.py"
+STREAMS = "src/chainsim/streams.py"
 MUTANTS = [
     Mutant("rearm-reverse-order", CONSENSUS, "for node_id in node_ids:", "for node_id in reversed(node_ids):"),
     Mutant("no-rearm-after-reorg", CONSENSUS, "if rearm:", "if rearm and parent == tip:"),
@@ -55,7 +56,7 @@ MUTANTS = [
     Mutant("late-constant-delivery", NETWORK, "at + self.block_delay, receive", "at + self.block_delay + 1.0, receive"),
     Mutant("sorted-earners", "src/chainsim/incentives.py", "sorted(first, key=first.get)", "sorted(first)"),
     Mutant("last-seen-wins-tie", CONSENSUS, "if depth > depths[tip]:", "if depth >= depths[tip]:"),
-    Mutant("histogram-side-left", "src/chainsim/streams.py", 'side="right"', 'side="left"', count=3),
+    Mutant("histogram-side-left", STREAMS, 'side="right"', 'side="left"', count=3),
     Mutant("main-chain-tie-to-highest-id", CONSENSUS, "max(world.nodes, key=", "max(reversed(world.nodes), key="),
     Mutant("strict-arrival-test", WORKLOAD, "self._arrivals[ids, slot] <= now", "self._arrivals[ids, slot] < now"),
     Mutant("full-fill-stops-at-first-misfit", WORKLOAD, "while used + least <= capacity and", "while False and"),
@@ -63,6 +64,12 @@ MUTANTS = [
     Mutant("light-scan-stops-too-early", WORKLOAD, "steps[i:].min(axis=0)", "steps[i:].max(axis=0)"),
     Mutant("uncle-window-off-by-one", CONSENSUS, "low = next_depth - self.uncle_window", "low = next_depth - self.uncle_window + 1"),
     Mutant("no-inclusion-bonus", "src/chainsim/incentives.py", "config.inclusion_reward_fraction * reward", "0.0"),
+    Mutant(
+        "race-ahead-not-given-back", STREAMS,
+        "self.rng.bit_generator.advance(-len(self._ahead))", "pass",
+    ),
+    Mutant("race-ahead-reversed", STREAMS, "self.rng.random(RACE_CHUNK)[::-1].tolist()", "self.rng.random(RACE_CHUNK).tolist()"),
+    Mutant("biased-miner-pick", STREAMS, "for w in weights]", "for w in [weights[0] / 1.01, *weights[1:]]]"),
 ]
 
 

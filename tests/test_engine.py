@@ -247,7 +247,12 @@ def zero_word_in(rng, j):
 
 
 class TestNumpyRules:
-    """The rules of numpy's generator that full-mode batches rely on."""
+    """The rules of numpy's generator that full-mode batches and the race's read-ahead rely on."""
+
+    def test_random_n_gives_the_values_of_n_scalar_calls(self):
+        batch, single = np.random.default_rng(9), np.random.default_rng(9)
+        assert batch.random(1_000).tolist() == [single.random() for _ in range(1_000)]
+        assert batch.bit_generator.state == single.bit_generator.state
 
     def test_random_raw_reads_the_words_of_scalar_calls(self):
         batch, single = np.random.default_rng(4), np.random.default_rng(4)

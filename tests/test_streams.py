@@ -1,13 +1,15 @@
-"""The random layer: only ``src/chainsim/streams.py`` reads the generator, and its samplers."""
+"""The random layer: only ``src/chainsim/streams.py`` reads the generator, its samplers,
+and the race's read-ahead."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from chainsim.streams import HistogramSampler
+from chainsim.streams import RACE_CHUNK, ExponentialSampler, HistogramSampler, Streams
 
-from conftest import FixedUniform
+from conftest import FixedUniform, make_config
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "chainsim"
 # The pattern of the CI step "Only streams.py reads the random generator".
@@ -41,3 +43,129 @@ def test_histogram_uniform_on_a_cumulative_probability_takes_the_next_value():
     out = np.empty(len(uniforms))
     sampler.draw_into(FixedUniform(uniforms), out)
     assert out.tolist() == expected
+
+
+MINERS = (0.5, 0.2, 0.3)
+
+
+def race_gaps(streams, weights, count):
+    """``count`` gaps from the races of ``streams``, the miners taking turns,
+    and a function drawing the same gaps from ``rng`` one at a time."""
+    races = streams.races(list(weights))
+    samplers = [ExponentialSampler(streams.block_interval / w) for w in weights]
+    turns = [i % len(weights) for i in range(count)]
+    return [races[i]() for i in turns], lambda rng: [samplers[i].draw(rng) for i in turns]
+
+
+def generator_state(rng):
+    """What of ``rng``'s state a later draw reads: the PCG64 state, whether
+    a 32-bit half is buffered, and that half if so (numpy leaves a used one behind)."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+def test_race_gaps_across_chunk_edges_match_single_draws():
+    streams, twin = Streams(make_config(miners=MINERS, n_n=3), 7), np.random.default_rng(7)
+    gaps, single = race_gaps(streams, MINERS, 2 * RACE_CHUNK + 100)
+    assert gaps == single(twin)
+
+
+def test_race_redraws_a_zero_uniform_in_a_chunk_s_last_slot():
+    # u = 0 gives a gap of exactly 0, which is drawn again from the next
+    # uniform, here the first of the next chunk, twice in a row once.
+    script = np.random.default_rng(3).random(3 * RACE_CHUNK).tolist()
+    script[RACE_CHUNK - 1] = script[2 * RACE_CHUNK - 1] = script[2 * RACE_CHUNK] = 0.0
+    streams = Streams(make_config(miners=MINERS, n_n=3), 1)
+    streams.rng, twin = FixedUniform(script), FixedUniform(script)
+    gaps, single = race_gaps(streams, MINERS, 2 * RACE_CHUNK + 5)
+    assert gaps == single(twin)
+    assert twin.calls == 2 * RACE_CHUNK + 8 and streams.rng.calls == 3 * RACE_CHUNK
+
+
+def test_race_of_a_tiny_mean_redraws_a_nonzero_uniform():
+    # At a mean of 1e-310 the least uniforms give 0 as well: 2**-53 and
+    # 2**-60 are drawn again, also from a chunk's last slot.
+    script = [0.5, 2.0**-53, 0.25, 2.0**-60, 0.75] * (RACE_CHUNK // 5)
+    script += [0.125] * (RACE_CHUNK - 1 - len(script)) + [2.0**-53]
+    streams = Streams(make_config(b_interval=1e-310, miners=(1.0,), n_n=1), 1)
+    streams.rng, twin = FixedUniform(script), FixedUniform(script)
+    gaps, single = race_gaps(streams, (1.0,), RACE_CHUNK)
+    assert gaps == single(twin)
+    assert min(gaps) > 0.0 and twin.calls > RACE_CHUNK + RACE_CHUNK // 3
+
+
+# A config for each other quantity: its first draw gives the race's read-ahead back.
+OTHER_DRAWS = {
+    "light_pool": dict(has_trans=True, t_technique="light", t_n=0.5, t_size="exp:0.001", t_fee="exp:2.0"),
+    "block_delays": dict(delay_mode="exponential", b_delay=5.0, n_n=6),
+    "start_transactions": dict(has_trans=True, t_technique="full", t_n=0.5, t_size="exp:0.001"),
+}
+
+
+def draw_other(name, streams):
+    """Draw quantity ``name`` from ``streams``: a light pool, a block's delays
+    to three recipients, or the first full-mode transaction."""
+    if name == "light_pool":
+        pools = np.zeros((2, 1, 40))
+        streams.light_pool(pools, 0)
+        return pools.tolist()
+    if name == "block_delays":
+        return streams.block_delays(3)
+    streams.start_transactions([0, 1, 2])
+    return streams.held
+
+
+def draw_other_one_at_a_time(name, config, rng):
+    """``draw_other``'s values, drawn from ``rng`` by the samplers and numpy's own calls."""
+    size, price = config.samplers
+    if name == "light_pool":
+        pools = np.zeros((2, 1, 40))
+        size.draw_into(rng, pools[0, 0])
+        price.draw_into(rng, pools[1, 0])
+        return pools.tolist()
+    if name == "block_delays":
+        delay = ExponentialSampler(config.b_delay)
+        return [delay.draw(rng) for _ in range(config.n_n - 1)][:3]
+    at = ExponentialSampler(1.0 / config.t_n).draw(rng)
+    submitter = int(rng.integers(config.n_n))
+    rng.integers(config.n_n)
+    weight = size.draw(rng)
+    return submitter, (1, at, weight, weight * price.draw(rng))
+
+
+@pytest.mark.parametrize("k", [0, 1, RACE_CHUNK - 1, RACE_CHUNK, RACE_CHUNK + 1, 2 * RACE_CHUNK + 9])
+@pytest.mark.parametrize("name", list(OTHER_DRAWS))
+def test_race_read_ahead_is_given_back_before_another_draw(name, k):
+    # After k race draws, the other quantity's values, the race's later
+    # gaps and the generator's state, a buffered half included, are those
+    # of draws made one at a time.
+    config = make_config(**{"miners": MINERS, "n_n": 5, **OTHER_DRAWS[name]})
+    streams, twin = Streams(config, 11), np.random.default_rng(11)
+    gaps, single = race_gaps(streams, MINERS, k)
+    assert gaps == single(twin)
+    assert draw_other(name, streams) == draw_other_one_at_a_time(name, config, twin)
+    assert generator_state(streams.rng) == generator_state(twin)
+    later, single = race_gaps(streams, MINERS, RACE_CHUNK + 3)
+    assert later == single(twin)
+    assert generator_state(streams.rng) == generator_state(twin)
+
+
+def test_race_read_ahead_is_given_back_before_a_buffered_half():
+    # A race draw, then the first transaction, whose submitter draw by
+    # integers() leaves a 32-bit half buffered: the give-back comes first,
+    # so it cannot clear that half.
+    config = make_config(**{"miners": MINERS, **OTHER_DRAWS["start_transactions"], "n_n": 2**31 + 1})
+    for seed in range(40):
+        streams, twin = Streams(config, seed), np.random.default_rng(seed)
+        gaps, single = race_gaps(streams, MINERS, 5)
+        assert gaps == single(twin)
+        assert draw_other("start_transactions", streams) == draw_other_one_at_a_time(
+            "start_transactions", config, twin
+        )
+        assert generator_state(streams.rng) == generator_state(twin)
+        if twin.bit_generator.state["has_uint32"]:
+            break
+    else:
+        pytest.fail("no seed left a half buffered")
+    later, single = race_gaps(streams, MINERS, 3)
+    assert later == single(twin)

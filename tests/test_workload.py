@@ -25,7 +25,7 @@ from chainsim.model import World
 from chainsim.runner import Simulation, run_single
 from chainsim.stats import summarize_run
 from chainsim.streams import ConstantSampler, ExponentialSampler, HistogramSampler, Streams
-from chainsim.workload import SharedPool
+from chainsim.workload import SharedPool, TxWorkload
 
 from conftest import (
     adopted_ids,
@@ -296,6 +296,20 @@ class TestSharedPool:
         first, second = take_blocks(pool, 2)
         assert first.tx_count == second.tx_count == 1000
         assert len(pool) == 2000
+
+    @pytest.mark.parametrize("has_trans", [True, False])
+    def test_constant_pool_or_bare_run_hands_no_block_to_the_workload(self, has_trans):
+        # Every block gets the same row, filled at the end of the run: no
+        # block passes through take_block as it is made.
+        config = light_config(t_n=50 / 600.0, block_target=60, has_trans=has_trans)
+        sim = Simulation(config, 0)
+        with mock.patch.object(TxWorkload, "take_block") as take_block:
+            sim.run()
+        assert not take_block.called
+        blocks = len(sim.world.depth) - 1
+        assert blocks >= 60 and list(sim.world.tx_count) == [0] + [50 if has_trans else 0] * blocks
+        assert list(sim.world.weight)[1:] == [50 * 0.001 if has_trans else 0.0] * blocks
+        assert list(sim.world.tx_fee_total)[1:] == [50 * (0.001 * 1.0) if has_trans else 0.0] * blocks
 
     def test_vectorized_packing_matches_object_oracle(self):
         # Dual route: the array-based light pool must agree with an
