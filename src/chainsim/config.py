@@ -30,10 +30,10 @@ from .streams import ConstantSampler, ExponentialSampler, HistogramSampler
 
 FRACTION_TOLERANCE = 1e-9
 # Most transactions one full-mode run may expect (T_n x horizon).  On a
-# 2-vCPU host each costs 0.5-8 microseconds and, with five miners, about
-# 100 bytes at peak, so a run at the cap takes up to about 8 s and 200 MB;
-# far above it, a run would not end.  ``validate`` bounds the expected
-# count, and a run that makes more than this many stops with ``RunCapError``.
+# 2-vCPU host each costs 0.5-8 microseconds; at the cap, five equal miners
+# and a constant T_delay took 1.9 s and 108 MB (VmHWM), 80 bytes a
+# transaction at the traced peak; far above it, a run would not end.
+# ``validate`` bounds the expected count; a run making more raises ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
 # Every block is kept until the run ends, a row of about 60 bytes; a bare run at

@@ -121,7 +121,7 @@ class ExponentialSampler:
         match ``k`` single calls."""
         values: list[float] = []
         while len(values) < k:
-            values.extend(x for x in self.from_uniforms(rng.random(k - len(values))) if x > 0.0)
+            values.extend(x for x in self.from_uniforms(rng.random(k - len(values))).tolist() if x > 0.0)
         return values
 
     def skip(self, rng: np.random.Generator, k: int) -> None:
@@ -143,10 +143,10 @@ class ExponentialSampler:
         rng.standard_exponential(out=out)
         out *= self._mean
 
-    def from_uniforms(self, u: np.ndarray) -> list[float]:
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """The values ``draw`` makes from the uniforms ``u``, a rejected one giving 0."""
-        mean, log = self._mean, math.log  # not np.log, which may differ by an ulp
-        return [-mean * log(1.0 - x) for x in u.tolist()]
+        logs = np.fromiter(map(math.log, (1.0 - u).tolist()), float, len(u))  # np.log may be an ulp off
+        return np.multiply(logs, -self._mean, out=logs)
 
     def mean(self) -> float:
         return self._mean
@@ -181,9 +181,9 @@ class HistogramSampler:
         rng.random(out=out)
         self.values.take(self._cdf.searchsorted(out, side="right"), out=out)
 
-    def from_uniforms(self, u: np.ndarray) -> list[float]:
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """The values ``draw`` makes from the uniforms ``u``."""
-        return self.values.take(self._cdf.searchsorted(u, side="right")).tolist()
+        return self.values.take(self._cdf.searchsorted(u, side="right"))
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probabilities))
@@ -197,7 +197,7 @@ class Streams:
         self.n_nodes, self.block_interval, self.tx_rate = config.n_n, config.b_interval, config.t_n
         self.size_sampler, self.price_sampler = config.samplers
         # Block and transaction delays; None if constant, or of zero mean: all zero, drawn from nothing.
-        self._block_delay, self._delays = (
+        self._block_delay, self.tx_delays = (
             ExponentialSampler(mean) if config.delay_mode == "exponential" and mean > 0.0 else None
             for mean in (config.b_delay, config.t_delay)
         )
@@ -253,9 +253,9 @@ class Streams:
         self._give_back()
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
-        samplers = (self._gaps, self._delays, self.size_sampler, self.price_sampler)
+        samplers = (self._gaps, self.tx_delays, self.size_sampler, self.price_sampler)
         # A row: the delays, the gap, the pair, then the size and price unless constant.
-        self._pair = n if self._delays is not None else 1
+        self._pair = n if self.tx_delays is not None else 1
         self._stride = self._pair + 1 + sum(not isinstance(s, ConstantSampler) for s in samplers[2:])
         self._max_rows = max(TX_BATCH_BYTES // (8 * self._stride), 1)
         raw = 2 <= n < 2**32 and not bits.state["has_uint32"]
@@ -288,11 +288,11 @@ class Streams:
         if not used:
             return None
         delays = None
-        if self._delays is not None:
+        if self.tx_delays is not None:
             # Node n's delay, for n past the submitter, is word n - 1.
             miners = self._miners
             picked = words[np.arange(used)[:, None], miners - (miners > drawn[0][:used, None])]
-            delays = np.reshape(self._delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
+            delays = np.reshape(self.tx_delays.from_uniforms(_uniforms(picked.ravel())), picked.shape)
         first = self.created
         self._hold(used, *(column[used] for column in drawn))
         return (first, *(column[:used] for column in drawn), delays)
@@ -318,7 +318,7 @@ class Streams:
             for s in (self.size_sampler, self.price_sampler)
         )
         submitters = np.append(submitter, ((tail[:, 1] & _LOW) * self._n >> _HALF).astype(np.int64))
-        times = np.add.accumulate([at, *self._gaps.from_uniforms(_uniforms(tail[:, 0]))])  # a running sum
+        times = np.add.accumulate(np.concatenate(([at], self._gaps.from_uniforms(_uniforms(tail[:, 0])))))
         return submitters, times, np.append(weight, weights), np.append(fee, np.multiply(weights, prices))
 
     def _one_by_one(self, until: float, inclusive: bool) -> tuple:
@@ -329,8 +329,8 @@ class Streams:
         while not rows or (self._bound is None and (self.held[1][1], False) < (until, inclusive)):
             submitter, tx = self.held
             rows.append((submitter, *tx))
-            if self._delays is not None:
-                drawn = self._delays.draws(self.rng, self.n_nodes - 1)
+            if self.tx_delays is not None:
+                drawn = self.tx_delays.draws(self.rng, self.n_nodes - 1)
                 delays.append([drawn[m - (m > submitter)] if m != submitter else 0.0 for m in miners])
             self._draw_one(self.held)
         submitters, ids, times, weights, fees = zip(*rows)

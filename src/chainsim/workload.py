@@ -1,17 +1,17 @@
 """Transaction workload in two techniques.
 
 Full: a Poisson stream of transactions, each tracked (enables latency
-metrics) and filed in columns indexed by id, with the time at which each
-miner holds it: at creation for its submitter, one propagation delay later
-for the rest.  One run-wide pending list serves all miners: a miner's pool
-at time t is every pending transaction it holds by t whose id its chain has
-not adopted.  The list holds ids in fee order as short chunks of flat id and
-negated-fee arrays, each with its least weight: a stretch is sorted once and
-filed in as few chunks as it reaches, and packing reads only the chunks in
-which something can still fit.  A block holds its packed ids as one array,
-so no transaction is a Python object.  Transactions are not events: before
-each event, those ``streams`` draws before it are filed in one call, and the
-next waits with the seq its event would take from the queue's counter.
+metrics) and filed in columns indexed by id.  A miner holds one at creation
+if it submitted it, else one propagation delay later, computed on reading.
+One run-wide pending list serves all miners: a miner's pool at time t is
+every pending transaction it holds by t whose id its chain has not adopted.
+The list holds ids in fee order as short chunks of flat id and negated-fee
+arrays, each with its least weight: a stretch is sorted once and filed in as
+few chunks as it reaches, and packing reads only the chunks in which
+something can still fit.  A block holds its packed ids as one array, so no
+transaction is a Python object.  Transactions are not events: before each
+event, those ``streams`` draws before it are filed in one call, and the next
+waits with the seq its event would take from the queue's counter.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -205,12 +205,13 @@ class TxWorkload:
         self.pending: list[array] = []
         self._keys: list[array] = []
         self._lasts: list[float] = []
-        # Miner id -> its slot, a column of ``_arrivals`` and ``_adopted``.
+        # Miner id -> its slot, a column of ``_adopted`` and of ``_delays``.
         self._slots = {miner_id: slot for slot, miner_id in enumerate(world.miner_ids)}
         self._miners = np.array(world.miner_ids)
         # Columns indexed by id, grown by ``file``, and each chunk's least weight or less.
         self.times, self._weights, self._fees, self._minima = (np.zeros(0) for _ in range(4))
-        self._arrivals, self._adopted = np.zeros((0, len(self._slots))), np.zeros((0, len(self._slots)), bool)
+        self._submitters, self._adopted = np.zeros(0, np.int64), np.zeros((0, len(self._slots)), bool)
+        self._delays = None if streams.tx_delays is None else np.zeros(self._adopted.shape)  # drawn delays
 
     def start(self) -> Callable[[float, float], None] | None:
         """Hold the first transaction (full mode) and return ``advance``, for
@@ -243,14 +244,15 @@ class TxWorkload:
             rows = slice(first, first + k)
             if rows.stop > len(self.times):  # grow every column, at least doubling it
                 size = max(rows.stop, 2 * len(self.times))
-                for name in ("times", "_weights", "_fees", "_arrivals", "_adopted"):
-                    old = getattr(self, name)
-                    setattr(self, name, np.zeros((size, *old.shape[1:]), dtype=old.dtype))
-                    getattr(self, name)[: len(old)] = old
+                # The widest first: the peak holds every new column and the last one's old copy.
+                for name in ("_delays", "times", "_weights", "_fees", "_submitters", "_adopted"):
+                    if (old := getattr(self, name)) is not None:
+                        setattr(self, name, np.zeros((size, *old.shape[1:]), dtype=old.dtype))
+                        getattr(self, name)[: len(old)] = old
             self.times[rows], self._weights[rows], self._fees[rows] = times[:k], weights[:k], fees[:k]
-            at, arrivals = self.times[rows, None], self._arrivals[rows]
-            np.add(at, self.tx_delay if delays is None else np.asarray(delays)[:k], out=arrivals)
-            np.copyto(arrivals, at, where=np.equal.outer(submitters[:k], self._miners))
+            self._submitters[rows] = submitters[:k]
+            if delays is not None:
+                self._delays[rows] = np.asarray(delays)[:k]
             self._order(first, k)
         if k < len(times):
             raise RunCapError(
@@ -298,6 +300,11 @@ class TxWorkload:
         least = np.minimum.reduceat(self._weights[np.frombuffer(ids, np.int64)], starts)
         self._minima = np.concatenate((self._minima[:c], least, self._minima[c + 1 :]))
 
+    def arrivals(self, ids: np.ndarray, slot: int) -> np.ndarray:
+        """When the miner in ``slot`` holds each transaction of ``ids``, as ``file`` says."""
+        t, delay = self.times[ids], self.tx_delay if self._delays is None else self._delays[ids, slot]
+        return np.where(self._submitters[ids] == self._miners[slot], t, t + delay)
+
     def adopt(self, miner_id: int, block: int) -> None:
         """Flag ``block``'s transactions adopted by ``miner_id``'s chain: it never packs them again."""
         self._adopted[self.world.transactions[block], self._slots[miner_id]] = True
@@ -322,7 +329,7 @@ class TxWorkload:
         while i < len(ahead):
             c, i = int(ahead[i]), i + 1
             ids = np.frombuffer(chunks[c], np.int64)  # a view: chunk ``c`` cannot be resized while it lives
-            ready = ids[(self._arrivals[ids, slot] <= now) & ~self._adopted[ids, slot]]
+            ready = ids[(self.arrivals(ids, slot) <= now) & ~self._adopted[ids, slot]]
             if len(ready) and (grown := self._fill(ready, used, lower[c], taken)) != used:
                 used, ahead, i = grown, np.flatnonzero(grown + lower[c + 1 :] <= capacity) + (c + 1), 0
             gone = self._adopted[ids].all(axis=1)  # dropping these leaves the chunk's bounds true

@@ -118,7 +118,9 @@ def pending_order(workload) -> list[tuple[float, int]]:
 def pending_arrivals(workload) -> dict[int, tuple[float, ...]]:
     """A copy of the pending transactions, in packing order: each id with
     its arrival at each miner, in slot order."""
-    return {tx_id: tuple(workload._arrivals[tx_id].tolist()) for _, tx_id in pending_order(workload)}
+    ids = np.array([tx_id for _, tx_id in pending_order(workload)], np.int64)
+    slots = [workload.arrivals(ids, slot).tolist() for slot in range(len(workload.world.miner_ids))]
+    return {tx_id: tuple(row) for tx_id, *row in zip(ids.tolist(), *slots)}
 
 
 def block_txs(workload, block) -> tuple[tuple[int, float, float, float], ...]:

@@ -58,7 +58,7 @@ MUTANTS = [
     Mutant("last-seen-wins-tie", CONSENSUS, "if depth > depths[tip]:", "if depth >= depths[tip]:"),
     Mutant("histogram-side-left", STREAMS, 'side="right"', 'side="left"', count=3),
     Mutant("main-chain-tie-to-highest-id", CONSENSUS, "max(world.nodes, key=", "max(reversed(world.nodes), key="),
-    Mutant("strict-arrival-test", WORKLOAD, "self._arrivals[ids, slot] <= now", "self._arrivals[ids, slot] < now"),
+    Mutant("strict-arrival-test", WORKLOAD, "self.arrivals(ids, slot) <= now", "self.arrivals(ids, slot) < now"),
     Mutant("full-fill-stops-at-first-misfit", WORKLOAD, "while used + least <= capacity and", "while False and"),
     Mutant("unstable-sort-without-fallback", WORKLOAD, 'for kind in (None, "stable"):', "for kind in (None,):"),
     Mutant("light-scan-stops-too-early", WORKLOAD, "steps[i:].min(axis=0)", "steps[i:].max(axis=0)"),
@@ -70,6 +70,22 @@ MUTANTS = [
     ),
     Mutant("race-ahead-reversed", STREAMS, "self.rng.random(RACE_CHUNK)[::-1].tolist()", "self.rng.random(RACE_CHUNK).tolist()"),
     Mutant("biased-miner-pick", STREAMS, "for w in weights]", "for w in [weights[0] / 1.01, *weights[1:]]]"),
+    Mutant(
+        "submitter-waits-its-delay", WORKLOAD,
+        "np.where(self._submitters[ids] == self._miners[slot], t, t + delay)", "t + delay",
+    ),
+    Mutant("delay-from-slot-0", WORKLOAD, "self._delays[ids, slot]", "self._delays[ids, 0]"),
+    Mutant("prune-on-own-chain", WORKLOAD, "gone = self._adopted[ids].all(axis=1)", "gone = self._adopted[ids, slot]"),
+    Mutant(
+        "reversed-id-tie-break", WORKLOAD,
+        'order = np.argsort(-self._fees[first : first + k], kind="stable") + first',
+        'order = first + k - 1 - np.argsort(-self._fees[first : first + k][::-1], kind="stable")',
+    ),
+    Mutant(
+        "light-scan-stops-at-first-misfit", WORKLOAD,
+        "less_equal(new, capacity, out)\n",
+        "less_equal(new, capacity, out)\n            if i > 1:\n                out &= took[i - 2]\n",
+    ),
 ]
 
 

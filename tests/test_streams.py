@@ -39,7 +39,7 @@ def test_histogram_uniform_on_a_cumulative_probability_takes_the_next_value():
     sampler = HistogramSampler([1.0, 3.0, 5.0], [0.25, 0.5, 0.25])
     uniforms, expected = [0.0, 0.25, 0.5, 0.75], [1.0, 3.0, 3.0, 5.0]
     assert [sampler.draw(FixedUniform([u])) for u in uniforms] == expected
-    assert sampler.from_uniforms(np.array(uniforms)) == expected
+    assert sampler.from_uniforms(np.array(uniforms)).tolist() == expected
     out = np.empty(len(uniforms))
     sampler.draw_into(FixedUniform(uniforms), out)
     assert out.tolist() == expected
