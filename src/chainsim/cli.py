@@ -16,7 +16,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, RunCapError, SimConfig, SweepSpec, parse_config
+from .config import ConfigError, RunCapError, SimConfig, SweepSpec, parse_config, parse_float_list
 from .runner import run_many, worker_pool
 from .stats import MetricAggregate, RunReport, aggregate
 
@@ -149,12 +149,9 @@ def _cmd_run(args) -> int:
 
 def _parse_grid_list(raw: str, what: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in raw.split(",") if p.strip())
+        return parse_float_list(raw)
     except ValueError as exc:
         raise ConfigError(f"bad {what} list {raw!r}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"{what} list is empty")
-    return values
 
 
 def _cmd_sweep(args) -> int:

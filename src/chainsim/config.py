@@ -89,7 +89,7 @@ def _parse_fraction(raw: str) -> float:
     return float(raw)
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
+def parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
@@ -168,7 +168,7 @@ _PARSERS = {
     "bool": _parse_bool,
     "int": int,
     "float": float,
-    "tuple[float, ...]": _parse_float_list,
+    "tuple[float, ...]": parse_float_list,
 }
 
 

@@ -3,8 +3,9 @@
 Proof of work is modelled as a per-miner exponential race: every miner
 always has one armed creation, its gap exponential with mean
 block_interval/weight.  Each miner's race is a call from ``Streams.races``
-that draws the next gap; how it reads the generator is the stream's
-concern, and the gaps are those of one draw at a time.  Whenever a miner's
+that draws the next gap.  The engine says once, as it is built, whether the
+race is the run's only draw, in which case it reads its uniforms in chunks;
+the gaps are those of one draw at a time either way.  Whenever a miner's
 tip moves (its own block, or an adopted incoming block) it arms a fresh
 creation on the new tip, which replaces the one armed before in the
 miner's slot of the event queue (see ``EventQueue.arm``), so each creation
@@ -68,7 +69,8 @@ class ConsensusEngine:
         self.uncle_window = config.g_uncle  # generations an uncle stays referenceable
         self.packs_each_block = workload.packs_each_block
         # Each node's race: a call that draws the seconds to its next block; None for a node that never mines.
-        self.races = streams.races(world.weights)
+        # It reads ahead if nothing else draws: no block delays are drawn, and no block is packed as made.
+        self.races = streams.races(world.weights, streams.block_delays is None and not self.packs_each_block)
         self._rr_turns = itertools.cycle(world.miner_ids)  # round robin: miners in id order
 
     # -- scheduling -----------------------------------------------------

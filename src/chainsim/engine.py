@@ -10,9 +10,10 @@ dispatch loop calls the kind's handler as ``handler(target, time, payload)``:
   constant-delay broadcast is one entry for all its recipients, delivered
   in node order; it holds the place the first per-recipient entry would.
 
-Full-mode transactions are not queued.  The workload holds the next one
-and a sequence number taken from the queue's counter, and the dispatch loop
-has it file, before each event, every transaction that sorts before it.
+Full-mode transactions are not queued.  The workload holds the next one,
+and the dispatch loop has it file, before each event, every transaction
+made at or before the event's time: a transaction made at an event's exact
+instant is filed first.
 
 Each miner's next creation sits in a slot of its own, outside the heap;
 arming the slot again replaces it, so a creation a tip change superseded is
@@ -74,13 +75,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, kind, target, payload))
         return seq
 
-    def take_seqs(self, k: int) -> int:
-        """Hand out ``k`` consecutive sequence numbers, as ``k`` events
-        scheduled now would take them; return the first."""
-        seq = self._next_seq
-        self._next_seq = seq + k
-        return seq
-
     def arm(self, time: float, miner_id: int, tip: int) -> None:
         """Set ``miner_id``'s next ``BLOCK_CREATE``, on ``tip``, replacing the
         one armed before, if any."""
@@ -125,7 +119,7 @@ def run_loop(
     handlers: Mapping[EventKind, Callable[[object, float, object], object]],
     world: "World",
     *,
-    advance: Callable[[float, float], object] | None = None,
+    advance: Callable[[float], object] | None = None,
     sim_time: float | None = None,
     block_target: int | None = None,
 ) -> float:
@@ -138,22 +132,22 @@ def run_loop(
     for rate metrics: the full horizon in time-limited mode, otherwise the
     final clock value.
 
-    ``advance``, if given, is called as ``advance(time, seq)`` before each
-    event is dispatched, and as ``advance(sim_time, math.inf)`` when the
-    horizon ends the run: it files the transactions that come first.
+    ``advance``, if given, is called as ``advance(time)`` before each event
+    is dispatched, and as ``advance(sim_time)`` when the horizon ends the
+    run: it files the transactions made at or before that time.
     """
     table = [handlers[kind] for kind in EventKind]
     next_event = queue.next_event
     horizon = math.inf if sim_time is None else sim_time
     target_blocks = math.inf if block_target is None else block_target
     while (entry := next_event(horizon)) is not None:
-        time, seq, kind, target, payload = entry
+        time, _, kind, target, payload = entry
         if advance is not None:
-            advance(time, seq)
+            advance(time)
         table[kind](target, time, payload)
         if len(world.depth) > target_blocks:
             break
     else:
         if advance is not None and sim_time is not None:
-            advance(sim_time, math.inf)
+            advance(sim_time)
     return sim_time if sim_time is not None else queue.clock

@@ -43,7 +43,7 @@ class Simulation:
         self.world = World(creation_weights(config))
         self.queue = EventQueue()
         self.network = Network(self.queue, self.streams, config, len(self.world.nodes))
-        self.workload = TxWorkload(self.world, self.queue, self.streams, config)
+        self.workload = TxWorkload(self.world, self.streams, config)
         self.consensus = ConsensusEngine(
             self.world, self.queue, self.streams, config, self.network, self.workload
         )

@@ -10,16 +10,13 @@ submitter, unmodelled recipient, size and unit price (``transactions``); and
 each light pool's sizes, then unit prices (``light_pool``).  The samplers
 that ``config`` builds from ``const:``, ``exp:`` and ``hist:`` specs are here.
 
-While the race is the only quantity that has drawn, it reads its uniforms
+How the race reads is fixed when it is built.  In a run in which it is the
+only quantity that draws (no exponential block delays, and no light pool
+or full-mode transaction drawn per block), it reads its uniforms
 ``RACE_CHUNK`` at a time, by one ``random(n)`` call, which reads the words
-that ``n`` scalar ``random()`` calls read, and pops them in order.  Before
-any other quantity's first draw, the uniforms not yet read are given back to
-the generator, once (``advance`` back by their count), and from then on the
-race reads one ``random()`` at a time: every value and the generator's
-state are those of one draw at a time.  No ``integers()`` call comes before
-that give-back, so it never clears a buffered 32-bit half.  Runs in which
-nothing else draws (bare runs, constant light pools, constant delays) read
-ahead to their end.
+that ``n`` scalar ``random()`` calls read, and pops them in order.  Else it
+reads one ``random()`` at a time.  Either way every value is that of one
+draw at a time.
 
 A full-mode transaction is read from a row of raw PCG64 words, as numpy's
 own calls read them: ``integers(n)`` runs Lemire's method on a word's low,
@@ -39,8 +36,8 @@ import numpy as np
 if TYPE_CHECKING:
     from .config import SimConfig
 
-# The race reads this many uniforms at a time while nothing else has drawn:
-# 4 KB of doubles, and some 16 KB as a list of Python floats.
+# The race reads this many uniforms at a time in a run where nothing else
+# draws: 4 KB of doubles, and some 16 KB as a list of Python floats.
 RACE_CHUNK = 512
 # Full mode reads up to this many bytes of raw words in one batch of rows.
 TX_BATCH_BYTES = 1 << 20
@@ -203,54 +200,37 @@ class Streams:
         )
         self.block_delays = None if self._block_delay is None else self._block_delays  # k recipients' delays
         self.created = 0  # full-mode transactions drawn; the last one's id
-        # The race's uniforms read ahead and not yet used, the next one last,
-        # while the race is the only quantity that has drawn.
-        self._ahead: list[float] = []
-        self._reading_ahead = True
 
-    def races(self, weights: list[float]) -> list:
+    def races(self, weights: list[float], alone: bool) -> list:
         """Each node's race: a call drawing the seconds to its next block; None if it never mines.
 
-        A draw is ``ExponentialSampler.draw`` of mean ``B_interval / weight``, its uniforms
-        popped from one list that every race shares, refilled ``RACE_CHUNK`` at a time by one
-        ``random(n)`` call until another quantity first draws, then one ``random()`` at a time.
-        ``random(n)`` reads the words of ``n`` scalar calls, and ``_give_back`` returns the
-        unread ones before that other draw, so every value is that of one draw at a time."""
-        ahead, more, interval = self._ahead, self._race_uniform, self.block_interval
+        A draw is ``ExponentialSampler.draw`` of mean ``B_interval / weight``.  If the race is
+        ``alone``, the run's only quantity that draws, its uniforms are popped from one list
+        that every race shares, refilled ``RACE_CHUNK`` at a time by one ``random(n)`` call,
+        which reads the words of ``n`` scalar calls; else each is one ``random()`` call."""
+        random, interval = self.rng.random, self.block_interval
+        ahead: list[float] = []  # uniforms read and not yet used, the next one last
+
+        def chunk() -> float:
+            ahead[:] = random(RACE_CHUNK)[::-1].tolist()
+            return ahead.pop()
+
+        more = chunk if alone else random
         return [ExponentialSampler(interval / w).reader(ahead, more) if w > 0 else None for w in weights]
 
-    def _race_uniform(self) -> float:
-        """The race's next uniform once ``_ahead`` is empty: the first of a new chunk,
-        reversed to be popped in order, or one ``random()`` once reading ahead has stopped."""
-        if not self._reading_ahead:
-            return self.rng.random()
-        self._ahead[:] = self.rng.random(RACE_CHUNK)[::-1].tolist()
-        return self._ahead.pop()
-
-    def _give_back(self) -> None:
-        """Stop reading ahead, giving the race's unread uniforms back to the generator:
-        called before every draw of another quantity, it gives back at the first."""
-        self._reading_ahead = False
-        if self._ahead:
-            self.rng.bit_generator.advance(-len(self._ahead))  # before any integers(): no half is buffered
-            self._ahead.clear()
-
     def _block_delays(self, k: int) -> list[float]:
-        self._give_back()
         delays = self._block_delay.draws(self.rng, k)
         self._block_delay.skip(self.rng, self.n_nodes - 1 - k)
         return delays
 
     def light_pool(self, pools: np.ndarray, j: int) -> None:
         """Fill pool ``j``'s sizes, then unit prices, in place; a constant leaves its row as it is."""
-        self._give_back()
         self.size_sampler.draw_into(self.rng, pools[0, j])
         self.price_sampler.draw_into(self.rng, pools[1, j])
 
     def start_transactions(self, miner_ids: list[int]) -> None:
         """Hold the first full-mode transaction; delays are drawn for ``miner_ids``.  The
         generator's state is read here, once, to choose how transactions are drawn."""
-        self._give_back()
         n, bits = self.n_nodes, self.rng.bit_generator
         self._gaps = ExponentialSampler(1.0 / self.tx_rate)
         samplers = (self._gaps, self.tx_delays, self.size_sampler, self.price_sampler)
@@ -264,15 +244,15 @@ class Streams:
         self._n, self._miners, self._miner_ids = np.uint64(n), np.array(miner_ids), miner_ids
         self._draw_one((0, (0, 0.0, 0.0, 0.0)))  # the one after a stand-in made at time 0
 
-    def transactions(self, until: float, inclusive: bool) -> tuple:
-        """The held transaction and each after it created before ``until``, or at it too if
-        ``inclusive``, as ``TxWorkload.file`` takes them: the first id, then the submitters,
-        times, weights, fees, and delays to the miners or None.  Holds the first not returned."""
-        if self._bound is not None and (rows := self._rows(until, inclusive)):
+    def transactions(self, until: float) -> tuple:
+        """The held transaction and each after it created at or before ``until``, as
+        ``TxWorkload.file`` takes them: the first id, then the submitters, times, weights,
+        fees, and delays to the miners or None.  Holds the first not returned."""
+        if self._bound is not None and (rows := self._rows(until)):
             return rows
-        return self._one_by_one(until, inclusive)
+        return self._one_by_one(until)
 
-    def _rows(self, until: float, inclusive: bool) -> tuple | None:
+    def _rows(self, until: float) -> tuple | None:
         """``transactions`` drawn from a batch of rows up to the first irregular one, or None
         if that is the first.  The batch covers the expected count and a margin, within
         ``TX_BATCH_BYTES``; the rows not used are given back."""
@@ -282,8 +262,7 @@ class Streams:
         words = bits.random_raw(k * self._stride).reshape(k, -1)
         regular = self._regular(words, pair)
         drawn = self._drawn(words[:regular, pair - 1 :], self.held)
-        side = "right" if inclusive else "left"
-        used = min(int(drawn[1][1:].searchsorted(until, side)) + 1, regular)
+        used = min(int(drawn[1][1:].searchsorted(until, "right")) + 1, regular)
         bits.advance(-(k - used) * self._stride)
         if not used:
             return None
@@ -321,12 +300,11 @@ class Streams:
         times = np.add.accumulate(np.concatenate(([at], self._gaps.from_uniforms(_uniforms(tail[:, 0])))))
         return submitters, times, np.append(weight, weights), np.append(fee, np.multiply(weights, prices))
 
-    def _one_by_one(self, until: float, inclusive: bool) -> tuple:
+    def _one_by_one(self, until: float) -> tuple:
         """``transactions`` for the held one, its delays and successor drawn by numpy's own calls,
-        and, while those draw every row, for each successor due before ``until``."""
+        and, while those draw every row, for each successor due at or before ``until``."""
         rows, delays, miners = [], [], self._miner_ids
-        # Pairs sort as ``(time, seq)`` do: ``inclusive`` puts ``until`` after a transaction at its time.
-        while not rows or (self._bound is None and (self.held[1][1], False) < (until, inclusive)):
+        while not rows or (self._bound is None and self.held[1][1] <= until):
             submitter, tx = self.held
             rows.append((submitter, *tx))
             if self.tx_delays is not None:

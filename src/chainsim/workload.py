@@ -10,8 +10,8 @@ arrays, each with its least weight: a stretch is sorted once and filed in as
 few chunks as it reaches, and packing reads only the chunks in which
 something can still fit.  A block holds its packed ids as one array, so no
 transaction is a Python object.  Transactions are not events: before each
-event, those ``streams`` draws before it are filed in one call, and the next
-waits with the seq its event would take from the queue's counter.
+event, those ``streams`` draws at or before its time are filed in one call,
+and the next one waits.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .config import MAX_FULL_MODE_TRANSACTIONS, RunCapError, SimConfig, light_pool_size
-from .engine import EventQueue
 from .model import NodeState, World, view
 from .streams import ConstantSampler, Streams
 
@@ -190,8 +189,8 @@ class SharedPool:
 class TxWorkload:
     """The transaction stream, and the miners' source of block bodies."""
 
-    def __init__(self, world: World, queue: EventQueue, streams: Streams, config: SimConfig) -> None:
-        self.world, self.queue, self.streams = world, queue, streams
+    def __init__(self, world: World, streams: Streams, config: SimConfig) -> None:
+        self.world, self.streams = world, streams
         self.full_mode = config.has_trans and config.t_technique == "full"
         self.tx_rate = config.t_n
         self.tx_delay = config.t_delay
@@ -213,25 +212,19 @@ class TxWorkload:
         self._submitters, self._adopted = np.zeros(0, np.int64), np.zeros((0, len(self._slots)), bool)
         self._delays = None if streams.tx_delays is None else np.zeros(self._adopted.shape)  # drawn delays
 
-    def start(self) -> Callable[[float, float], None] | None:
+    def start(self) -> Callable[[float], None] | None:
         """Hold the first transaction (full mode) and return ``advance``, for
         ``run_loop`` to call before each event; None without a transaction stream."""
         if not self.full_mode or self.tx_rate <= 0:
             return None
         self.streams.start_transactions(self.world.miner_ids)
-        self._due = (self.streams.held[1][1], self.queue.take_seqs(1))
         return self.advance
 
-    def advance(self, time: float, seq: float) -> None:
-        """File, in creation order, every transaction whose creation sorts
-        before the event at ``(time, seq)``, and hold the first that does not."""
-        while self._due < (time, seq):
-            # Transactions drawn here take seqs past every queued event's, so they sort before one
-            # by time alone; ``math.inf`` marks the horizon, which takes those at its time too.
-            first, *columns = self.streams.transactions(time, seq == math.inf)
-            self.file(first, *columns)
-            drawn = len(columns[1])  # each takes a seq: the held one, the last
-            self._due = (self.streams.held[1][1], self.queue.take_seqs(drawn) + drawn - 1)
+    def advance(self, time: float) -> None:
+        """File, in creation order, every transaction made at or before ``time``,
+        and hold the first made after it."""
+        while self.streams.held[1][1] <= time:
+            self.file(*self.streams.transactions(time))
 
     def file(self, first: int, submitters, times, weights, fees, delays=None) -> None:
         """File the transactions with ids ``first``, ``first + 1``, ...: the i-th was made by

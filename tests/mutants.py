@@ -64,11 +64,12 @@ MUTANTS = [
     Mutant("light-scan-stops-too-early", WORKLOAD, "steps[i:].min(axis=0)", "steps[i:].max(axis=0)"),
     Mutant("uncle-window-off-by-one", CONSENSUS, "low = next_depth - self.uncle_window", "low = next_depth - self.uncle_window + 1"),
     Mutant("no-inclusion-bonus", "src/chainsim/incentives.py", "config.inclusion_reward_fraction * reward", "0.0"),
+    Mutant("race-ahead-reversed", STREAMS, "random(RACE_CHUNK)[::-1].tolist()", "random(RACE_CHUNK).tolist()"),
     Mutant(
-        "race-ahead-not-given-back", STREAMS,
-        "self.rng.bit_generator.advance(-len(self._ahead))", "pass",
+        "race-plan-always-alone", CONSENSUS,
+        "streams.block_delays is None and not self.packs_each_block)", "True)",
     ),
-    Mutant("race-ahead-reversed", STREAMS, "self.rng.random(RACE_CHUNK)[::-1].tolist()", "self.rng.random(RACE_CHUNK).tolist()"),
+    Mutant("tx-tie-after-event", WORKLOAD, "self.streams.held[1][1] <= time", "self.streams.held[1][1] < time"),
     Mutant("biased-miner-pick", STREAMS, "for w in weights]", "for w in [weights[0] / 1.01, *weights[1:]]]"),
     Mutant(
         "submitter-waits-its-delay", WORKLOAD,

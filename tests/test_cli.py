@@ -250,15 +250,20 @@ class TestSweepCommand:
         assert "T_fee must not yield negative prices" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("intervals, delays", [("nan", "1"), ("10", "inf"), ("0", "1")])
+    @pytest.mark.parametrize(
+        "intervals, delays", [("nan", "1"), ("10", "inf"), ("0", "1"), ("", "1"), ("60", "1,x")]
+    )
     def test_bad_grid_value_exit_2(self, tmp_path, capsys, intervals, delays):
         config = write_config(tmp_path)
+        out = tmp_path / "o"
         code = cli.main([
             "sweep", "--config", str(config), "--intervals", intervals, "--delays", delays,
-            "--out", str(tmp_path / "o"),
+            "--out", str(out),
         ])
         assert code == 2
-        assert "config error:" in capsys.readouterr().err
+        errors = [line for line in capsys.readouterr().err.splitlines() if "config error:" in line]
+        assert len(errors) == 1
+        assert not (out / "sweep.csv").exists()
 
 
 SWEEP_GRID = ["--intervals", "30,60", "--delays", "0.5,2"]
@@ -533,6 +538,7 @@ def test_unbounded_full_mode_exit_2(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.stream_pin
 def test_realised_full_mode_cap_exit_3(tmp_path):
     # About 960,000 transactions expected, so validate lets it through, but
     # with seed 5 the four blocks take long enough for about 1.38 million:

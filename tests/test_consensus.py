@@ -46,7 +46,7 @@ def make_engine(
     queue = EventQueue()
     streams = Streams(config, seed)
     network = Network(queue, streams, config, len(world.nodes))
-    workload = TxWorkload(world, queue, streams, config)
+    workload = TxWorkload(world, streams, config)
     return ConsensusEngine(world, queue, streams, config, network, workload), world, queue
 
 

@@ -140,6 +140,7 @@ class TestSampleExponentials:
             ExponentialSampler(0.0).draws(np.random.default_rng(1), 3)
 
 
+@pytest.mark.stream_pin
 class TestSkipExponentials:
     def test_leaves_the_state_draws_leaves(self):
         skipped, drawn = np.random.default_rng(8), np.random.default_rng(8)
@@ -246,8 +247,9 @@ def zero_word_in(rng, j):
     return state
 
 
+@pytest.mark.stream_pin
 class TestNumpyRules:
-    """The rules of numpy's generator that full-mode batches and the race's read-ahead rely on."""
+    """The rules of numpy's generator that full-mode batches and the race's chunks rely on."""
 
     def test_random_n_gives_the_values_of_n_scalar_calls(self):
         batch, single = np.random.default_rng(9), np.random.default_rng(9)
@@ -370,7 +372,7 @@ def check_against_one_at_a_time(sim, advance, reference, held, steps):
             submitter, tx = held
             expected.append((submitter, tx, reference.arrivals(submitter, tx[1])))
             held = reference.draw(tx[1])
-        advance(held[1][1], -1)  # an event just after the last of them
+        advance(np.nextafter(held[1][1], -np.inf))  # an event just after the last of them
         assert_same_generator_state(sim.streams.rng, twin)
         stamps = pending_arrivals(sim.workload)
         assert [(s, tx, stamps[tx[0]]) for s, tx, _ in filed] == expected
@@ -384,6 +386,7 @@ def hist_path(tmp_path_factory):
     return path
 
 
+@pytest.mark.stream_pin
 class TestExponentialAndPair:
     """Full-mode transactions read from raw words: the exponential gap, the
     submitter pair and the rest are the draws one event at a time made."""
@@ -435,7 +438,7 @@ class TestExponentialAndPair:
         sim = Simulation(config, 0)
         rng = sim.streams.rng = CountingGenerator(np.random.PCG64(11))
         advance = sim.workload.start()
-        advance(10_000.0, -1)
+        advance(10_000.0)
         assert rng.calls == 0 and sim.streams.created > 9_000
 
     def test_rejected_word_is_given_back_then_a_buffered_half_keeps_numpy(self):
@@ -454,7 +457,7 @@ class TestExponentialAndPair:
             before = rng.calls
             reference.arrivals(held[0], held[1][1])
             held = reference.draw(held[1][1])
-            advance(held[1][1], -1)
+            advance(np.nextafter(held[1][1], -np.inf))
             assert sim.streams.held == held
             assert_same_generator_state(rng, reference.rng)
             steps.append((rng.calls - before, rng.bit_generator.state["has_uint32"]))
@@ -568,11 +571,11 @@ class TestRunLoop:
         sim.handlers = {kind: wrap(h) for kind, h in sim.handlers.items()}
         sim.consensus.start()
         run_loop(sim.queue, sim.handlers, sim.world,
-                 advance=lambda time, seq: calls.append(("advance", time, seq)), **stop)
+                 advance=lambda time: calls.append(("advance", time)), **stop)
         events = [call for call in calls if call[0] == "event"]
-        horizon = [("advance", 5_000.0, math.inf)] if "sim_time" in stop else []
+        horizon = [("advance", 5_000.0)] if "sim_time" in stop else []
         assert len(events) >= 10
-        assert [c[:2] for c in calls[: 2 * len(events)]] == [
+        assert calls[: 2 * len(events)] == [
             c for event in events for c in (("advance", event[1]), event)
         ]
         assert calls[2 * len(events) :] == horizon

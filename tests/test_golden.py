@@ -21,6 +21,8 @@ from chainsim import cli
 
 from conftest import read_rows, strip_wall_clock
 
+pytestmark = pytest.mark.stream_pin
+
 CASES = {
     # Exponential delays drawn per recipient, fee-varied packing, forks, and
     # nodes 5 and 6 that never mine but submit transactions.

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -209,6 +207,7 @@ class TestBroadcastTx:
         stamps = self.stamps(at=7.0, t_delay=0.0, delay_mode="exponential")
         assert set(stamps.values()) == {7.0}
 
+    @pytest.mark.stream_pin
     def test_exponential_draws_every_recipient_in_node_order(self):
         # One draw per node other than the submitter, ascending, non-miners
         # included: the random stream of a per-recipient broadcast.
@@ -220,8 +219,9 @@ class TestBroadcastTx:
         advance = sim.workload.start()
         replay = np.random.default_rng(0)
         replay.bit_generator.state = sim.streams.rng.bit_generator.state
-        (at, _), (submitter, tx) = sim.workload._due, sim.streams.held
-        advance(at, math.inf)  # files the first transaction, drawing its delays
+        submitter, tx = sim.streams.held
+        at = tx[1]
+        advance(at)  # files the first transaction, drawing its delays
         others = [n for n in range(6) if n != submitter]
         delay = ExponentialSampler(3.0)
         expected = {n: at + delay.draw(replay) for n in others}

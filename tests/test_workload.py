@@ -457,15 +457,16 @@ class TestFullMode:
             file_one(sim.workload, 0, tx(MAX_FULL_MODE_TRANSACTIONS + 1, 0.5, 0.001))
         assert list(pending_arrivals(sim.workload)) == [MAX_FULL_MODE_TRANSACTIONS]
 
-    @pytest.mark.parametrize("offset, filed", [(-1, False), (1, True)])
-    def test_an_event_at_the_held_time_sorts_by_seq(self, offset, filed):
-        # An event at the held transaction's own time comes after it if its
-        # seq is higher, as two queued events would.
+    @pytest.mark.parametrize("before, filed", [(True, False), (False, True)], ids=["just-before", "at"])
+    def test_a_transaction_at_an_event_s_time_is_filed_first(self, before, filed):
+        # The tie rule: a transaction made at an event's exact instant is
+        # filed before the event; one made a moment after it waits.
         sim = self._sim(block_target=5)
         advance = sim.workload.start()
         record = record_filing(sim)
-        held, (at, seq) = sim.streams.held, sim.workload._due
-        advance(at, seq + offset)
+        held = sim.streams.held
+        held_time = held[1][1]
+        advance(np.nextafter(held_time, -np.inf) if before else held_time)
         assert record == ([(*held, None)] if filed else [])
         assert (sim.streams.held == held) is not filed
 
