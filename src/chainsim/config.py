@@ -36,9 +36,9 @@ FRACTION_TOLERANCE = 1e-9
 # ``validate`` bounds the expected count; a run making more raises ``RunCapError``.
 MAX_FULL_MODE_TRANSACTIONS = 1_000_000
 # Most blocks one run may expect (block_target, or Sim_time / B_interval).
-# Every block is kept until the run ends, a row of about 60 bytes; a bare run at
-# the cap took 8.5 s and 122 MB of peak memory on the same host; far above it, a
-# run would not end.
+# Every block is kept until the run ends, a row of about 50 bytes; a bare run at
+# the cap took 6.8-8.5 s and 115 MB of peak memory on the same host; far above it,
+# a run would not end.
 MAX_BLOCKS_PER_RUN = 1_000_000
 # Most entries a light-mode pool may hold.  Each costs 16 bytes in a pool
 # (a size and a unit price) and some 80 more while it is packed, and every
@@ -160,6 +160,12 @@ class SimConfig:
         if self._parsed is None or self._parsed[0] != specs:
             object.__setattr__(self, "_parsed", (specs, tuple(map(parse_sampler, specs))))
         return self._parsed[1]
+
+    @property
+    def tx_technique(self) -> str | None:
+        """How the run makes transactions, ``"full"`` or ``"light"``; None if it
+        makes none: ``hasTrans = false``, or ``T_n = 0`` in either technique."""
+        return self.t_technique if self.has_trans and self.t_n > 0 else None
 
 
 # The value parser for each field annotation, with ``| None`` removed.
@@ -299,8 +305,6 @@ def _anchor_hist(spec: str, base_dir: Path | None) -> str:
 def light_pool_size(config: SimConfig, mean_size: float) -> int:
     """Entries in a light-mode pool: twice the arrivals per block interval, and
     at most twice the transactions of ``mean_size`` a block holds."""
-    if config.t_n <= 0:
-        return 0
     arrivals = config.t_n * config.b_interval
     fits = max(1, int(config.b_size / mean_size))
     return int(min(math.ceil(2 * arrivals), 2 * fits))
@@ -372,7 +376,7 @@ def validate(config: SimConfig) -> SimConfig:
             f"{MAX_BLOCKS_PER_RUN:,}; "
             + ("lower Sim_time or raise B_interval" if by_time else "lower block_target")
         )
-    full = config.has_trans and config.t_technique == "full"
+    full = config.tx_technique == "full"
     if full and config.t_n * horizon > MAX_FULL_MODE_TRANSACTIONS:
         fail(
             f"full mode expects about {config.t_n * horizon:.3g} transactions per run "
@@ -381,7 +385,7 @@ def validate(config: SimConfig) -> SimConfig:
             + ("Sim_time" if by_time else "block_target")
         )
     if config.delay_mode == "exponential":
-        full_delays = full and config.t_delay * config.t_n > 0
+        full_delays = full and config.t_delay > 0
         if full_delays and config.n_n - 1 > MAX_DELAY_ROW:
             fail(
                 f"full mode with exponential T_delay draws N_n - 1 = {config.n_n - 1:,} delays "
@@ -401,7 +405,7 @@ def validate(config: SimConfig) -> SimConfig:
         fail("T_size must yield positive sizes")
     if config.has_trans and _least_draw(price_sampler) < 0:
         fail("T_fee must not yield negative prices")
-    if config.has_trans and config.t_technique == "light":
+    if config.tx_technique == "light":
         mean_size = size_sampler.mean()
         entries = light_pool_size(config, mean_size)
         if entries > MAX_LIGHT_POOL:

@@ -28,15 +28,6 @@ def uncle_reward(d_uncle, g_uncle: int, d_block, r_block: float):
     return (d_uncle + (g_uncle + 1) - d_block) * r_block / (g_uncle + 1)
 
 
-def _running_sum(buffer: np.ndarray, owners: np.ndarray, values, miner: int) -> float:
-    """The ``values`` (an array, or one for every entry; none negative) owned by ``miner``,
-    added in order from 0.0 in ``buffer``, which starts with 0.0 and is longer than ``owners``:
-    another miner's entry adds 0.0, which leaves the sum as it was."""
-    out = buffer[: len(owners) + 1]
-    np.multiply(owners == miner, values, out=out[1:])
-    return float(np.add.accumulate(out, out=out)[-1])
-
-
 def distribute(chain: np.ndarray, world: World, config: SimConfig) -> dict[int, float]:
     """Each paid miner's reward: its main-chain blocks, their fees, its
     referenced uncles and its inclusion bonuses, each summed in chain order.
@@ -63,14 +54,17 @@ def distribute(chain: np.ndarray, world: World, config: SimConfig) -> dict[int, 
     for m in _owners(uncle_miners):
         at = int((uncle_miners == m).argmax())
         first[m] = min(first.get(m, (math.inf,)), (int(depth[includers[at]]) - 1, 1, at))
-    buffer = np.zeros(max(len(blocks), len(refs)) + 1)  # reused by every running sum
-    return {
-        m: _running_sum(buffer, block_miners, reward, m)
-        + _running_sum(buffer, block_miners, fees, m)
-        + _running_sum(buffer, uncle_miners, uncle_rewards, m)
-        + _running_sum(buffer, includer_miners, config.inclusion_reward_fraction * reward, m)
-        for m in sorted(first, key=first.get)
-    }
+    bins = max(first, default=-1) + 1
+
+    def paid(owners: np.ndarray, values) -> np.ndarray:
+        # Each bin adds its owner's values in order from 0.0.
+        return np.bincount(owners, np.broadcast_to(values, owners.shape), bins)
+
+    totals = (
+        paid(block_miners, reward) + paid(block_miners, fees) + paid(uncle_miners, uncle_rewards)
+        + paid(includer_miners, config.inclusion_reward_fraction * reward)
+    )
+    return {m: float(totals[m]) for m in sorted(first, key=first.get)}
 
 
 def _owners(miners: np.ndarray) -> list[int]:

@@ -48,16 +48,17 @@ class World:
 
     Each block of the run is one row of the block columns, ``array``s
     indexed by block id from genesis's 0: ``depth``, ``parent`` (-1 for
-    genesis), ``timestamp``, ``miner``, and the ``tx_count``, ``weight`` (MB
-    or gas) and ``tx_fee_total`` that packing fills in by the end of the
-    run.  ``uncles`` maps a referencing block to its uncle ids, and
-    ``transactions`` a full-mode block to its packed ids, in order.
-    ``included_uncles`` holds every uncle any block has referenced, from the
-    moment the referencing block is created.
+    genesis), ``timestamp``, ``miner``, and the ``tx_count`` and
+    ``tx_fee_total`` that packing fills in by the end of the run; a run
+    without transactions leaves both 0.  No output reads a block's total
+    size, so no column holds it.  ``uncles`` maps a referencing block to its
+    uncle ids, and ``transactions`` a full-mode block to its packed ids, in
+    order.  ``included_uncles`` holds every uncle any block has referenced,
+    from the moment the referencing block is created.
     """
 
     __slots__ = ("weights", "miner_ids", "nodes", "included_uncles", "uncles", "transactions",
-                 "depth", "parent", "timestamp", "miner", "tx_count", "weight", "tx_fee_total")
+                 "depth", "parent", "timestamp", "miner", "tx_count", "tx_fee_total")
 
     def __init__(self, weights: Sequence[float]) -> None:
         self.miner_ids = [i for i, w in enumerate(weights) if w > 0]
@@ -71,7 +72,6 @@ class World:
         self.timestamp = array("d", [0.0])
         self.miner = array("q", [-1])
         self.tx_count = array("q", [0])
-        self.weight = array("d", [0.0])
         self.tx_fee_total = array("d", [0.0])
         self.uncles: dict[int, tuple[int, ...]] = {}
         self.transactions: dict[int, np.ndarray] = {}
@@ -86,7 +86,6 @@ class World:
         self.timestamp.append(timestamp)
         self.miner.append(miner)
         self.tx_count.append(0)
-        self.weight.append(0.0)
         self.tx_fee_total.append(0.0)
         if uncles:
             self.uncles[block] = uncles

@@ -15,11 +15,14 @@ and the next one waits.
 
 Light: a single shared pool is reset and refilled with fresh transactions
 at every block creation.  Nothing is propagated or tracked per transaction,
-which keeps high-rate runs cheap; blocks record count/fee/weight aggregates.
+which keeps high-rate runs cheap; blocks record count and fee aggregates.
 Nothing reads those before the run ends, so blocks are packed in batches:
 once a batch is full, and at the end of the run.  A pool of constant size
 and price gives every block the same aggregates, so it takes no block as it
 is made and fills every row at the end of the run.
+
+A run without transactions (``SimConfig.tx_technique`` None) has neither a
+transaction stream nor a pool.
 """
 
 from __future__ import annotations
@@ -70,15 +73,14 @@ class SharedPool:
         self.capacity = config.b_size
         self.refill_size = light_pool_size(config, size.mean())
         arrivals = config.t_n * config.b_interval
-        self.block_budget = max(1, math.ceil(arrivals)) if config.t_n > 0 else 0
+        self.block_budget = max(1, math.ceil(arrivals))
         # With constant size and price the pool contents are interchangeable,
         # so selection reduces to "take k" and no arrays are needed.
-        self._uniform = all(isinstance(s, ConstantSampler) for s in samplers)
-        if self._uniform:  # every block gets the same (tx_count, weight, tx_fee_total)
+        self.draws = not all(isinstance(s, ConstantSampler) for s in samplers)  # a fresh pool for every block
+        if not self.draws:  # every block gets the same (tx_count, tx_fee_total)
             k = min(self.block_budget, int(self.capacity / size.value), self.refill_size)
-            self._filled = (k, k * size.value, k * (size.value * price.value))
-        self.draws = bool(self.refill_size) and not self._uniform  # a fresh pool for every block
-        self.width = min(max(BATCH_BYTES // (16 * max(self.refill_size, 1)), 1), PACK_BATCH)
+            self._filled = (k, k * (size.value * price.value))
+        self.width = min(max(BATCH_BYTES // (16 * self.refill_size), 1), PACK_BATCH)
         self.blocks: list[int] = []  # ids waiting for ``pack``
         if self.draws:
             # Sizes and unit prices.  A constant sampler draws nothing, so
@@ -112,11 +114,9 @@ class SharedPool:
         that every pool takes all, and from there the scan advances every
         pool one entry a step.
         """
-        if not self.draws:
-            if self.refill_size:  # constant: every block but genesis gets the same row
-                world = self.world
-                for column, value in zip((world.tx_count, world.weight, world.tx_fee_total), self._filled):
-                    view(column)[1:] = value
+        if not self.draws:  # constant: every block but genesis gets the same row
+            for column, value in zip((self.world.tx_count, self.world.tx_fee_total), self._filled):
+                view(column)[1:] = value
             return
         k = len(self.blocks)
         if k == 0:
@@ -145,12 +145,9 @@ class SharedPool:
         if over.size:  # the scan ran past the budget: only the first ``budget`` count
             taken[:, over] &= taken[:, over].cumsum(axis=0) <= budget
             counts[over] = budget
-            # Adding 0.0 for an entry not taken leaves a running sum as it was.
-            used[over] = np.add.accumulate(w[:, over] * taken[:, over], axis=0)[-1]
         f *= taken
         fee_totals = np.add.accumulate(f, axis=0, out=f)[-1]
         view(self.world.tx_count)[self.blocks] = counts
-        view(self.world.weight)[self.blocks] = used
         view(self.world.tx_fee_total)[self.blocks] = fee_totals
         self.blocks.clear()
 
@@ -191,11 +188,10 @@ class TxWorkload:
 
     def __init__(self, world: World, streams: Streams, config: SimConfig) -> None:
         self.world, self.streams = world, streams
-        self.full_mode = config.has_trans and config.t_technique == "full"
-        self.tx_rate = config.t_n
+        self.full_mode = config.tx_technique == "full"
         self.tx_delay = config.t_delay
         self.block_capacity = config.b_size
-        light = config.has_trans and not self.full_mode
+        light = config.tx_technique == "light"
         self.shared_pool = SharedPool(world, streams, config) if light else None
         # Whether ``take_block`` fills or queues anything: else a block's row waits for the run's end.
         self.packs_each_block = self.full_mode or (light and self.shared_pool.draws)
@@ -215,7 +211,7 @@ class TxWorkload:
     def start(self) -> Callable[[float], None] | None:
         """Hold the first transaction (full mode) and return ``advance``, for
         ``run_loop`` to call before each event; None without a transaction stream."""
-        if not self.full_mode or self.tx_rate <= 0:
+        if not self.full_mode:
             return None
         self.streams.start_transactions(self.world.miner_ids)
         return self.advance
@@ -307,9 +303,9 @@ class TxWorkload:
         pool, which may fill it later.
 
         Full mode packs the miner's pool greedily in fee order (ties to the lower id), skipping
-        what does not fit, and sums weights and fees in that order; ``World.transactions`` gets
-        the ids.  It passes over whole a chunk whose least weight cannot fit, and from each chunk
-        it visits drops the ids every miner's chain has adopted, deleting a chunk left empty."""
+        what does not fit, and sums the fees in that order; ``World.transactions`` gets the ids.
+        It passes over whole a chunk whose least weight cannot fit, and from each chunk it
+        visits drops the ids every miner's chain has adopted, deleting a chunk left empty."""
         if not self.pending:  # always so in light mode
             if self.shared_pool is not None:
                 self.shared_pool.take_block(block)
@@ -337,7 +333,7 @@ class TxWorkload:
         self._minima = np.delete(self._minima, emptied)
         world = self.world
         world.transactions[block] = ids = np.concatenate(taken)
-        world.tx_count[block], world.weight[block] = len(ids), used
+        world.tx_count[block] = len(ids)
         world.tx_fee_total[block] = float(np.add.accumulate(np.concatenate(([0.0], self._fees[ids])))[-1])
 
     def _fill(self, ready: np.ndarray, used: float, least: float, taken: list[np.ndarray]) -> float:

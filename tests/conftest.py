@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from chainsim.config import SimConfig
+from chainsim.runner import Simulation
+from chainsim.streams import Streams
 
 SKEWED_MINERS = (0.40, 0.30, 0.15, 0.10, 0.05)
 
@@ -51,13 +54,21 @@ def selections(draw):
     return selector, fractions(power), fractions(weights), len(weights)
 
 
-def put_block(world, depth, parent, timestamp, miner, *, uncles=(), tx_count=0, weight=0.0, tx_fee_total=0.0):
+def planned_alone(config) -> bool:
+    """Whether the engine built for ``config`` plans its race as the run's only draw."""
+    with mock.patch.object(Streams, "races", autospec=True, return_value=[]) as races:
+        Simulation(config, 0)
+    (_, _, alone), _ = races.call_args
+    return alone
+
+
+def put_block(world, depth, parent, timestamp, miner, *, uncles=(), tx_count=0, tx_fee_total=0.0):
     """Append a row to ``world``'s block columns as given, whether or not it
     fits the tree, and return its id; ``uncles`` join no referenced set."""
     block = len(world.depth)
     for column, value in (
         (world.depth, depth), (world.parent, parent), (world.timestamp, timestamp), (world.miner, miner),
-        (world.tx_count, tx_count), (world.weight, weight), (world.tx_fee_total, tx_fee_total),
+        (world.tx_count, tx_count), (world.tx_fee_total, tx_fee_total),
     ):
         column.append(value)
     if uncles:

@@ -120,8 +120,7 @@ class TestWorld:
         sim = Simulation(config, 0)
         sim.run()
         world = sim.world
-        columns = (world.depth, world.parent, world.timestamp, world.miner, world.tx_count,
-                   world.weight, world.tx_fee_total)
+        columns = (world.depth, world.parent, world.timestamp, world.miner, world.tx_count, world.tx_fee_total)
         assert {len(column) for column in columns} == {21}
         assert all(0 <= world.parent[b] < b for b in range(1, 21))  # a parent is made first
         fresh = Simulation(config, 0)

@@ -39,6 +39,16 @@ LIGHT_OR_BARE = st.one_of(
 )
 
 
+# Three spellings of a run without transactions beside ``hasTrans = false``:
+# T_n = 0 in light mode, with constant and with drawn samplers, and in full mode.
+NO_TRANSACTIONS = (
+    dict(has_trans=False),
+    dict(has_trans=True, t_technique="light", t_n=0.0, t_size="const:0.001", t_fee="const:0.2"),
+    dict(has_trans=True, t_technique="light", t_n=0.0, t_size="exp:0.001", t_fee="exp:0.5"),
+    dict(has_trans=True, t_technique="full", t_n=0.0, t_delay=1.5, t_size="exp:0.001", t_fee="exp:0.5"),
+)
+
+
 def report_rows(config):
     """``runs.csv`` and ``aggregate.csv`` of ``config``, without ``wall_clock_s``."""
     reports = run_many(config)
@@ -77,6 +87,30 @@ class TestNodesAboveTheLastCreator:
         for n_n in (cut + 1, cut + 40, 10**7):
             assert report_rows(make_config(n_n=n_n, **base)) == at_cut
             assert len(Simulation(make_config(n_n=n_n, **base), 0).world.nodes) == cut
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    selection=selections(),
+    uncles=st.booleans(),
+    delay=st.sampled_from([("constant", 0.0), ("constant", 3.0), ("exponential", 3.0)]),
+    extra_nodes=st.integers(0, 2),
+    block_target=st.integers(1, 40),
+    runs=st.integers(1, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_every_run_without_transactions_writes_the_same_csvs(
+    selection, uncles, delay, extra_nodes, block_target, runs, seed
+):
+    # hasTrans = false and T_n = 0, in either technique, are one run.
+    selector, miners, stakes, cut = selection
+    base = dict(
+        selector=selector, miners=miners, stakes=stakes, n_n=cut + extra_nodes, uncles_enabled=uncles,
+        delay_mode=delay[0], b_delay=delay[1], b_interval=10.0, block_target=block_target, runs=runs,
+        seed=seed,
+    )
+    bare, *others = (report_rows(make_config(**base, **spelling)) for spelling in NO_TRANSACTIONS)
+    assert all(rows == bare for rows in others)
 
 
 # Runs a config in this interpreter and prints its peak resident set size in
@@ -178,8 +212,8 @@ def test_full_mode_peak_memory_per_transaction():
 def test_end_of_run_heap_is_small_per_block():
     # From the run loop's end to the report, a bare run of 20,000 blocks
     # allocates at most 60 bytes a block at its peak: the main chain is one
-    # int64 array and the rewards reuse one buffer.  A chain held as a list of
-    # ints, with each running sum in fresh arrays, takes 81 bytes.
+    # int64 array and each reward category one bincount.  A chain held as a
+    # list of ints, with each running sum in fresh arrays, takes 81 bytes.
     blocks = 20_000
     sim = Simulation(make_config(has_trans=False, block_target=blocks), 0)
     at_end = []

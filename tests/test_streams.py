@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainsim.runner import Simulation, run_single
+from chainsim.runner import run_single
 from chainsim.streams import RACE_CHUNK, ExponentialSampler, HistogramSampler, Streams
 
-from conftest import FixedUniform, make_config
+from conftest import FixedUniform, make_config, planned_alone
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "chainsim"
 # The pattern of the CI step "Only streams.py reads the random generator".
@@ -61,14 +61,6 @@ def race_gaps(streams, weights, count, alone):
     samplers = [ExponentialSampler(streams.block_interval / w) for w in weights]
     turns = [i % len(weights) for i in range(count)]
     return [races[i]() for i in turns], lambda rng: [samplers[i].draw(rng) for i in turns]
-
-
-def planned_alone(config):
-    """Whether the engine built for ``config`` plans its race as the run's only draw."""
-    with mock.patch.object(Streams, "races", autospec=True, return_value=[]) as races:
-        Simulation(config, 0)
-    (_, _, alone), _ = races.call_args
-    return alone
 
 
 def generator_state(rng):

@@ -19,7 +19,7 @@ from chainsim.config import (
     load_histogram,
     parse_sampler,
 )
-from chainsim.consensus import main_chain
+from chainsim.consensus import ConsensusEngine, main_chain
 from chainsim.engine import EventKind
 from chainsim.model import World
 from chainsim.runner import Simulation, run_single
@@ -34,6 +34,7 @@ from conftest import (
     make_config,
     pending_arrivals,
     pending_order,
+    planned_alone,
     put_block,
     read_rows,
     record_filing,
@@ -104,7 +105,7 @@ class Recording:
         self.batches.append(out.copy())
 
 
-Packed = namedtuple("Packed", "tx_count weight tx_fee_total")
+Packed = namedtuple("Packed", "tx_count tx_fee_total")
 
 
 def take_blocks(pool, count):
@@ -115,7 +116,7 @@ def take_blocks(pool, count):
     for block in blocks:
         pool.take_block(block)
     pool.pack()
-    return [Packed(world.tx_count[b], world.weight[b], world.tx_fee_total[b]) for b in blocks]
+    return [Packed(world.tx_count[b], world.tx_fee_total[b]) for b in blocks]
 
 
 def check_against_oracle(config, size, price, count, seed):
@@ -129,7 +130,6 @@ def check_against_oracle(config, size, price, count, seed):
         expected = reference_pack(pool, drawn, drawn * unit)
         assert block.tx_count == len(expected)
         assert block.tx_fee_total == reduce(add, (fee for _, _, _, fee in expected), 0.0)
-        assert block.weight == reduce(add, (weight for _, _, weight, _ in expected), 0.0)
     assert len(sizes.batches) == count + 1  # the pool a next block would take
 
 
@@ -286,9 +286,15 @@ class TestSharedPool:
         assert pool.block_budget == 50
 
     def test_no_transactions_empty_pool(self):
-        pool = self._pool(tx_rate=0.0)
-        (block,) = take_blocks(pool, 1)
-        assert block.tx_count == 0 and block.tx_fee_total == 0.0
+        # A light run at T_n = 0 makes no transactions: it builds no pool,
+        # hands no block to the workload, and its blocks hold nothing.
+        sim = Simulation(light_config(t_n=0.0, t_size="exp:0.001", block_target=20), 0)
+        assert sim.workload.shared_pool is None and not sim.workload.packs_each_block
+        with mock.patch.object(TxWorkload, "take_block") as take_block:
+            sim.run()
+        assert not take_block.called
+        assert len(sim.world.depth) > 20
+        assert not any(sim.world.tx_count) and not any(sim.world.tx_fee_total)
 
     def test_fresh_pool_every_refill(self):
         # Packing does not drain the pool: every block finds it full again.
@@ -308,7 +314,6 @@ class TestSharedPool:
         assert not take_block.called
         blocks = len(sim.world.depth) - 1
         assert blocks >= 60 and list(sim.world.tx_count) == [0] + [50 if has_trans else 0] * blocks
-        assert list(sim.world.weight)[1:] == [50 * 0.001 if has_trans else 0.0] * blocks
         assert list(sim.world.tx_fee_total)[1:] == [50 * (0.001 * 1.0) if has_trans else 0.0] * blocks
 
     def test_vectorized_packing_matches_object_oracle(self):
@@ -324,7 +329,6 @@ class TestSharedPool:
         expected = reference_pack(pool, size.batches[0], size.batches[0] * price.batches[0])
         assert block.tx_count == len(expected)
         assert block.tx_fee_total == pytest.approx(sum(t[3] for t in expected), rel=1e-12)
-        assert block.weight == pytest.approx(sum(t[2] for t in expected), rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -449,6 +453,18 @@ class TestFullMode:
         sim.run()
         assert fired == []
 
+    def test_zero_rate_is_a_run_without_transactions(self):
+        # Full mode at T_n = 0 makes nothing to draw or pack: the race reads
+        # in chunks as in a bare run, no block passes through take_block, and
+        # no delivery absorbs a block into a miner's transactions.
+        sim = self._sim(t_n=0.0, b_delay=2.0, b_interval=10.0, block_target=60)
+        assert planned_alone(sim.config)
+        with mock.patch.object(TxWorkload, "take_block") as take_block, \
+                mock.patch.object(ConsensusEngine, "_absorb") as absorb:
+            report = sim.run()
+        assert not take_block.called and not absorb.called
+        assert report.blocks_created >= 60 and not sim.world.transactions
+
     def test_ids_past_the_cap_stop_the_run(self):
         sim = self._sim(block_target=5)
         sim.workload.start()
@@ -510,8 +526,9 @@ class TestFullMode:
 
         seen = set()
         for bid in main_chain(sim.world)[1:]:
-            assert sim.world.weight[bid] <= 0.005 + 1e-12  # capacity respected
-            for tx_id, _, _, _ in block_txs(sim.workload, bid):
+            packed = block_txs(sim.workload, bid)
+            assert sum(weight for _, _, weight, _ in packed) <= 0.005 + 1e-12  # capacity respected
+            for tx_id, _, _, _ in packed:
                 assert tx_id not in seen
                 seen.add(tx_id)
         assert seen  # the run actually included transactions
@@ -794,10 +811,7 @@ class TestBatchFiling:
                     block = sim.consensus.on_block_create(miner_id, now, sim.world.nodes[miner_id].tip)
                     sim.consensus.deliver_block(tuple(receivers), now, block)
                     world = sim.world
-                    made.append(
-                        (block_txs(sim.workload, block), world.tx_count[block], world.weight[block],
-                         world.tx_fee_total[block])
-                    )
+                    made.append((block_txs(sim.workload, block), world.tx_count[block], world.tx_fee_total[block]))
                 assert made[0] == made[1]
                 assert pending_keys(batched.workload) == pending_keys(single.workload)
 
